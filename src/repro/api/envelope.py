@@ -38,7 +38,7 @@ from repro.errors import (
     XPathSyntaxError,
 )
 
-#: Decompression guard when decoding result paths (same default as the CLI).
+#: Guard on tree nodes visited when decoding result paths (the CLI's default).
 DEFAULT_LIMIT = 1_000_000
 
 #: Server-side cap on how many result paths one response may carry.
@@ -142,6 +142,11 @@ def encode_result(result, paths: int = 0, limit: int = DEFAULT_LIMIT) -> dict:
     This is THE canonical response payload — the benchmarks build their
     expected payloads through the same function the server uses, so
     correctness gates are byte comparisons of canonical JSON.
+
+    ``paths``: the first N paths in document order (at most
+    :data:`MAX_PATHS`).  ``limit``: guard on the tree nodes the decode walk
+    visits — only subtrees holding a match, a subset of a full document-order
+    walk to the same paths: O(|DAG| + N * depth * fan-out), never O(|tree|).
     """
     payload: dict = {
         "dag_count": result.dag_count(),

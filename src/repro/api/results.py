@@ -7,8 +7,8 @@ increasing cost — exactly the decode ladder of the paper's Figure 7:
    selected vertices of the compressed instance, free;
 2. **tree paths** (:meth:`iter_paths`, :meth:`tree_count`) — the edge
    paths of the tree nodes the selection stands for, streamed lazily in
-   document order (consuming a prefix walks only enough of the tree to
-   produce it, via a bounded ``islice``-able iterator);
+   document order (a selection-guided walk: consuming a prefix of k paths
+   costs O(|DAG| + k * depth * fan-out), wherever the matches lie);
 3. **XML fragments** (:meth:`iter_fragments`) — the actual subtree text
    of each match, reassembled from the skeleton/containers decomposition
    (:mod:`repro.skeleton.reassemble`) and serialised by
@@ -153,8 +153,10 @@ class ResultSet:
     def iter_paths(self, limit: int = DEFAULT_LIMIT) -> Iterator[tuple[int, ...]]:
         """Edge paths of the selected tree nodes, lazily, in document order.
 
-        ``limit`` bounds the decompression walk (the tree may be
-        exponentially larger than the instance).  A served result set
+        ``limit`` guards the tree nodes the decode walk visits
+        (:class:`~repro.errors.DecompressionLimitError` beyond it): only
+        subtrees holding a match, a subset of a full document-order walk to
+        the same paths, however large the tree.  A served result set
         yields the paths its response carried — ask for them at execute
         time via ``paths=N``.
         """

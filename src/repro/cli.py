@@ -443,7 +443,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--workload", help="file with one XPath per line ('#' comments allowed)"
     )
     query.add_argument("--paths", type=int, default=0, help="print up to N result paths")
-    query.add_argument("--limit", type=int, default=1_000_000)
+    query.add_argument(
+        "--limit", type=int, default=1_000_000,
+        help="guard on tree nodes the --paths decode walk visits: only subtrees holding "
+        "a match, a subset of a full document-order walk (default: %(default)s)",
+    )
     query.add_argument(
         "--axes", choices=("functional", "inplace"), default="functional",
         help="axis implementation (inplace = the paper's Figure 4)",

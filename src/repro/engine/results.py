@@ -3,12 +3,14 @@
 A query result is a named selection on a (possibly partially decompressed)
 instance.  A selected DAG vertex represents all tree nodes that unfold from
 it, so the result offers both counts: selected DAG vertices (column 7) and
-the tree nodes they stand for (column 8, via path counting), plus bounded
-materialisation of the actual tree nodes as edge paths.
+the tree nodes they stand for (column 8), plus bounded materialisation of
+the actual tree nodes as edge paths — both from one bottom-up *selection
+summary* (:func:`repro.model.paths.selection_summary`), never by walking
+the uncompressed tree.
 
 Results are **read-only views**: the evaluator hands them a finished
 instance and never mutates it afterwards, so every traversal-derived value
-(`dag_count`, `tree_count`, `after`, the path-count table) is memoised on
+(`dag_count`, `after`, the selection summary) is memoised on
 first use and never invalidated.  A :class:`BatchResult` bundles the
 per-query results of one batch evaluation, which all share the same final
 instance, together with the shared-work statistics of the
@@ -21,16 +23,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.model.instance import Instance
-from repro.model.paths import iter_edge_paths, tree_node_counts
-
-
-class _PathCounts:
-    """A shareable memo cell for an instance's per-vertex path counts."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value: dict[int, int] | None = None
+from repro.model.paths import iter_selected_paths, selection_summary
 
 
 @dataclass
@@ -44,14 +37,10 @@ class QueryResult:
     #: Wall-clock seconds spent in evaluation (set by the evaluator).
     seconds: float = 0.0
     # Memoised traversal-derived values (results are read-only views, so
-    # nothing ever invalidates these).  The path-count cell is swapped for a
-    # shared one by BatchResult, since batch siblings hold the same instance.
+    # nothing ever invalidates these).
     _dag_count: int | None = field(default=None, init=False, repr=False, compare=False)
-    _tree_count: int | None = field(default=None, init=False, repr=False, compare=False)
     _after: tuple[int, int] | None = field(default=None, init=False, repr=False, compare=False)
-    _counts_cell: _PathCounts = field(
-        default_factory=_PathCounts, init=False, repr=False, compare=False
-    )
+    _below: dict[int, int] | None = field(default=None, init=False, repr=False, compare=False)
 
     def vertices(self) -> set[int]:
         """The selected DAG vertices (a fresh set; callers may mutate it)."""
@@ -63,21 +52,15 @@ class QueryResult:
             self._dag_count = self.instance.count_set(self.set_name)
         return self._dag_count
 
-    def _tree_counts(self) -> dict[int, int]:
-        """Per-vertex edge-path counts, computed once per memo cell."""
-        cell = self._counts_cell
-        if cell.value is None:
-            cell.value = tree_node_counts(self.instance)
-        return cell.value
+    def _selection_summary(self) -> dict[int, int]:
+        """``below`` (:mod:`repro.model.paths`): one pass, count and decode."""
+        if self._below is None:
+            self._below = selection_summary(self.instance, self.set_name)
+        return self._below
 
     def tree_count(self) -> int:
         """Figure 7 column (8): #tree nodes the selection represents."""
-        if self._tree_count is None:
-            counts = self._tree_counts()
-            self._tree_count = sum(
-                counts.get(v, 0) for v in self.instance.members(self.set_name)
-            )
-        return self._tree_count
+        return self._selection_summary().get(self.instance.root, 0)
 
     @property
     def after(self) -> tuple[int, int]:
@@ -94,28 +77,20 @@ class QueryResult:
     def tree_paths(self, limit: int = 1_000_000) -> list[tuple[int, ...]]:
         """Edge paths of all selected tree nodes, in document order.
 
-        This is the "decode" step the paper describes for column (8): a
-        single depth-first traversal of the partially decompressed instance.
+        The "decode" step the paper describes for column (8): a traversal
+        that enters only subtrees holding a match (at most ``limit`` nodes).
         """
-        plane = self.instance.plane_of(self.set_name)
-        return [
-            path
-            for vertex, path in iter_edge_paths(self.instance, limit=limit)
-            if plane[vertex >> 6] >> (vertex & 63) & 1
-        ]
+        return [path for path, _ in self.iter_tree_matches(limit=limit)]
 
     def iter_tree_matches(self, limit: int = 1_000_000) -> Iterator[tuple[tuple[int, ...], int]]:
         """Yield ``(edge_path, dag_vertex)`` for each selected tree node.
 
-        Lazy: consuming only a prefix (e.g. via ``itertools.islice``) walks
-        only as much of the tree as needed to produce it, so printing the
-        first k matches is bounded work even on astronomically large
-        selections — as long as they appear early in document order.
+        Lazy and selection-guided: after the one memoised summary pass, a
+        prefix of k matches (e.g. via ``itertools.islice``) costs
+        O(k * depth * fan-out) wherever they lie, on any size of tree.
         """
-        plane = self.instance.plane_of(self.set_name)
-        for vertex, path in iter_edge_paths(self.instance, limit=limit):
-            if plane[vertex >> 6] >> (vertex & 63) & 1:
-                yield path, vertex
+        below = self._selection_summary()
+        return iter_selected_paths(self.instance, self.set_name, below, limit)
 
     def decompression_ratio(self) -> float:
         """How much the instance grew during evaluation (1.0 = not at all)."""
@@ -167,14 +142,6 @@ class BatchResult:
     #: Wall-clock seconds for the whole batch (>= sum of per-query times).
     seconds: float = 0.0
     stats: BatchStats = field(default_factory=BatchStats)
-
-    def __post_init__(self) -> None:
-        # Results holding the same instance share one path-count memo cell,
-        # so a batch of N queries computes the (expensive, big-integer)
-        # tree_node_counts table once instead of N times.
-        cells: dict[int, _PathCounts] = {}
-        for result in self.results:
-            result._counts_cell = cells.setdefault(id(result.instance), result._counts_cell)
 
     def __len__(self) -> int:
         return len(self.results)

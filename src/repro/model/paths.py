@@ -9,11 +9,19 @@ interpreted as a selection of tree nodes.
 Enumerating edge paths is exponential in general (that is the whole point of
 the compression), so this module offers:
 
+* :func:`selection_summary` / :func:`iter_selected_paths` — the serving
+  path.  One bottom-up pass computes, for a selection ``S``,
+  ``below[v] = [v in S] + sum(m * below[c] for (c, m) in children(v))``:
+  the selected tree nodes in the subtree unfolded from ``v`` (exact big
+  integers).  ``below[root]`` is Figure 7 column (8), and a document-order
+  walk that descends only where ``below > 0`` (stepping over match-free
+  runs by position arithmetic) decodes the first ``k`` selected paths in
+  ``O(|DAG| + k * depth * fan-out)``, never ``O(|tree|)``;
 * :func:`tree_node_counts` — per-vertex counts ``|Pi(v)|`` by top-down
-  dynamic programming (linear in the DAG, used for Figure 7 column 8);
+  dynamic programming (linear in the DAG; one table answers many sets);
 * :func:`tree_size` — ``|V^{T(I)}|`` without materialising the tree;
 * :func:`iter_edge_paths` / :func:`edge_path_set` — bounded explicit
-  enumeration, used by tests as a brute-force equivalence oracle.
+  enumeration of *every* tree node, the brute-force oracle of the tests.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.errors import DecompressionLimitError
-from repro.model.instance import Instance
+from repro.model.instance import Edge, Instance
 
 
 def tree_node_counts(instance: Instance) -> dict[int, int]:
@@ -30,7 +38,10 @@ def tree_node_counts(instance: Instance) -> dict[int, int]:
     ``counts[root] == 1``; an edge ``v -> w`` with multiplicity ``m``
     contributes ``m * counts[v]`` paths to ``w``.  Exact big-integer
     arithmetic — compressed instances can represent astronomically large
-    trees.
+    trees.  Independent of any selection, so this is the tool when one
+    table answers many sets (``measure_actuals``, :func:`tree_size`,
+    compression statistics) — not the serving path, which decodes one
+    selection through the cheaper :func:`selection_summary`.
     """
     counts: dict[int, int] = {}
     for vertex in instance.topological_order():
@@ -63,12 +74,86 @@ def selected_tree_count(instance: Instance, name: str) -> int:
     return sum(counts.get(v, 0) for v in instance.members(name))
 
 
+def selection_summary(instance: Instance, name: str) -> dict[int, int]:
+    """``below[v]``: selected tree nodes in the subtree unfolded from ``v``.
+
+    One pass of the module doc's recurrence over the cached postorder.
+    Only non-zero entries are stored: ``v in below`` means "a match at or
+    under ``v``", and ``below.get(root, 0)`` is the tree-node count.
+    """
+    plane = instance.plane_of(name)
+    table = instance.edge_table()
+    below: dict[int, int] = {}
+    for vertex in instance.postorder():
+        total = plane[vertex >> 6] >> (vertex & 63) & 1
+        for child, count in table[vertex]:
+            if child in below:
+                total += count * below[child]
+        if total:
+            below[vertex] = total
+    return below
+
+
+def _matching_children(edges: tuple[Edge, ...], below: dict[int, int]):
+    """``(position, child)`` for each child slot holding a match, in order."""
+    position = 0
+    for child, count in edges:
+        if child in below:
+            for position in range(position + 1, position + count + 1):
+                yield position, child
+        else:
+            position += count
+
+
+def iter_selected_paths(
+    instance: Instance, name: str, below: dict[int, int], limit: int
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield ``(edge_path, vertex)`` per selected tree node, in document order.
+
+    ``below`` is :func:`selection_summary` of the same selection.  An
+    iterative DFS with one mutable path stack that enters a child only when
+    its subtree holds a match: ``k`` results cost ``O(k * depth * fan-out)``
+    whatever the tree's size.  ``limit`` bounds the tree nodes *entered*
+    (:class:`DecompressionLimitError` beyond it), always a subset of what
+    :func:`iter_edge_paths` walks to reach the same results.
+    """
+    root = instance.root
+    if root not in below:
+        return
+    plane = instance.plane_of(name)
+    table = instance.edge_table()
+    entered = 1
+    if plane[root >> 6] >> (root & 63) & 1:
+        yield (), root
+    path: list[int] = []
+    stack = [_matching_children(table[root], below)]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            if path:
+                path.pop()
+            continue
+        position, child = step
+        entered += 1
+        if entered > limit:
+            raise DecompressionLimitError(f"result decode exceeded {limit} tree nodes")
+        if plane[child >> 6] >> (child & 63) & 1:
+            yield (*path, position), child
+            if below[child] == 1:
+                continue  # no further match under this node
+        path.append(position)
+        stack.append(_matching_children(table[child], below))
+
+
 def iter_edge_paths(
     instance: Instance, target: int | None = None, limit: int = 1_000_000
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Yield ``(vertex, edge_path)`` pairs in depth-first document order.
+    """Yield ``(vertex, edge_path)`` for *every* tree node, in document order.
 
-    Edge positions are 1-based as in the paper (``v -i-> w``).  If ``target``
+    The brute-force oracle of the tests (O(|tree|)); results are decoded by
+    :func:`iter_selected_paths`.  Edge positions are 1-based as in the
+    paper (``v -i-> w``).  If ``target``
     is given, only paths ending at that vertex are yielded (but the whole
     tree is still walked).  Raises :class:`DecompressionLimitError` after
     ``limit`` tree nodes, since the tree may be exponentially larger than the

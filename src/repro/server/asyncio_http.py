@@ -202,13 +202,16 @@ class AsyncReproHTTPServer:
         except Exception as error:  # noqa: BLE001 - one connection must not kill the loop
             self._log(f"connection error from {client}: {type(error).__name__}: {error}")
         finally:
-            self._connections.pop(task, None)
-            self.metrics.connections.dec()
             try:
                 writer.close()
                 await writer.wait_closed()
-            except Exception:  # noqa: BLE001 - peer may already be gone
-                pass
+            except (Exception, asyncio.CancelledError):  # noqa: BLE001
+                pass  # peer already gone, or _drain cancelled the wait
+            finally:
+                # Last: _drain waits for this map to empty before closing
+                # the loop, so the task stays in it until its final await.
+                self._connections.pop(task, None)
+                self.metrics.connections.dec()
 
     async def _connection_loop(self, reader, writer, state, client: str) -> None:
         loop = asyncio.get_running_loop()

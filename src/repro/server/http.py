@@ -21,6 +21,10 @@ Endpoints::
     DELETE /catalog/<name>     evict: drop pool residency + catalog entry
     POST   /query              {"document": d, "query": q,
                                 "paths": N?, "limit": N?}
+                               paths: first N result paths; limit: guard
+                               on tree nodes the decode walk visits — only
+                               subtrees holding a match, a subset of a full
+                               document-order walk to the same paths
     GET    /explain            ?document=d&query=q -> structured Plan JSON
     POST   /explain            {"document": d?, "query": q}
 
@@ -325,7 +329,11 @@ def serve(
     SIGTERM (and SIGINT, even when the process was started as a shell
     background job with SIGINT ignored) triggers the same graceful path:
     the HTTP socket closes and the worker fleet drains — the standard
-    ``kill``/systemd/docker stop signal must never orphan workers.
+    ``kill``/systemd/docker stop signal must never orphan workers.  The
+    handler only starts a thread calling ``server.shutdown()`` (which
+    blocks until ``serve_forever`` returns): raising from the handler
+    would throw into whatever frame is running, and inside an asyncio
+    callback the loop logs the exception and keeps serving.
     """
     import signal
     import sys
@@ -334,7 +342,7 @@ def serve(
     server = create_server(catalog_dir, frontend=frontend, **kwargs)
 
     def _signal_shutdown(signum, frame):
-        raise KeyboardInterrupt
+        threading.Thread(target=server.shutdown, name="signal-shutdown", daemon=True).start()
 
     try:
         signal.signal(signal.SIGTERM, _signal_shutdown)
@@ -362,7 +370,6 @@ def serve(
         threading.Thread(target=stats_loop, name="stats-log", daemon=True).start()
     try:
         server.serve_forever()
-    except KeyboardInterrupt:
         print("repro serve: shutting down", file=sys.stderr)
     finally:
         stop_stats.set()

@@ -345,11 +345,13 @@ class Router:
             return self._plain_error(400, "body needs string fields 'document' and 'query'")
         paths = payload.get("paths", 0)
         limit = payload.get("limit", None)
-        if not isinstance(paths, int) or paths < 0:
+        # type() not isinstance(): bool is an int subclass, and {"paths": true}
+        # must not be served as paths=1.
+        if type(paths) is not int or paths < 0:
             return self._plain_error(400, "'paths' must be a non-negative integer")
         kwargs = {"paths": paths}
         if limit is not None:
-            if not isinstance(limit, int) or limit < 1:
+            if type(limit) is not int or limit < 1:
                 return self._plain_error(400, "'limit' must be a positive integer")
             kwargs["limit"] = limit
         # End-to-end deadline: body field, else header, else the server's

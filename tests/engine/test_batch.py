@@ -155,24 +155,25 @@ class TestBatchEdgeCases:
         text = evaluate_batch(figure2_compressed, ["//book", "//book"]).summary()
         assert "reused" in text and "batch of 2 queries" in text
 
-    def test_path_counts_computed_once_per_batch(self, figure2_compressed, monkeypatch):
-        # Batch siblings share the final instance, so the (big-integer)
-        # path-count table is computed once for the whole batch, not once
-        # per result.
+    def test_selection_summary_computed_once_per_result(self, figure2_compressed, monkeypatch):
+        # Each batch member holds its own selection, so each computes its
+        # own summary — once, shared by its count, summary() and decode.
         import repro.engine.results as results_module
 
         batch = evaluate_batch(figure2_compressed, MIX)
         calls = {"n": 0}
-        real = results_module.tree_node_counts
+        real = results_module.selection_summary
 
-        def counting(instance):
+        def counting(instance, name):
             calls["n"] += 1
-            return real(instance)
+            return real(instance, name)
 
-        monkeypatch.setattr(results_module, "tree_node_counts", counting)
+        monkeypatch.setattr(results_module, "selection_summary", counting)
         for result in batch:
             result.tree_count()
-        assert calls["n"] == 1
+            result.tree_paths()
+        batch.summary()
+        assert calls["n"] == len(batch)
 
 
 class TestResetResults:

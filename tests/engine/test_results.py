@@ -1,10 +1,14 @@
 """Tests for query-result decoding (Figure 7 columns 5-8)."""
 
+from itertools import islice
+
 import pytest
 
 from repro.engine.evaluator import evaluate
 from repro.engine.pipeline import query
+from repro.engine.results import QueryResult
 from repro.errors import DecompressionLimitError
+from repro.model.instance import Instance
 
 from tests.skeleton.test_loader import BIB_XML
 
@@ -54,6 +58,35 @@ class TestQueryResult:
         with pytest.raises(DecompressionLimitError):
             result.tree_paths(limit=1000)
 
+    def test_selective_decode_is_not_bounded_by_tree_size(self):
+        # A 2^40-node tree with one match: the guided walk enters only the
+        # four nodes on the way to it, so a 1000-node guard is plenty.
+        from repro.corpora.binary_tree import compressed_instance
+
+        result = evaluate(compressed_instance(40), "/a/b/a/b")
+        assert result.tree_count() == 1
+        assert result.tree_paths(limit=1000) == [(1, 2, 1, 2)]
+
+    def test_limit_counts_tree_nodes_entered(self):
+        result = query(BIB_XML, "//author")  # 5 matches under 3 records
+        entered = 1 + 1 + 3 + 5  # document, bib, the records, the authors
+        assert len(result.tree_paths(limit=entered)) == 5
+        with pytest.raises(DecompressionLimitError):
+            result.tree_paths(limit=entered - 1)
+        # A prefix stops the walk early, so a smaller guard suffices for it.
+        assert len(list(islice(result.iter_tree_matches(limit=4), 1))) == 1
+
+    def test_deep_chain_decodes_without_recursion(self):
+        depth = 5000
+        instance = Instance(["leaf"])
+        vertex = instance.new_vertex(["leaf"])
+        for _ in range(depth - 1):
+            vertex = instance.new_vertex(children=[(vertex, 1)])
+        instance.set_root(vertex)
+        result = QueryResult(instance, "leaf")
+        assert result.tree_count() == 1
+        assert result.tree_paths() == [(1,) * (depth - 1)]
+
     def test_summary_contains_counts(self):
         result = query(BIB_XML, "//author")
         text = result.summary()
@@ -67,24 +100,28 @@ class TestQueryResult:
 class TestResultMemoisation:
     """Regression: summary() used to re-traverse the instance up to four
     times (dag_count, tree_count, and `after` each recomputed preorder /
-    the path-count table). Results are read-only views, so every
+    the count table). Results are read-only views, so every
     traversal-derived value is computed once and memoised."""
 
-    def test_tree_counts_computed_once(self, monkeypatch):
+    def test_selection_summary_computed_once(self, monkeypatch):
+        # One bottom-up pass per result, shared by tree_count(), summary()
+        # and every path decode.
         import repro.engine.results as results_module
 
         result = query(BIB_XML, "//author")
         calls = {"n": 0}
-        real = results_module.tree_node_counts
+        real = results_module.selection_summary
 
-        def counting(instance):
+        def counting(instance, name):
             calls["n"] += 1
-            return real(instance)
+            return real(instance, name)
 
-        monkeypatch.setattr(results_module, "tree_node_counts", counting)
-        result.tree_count()
+        monkeypatch.setattr(results_module, "selection_summary", counting)
         result.tree_count()
         result.summary()
+        assert len(result.tree_paths()) == 5
+        assert len(list(result.iter_tree_matches())) == 5
+        result.tree_count()
         result.summary()
         assert calls["n"] == 1
 

@@ -2,7 +2,13 @@
 
 import http.client
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
 import threading
+import time
 
 import pytest
 
@@ -144,6 +150,19 @@ class TestErrorMapping:
         assert status == 400
         envelope = assert_envelope(payload, "bad-request")
         assert "'document' and 'query'" in envelope["message"]
+
+    @pytest.mark.parametrize("field", ["paths", "limit"])
+    @pytest.mark.parametrize("value", [True, False, "3", 1.5])
+    def test_non_integer_paths_and_limit_are_400(self, server, field, value):
+        # bool is an int subclass: {"paths": true} used to be served as
+        # paths=1 (and {"limit": true} as limit=1).
+        status, payload = request(
+            server, "POST", "/query",
+            {"document": "bib", "query": "//author", field: value},
+        )
+        assert status == 400
+        envelope = assert_envelope(payload, "bad-request")
+        assert f"'{field}' must be" in envelope["message"]
 
     def test_unknown_endpoint_is_404(self, server):
         status, payload = request(server, "GET", "/nope")
@@ -377,3 +396,78 @@ class TestResilienceSurface:
             server.server_close()
             server.service.close()
             thread.join(timeout=10)
+
+
+def _process_group(pgid: int) -> list[int]:
+    """Live (non-zombie) pids whose process group is ``pgid``."""
+    members = []
+    for name in os.listdir("/proc"):
+        if not name.isdigit():
+            continue
+        try:
+            with open(f"/proc/{name}/stat", "rb") as handle:
+                fields = handle.read().rpartition(b")")[2].split()
+        except OSError:
+            continue  # exited while we were listing
+        if fields[0] != b"Z" and int(fields[2]) == pgid:
+            members.append(int(name))
+    return members
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_one_sigterm_always_stops_a_loaded_server(tmp_path):
+    """``repro serve`` under load exits 0 on a single SIGTERM, every time.
+
+    The handler used to raise ``KeyboardInterrupt`` from whatever frame was
+    running; landing inside an asyncio callback it was logged and lost
+    (about one stop in ten), leaving the server up.
+    """
+    root = str(tmp_path / "cat")
+    Catalog(root).add("bib", BIB_XML)
+    body = json.dumps({"document": "bib", "query": "//author", "paths": 5})
+    for cycle in range(20):
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "-C", root, "--port", "0"],
+            env={**os.environ, "PYTHONPATH": "src"},
+            stderr=subprocess.PIPE, text=True, start_new_session=True,
+        )
+        stop = threading.Event()
+        clients = []
+        try:
+            announced = re.search(r"http://([\d.]+):(\d+)", process.stderr.readline())
+            assert announced, f"cycle {cycle}: no address announced"
+            host, port = announced.group(1), int(announced.group(2))
+            assert wait_ready(host, port, timeout=30)
+
+            def load() -> None:
+                while not stop.is_set():
+                    try:
+                        connection = http.client.HTTPConnection(host, port, timeout=5)
+                        connection.request("POST", "/query", body)
+                        connection.getresponse().read()
+                        connection.close()
+                    except OSError:
+                        pass  # the server is going away: that is the test
+
+            clients = [threading.Thread(target=load, daemon=True) for _ in range(2)]
+            for client in clients:
+                client.start()
+            time.sleep(0.1)
+            process.send_signal(signal.SIGTERM)
+            deadline = time.monotonic() + 5
+            assert process.wait(timeout=5) == 0, f"cycle {cycle}"
+            # multiprocessing's resource tracker ends when its parent's pipe
+            # closes, a moment after the parent: same deadline, not same instant.
+            while _process_group(process.pid) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert _process_group(process.pid) == [], f"cycle {cycle}"
+        finally:
+            stop.set()
+            for client in clients:
+                client.join(timeout=10)
+            if process.poll() is None:
+                os.killpg(process.pid, signal.SIGKILL)
+                process.wait(timeout=10)
+            log = process.stderr.read()
+            process.stderr.close()
+        assert "Traceback" not in log, f"cycle {cycle}: {log}"
