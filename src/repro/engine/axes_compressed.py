@@ -6,15 +6,15 @@ bottom-up pass adds the new selection in place.
 
 Downward and sibling axes may need to *split* shared vertices, because the
 new selection of a tree node depends on its ancestors/left siblings, which
-differ between the tree nodes a shared vertex represents.  The implementation
-here is functional: the output instance is (a reachable part of) the product
-``V x {0,1}``, where the bit is the one piece of context the axis needs —
-"has an ancestor in S" for descendant axes, "parent is in S" for child,
-"has a preceding/following sibling in S" for the sibling axes.  Memoising on
-``(vertex, bit)`` makes the at-most-2x growth of Proposition 3.2 and
-Theorem 3.6 structurally evident.  (The paper's literal in-place splitting
-procedure of Figure 4 is in :mod:`repro.engine.axes_inplace`; both are
-property-tested equivalent.)
+differ between the tree nodes a shared vertex represents.  The output
+instance is (a reachable part of) the product ``V x {0,1}``, where the bit
+is the one piece of context the axis needs — "has an ancestor in S" for
+descendant axes, "parent is in S" for child, "has a preceding/following
+sibling in S" for the sibling axes.  A vertex exists once per reachable
+``(vertex, bit)`` state, which makes the at-most-2x growth of Proposition
+3.2 and Theorem 3.6 structurally evident.  (The paper's literal in-place
+splitting procedure of Figure 4 is in :mod:`repro.engine.axes_inplace`,
+the test oracle; both are property-tested equivalent.)
 
 Multiplicity edges: for downward axes the bit is constant along a run, so
 runs survive untouched.  For sibling axes a run ``(w, m)`` with ``w in S``
@@ -26,24 +26,23 @@ operation, but run-length edge *entries* can reach 4x under sibling axes
 (run splitting on top of vertex splitting); the paper's "at most doubles"
 refers to the expanded counts.
 
-Split-avoiding fast paths (DESIGN.md section 5): before rebuilding, the
-splitting axes run a cheap O(|E|) scan that computes, for every reachable
-vertex, the set of context bits it would receive in the product.  When no
-vertex receives both bits (true for every tree, and for DAG/selection
-combinations where shared vertices happen to agree — e.g. ``descendant``
-from the root), the product would be isomorphic to the input, so the axis
-commits the new selection as an in-place mask pass instead — no rebuild, no
-renumbering, and the instance's cached traversal orders survive.  The
-rebuild remains the general path and the two are property-tested to produce
-equivalent instances.
+Splitting only what splits (DESIGN.md section 5): an O(|E|) scan computes,
+for every reachable vertex, which context bits it receives.  Only a vertex
+receiving both differs from the input (none on a tree, none where shared
+vertices happen to agree — e.g. ``descendant`` from the root).  The
+downward axes clone exactly those vertices in place
+(:meth:`Instance.split_vertices`, which patches the instance's cached
+orders and edge arrays instead of dropping them) and commit the selection
+as one plane OR.  The sibling axes still commit in place when nothing
+splits and rebuild the whole product otherwise.
 
 Kernel tiers (DESIGN.md section 11): with set memberships stored as
 contiguous bit planes, the in-place passes come in two shapes.  When numpy
 is active and the instance has at least :data:`VECTOR_THRESHOLD` edge
 entries, the passes run *level-synchronously* over the cached
 :class:`~repro.model.instance.EdgeCSR` — unpack the source plane to a bool
-vector once, then one gather/scatter per longest-path level (ascending for
-downward propagation, descending for upward), packing the result back into
+vector once, then one gather/scatter per level (ascending for downward
+propagation, descending for upward), packing the result back into
 the target plane at the end.  Below the threshold, or without numpy, the
 scalar loops walk the cached traversal orders reading single plane bits —
 the historical shape, still O(|E|), and the reference the vectorized tier
@@ -67,19 +66,33 @@ def _vectorized(instance: Instance) -> bool:
     return _pl.numpy_active() and instance.num_edge_entries >= VECTOR_THRESHOLD
 
 
+def warm(instance: Instance) -> None:
+    """Derive the structure caches the axis kernels read.
+
+    For a resident master: :meth:`Instance.copy` shares what exists at copy
+    time, and splits patch the caches from then on, so a working copy of a
+    warmed master never derives one from scratch.
+    """
+    instance.postorder()
+    if _vectorized(instance):
+        instance.edge_csr().np_arrays()
+        instance.edge_flat().np_arrays()
+
+
 def _restrict_reachable(instance: Instance, plane) -> None:
     """``plane &= reachable`` unless every vertex is reachable anyway."""
-    if len(instance.preorder()) != instance.num_vertices:
+    if not instance.fully_reachable:
         _pl.intersect_into(plane, instance.reachable_plane())
 
 
 def apply_axis(instance: Instance, axis: str, source: str, target: str) -> Instance:
     """Apply ``axis`` to set ``source``, adding the result as set ``target``.
 
-    Upward axes, ``self``, and split-free applications of the downward and
-    sibling axes mutate ``instance`` in place and return it; genuinely
-    splitting applications return a *new* instance (all existing sets
-    carried over).  ``target`` must not already exist.
+    Upward axes, ``self`` and the downward axes mutate ``instance`` in
+    place and return it (downward axes append a clone per split vertex);
+    so do split-free applications of the sibling axes, while genuinely
+    splitting ones return a *new* instance (all existing sets carried
+    over).  ``target`` must not already exist.
     """
     if instance.has_set(target):
         raise EvaluationError(f"target set {target!r} already exists")
@@ -117,9 +130,9 @@ def _composite(instance: Instance, source: str, target: str, chain) -> Instance:
     """following/preceding via the section 3.2 composition, through temps.
 
     The first stage is an in-place upward pass and the later stages usually
-    take the split-avoiding fast path, so all three stages share one cached
-    postorder of the instance (mask-only passes do not invalidate it); the
-    temporaries are then dropped in a single :meth:`Instance.drop_sets` pass.
+    split nothing, so all three stages share the instance's cached orders
+    (mask-only passes do not invalidate them); the temporaries are then
+    dropped in a single :meth:`Instance.drop_sets` pass.
     """
     current = source
     temps = []
@@ -160,7 +173,7 @@ def _parent(instance: Instance, source: str, target: str) -> Instance:
         return instance
     target_plane = instance.ensure_plane(target)
     children = instance.edge_table()
-    for vertex in instance.preorder():
+    for vertex in instance.postorder():
         for child, _ in children[vertex]:
             if source_plane[child >> 6] >> (child & 63) & 1:
                 target_plane[vertex >> 6] |= 1 << (vertex & 63)
@@ -213,177 +226,103 @@ def _ancestor(instance: Instance, source: str, target: str, or_self: bool) -> In
 
 
 # ----------------------------------------------------------------------
-# Downward axes: (vertex, bit) product rebuild (Proposition 3.2)
+# Downward axes: delta split of the (vertex, bit) product (Proposition 3.2)
 # ----------------------------------------------------------------------
 
 
 def _downward(instance: Instance, axis: str, source: str, target: str) -> Instance:
-    fast = _downward_inplace(instance, axis, source, target)
-    if fast is not None:
-        return fast
-    return _downward_rebuild(instance, axis, source, target)
+    """Scan, split, commit — in place (DESIGN.md section 5).
 
-
-def _downward_inplace(
-    instance: Instance, axis: str, source: str, target: str
-) -> Instance | None:
-    """Split-avoiding fast path: commit the selection in place, or ``None``.
-
-    One pass computes the context bit every reachable vertex receives from
-    its parents; if some shared vertex receives both bits the product
-    genuinely splits and the caller falls back to the rebuild.
+    The *scan* computes which product states ``(vertex, bit)`` are
+    reachable: ``has0``/``has1`` per vertex, where a state-0 parent hands
+    its children the bit ``[parent in S]`` and a state-1 parent hands them
+    1 under the descendant axes and ``[parent in S]`` under ``child``.  Only
+    vertices holding *both* states split: each gets one clone for state 1,
+    and ``redirect`` tells :meth:`Instance.split_vertices` which vertices
+    (per final id) hand their children bit 1, i.e. point at the clones.  The
+    selection is then the state-1 vertices — plus ``S`` itself for or-self.
     """
-    descend = axis in ("descendant", "descendant-or-self")
+    descend = axis != "child"
     or_self = axis == "descendant-or-self"
     source_plane = instance.plane_of(source)
+    nvertices = instance.num_vertices
     if _vectorized(instance):
         numpy = _pl._numpy
-        nvertices = instance.num_vertices
-        source_bool = _pl.unpack_bool(source_plane, nvertices)
-        got0 = numpy.zeros(nvertices, dtype=numpy.uint8)
-        got1 = numpy.zeros(nvertices, dtype=numpy.uint8)
-        got0[instance.root] = 1
+        in_source = _pl.unpack_bool(source_plane, nvertices)
+        has0 = numpy.zeros(nvertices, dtype=numpy.uint8)
+        has1 = numpy.zeros(nvertices, dtype=numpy.uint8)
+        has0[instance.root] = 1
         if descend:
-            # Levels ascending: a parent's own context bit (got1) is final
-            # once its level is reached, because all of its in-edges fired
+            # Levels ascending: both state flags of a parent are final once
+            # its level is reached, because all of its in-edges fired
             # earlier.
             csr = instance.edge_csr()
             esrc, edst = csr.np_arrays()
             for start, end in csr.spans:
-                if start == end:
-                    continue
                 src = esrc[start:end]
-                sel = (source_bool[src] | got1[src]).astype(bool)
                 dst = edst[start:end]
-                got1[dst[sel]] = 1
-                got0[dst[~sel]] = 1
+                member = in_source[src]
+                has1[dst[(member | has1[src]).astype(bool)]] = 1
+                has0[dst[has0[src] > member]] = 1
         else:
             # The child bit depends only on the parent's own membership, so
             # no level schedule is needed: one scatter over the flat edges.
             esrc, edst = instance.edge_flat().np_arrays()
-            sel = source_bool[esrc].astype(bool)
-            got1[edst[sel]] = 1
-            got0[edst[~sel]] = 1
-        # The fixpoint is monotone, so a both-bits vertex exists here iff the
-        # truncated scalar scan would find one: fall back identically.
-        if bool((got0 & got1).any()):
-            return None
-        if or_self:
-            numpy.bitwise_or(got1, source_bool, out=got1)
-            result = _pl.pack_bool(got1, instance.nwords)
-            _restrict_reachable(instance, result)
-        else:
-            result = _pl.pack_bool(got1, instance.nwords)
-        _pl.or_into(instance.ensure_plane(target), result)
+            member = in_source[esrc].astype(bool)
+            has1[edst[member]] = 1
+            has0[edst[~member]] = 1
+        only1 = has1 > has0
+        originals = numpy.flatnonzero(has0 & has1)
+        selected = only1 | (in_source & has0) if or_self else only1
+        if len(originals):
+            redirect = in_source | only1 if descend else in_source
+            cloned = numpy.ones(len(originals), dtype=numpy.uint8)
+            instance.split_vertices(
+                originals.tolist(),
+                numpy.concatenate((redirect, cloned if descend else in_source[originals])),
+            )
+            selected = numpy.concatenate((selected, cloned))
+        _pl.or_into(
+            instance.ensure_plane(target), _pl.pack_bool(selected, instance.nwords)
+        )
         return instance
     children = instance.edge_table()
-    order = instance.topological_order()
-    got0 = bytearray(len(children))
-    got1 = bytearray(len(children))
-    got0[instance.root] = 1
-    for vertex in order:
-        bit = got1[vertex]
-        if bit and got0[vertex]:
-            return None
-        if source_plane[vertex >> 6] >> (vertex & 63) & 1 or (descend and bit):
-            received = got1
-        else:
-            received = got0
-        for child, _ in children[vertex]:
-            received[child] = 1
-    target_plane = instance.ensure_plane(target)
-    if or_self:
-        for vertex in order:
-            if got1[vertex] or source_plane[vertex >> 6] >> (vertex & 63) & 1:
-                target_plane[vertex >> 6] |= 1 << (vertex & 63)
-    else:
-        for vertex in order:
-            if got1[vertex]:
-                target_plane[vertex >> 6] |= 1 << (vertex & 63)
-    return instance
-
-
-def _downward_rebuild(instance: Instance, axis: str, source: str, target: str) -> Instance:
-    result = Instance(instance.schema)
-    descend = axis in ("descendant", "descendant-or-self")
-    or_self = axis == "descendant-or-self"
-    source_plane = instance.plane_of(source)
-    children = instance.edge_table()
-    order = instance.topological_order()
-    nvertices = len(children)
-    new_vertex = result.new_vertex_masked
-
-    # Pass 1 — which product states are reachable.  Parents precede their
-    # children in the topological order, so by the time a vertex is visited
-    # both of its potential states are final and can be expanded at once.
     has0 = bytearray(nvertices)
     has1 = bytearray(nvertices)
-    in_src = bytearray(nvertices)
+    redirect = bytearray(nvertices)
     has0[instance.root] = 1
-    for vertex in order:
-        word = source_plane[vertex >> 6] >> (vertex & 63) & 1
-        in_src[vertex] = word
-        edges = children[vertex]
-        if not edges:
-            continue
-        if has0[vertex]:
-            received = has1 if word else has0
-            for child, _ in edges:
-                received[child] = 1
-        if has1[vertex]:
-            received = has1 if (word or descend) else has0
-            for child, _ in edges:
-                received[child] = 1
-
-    # Pass 2 — materialize states children-first, wiring edges through flat
-    # id maps instead of a DFS memo.  Vertices are created bare; memberships
-    # are carried over afterwards with one gather per plane via the origin
-    # map.  The emitted edges double as the new instance's flat edge list.
-    id0 = [0] * nvertices
-    id1 = [0] * nvertices
-    origin: list[int] = []
+    originals: list[int] = []
     selected: list[int] = []
-    fsrc: list[int] = []
-    fdst: list[int] = []
-    fcnt: list[int] = []
-    for vertex in reversed(order):
-        in_source = in_src[vertex]
+    # Parents precede their children in the topological order, so both
+    # state flags of a vertex are final when it is visited.
+    for vertex in instance.topological_order():
+        member = source_plane[vertex >> 6] >> (vertex & 63) & 1
+        zero = has0[vertex]
+        if zero and has1[vertex]:
+            originals.append(vertex)
+        if not zero or (or_self and member):
+            selected.append(vertex)
+        redirect[vertex] = member or (descend and not zero)
         edges = children[vertex]
-        wired = None
-        if has0[vertex]:
-            ids = id1 if in_source else id0
-            wired = tuple((ids[c], m) for c, m in edges)
-            new_id = id0[vertex] = new_vertex(0, wired)
-            origin.append(vertex)
-            selected.append(or_self and in_source)
-            for c, m in wired:
-                fsrc.append(new_id)
-                fdst.append(c)
-                fcnt.append(m)
+        if zero:
+            received = has1 if member else has0
+            for child, _ in edges:
+                received[child] = 1
         if has1[vertex]:
-            if in_source or not descend:
-                # Same child bit as the 0-state (for ``child`` the bit never
-                # depends on the parent's own bit) — reuse its wiring.
-                if wired is None:
-                    ids = id1 if in_source else id0
-                    wired = tuple((ids[c], m) for c, m in edges)
-            else:
-                wired = tuple((id1[c], m) for c, m in edges)
-            new_id = id1[vertex] = new_vertex(0, wired)
-            origin.append(vertex)
-            selected.append(1)
-            for c, m in wired:
-                fsrc.append(new_id)
-                fdst.append(c)
-                fcnt.append(m)
-    result.gather_sets_from(instance, origin)
-    target_plane = result.ensure_plane(target)
-    for new_id, flag in enumerate(selected):
-        if flag:
-            target_plane[new_id >> 6] |= 1 << (new_id & 63)
-    result.set_root(id0[instance.root])
-    result.adopt_edge_flat(fsrc, fdst, fcnt)
-    return result
+            received = has1 if member or descend else has0
+            for child, _ in edges:
+                received[child] = 1
+    if originals:
+        originals.sort()  # clone ids follow vertex ids, as on the vector tier
+        redirect.extend(
+            descend or source_plane[vertex >> 6] >> (vertex & 63) & 1 for vertex in originals
+        )
+        first = instance.split_vertices(originals, redirect)
+        selected.extend(range(first, first + len(originals)))
+    target_plane = instance.ensure_plane(target)
+    for vertex in selected:
+        target_plane[vertex >> 6] |= 1 << (vertex & 63)
+    return instance
 
 
 # ----------------------------------------------------------------------
@@ -413,7 +352,7 @@ def _sibling_inplace(
     """
     source_plane = instance.plane_of(source)
     children = instance.edge_table()
-    order = instance.preorder()
+    order = instance.postorder()
     got0 = bytearray(len(children))
     got1 = bytearray(len(children))
     got0[instance.root] = 1
@@ -503,7 +442,6 @@ def _sibling_rebuild(
     selected: list[int] = []
     fsrc: list[int] = []
     fdst: list[int] = []
-    fcnt: list[int] = []
     for vertex in reversed(order):
         edges = normalize_edges(
             ((id1 if child_bit else id0)[child], count)
@@ -513,23 +451,21 @@ def _sibling_rebuild(
             new_id = id0[vertex] = new_vertex(0, edges)
             origin.append(vertex)
             selected.append(0)
-            for c, m in edges:
+            for c, _ in edges:
                 fsrc.append(new_id)
                 fdst.append(c)
-                fcnt.append(m)
         if has1[vertex]:
             new_id = id1[vertex] = new_vertex(0, edges)
             origin.append(vertex)
             selected.append(1)
-            for c, m in edges:
+            for c, _ in edges:
                 fsrc.append(new_id)
                 fdst.append(c)
-                fcnt.append(m)
     result.gather_sets_from(instance, origin)
     target_plane = result.ensure_plane(target)
     for new_id, flag in enumerate(selected):
         if flag:
             target_plane[new_id >> 6] |= 1 << (new_id & 63)
     result.set_root(id0[instance.root])
-    result.adopt_edge_flat(fsrc, fdst, fcnt)
+    result.adopt_edge_flat(fsrc, fdst)
     return result

@@ -6,15 +6,15 @@ and *split* a shared child (create a copy, remembered in ``aux_ptr``) when a
 second parent requires the opposite selection; for the descendant axes the
 copy is recursively re-processed so the selection reaches its subtree.
 
-The primary engine (:mod:`repro.engine.axes_compressed`) uses a functional
-rebuild instead; this module exists because the paper's pseudocode is a
-contribution in itself, and the two are property-tested equivalent
-(``tests/engine/test_axes_equivalence.py``).  Differences from the rebuild:
-
-* the instance is mutated: vertex ids are stable, copies are appended;
-* vertices whose every parent switched to a copy become unreachable (the
-  paper does not garbage-collect either); use :meth:`Instance.compact` if a
-  validated instance is needed afterwards.
+The primary engine (:mod:`repro.engine.axes_compressed`) computes the set
+of vertices to split up front and clones them in one step; this module
+exists because the paper's pseudocode is a contribution in itself, and as
+the test oracle the two are property-tested equivalent
+(``tests/property/test_delta_split.py``).  Like the primary engine it
+mutates the instance (vertex ids are stable, copies are appended); unlike
+it, vertices whose every parent switched to a copy become unreachable (the
+paper does not garbage-collect either) — use :meth:`Instance.compact` if a
+validated instance is needed afterwards.
 
 The recursion of Figure 4 is unrolled onto an explicit stack so arbitrarily
 deep DAGs (compressed chains) do not hit Python's recursion limit.

@@ -33,7 +33,7 @@ import time
 from typing import Callable, Iterable, Sequence
 
 from repro.engine.evaluator import CompressedEvaluator
-from repro.engine.results import BatchResult, BatchStats, QueryResult
+from repro.engine.results import BatchResult, BatchStats, QueryResult, reachable_sizes
 from repro.model.instance import Instance
 from repro.model.schema import is_result, is_temp, result_set
 from repro.xpath.algebra import AlgebraExpr
@@ -114,7 +114,7 @@ class BatchEvaluator(CompressedEvaluator):
         exprs: Sequence[AlgebraExpr] = [
             compile_query(q) if isinstance(q, str) else q for q in queries
         ]
-        before = self._before_sizes()
+        before = reachable_sizes(self._instance)
         # self.stats accumulates over the evaluator's lifetime; the returned
         # BatchResult gets a snapshot of just this batch's contribution.
         mark = (

@@ -20,7 +20,7 @@ from repro.errors import EvaluationError
 from repro.model.instance import Instance
 from repro.model.schema import is_temp, temp_set
 from repro.engine import axes_compressed, axes_inplace
-from repro.engine.results import QueryResult
+from repro.engine.results import QueryResult, reachable_sizes
 from repro.xpath.algebra import (
     AlgebraExpr,
     AllNodes,
@@ -76,15 +76,6 @@ class CompressedEvaluator:
         """The working instance (inspect after evaluation to see splits)."""
         return self._instance
 
-    def _before_sizes(self) -> tuple[int, int]:
-        """(vertices, edge entries) of the reachable working instance."""
-        instance = self._instance
-        reachable = instance.preorder()  # cached across calls until mutation
-        if len(reachable) == instance.num_vertices:
-            return (len(reachable), instance.num_edge_entries)
-        edge_table = instance.edge_table()
-        return (len(reachable), sum(len(edge_table[v]) for v in reachable))
-
     def evaluate(
         self,
         query: str | AlgebraExpr,
@@ -100,7 +91,7 @@ class CompressedEvaluator:
         skipped by short-circuiting are absent from the trace.
         """
         expr = compile_query(query) if isinstance(query, str) else query
-        before = self._before_sizes()
+        before = reachable_sizes(self._instance)
         self._trace = trace
         started = time.perf_counter()
         try:

@@ -26,6 +26,14 @@ from repro.model.instance import Instance
 from repro.model.paths import iter_selected_paths, selection_summary
 
 
+def reachable_sizes(instance: Instance) -> tuple[int, int]:
+    """(vertices, edge entries) of the root-reachable part of ``instance``."""
+    if instance.fully_reachable:
+        return (instance.num_vertices, instance.num_edge_entries)
+    table = instance.edge_table()
+    return (instance.num_reachable, sum(len(table[v]) for v in instance.postorder()))
+
+
 @dataclass
 class QueryResult:
     """A selection ``set_name`` on the evaluation's final ``instance``."""
@@ -66,9 +74,7 @@ class QueryResult:
     def after(self) -> tuple[int, int]:
         """Instance size after evaluation (vertices, edge entries)."""
         if self._after is None:
-            reachable = self.instance.preorder()
-            entries = sum(len(self.instance.children(v)) for v in reachable)
-            self._after = (len(reachable), entries)
+            self._after = reachable_sizes(self.instance)
         return self._after
 
     def is_empty(self) -> bool:

@@ -43,10 +43,13 @@ sections 5 and 11):
   structure-mutating method bumps.  Callers must treat the returned lists
   as read-only.
 * *cached edge structure*: :meth:`edge_csr` memoises a flat edge list
-  grouped into longest-path levels, the input of the engine's vectorised
+  grouped into levels, the input of the engine's vectorised
   level-synchronous axis kernels; :meth:`reachable_plane` memoises the
   reachable vertex set as a plane.  Both are structural, so :meth:`copy`
   shares them like the traversal caches.
+
+The general mutators drop every cache; :meth:`split_vertices`, the
+structural step of partial decompression, patches them instead.
 """
 
 from __future__ import annotations
@@ -90,26 +93,24 @@ def expand_edges(edges: Iterable[Edge]) -> Iterator[int]:
 class EdgeFlat:
     """The reachable edge entries of an instance, flat, in no fixed order.
 
-    Same field layout as :class:`EdgeCSR` but *without* the longest-path
-    level grouping — and without any ordering guarantee at all, which is
+    ``esrc[i]``/``edst[i]`` are the parent and child of the ``i``-th
+    run-length edge entry (a vertex's entries are contiguous, in child
+    order) — *without* the level grouping of :class:`EdgeCSR`, which is
     fine for the kernels whose recurrence is order-free per edge: the
-    ``parent`` axis and the ``child``-axis split check.  Building this
-    skips the level relaxation and bucketing entirely (and the product
-    rebuilds seed it for free as they emit edges), so it is markedly
-    cheaper than the full CSR on rebuild-heavy query chains where every
-    fresh instance needs a new one.
+    ``parent`` axis and the ``child``-axis context scan.  Deriving it skips
+    the level relaxation and bucketing, and the sibling rebuild seeds it
+    for free as it emits edges.
 
-    Built once per structural generation (see :meth:`Instance.edge_flat`)
-    and shared by :meth:`Instance.copy`; strictly read-only.
+    Built once per structure and shared by :meth:`Instance.copy`; strictly
+    read-only — :meth:`Instance.split_vertices` replaces it by a patched
+    copy (:meth:`split`) instead of re-deriving it.
     """
 
-    __slots__ = ("esrc", "edst", "ecnt", "nvertices", "_np")
+    __slots__ = ("esrc", "edst", "_np")
 
-    def __init__(self, esrc: list[int], edst: list[int], ecnt: list[int], nvertices: int):
+    def __init__(self, esrc, edst):
         self.esrc = esrc
         self.edst = edst
-        self.ecnt = ecnt
-        self.nvertices = nvertices
         self._np: tuple | None = None
 
     def __len__(self) -> int:
@@ -125,51 +126,65 @@ class EdgeFlat:
             )
         return self._np
 
+    def split(self, remap, redirect) -> "EdgeFlat":
+        """The patched copy after a vertex split (numpy tier).
 
-class EdgeCSR:
+        ``remap[v]`` is the clone of ``v`` (``v`` itself when it is not
+        split) and ``redirect`` the per-vertex flag of
+        :meth:`Instance.split_vertices`: a flagged parent's entries follow
+        their child to its clone, and every split vertex's entries are
+        copied for its clone.
+        """
+        numpy = _pl._numpy
+        esrc, edst = self.np_arrays()
+        moved = remap[edst]
+        owned = numpy.flatnonzero(remap[esrc] != esrc)
+        clone_src = remap[esrc[owned]]
+        clone_dst = numpy.where(redirect[clone_src], moved[owned], edst[owned])
+        return self._with_clones(
+            esrc, numpy.where(redirect[esrc], moved, edst), owned, clone_src, clone_dst
+        )
+
+    def _with_clones(self, esrc, edst, owned, clone_src, clone_dst) -> "EdgeFlat":
+        numpy = _pl._numpy
+        return EdgeFlat(
+            numpy.concatenate((esrc, clone_src)), numpy.concatenate((edst, clone_dst))
+        )
+
+
+class EdgeCSR(EdgeFlat):
     """The reachable edge entries of an instance, flat and level-grouped.
 
-    ``esrc[i]``/``edst[i]``/``ecnt[i]`` are the parent, child and
-    multiplicity of the ``i``-th run-length edge entry; entries are grouped
-    by the *longest-path level* of their parent, ascending, with
-    ``spans[L] = (start, end)`` delimiting level ``L``.  Because every
-    parent of a vertex sits at a strictly smaller level, iterating spans in
-    order gives a level-synchronous schedule for downward propagation, and
-    iterating them reversed gives one for upward propagation.
-
-    Built once per structural generation (see :meth:`Instance.edge_csr`)
-    and shared by :meth:`Instance.copy`; strictly read-only.
+    The columns of :class:`EdgeFlat`, grouped by a *level assignment with
+    every parent strictly above its children*: ``spans[L] = (start, end)``
+    delimits the entries whose parent sits at level ``L``, so iterating
+    spans in order gives a level-synchronous schedule for downward
+    propagation, and iterating them reversed gives one for upward
+    propagation.  Freshly derived, a vertex's level is its longest-path
+    depth; a clone made by :meth:`Instance.split_vertices` inherits its
+    original's level (its parents are parents of the original or their
+    clones, its children the original's or their clones).
     """
 
-    __slots__ = ("esrc", "edst", "ecnt", "spans", "nvertices", "_np")
+    __slots__ = ("spans",)
 
-    def __init__(
-        self,
-        esrc: list[int],
-        edst: list[int],
-        ecnt: list[int],
-        spans: list[tuple[int, int]],
-        nvertices: int,
-    ):
-        self.esrc = esrc
-        self.edst = edst
-        self.ecnt = ecnt
+    def __init__(self, esrc, edst, spans: list[tuple[int, int]]):
+        super().__init__(esrc, edst)
         self.spans = spans
-        self.nvertices = nvertices
-        self._np: tuple | None = None
 
-    def __len__(self) -> int:
-        return len(self.esrc)
-
-    def np_arrays(self):
-        """``(esrc, edst)`` as numpy intp arrays, built lazily, memoised."""
-        if self._np is None:
-            numpy = _pl._numpy
-            self._np = (
-                numpy.asarray(self.esrc, dtype=numpy.intp),
-                numpy.asarray(self.edst, dtype=numpy.intp),
-            )
-        return self._np
+    def _with_clones(self, esrc, edst, owned, clone_src, clone_dst) -> "EdgeCSR":
+        # A clone's entries go to the end of its original's level.
+        numpy = _pl._numpy
+        ends = numpy.array([end for _, end in self.spans], dtype=numpy.intp)
+        level = numpy.searchsorted(ends, owned, side="right")
+        at = ends[level]
+        ends += numpy.cumsum(numpy.bincount(level, minlength=len(ends)))
+        bounds = [0, *ends.tolist()]
+        return EdgeCSR(
+            numpy.insert(esrc, at, clone_src),
+            numpy.insert(edst, at, clone_dst),
+            list(zip(bounds, bounds[1:])),
+        )
 
 
 class Instance:
@@ -412,6 +427,71 @@ class Instance:
         self._children[vertex] = normalized
         self._touch()
 
+    def split_vertices(self, originals: Sequence[int], redirect) -> int:
+        """Clone every vertex of ``originals``; return the first clone's id.
+
+        The structural step of partial decompression (Proposition 3.2):
+        clone ``i`` gets id ``first + i`` and the membership row and child
+        sequence of ``originals[i]``.  ``redirect`` holds one 0/1 byte per
+        vertex id, clones included: a flagged vertex has each of its edges
+        into ``originals`` re-pointed at the matching clone; nothing else
+        changes.  The caller guarantees that all ``originals`` are
+        reachable and that each keeps an unflagged reachable parent and
+        gains a flagged one, so no vertex becomes garbage.
+
+        Structure caches are patched, not dropped (and never mutated:
+        :meth:`copy` shares them).  A clone's parents are parents of its
+        original or their clones, and its children are the original's or
+        their clones, so it can sit right after its original in the cached
+        postorder and inherit its level in the :class:`EdgeCSR`.
+        """
+        table = self._children
+        first = len(table)
+        clone_of = {vertex: first + i for i, vertex in enumerate(originals)}
+        flat, csr = self._flat_cache, self._csr_cache
+        if _pl.numpy_active() and not (flat is None and csr is None):
+            numpy = _pl._numpy
+            remap = numpy.arange(first, dtype=numpy.intp)
+            remap[originals] = numpy.arange(first, first + len(originals))
+            flags = numpy.frombuffer(redirect, dtype=numpy.uint8)
+            esrc, edst = (csr if flat is None else flat).np_arrays()
+            parents = numpy.unique(
+                esrc[flags[esrc].astype(bool) & (remap[edst] != edst)]
+            ).tolist()
+            self._flat_cache = None if flat is None else flat.split(remap, flags)
+            self._csr_cache = None if csr is None else csr.split(remap, flags)
+        else:
+            self._flat_cache = self._csr_cache = None
+            parents = [
+                vertex
+                for vertex in self.postorder()
+                if redirect[vertex] and any(child in clone_of for child, _ in table[vertex])
+            ]
+        post = self._post_cache
+        if post is not None:
+            patched: list[int] = []
+            for vertex in post:
+                patched.append(vertex)
+                if vertex in clone_of:
+                    patched.append(clone_of[vertex])
+            self._post_cache = patched
+        self._pre_cache = None
+        self._reach_cache = None
+        self._generation += 1
+
+        def repointed(vertex: int) -> tuple[Edge, ...]:
+            return tuple([(clone_of.get(child, child), count) for child, count in table[vertex]])
+
+        # Clones first: they copy their originals' *old* child sequences.
+        for clone, vertex in enumerate(originals, first):
+            table.append(repointed(vertex) if redirect[clone] else table[vertex])
+            self._nedge_entries += len(table[vertex])
+        for vertex in parents:
+            table[vertex] = repointed(vertex)
+        self._grow(len(table))
+        _pl.clone_bits(self._planes, originals, first)
+        return first
+
     def children(self, vertex: int) -> tuple[Edge, ...]:
         """The run-length encoded child sequence of ``vertex``."""
         return self._children[vertex]
@@ -436,6 +516,16 @@ class Instance:
     def num_edges_expanded(self) -> int:
         """Number of edges counting multiplicities (``|E|`` of the tree if a tree)."""
         return sum(self.out_degree(v) for v in range(len(self._children)))
+
+    @property
+    def num_reachable(self) -> int:
+        """Number of root-reachable vertices (the length of the cached order)."""
+        return len(self.postorder())
+
+    @property
+    def fully_reachable(self) -> bool:
+        """True when every vertex is reachable from the root (no garbage)."""
+        return self.num_reachable == len(self._children)
 
     # ------------------------------------------------------------------
     # Set membership
@@ -498,7 +588,7 @@ class Instance:
     def count_set(self, name: str, reachable_only: bool = True) -> int:
         """``|S|`` by popcount — without materialising a Python set."""
         plane = self._planes[self.bit_of(name)]
-        if not reachable_only or len(self.preorder()) == len(self._children):
+        if not reachable_only or self.fully_reachable:
             return _pl.count_bits(plane)
         restricted = _pl.copy_plane(plane)
         _pl.intersect_into(restricted, self.reachable_plane())
@@ -528,7 +618,7 @@ class Instance:
         """
         left_plane = self._planes[self.bit_of(left)]
         right_plane = self._planes[self.bit_of(right)]
-        fully_reachable = len(self.preorder()) == len(self._children)
+        fully_reachable = self.fully_reachable
         target_plane = self._planes[self.ensure_set(target)]
         if fully_reachable and not _pl.any_bit(target_plane):
             # Fresh target on a fully reachable instance (the common case on
@@ -580,8 +670,7 @@ class Instance:
         cached = self._reach_cache
         if cached is not None:
             return cached
-        order = self.preorder()
-        if len(order) == len(self._children):
+        if self.fully_reachable:
             nbits = len(self._children)
             words = [_pl.FULL_WORD] * (nbits >> 6)
             if nbits & 63:
@@ -589,7 +678,7 @@ class Instance:
             words.extend([0] * (self._nwords - len(words)))
             plane = array("Q", words)
         else:
-            plane = _pl.plane_from_bits(order, self._nwords)
+            plane = _pl.plane_from_bits(self.postorder(), self._nwords)
         self._reach_cache = plane
         return plane
 
@@ -602,35 +691,32 @@ class Instance:
         return self._children
 
     def edge_flat(self) -> EdgeFlat:
-        """The cached flat edge list in topological order (see :class:`EdgeFlat`)."""
+        """The cached flat edge list (see :class:`EdgeFlat`)."""
         cached = self._flat_cache
         if cached is not None:
             return cached
         children = self._children
         esrc: list[int] = []
         edst: list[int] = []
-        ecnt: list[int] = []
         add_src = esrc.append
         add_dst = edst.append
-        add_cnt = ecnt.append
         for vertex in self.topological_order():
-            for child, count in children[vertex]:
+            for child, _ in children[vertex]:
                 add_src(vertex)
                 add_dst(child)
-                add_cnt(count)
-        flat = EdgeFlat(esrc, edst, ecnt, len(children))
+        flat = EdgeFlat(esrc, edst)
         self._flat_cache = flat
         return flat
 
-    def adopt_edge_flat(self, esrc: list[int], edst: list[int], ecnt: list[int]) -> None:
+    def adopt_edge_flat(self, esrc: list[int], edst: list[int]) -> None:
         """Install a prebuilt flat edge list (see :class:`EdgeFlat`).
 
         For construction paths that already know every reachable edge entry
-        as they emit it (the product rebuilds): the lists are adopted, not
+        as they emit it (the sibling rebuild): the lists are adopted, not
         copied, and must cover exactly the reachable entries.  Call after
         the last structural mutation — any later one re-derives the list.
         """
-        self._flat_cache = EdgeFlat(esrc, edst, ecnt, len(self._children))
+        self._flat_cache = EdgeFlat(esrc, edst)
 
     def edge_csr(self) -> EdgeCSR:
         """The cached level-grouped flat edge list (see :class:`EdgeCSR`)."""
@@ -657,20 +743,17 @@ class Instance:
             buckets[vertex_level].append(vertex)
         esrc: list[int] = []
         edst: list[int] = []
-        ecnt: list[int] = []
         spans: list[tuple[int, int]] = []
         add_src = esrc.append
         add_dst = edst.append
-        add_cnt = ecnt.append
         for bucket in buckets:
             start = len(esrc)
             for vertex in bucket:
-                for child, count in children[vertex]:
+                for child, _ in children[vertex]:
                     add_src(vertex)
                     add_dst(child)
-                    add_cnt(count)
             spans.append((start, len(esrc)))
-        csr = EdgeCSR(esrc, edst, ecnt, spans, len(children))
+        csr = EdgeCSR(esrc, edst, spans)
         self._csr_cache = csr
         return csr
 
@@ -703,15 +786,17 @@ class Instance:
     def topological_order(self) -> list[int]:
         """Vertices reachable from the root, every parent before its children.
 
-        Computed as reverse DFS postorder, iteratively (instances can be very
-        deep chains, e.g. compressed complete binary trees).
+        The reverse of :meth:`postorder`, which is derived iteratively
+        (instances can be very deep chains, e.g. compressed complete binary
+        trees).
         """
         return list(reversed(self.postorder()))
 
     def postorder(self) -> list[int]:
-        """Vertices reachable from the root in DFS postorder (children first).
+        """The vertices reachable from the root in a children-first order.
 
-        The result is cached until the next structural mutation; treat the
+        DFS postorder when freshly derived; :meth:`split_vertices` keeps the
+        cached order children-first without re-running the DFS.  Treat the
         returned list as read-only.
         """
         cached = self._post_cache

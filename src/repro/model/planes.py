@@ -239,13 +239,17 @@ def count_bits(plane: array) -> int:
     return to_int(plane).bit_count()
 
 
-def iter_bits(plane: array):
-    """Yield set vertex ids in increasing order (popcount-bounded work)."""
-    value = to_int(plane)
+def iter_bits_of(value: int):
+    """Yield the set bit positions of a big integer, increasing."""
     while value:
         low = value & -value
         yield low.bit_length() - 1
         value ^= low
+
+
+def iter_bits(plane: array):
+    """Yield set vertex ids in increasing order (popcount-bounded work)."""
+    return iter_bits_of(to_int(plane))
 
 
 def bits_list(plane: array, nbits: int) -> list[int]:
@@ -297,6 +301,38 @@ def gather(plane: array, origin: list[int], nwords_out: int) -> array:
             if value >> old_id & 1:
                 words[new_id >> 6] |= 1 << (new_id & 63)
     return array("Q", words)
+
+
+def clone_bits(plane_list, origins, first: int) -> None:
+    """In every plane, set bit ``first + i`` where bit ``origins[i]`` is set.
+
+    The membership half of a vertex split: clones are appended after the
+    existing vertices and inherit their originals' rows.  Planes must
+    already be wide enough for the clones.
+    """
+    if not plane_list:
+        return
+    if _np_worthwhile(plane_list[0]):
+        # One (planes x origins) bit gather over the stacked plane words.
+        stacked = _numpy.frombuffer(
+            b"".join([plane.tobytes() for plane in plane_list]), dtype=_numpy.uint64
+        ).reshape(len(plane_list), -1)
+        at = _numpy.asarray(origins, dtype=_numpy.intp)
+        shift = (at & 63).astype(_numpy.uint64)
+        rows, cols = _numpy.nonzero(stacked[:, at >> 6] >> shift & 1)
+        hits = zip(rows.tolist(), (cols + first).tolist())
+    else:
+        select = 0
+        for vertex in origins:
+            select |= 1 << vertex
+        clone_of = {vertex: first + i for i, vertex in enumerate(origins)}
+        hits = (
+            (row, clone_of[vertex])
+            for row, plane in enumerate(plane_list)
+            for vertex in iter_bits_of(to_int(plane) & select)
+        )
+    for row, clone in hits:
+        plane_list[row][clone >> 6] |= 1 << (clone & 63)
 
 
 def gather_many(plane_list, origin: list[int], nwords_out: int) -> list[array]:

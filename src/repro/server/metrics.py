@@ -626,6 +626,11 @@ def _service_counter_families(service_stats: dict, pool_stats) -> list[RawFamily
             _counter_samples("repro_batches_total", service_stats, "batches"),
         ),
         RawFamily(
+            "repro_split_vertices_total", "counter",
+            "Vertices added to working instances by partial decompression.",
+            _counter_samples("repro_split_vertices_total", service_stats, "split_vertices"),
+        ),
+        RawFamily(
             "repro_coalesced_requests_total", "counter",
             "Requests that shared a batch with at least one other request.",
             _counter_samples(

@@ -31,6 +31,7 @@ import time
 from collections import OrderedDict
 from typing import Callable, Hashable
 
+from repro.engine.axes_compressed import warm
 from repro.model.instance import Instance
 
 #: ``(document name, sorted string needles)`` — the resident-instance key.
@@ -125,7 +126,7 @@ class InstancePool:
                         if self._entries.get(key) is entry:
                             del self._entries[key]
                     raise
-                instance.preorder()  # warm the traversal cache once, pre-share
+                warm(instance)  # derive the structure caches once, pre-share
                 entry.load_seconds = time.perf_counter() - started
                 entry.instance = instance
         return entry

@@ -19,6 +19,7 @@ and over the worker wire, and written to both front-ends' access logs.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 import urllib.parse
@@ -368,9 +369,15 @@ class Router:
                     return self._plain_error(400, "X-Repro-Deadline-Ms must be a number")
         if deadline_ms is None:
             deadline_ms = self.default_deadline_ms
+        # type() not isinstance(): true is not 1 ms; and NaN / Infinity, which
+        # json.loads and float() both accept, would never expire.
+        if (
+            type(deadline_ms) not in (int, float)
+            or not math.isfinite(deadline_ms)
+            or deadline_ms < 0
+        ):
+            return self._plain_error(400, "'deadline_ms' must be a positive finite number")
         if deadline_ms:
-            if not isinstance(deadline_ms, (int, float)) or deadline_ms <= 0:
-                return self._plain_error(400, "'deadline_ms' must be a positive number")
             kwargs["deadline"] = Deadline(request.received_at + deadline_ms / 1000.0)
         # Rate-limit identity: an explicit client header, else the peer.
         kwargs["client"] = request.header("X-Repro-Client") or request.client

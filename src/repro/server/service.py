@@ -165,6 +165,9 @@ class ServiceStats:
     errors: int = 0
     #: Requests answered with ``deadline_exceeded`` instead of a result.
     deadline_expired: int = 0
+    #: Vertices added to working instances by partial decompression, summed
+    #: over executed batches (the paper's cost of a query, Figure 7).
+    split_vertices: int = 0
     #: Per-bucket (non-cumulative) batch-size counts; last slot is +Inf.
     batch_size_counts: list[int] = field(
         default_factory=lambda: [0] * (len(BATCH_SIZE_BUCKETS) + 1)
@@ -195,6 +198,7 @@ class ServiceStats:
             "coalesced_requests": self.coalesced_requests,
             "errors": self.errors,
             "deadline_expired": self.deadline_expired,
+            "split_vertices": self.split_vertices,
             "batch_sizes": {
                 "le": list(BATCH_SIZE_BUCKETS),
                 "counts": list(self.batch_size_counts),
@@ -841,6 +845,7 @@ class QueryService:
             working, copy=False, axes=self.axes, short_circuit=self.optimize
         )
         check = self._batch_check(batch)
+        vertices_before = working.num_vertices
         try:
             result = evaluator.evaluate_batch(
                 [request.expr for request, _ in batch], check=check
@@ -849,6 +854,8 @@ class QueryService:
             if persistent_entry is not None:
                 persistent_entry.working = None  # re-fork from the pristine master
             raise
+        with self._stats_lock:
+            self.stats.split_vertices += evaluator.instance.num_vertices - vertices_before
         outcomes: list[dict | Exception] = []
         for (request, _), query_result in zip(batch, result):
             try:

@@ -1,15 +1,17 @@
-"""Split-avoiding axis fast paths vs the product rebuild (DESIGN.md section 5).
+"""Splitting axes vs their reference implementations (DESIGN.md section 5).
 
-``apply_axis`` first attempts an in-place mask pass for the downward and
-sibling axes and only rebuilds the ``(vertex, bit)`` product when a shared
+The downward axes split only the vertices that hold both context bits and
+otherwise leave the instance alone; the sibling axes first attempt an
+in-place mask pass and rebuild the ``(vertex, bit)`` product when a shared
 vertex would genuinely split.  These tests pin the contract from both
 sides:
 
-* whatever path is taken, the outcome must be *equivalent* (Definition 2.1:
-  same unfolded tree, same path sets for every selection) to the instance
-  the rebuild produces, on random trees and random shared DAGs;
-* on trees the fast path must actually fire (no split is ever needed), and
-  when it fires the instance is untouched structurally.
+* whatever happens structurally, the outcome must be *equivalent*
+  (Definition 2.1: same unfolded tree, same path sets for every selection)
+  to the reference — the Figure 4 port for the downward axes, the product
+  rebuild for the sibling axes — on random trees and random shared DAGs;
+* on trees no split is ever needed, and the instance is then untouched
+  structurally.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from hypothesis import given, strategies as st
 from repro.corpora.binary_tree import compressed_instance
 from repro.engine import axes_compressed
 from repro.engine.axes_compressed import apply_axis
+from repro.engine.axes_inplace import downward_axis_inplace
 from repro.model.equivalence import equivalent
 from repro.model.instance import tree_instance
 
@@ -34,10 +37,10 @@ SPLITTING_AXES = (
 )
 
 
-def rebuild_only(instance, axis, source, target):
-    """The general product rebuild, bypassing the fast-path attempt."""
+def reference(instance, axis, source, target):
+    """The reference: Figure 4 (downward) or the product rebuild (sibling)."""
     if axis in ("child", "descendant", "descendant-or-self"):
-        return axes_compressed._downward_rebuild(instance, axis, source, target)
+        return downward_axis_inplace(instance, axis, source, target)
     return axes_compressed._sibling_rebuild(
         instance, source, target, following=(axis == "following-sibling")
     )
@@ -46,8 +49,8 @@ def rebuild_only(instance, axis, source, target):
 @given(random_dag_instances(), st.sampled_from(SPLITTING_AXES), st.sampled_from(LABELS))
 def test_fast_path_equivalent_to_rebuild_on_dags(instance, axis, source):
     via_apply = apply_axis(instance.copy(), axis, source, "T")
-    via_rebuild = rebuild_only(instance.copy(), axis, source, "T")
-    assert equivalent(via_apply, via_rebuild)
+    via_reference = reference(instance.copy(), axis, source, "T")
+    assert equivalent(via_apply, via_reference)
 
 
 @given(random_tree_instances(), st.sampled_from(SPLITTING_AXES), st.sampled_from(LABELS))
@@ -55,11 +58,11 @@ def test_fast_path_fires_and_matches_on_trees(instance, axis, source):
     working = instance.copy()
     result = apply_axis(working, axis, source, "T")
     if instance.members(source):
-        # Trees never split, so the non-empty-source fast path must fire:
-        # the instance is mutated in place, not rebuilt.
+        # Trees never split, so trees never grow: the instance is mutated
+        # in place, not rebuilt.
         assert result is working
         assert result.num_vertices == instance.num_vertices
-    assert equivalent(result, rebuild_only(instance.copy(), axis, source, "T"))
+    assert equivalent(result, reference(instance.copy(), axis, source, "T"))
 
 
 @pytest.mark.parametrize("axis", SPLITTING_AXES)
@@ -70,26 +73,26 @@ def test_fast_path_on_shared_binary_tree_corpus(axis, source):
     # must still be equivalent.
     instance = compressed_instance(depth=5)
     via_apply = apply_axis(instance.copy(), axis, source, "T")
-    via_rebuild = rebuild_only(instance.copy(), axis, source, "T")
-    assert equivalent(via_apply, via_rebuild)
+    via_reference = reference(instance.copy(), axis, source, "T")
+    assert equivalent(via_apply, via_reference)
 
 
 def test_descendant_from_root_avoids_the_split_on_a_shared_dag():
     # All parents agree on the context bit ("has an ancestor in S" is true
-    # everywhere below the root), so even a heavily shared DAG takes the
-    # in-place path for descendant-from-root.
+    # everywhere below the root), so even a heavily shared DAG adds no
+    # vertex for descendant-from-root.
     instance = compressed_instance(depth=6)
     instance.add_to_set(instance.root, "ctx")
     working = instance.copy()
     result = apply_axis(working, "descendant", "ctx", "T")
     assert result is working
     assert result.num_vertices == instance.num_vertices
-    assert result.members("T") == set(result.preorder()) - {result.root}
+    assert result.members("T") == result.reachable() - {result.root}
 
 
 def test_child_axis_splits_when_parents_disagree():
-    # One parent in S, the other not: the shared child must split, so the
-    # fast path refuses and the rebuild grows the instance.
+    # One parent in S, the other not: the shared child must split — in
+    # place, growing the given instance by exactly the one clone.
     from repro.model.instance import Instance
 
     instance = Instance(LABELS)
@@ -98,9 +101,11 @@ def test_child_axis_splits_when_parents_disagree():
     left = instance.new_vertex(["b"], [(shared, 1)])
     root = instance.new_vertex(["a"], [(left, 1), (shared, 1)])
     instance.set_root(root)
-    result = apply_axis(instance.copy(), "child", "a", "T")
+    working = instance.copy()
+    result = apply_axis(working, "child", "a", "T")
+    assert result is working
     assert result.num_vertices == instance.num_vertices + 1
-    assert equivalent(result, rebuild_only(instance.copy(), "child", "a", "T"))
+    assert equivalent(result, reference(instance.copy(), "child", "a", "T"))
 
 
 def test_sibling_run_split_falls_back_to_rebuild():
@@ -113,7 +118,7 @@ def test_sibling_run_split_falls_back_to_rebuild():
     root = instance.new_vertex(["a"], [(w, 3)])
     instance.set_root(root)
     result = apply_axis(instance.copy(), "following-sibling", "b", "T")
-    expected = rebuild_only(instance.copy(), "following-sibling", "b", "T")
+    expected = reference(instance.copy(), "following-sibling", "b", "T")
     assert equivalent(result, expected)
     # Occurrences 2 and 3 have a preceding occurrence of w in S before them.
     assert result.num_vertices == instance.num_vertices + 1

@@ -1,0 +1,198 @@
+"""The downward axes split only what splits, in place (DESIGN.md section 5).
+
+``_downward`` scans for the reachable ``(vertex, bit)`` product states,
+clones exactly the vertices that hold both through
+:meth:`Instance.split_vertices`, and commits the selection — on both kernel
+tiers.  Pinned here, on random shared DAGs:
+
+* the result is equivalent to the Figure 4 oracle and selects what naive
+  evaluation on the uncompressed tree selects;
+* it is the instance that was passed in, grown to exactly the number of
+  reachable product states, with no unreachable garbage;
+* every *patched* structure cache still satisfies the contract its readers
+  rely on;
+* patching is copy-on-write: the master a working copy was taken from is
+  untouched, object for object;
+* a working copy of a warmed master never derives a cache from scratch.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from repro.bench.queries import queries_for
+from repro.compress.decompress import decompress
+from repro.corpora import binary_tree, generate
+from repro.engine import axes_compressed
+from repro.engine.axes_inplace import downward_axis_inplace
+from repro.engine.axes_tree import TreeIndex, tree_axis
+from repro.engine.evaluator import CompressedEvaluator
+from repro.model import planes
+from repro.model.equivalence import equivalent
+from repro.model.instance import Instance
+from repro.model.paths import set_path_sets, tree_size
+from repro.skeleton.loader import load
+
+from tests.conftest import LABELS, random_dag_instances
+
+DOWNWARD = ("child", "descendant", "descendant-or-self")
+
+
+#: Scan tier x patch tier: the level-synchronous scan (threshold forced to
+#: zero), the scalar scan with numpy still patching the edge caches (small
+#: instances on a numpy install), and no numpy at all.
+TIERS = {"vector": (True, 0), "scalar": (True, 1 << 30), "stdlib": (False, 0)}
+
+
+def apply_on_tier(instance: Instance, axis: str, source: str, target: str, tier: str) -> Instance:
+    """``apply_axis`` in place under one of :data:`TIERS`."""
+    numpy, threshold = TIERS[tier]
+    previous_threshold = axes_compressed.VECTOR_THRESHOLD
+    previous_tier = planes.set_numpy(numpy)
+    axes_compressed.VECTOR_THRESHOLD = threshold
+    try:
+        return axes_compressed.apply_axis(instance, axis, source, target)
+    finally:
+        axes_compressed.VECTOR_THRESHOLD = previous_threshold
+        planes.set_numpy(previous_tier)
+
+
+def warmed(instance: Instance) -> Instance:
+    """``instance`` with every structure cache derived (as a pool master)."""
+    instance.postorder()
+    instance.preorder()
+    instance.reachable_plane()
+    instance.edge_csr()
+    instance.edge_flat()
+    assert instance.fully_reachable
+    return instance
+
+
+def product_states(instance: Instance, axis: str, source: str) -> int:
+    """Reachable ``(vertex, bit)`` states of Proposition 3.2's product."""
+    members = instance.members(source)
+    seen = {(instance.root, 0)}
+    stack = [(instance.root, 0)]
+    while stack:
+        vertex, bit = stack.pop()
+        handed = int(vertex in members or (bit and axis != "child"))
+        for child, _ in instance.children(vertex):
+            if (child, handed) not in seen:
+                seen.add((child, handed))
+                stack.append((child, handed))
+    return len(seen)
+
+
+def assert_cache_contracts(instance: Instance) -> None:
+    table = instance.edge_table()
+    reachable = instance.reachable()
+    entries = Counter(
+        (vertex, child) for vertex in reachable for child, _ in table[vertex]
+    )
+    post = instance.postorder()
+    assert len(post) == len(set(post)) == instance.num_reachable
+    assert set(post) == reachable
+    position = {vertex: i for i, vertex in enumerate(post)}
+    assert all(position[child] < position[vertex] for vertex, child in entries)
+    assert set(planes.iter_bits(instance.reachable_plane())) == reachable
+    flat = instance.edge_flat()
+    assert Counter(zip(flat.esrc, flat.edst)) == entries
+    csr = instance.edge_csr()
+    assert Counter(zip(csr.esrc, csr.edst)) == entries
+    level = {}
+    for number, (start, end) in enumerate(csr.spans):
+        for vertex in csr.esrc[start:end]:
+            assert level.setdefault(int(vertex), number) == number
+    depth = len(csr.spans)  # leaves own no entries: below every parent
+    assert all(level[vertex] < level.get(child, depth) for vertex, child in entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    random_dag_instances(),
+    st.lists(st.tuples(st.sampled_from(DOWNWARD), st.sampled_from(LABELS)), min_size=1, max_size=3),
+    st.sampled_from(sorted(TIERS)),
+)
+def test_split_matches_oracles_and_keeps_caches_valid(master, steps, tier):
+    assume(tree_size(master) <= 3000)
+    warmed(master)
+    unfolded = decompress(master)
+    paths = unfolded.paths()
+    index = TreeIndex(unfolded.tree)
+    working = master.copy()
+    oracle = master.copy()
+    # Later steps split an instance whose caches are already patched.
+    for number, (axis, source) in enumerate(steps):
+        target = f"T{number}"
+        states = product_states(working, axis, source)
+        result = apply_on_tier(working, axis, source, target, tier)
+        assert result is working
+        result.validate()  # in particular: no unreachable garbage
+        assert result.num_reachable == result.num_vertices == states
+        assert_cache_contracts(result)
+        oracle = downward_axis_inplace(oracle, axis, source, target)
+        assert equivalent(result, oracle)
+        expected = tree_axis(index, axis, unfolded.tree.members(source))
+        assert set_path_sets(result)[target] == {paths[vertex] for vertex in expected}
+
+
+def snapshot(instance: Instance) -> dict:
+    """Identity and content of everything a split must leave alone."""
+    caches = {
+        name: getattr(instance, name)
+        for name in ("_pre_cache", "_post_cache", "_reach_cache", "_csr_cache", "_flat_cache")
+    }
+    csr, flat = caches["_csr_cache"], caches["_flat_cache"]
+    return {
+        "children": [(id(edges), edges) for edges in instance.edge_table()],
+        "planes": {name: bytes(instance.plane_of(name)) for name in instance.schema},
+        "cache_ids": {name: id(value) for name, value in caches.items()},
+        "orders": (list(caches["_pre_cache"]), list(caches["_post_cache"])),
+        "reach": bytes(caches["_reach_cache"]),
+        "edges": (list(csr.esrc), list(csr.edst), list(csr.spans), list(flat.esrc), list(flat.edst)),
+        "counts": (instance.num_vertices, instance.num_edge_entries, instance.num_reachable),
+    }
+
+
+@pytest.mark.parametrize("tier", sorted(TIERS))
+@pytest.mark.parametrize("axis", DOWNWARD)
+def test_split_is_copy_on_write(axis, tier):
+    master = warmed(binary_tree.compressed_instance(depth=6))
+    before = snapshot(master)
+    working = master.copy()
+    apply_on_tier(working, axis, "b", "T", tier)
+    assert working.num_vertices > master.num_vertices  # it did split
+    assert snapshot(master) == before
+    # The master still answers like a fresh instance.
+    assert equivalent(
+        apply_on_tier(master.copy(), axis, "b", "T", tier),
+        apply_on_tier(binary_tree.compressed_instance(depth=6), axis, "b", "T", tier),
+    )
+
+
+@pytest.mark.skipif(not planes.numpy_active(), reason="the vector tier needs numpy")
+def test_warmed_master_serves_treebank_q2_without_deriving_a_cache(monkeypatch):
+    master = load(generate("treebank", 400, 0).xml).instance
+    axes_compressed.warm(master)
+    assert axes_compressed._vectorized(master)
+    derived = []
+    for method, cache in (
+        ("postorder", "_post_cache"),
+        ("edge_csr", "_csr_cache"),
+        ("edge_flat", "_flat_cache"),
+    ):
+        original = getattr(Instance, method)
+
+        def counting(self, original=original, method=method, cache=cache):
+            if getattr(self, cache) is None:
+                derived.append(method)
+            return original(self)
+
+        monkeypatch.setattr(Instance, method, counting)
+    result = CompressedEvaluator(master).evaluate(queries_for("treebank")["Q2"])
+    assert result.tree_count() > 0
+    assert result.after[0] > result.before[0]  # Q2 splits shared vertices
+    assert derived == []

@@ -7,7 +7,7 @@ engine rests on the two tiers being *indistinguishable* — same plane bytes,
 same schemas, same structures — so this module pins that equivalence for
 
 * the bulk set operations (``combine_sets`` / ``fill_set`` / ``clear_sets``
-  / ``drop_sets``),
+  / ``drop_sets``) and the split's row copy (``clone_bits``),
 * every axis fast path in :mod:`repro.engine.axes_compressed` (with the
   vectorization threshold forced to zero so small inputs take the numpy
   kernels too),
@@ -160,6 +160,29 @@ class TestBulkOpsTierEquivalence:
             return plane_bytes(work), observable(work)
 
         assert under_tier(True, run) == under_tier(False, run)
+
+
+class TestCloneBitsTierEquivalence:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.lists(st.integers(0, 2**64 - 1), min_size=6, max_size=6), max_size=5),
+        st.lists(st.integers(0, 6 * 64 - 1), unique=True, max_size=40),
+    )
+    def test_clone_bits(self, words, origins):
+        first = 6 * 64  # clones land in two fresh words past the originals
+
+        def run():
+            plane_list = [planes.array("Q", row + [0, 0]) for row in words]
+            planes.clone_bits(plane_list, origins, first)
+            return [plane.tobytes() for plane in plane_list]
+
+        expected = [planes.array("Q", row + [0, 0]) for row in words]
+        for plane in expected:
+            for clone, vertex in enumerate(origins, first):
+                if planes.get_bit(plane, vertex):
+                    planes.set_bit(plane, clone)
+        vectorized, scalar = tier_pair(run)
+        assert vectorized == scalar == [plane.tobytes() for plane in expected]
 
 
 # ----------------------------------------------------------------------

@@ -331,6 +331,26 @@ class TestResilienceSurface:
         assert status == 400
         assert_envelope(payload, "bad-request")
 
+    @pytest.mark.parametrize("value", [True, False, float("nan"), float("inf"), "5"])
+    def test_boolean_or_non_finite_deadline_body_is_400(self, server, value):
+        # json.dumps writes NaN / Infinity literals, which json.loads accepts.
+        status, payload = request(
+            server, "POST", "/query",
+            {"document": "bib", "query": "//author", "deadline_ms": value},
+        )
+        assert status == 400
+        assert_envelope(payload, "bad-request")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "-1"])
+    def test_non_finite_deadline_header_is_400(self, server, value):
+        status, payload, _ = raw_request(
+            server, "POST", "/query",
+            {"document": "bib", "query": "//author"},
+            headers={"X-Repro-Deadline-Ms": value},
+        )
+        assert status == 400
+        assert_envelope(payload, "bad-request")
+
     def test_zero_deadline_means_unbounded(self, server):
         status, payload = request(
             server, "POST", "/query",

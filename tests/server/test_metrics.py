@@ -342,6 +342,17 @@ class TestMetricsEndpoint:
         assert count >= 1
         assert buckets[0][0] == 1.0  # singleton batches land in le=1
 
+    def test_split_vertices_counter_reconciles_with_stats(self, server):
+        # <c/> is one vertex shared by x and y, so selecting the children of
+        # x alone has to split it.
+        server.service.catalog.add("shared", "<r><a><x><c/></x><y><c/></y></a></r>")
+        http_post(server, "/query", {"document": "shared", "query": "/r/a/x/c"})
+        _, _, body = http_get(server, "/metrics")
+        families = parse_prometheus_text(body.decode())
+        stats = json.loads(http_get(server, "/stats")[2])
+        (sample,) = families["repro_split_vertices_total"]["samples"]
+        assert sample[2] == stats["service"]["split_vertices"] == 1
+
     def test_admission_families_present(self, server):
         http_post(server, "/query", {"document": "bib", "query": "//author"})
         _, _, body = http_get(server, "/metrics")
