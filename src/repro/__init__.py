@@ -27,8 +27,6 @@ See README.md for the architecture overview and examples/ for runnable
 scenarios.
 """
 
-import warnings
-
 from repro.model import Instance, equivalent, tree_instance
 from repro.compress import DagBuilder, common_extension, decompress, instance_stats, minimize
 
@@ -40,19 +38,10 @@ def _version() -> str:
     try:
         return metadata.version("repro")
     except metadata.PackageNotFoundError:  # running from a source checkout
-        return "1.0.0+src"
+        return "2.0.0+src"
 
 
 __version__ = _version()
-
-#: Deprecated quick-start entry points, kept as thin shims over the engine
-#: pipeline.  Use the :mod:`repro.api` façade (``repro.open``) instead.
-_DEPRECATED_EXPORTS = {
-    "Engine": "use repro.open(...) — a repro.api.Database wrapping an Engine",
-    "load_instance": "use repro.open(...), which loads and owns the instance",
-    "query": "use repro.open(...).execute(query)",
-    "query_batch": "use repro.open(...).execute_batch(queries)",
-}
 
 #: Façade names importable from the top level, resolved lazily so that
 #: ``import repro`` stays cheap for model-only users.
@@ -61,7 +50,6 @@ _API_EXPORTS = ("Database", "Plan", "PreparedQuery", "ResultSet", "open")
 __all__ = [
     "DagBuilder",
     "Database",
-    "Engine",
     "Instance",
     "Plan",
     "PreparedQuery",
@@ -71,11 +59,8 @@ __all__ = [
     "decompress",
     "equivalent",
     "instance_stats",
-    "load_instance",
     "minimize",
     "open",
-    "query",
-    "query_batch",
     "tree_instance",
     "__version__",
 ]
@@ -92,20 +77,10 @@ def __getattr__(name: str):
 
         api = import_module("repro.api")
         return api if name == "api" else getattr(api, name)
-    if name in _DEPRECATED_EXPORTS:
-        warnings.warn(
-            f"repro.{name} is deprecated; {_DEPRECATED_EXPORTS[name]} "
-            "(the repro.api façade)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.engine import pipeline
-
-        return getattr(pipeline, name)
     raise AttributeError(f"module 'repro' has no attribute {name!r}")
 
 
 def __dir__() -> list:
     # Lazily-exported names must be discoverable: dir(repro) lists the
-    # façade and the deprecated shims alongside the eager exports.
+    # façade alongside the eager exports.
     return sorted(set(globals()) | set(__all__))

@@ -23,9 +23,10 @@ Quick start::
         for fragment in result.fragments(3):
             print(fragment)
 
-The older entry points (``repro.load_instance`` / ``repro.query`` /
-``repro.query_batch`` / ``repro.Engine``) remain as thin deprecated shims
-over the same machinery.
+The pre-façade top-level entry points (``repro.load_instance`` /
+``repro.query`` / ``repro.query_batch`` / ``repro.Engine``) were removed
+in 2.0.0; the engine pipeline they wrapped is still importable from
+:mod:`repro.engine.pipeline`.
 """
 
 from repro.api.database import Database, open_database

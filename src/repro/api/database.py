@@ -50,7 +50,6 @@ class Database:
         instance=None,
         service=None,
         owns_service=False,
-        axes: str = "functional",
     ):
         backends = sum(backend is not None for backend in (engine, instance, service))
         if backends != 1:
@@ -59,7 +58,6 @@ class Database:
         self._instance = instance
         self._service = service
         self._owns_service = owns_service
-        self._axes = engine.axes if engine is not None else axes
         # Reassembled document DOM per attributes mode (fragment tier 3).
         self._dom_cache: dict[str, Element] = {}
         # Instance-backed databases own their compiled cache (the other
@@ -70,46 +68,38 @@ class Database:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def from_text(
-        cls, text: str, axes: str = "functional", reparse_per_query: bool = False
-    ) -> "Database":
+    def from_text(cls, text: str, reparse_per_query: bool = False) -> "Database":
         """An embedded database over XML text (cached one-scan loads)."""
         from repro.engine.pipeline import Engine
 
-        return cls(engine=Engine(text, reparse_per_query=reparse_per_query, axes=axes))
+        return cls(engine=Engine(text, reparse_per_query=reparse_per_query))
 
     @classmethod
-    def from_instance(cls, instance: Instance, axes: str = "functional") -> "Database":
+    def from_instance(cls, instance: Instance) -> "Database":
         """An embedded database over a pre-built compressed instance.
 
         The instance's schema is fixed: queries may only mention sets it
         already carries (plus absent tags, which select nothing).  No
         character data is available, so the fragment tier is off.
         """
-        return cls(instance=instance, axes=axes)
+        return cls(instance=instance)
 
     @classmethod
     def from_file(
-        cls,
-        path: str | os.PathLike,
-        axes: str = "functional",
-        reparse_per_query: bool = False,
+        cls, path: str | os.PathLike, reparse_per_query: bool = False
     ) -> "Database":
         """An embedded database over an XML file or a saved ``.dag`` instance.
 
         ``reparse_per_query`` only applies to XML files (a ``.dag`` holds
-        one pre-built instance, there is nothing to re-parse); ``axes``
-        applies to both backends.
+        one pre-built instance, there is nothing to re-parse).
         """
         path = os.fspath(path)
         if path.endswith(".dag"):
             from repro.model.serialize import load_file
 
-            return cls.from_instance(load_file(path), axes=axes)
+            return cls.from_instance(load_file(path))
         with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_text(
-                handle.read(), axes=axes, reparse_per_query=reparse_per_query
-            )
+            return cls.from_text(handle.read(), reparse_per_query=reparse_per_query)
 
     @classmethod
     def from_catalog(cls, root: str | os.PathLike, **service_kwargs) -> "Database":
@@ -117,7 +107,7 @@ class Database:
 
         ``service_kwargs`` pass through to
         :class:`repro.server.service.QueryService` (``mode``, ``window``,
-        ``max_batch``, ``pool_capacity``, ``axes``, ...).  Closing the
+        ``max_batch``, ``pool_capacity``, ...).  Closing the
         database closes the service.
         """
         from repro.server.catalog import Catalog
@@ -289,7 +279,7 @@ class Database:
             return ResultSet.from_result(result, self._fragment_loader(prepared))
         from repro.engine.evaluator import CompressedEvaluator
 
-        evaluator = CompressedEvaluator(self._instance, context=context, axes=self._axes)
+        evaluator = CompressedEvaluator(self._instance, context=context)
         return ResultSet.from_result(evaluator.evaluate(prepared.expr))
 
     def execute_batch(
@@ -339,7 +329,7 @@ class Database:
         else:
             from repro.engine.batch import BatchEvaluator
 
-            evaluator = BatchEvaluator(self._instance, context=context, axes=self._axes)
+            evaluator = BatchEvaluator(self._instance, context=context)
             batch = evaluator.evaluate_batch([one.expr for one in prepared])
             loaders = [None] * len(prepared)
         results = [
@@ -411,15 +401,13 @@ class Database:
                 from repro.engine.evaluator import measure_actuals
 
                 expr = optimization.expr if optimization is not None else prepared.expr
-                actuals = measure_actuals(
-                    self._engine.instance_for(prepared.text), expr, axes=self._axes
-                )
+                actuals = measure_actuals(self._engine.instance_for(prepared.text), expr)
         else:
             instance = {"source": "instance", "cached": True}
             if analyze:
                 from repro.engine.evaluator import measure_actuals
 
-                actuals = measure_actuals(self._instance, prepared.expr, axes=self._axes)
+                actuals = measure_actuals(self._instance, prepared.expr)
         plan = Plan.from_compiled(
             prepared.text,
             prepared.expr,
@@ -486,11 +474,7 @@ class Database:
         return f"Database(embedded/{backend})"
 
 
-def open_database(
-    source: str | os.PathLike,
-    axes: str = "functional",
-    reparse_per_query: bool = False,
-) -> Database:
+def open_database(source: str | os.PathLike, reparse_per_query: bool = False) -> Database:
     """Open ``source`` as a :class:`Database`, picking the backend.
 
     * XML text (anything containing ``<``) — embedded over the text;
@@ -509,5 +493,5 @@ def open_database(
                     "(no catalog.json); use Database.from_catalog to create one"
                 )
             return Database.from_catalog(path)
-        return Database.from_file(path, axes=axes, reparse_per_query=reparse_per_query)
-    return Database.from_text(source, axes=axes, reparse_per_query=reparse_per_query)
+        return Database.from_file(path, reparse_per_query=reparse_per_query)
+    return Database.from_text(source, reparse_per_query=reparse_per_query)

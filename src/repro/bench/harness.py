@@ -72,13 +72,13 @@ class Figure7Row:
     selected_tree: int  # (8)
 
 
-def figure7_row(corpus: str, xml: str, query_id: str, axes: str = "functional") -> Figure7Row:
+def figure7_row(corpus: str, xml: str, query_id: str) -> Figure7Row:
     """Run one Figure 7 cell: parse over the query's schema, then evaluate."""
     query_text = queries_for(corpus)[query_id]
     started = time.perf_counter()
     loaded = load_for_query(xml, query_text)
     parse_seconds = time.perf_counter() - started
-    evaluator = CompressedEvaluator(loaded.instance, axes=axes, copy=False)
+    evaluator = CompressedEvaluator(loaded.instance, copy=False)
     result = evaluator.evaluate(query_text)
     after_vertices, after_edges = result.after
     return Figure7Row(

@@ -164,12 +164,10 @@ def _cmd_query(args: argparse.Namespace) -> int:
         # A previously saved compressed instance: skip the XML parse.
         from repro.model.serialize import load_file as load_dag
 
-        database = Database.from_instance(load_dag(args.file), axes=args.axes)
+        database = Database.from_instance(load_dag(args.file))
         parse_seconds = 0.0
     else:
-        database = Database.from_text(
-            _read(args.file), axes=args.axes, reparse_per_query=False
-        )
+        database = Database.from_text(_read(args.file), reparse_per_query=False)
         parse_seconds = None  # known only after the one-scan load runs
 
     with database as db:
@@ -233,7 +231,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         window=args.window_ms / 1000.0,
         max_batch=args.max_batch,
         pool_capacity=args.pool_size,
-        axes=args.axes,
         quiet=not args.verbose,
         workers=workers,
         worker_threads=args.worker_threads,
@@ -449,10 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
         "a match, a subset of a full document-order walk (default: %(default)s)",
     )
     query.add_argument(
-        "--axes", choices=("functional", "inplace"), default="functional",
-        help="axis implementation (inplace = the paper's Figure 4)",
-    )
-    query.add_argument(
         "--explain-json", action="store_true",
         help="print the structured query plan(s) as JSON and exit without "
         "loading the document or evaluating anything",
@@ -507,7 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--pool-size", type=int, default=8,
         help="max resident (document, schema) instances before LRU eviction",
     )
-    serve.add_argument("--axes", choices=("functional", "inplace"), default="functional")
     serve.add_argument(
         "--workers", type=int, default=None,
         help="pre-forked worker processes, requests sharded by "

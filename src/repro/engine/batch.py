@@ -54,13 +54,10 @@ class BatchEvaluator(CompressedEvaluator):
         self,
         instance: Instance,
         context: str | None = None,
-        axes: str = "functional",
         copy: bool = True,
         short_circuit: bool = False,
     ):
-        super().__init__(
-            instance, context=context, axes=axes, copy=copy, short_circuit=short_circuit
-        )
+        super().__init__(instance, context=context, copy=copy, short_circuit=short_circuit)
         self._memo: dict[tuple, str] = {}
         self._result_counter = 0
         self.stats = BatchStats()
@@ -199,10 +196,7 @@ def evaluate_batch(
     instance: Instance,
     queries: Iterable[str | AlgebraExpr],
     context: str | None = None,
-    axes: str = "functional",
     copy: bool = True,
 ) -> BatchResult:
     """One-shot convenience wrapper around :class:`BatchEvaluator`."""
-    return BatchEvaluator(instance, context=context, axes=axes, copy=copy).evaluate_batch(
-        queries
-    )
+    return BatchEvaluator(instance, context=context, copy=copy).evaluate_batch(queries)

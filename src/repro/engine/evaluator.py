@@ -8,8 +8,9 @@ instance, and because every existing set is carried through a rebuild,
 previously computed selections remain valid.
 
 Set operations and ``V|root`` are pure mask arithmetic; axes dispatch to
-:mod:`repro.engine.axes_compressed` (default) or the Figure 4 port in
-:mod:`repro.engine.axes_inplace`.
+:mod:`repro.engine.axes_compressed` through the one overridable
+:meth:`CompressedEvaluator._apply_axis` (the tests route it to the
+Figure 4 port in :mod:`repro.engine.axes_inplace` as the oracle).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import time
 from repro.errors import EvaluationError
 from repro.model.instance import Instance
 from repro.model.schema import is_temp, temp_set
-from repro.engine import axes_compressed, axes_inplace
+from repro.engine import axes_compressed
 from repro.engine.results import QueryResult, reachable_sizes
 from repro.xpath.algebra import (
     AlgebraExpr,
@@ -42,9 +43,8 @@ class CompressedEvaluator:
     """Evaluates Core XPath algebra expressions over one compressed instance.
 
     ``context`` names an existing set used for relative queries' starting
-    selection; it defaults to the root singleton.  ``axes`` selects the axis
-    implementation: ``"functional"`` (default) or ``"inplace"`` (Figure 4).
-    With ``copy=False`` the caller's instance is consumed/mutated.
+    selection; it defaults to the root singleton.  With ``copy=False`` the
+    caller's instance is consumed/mutated.
 
     ``short_circuit=True`` enables the optimizer's dynamic counterpart to
     static empty-branch folding: when the left operand of an intersection
@@ -58,15 +58,11 @@ class CompressedEvaluator:
         self,
         instance: Instance,
         context: str | None = None,
-        axes: str = "functional",
         copy: bool = True,
         short_circuit: bool = False,
     ):
-        if axes not in ("functional", "inplace"):
-            raise EvaluationError(f"unknown axes implementation {axes!r}")
         self._instance = instance.copy() if copy else instance
         self._context = context
-        self._axes = axes
         self._counter = 0
         self._short_circuit = short_circuit
         self._trace: dict[int, str] | None = None
@@ -175,18 +171,7 @@ class CompressedEvaluator:
         if isinstance(expr, AxisApply):
             source = self._eval(expr.operand)
             target = self._fresh()
-            if self._axes == "inplace" and expr.axis in (
-                "child",
-                "descendant",
-                "descendant-or-self",
-            ):
-                self._instance = axes_inplace.downward_axis_inplace(
-                    self._instance, expr.axis, source, target
-                )
-            else:
-                self._instance = axes_compressed.apply_axis(
-                    self._instance, expr.axis, source, target
-                )
+            self._instance = self._apply_axis(expr.axis, source, target)
             return target
         if isinstance(expr, RootFilter):
             source = self._eval(expr.operand)
@@ -198,6 +183,12 @@ class CompressedEvaluator:
                 instance.ensure_set(name)
             return name
         raise EvaluationError(f"cannot evaluate algebra node {expr!r}")
+
+    def _apply_axis(self, axis: str, source: str, target: str) -> Instance:
+        """Apply one axis to the working instance; returns the (possibly
+        rebuilt) instance.  The single seam an alternative axis kernel
+        overrides."""
+        return axes_compressed.apply_axis(self._instance, axis, source, target)
 
     def _combine(self, expr: AlgebraExpr, left: str, right: str) -> str:
         if isinstance(expr, Union):
@@ -213,18 +204,16 @@ def evaluate(
     instance: Instance,
     query: str | AlgebraExpr,
     context: str | None = None,
-    axes: str = "functional",
     copy: bool = True,
 ) -> QueryResult:
     """One-shot convenience wrapper around :class:`CompressedEvaluator`."""
-    return CompressedEvaluator(instance, context=context, axes=axes, copy=copy).evaluate(query)
+    return CompressedEvaluator(instance, context=context, copy=copy).evaluate(query)
 
 
 def measure_actuals(
     instance: Instance,
     expr: AlgebraExpr,
     context: str | None = None,
-    axes: str = "functional",
     copy: bool = True,
 ) -> dict[int, dict]:
     """Execute ``expr`` and measure every node's selection cardinalities.
@@ -239,7 +228,7 @@ def measure_actuals(
     from repro.model.paths import tree_node_counts
 
     trace: dict[int, str] = {}
-    evaluator = CompressedEvaluator(instance, context=context, axes=axes, copy=copy)
+    evaluator = CompressedEvaluator(instance, context=context, copy=copy)
     evaluator.evaluate(expr, keep_temps=True, trace=trace)
     final = evaluator.instance
     counts = tree_node_counts(final)

@@ -72,7 +72,6 @@ def query(
     source: str | Instance,
     query_text: str,
     context: str | None = None,
-    axes: str = "functional",
 ) -> QueryResult:
     """Evaluate ``query_text`` against XML text or a pre-loaded instance.
 
@@ -85,15 +84,13 @@ def query(
         instance = source
     else:
         instance = load_for_query(source, query_text).instance
-    evaluator = CompressedEvaluator(instance, context=context, axes=axes)
-    return evaluator.evaluate(query_text)
+    return CompressedEvaluator(instance, context=context).evaluate(query_text)
 
 
 def query_batch(
     source: str | Instance,
     query_texts: Sequence[str],
     context: str | None = None,
-    axes: str = "functional",
 ) -> BatchResult:
     """Evaluate a whole query mix against XML text or a pre-loaded instance.
 
@@ -107,8 +104,7 @@ def query_batch(
         instance = source
     else:
         instance = load_for_queries(source, query_texts).instance
-    evaluator = BatchEvaluator(instance, context=context, axes=axes)
-    return evaluator.evaluate_batch(query_texts)
+    return BatchEvaluator(instance, context=context).evaluate_batch(query_texts)
 
 
 class Engine:
@@ -146,12 +142,10 @@ class Engine:
         self,
         text: str,
         reparse_per_query: bool = True,
-        axes: str = "functional",
         optimize: bool | None = None,
     ):
         self._text = text
         self._reparse = reparse_per_query
-        self._axes = axes
         self._optimize = (not reparse_per_query) if optimize is None else optimize
         self._cache: dict[SchemaKey, LoadResult] = {}
         self._compiled: OrderedDict[str, tuple[AlgebraExpr, SchemaKey]] = OrderedDict()
@@ -165,11 +159,6 @@ class Engine:
     def text(self) -> str:
         """The document text this engine answers queries over."""
         return self._text
-
-    @property
-    def axes(self) -> str:
-        """The axis implementation (``"functional"`` or ``"inplace"``)."""
-        return self._axes
 
     @property
     def reparse_per_query(self) -> bool:
@@ -303,9 +292,7 @@ class Engine:
         if self._optimize:
             expr = self._optimized_for(query_text, expr, key, instance).expr
             short_circuit = True
-        evaluator = CompressedEvaluator(
-            instance, context=context, axes=self._axes, short_circuit=short_circuit
-        )
+        evaluator = CompressedEvaluator(instance, context=context, short_circuit=short_circuit)
         return evaluator.evaluate(expr)
 
     def query_batch(
@@ -340,9 +327,7 @@ class Engine:
                 for text, expr in zip(query_texts, exprs)
             ]
             short_circuit = True
-        evaluator = BatchEvaluator(
-            instance, context=context, axes=self._axes, short_circuit=short_circuit
-        )
+        evaluator = BatchEvaluator(instance, context=context, short_circuit=short_circuit)
         return evaluator.evaluate_batch(exprs)
 
     def explain(self, query_text: str) -> str:

@@ -3,7 +3,7 @@
 The catalog keeps every registered document's original text beside its
 shredded chunks (string-schema reloads re-scan it), so a mutation must
 edit *both* representations.  This module does the text half: it walks the
-tokenizer's event stream — whose events carry exact byte offsets — down a
+tokenizer's element tags — matches carrying exact byte offsets — down a
 tree path of element-child ordinals, finds the target element's span, and
 splices the edit in.  One pass, no DOM, and the spliced text re-parses to
 exactly the mutated skeleton (the property oracle pins this).
@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 from repro.errors import MutationError
 from repro.mutation.ops import Mutation
-from repro.xmlio.events import EndElement, StartElement
-from repro.xmlio.tokenizer import _CLOSE_RE, _OPEN_RE, tokenize
+from repro.xmlio.tokenizer import _OPEN_RE, element_tags
 
 
 @dataclass(frozen=True)
@@ -50,51 +49,36 @@ def locate(text: str, path: tuple[int, ...]) -> ElementSpan:
     counters = [0]  # element children seen so far at each open depth
     open_depth = 0
     match_depth = 0  # how many levels of the open chain lie on the target path
-    awaiting_close_at: int | None = None
-    start = None
-    for event in tokenize(text):
-        if isinstance(event, StartElement):
-            depth = open_depth
-            ordinal = counters[depth]
-            counters[depth] += 1
-            on_path = match_depth == depth and depth <= len(target)
-            if on_path:
-                wanted = 0 if depth == 0 else target[depth - 1]
-                on_path = ordinal == wanted
-            if on_path:
-                if depth == len(target):
-                    start = event.offset
-                    awaiting_close_at = depth
-                match_depth = depth + 1
-            open_depth += 1
-            counters.append(0)
-        elif isinstance(event, EndElement):
+    opened = None  # the target's start tag, once the walk has reached it
+    for tag, closing in element_tags(text):
+        if closing:
             open_depth -= 1
             counters.pop()
-            if match_depth > open_depth:
-                match_depth = open_depth
-            if awaiting_close_at is not None and open_depth == awaiting_close_at:
-                assert start is not None
-                open_match = _OPEN_RE.match(text, start)
-                if text.startswith("</", event.offset):
-                    close_match = _CLOSE_RE.match(text, event.offset)
-                    return ElementSpan(
-                        name=event.name,
-                        start=start,
-                        open_end=open_match.end(),
-                        close_start=event.offset,
-                        end=close_match.end(),
-                        self_closing=False,
-                    )
-                # Self-closing: the end event carries the start tag's offset.
-                return ElementSpan(
-                    name=event.name,
-                    start=start,
-                    open_end=open_match.end(),
-                    close_start=start,
-                    end=open_match.end(),
-                    self_closing=True,
-                )
+        else:
+            ordinal = counters[open_depth]
+            counters[open_depth] += 1
+            if match_depth == open_depth <= len(target):
+                if ordinal == (target[open_depth - 1] if open_depth else 0):
+                    match_depth = open_depth + 1
+                    if open_depth == len(target):
+                        opened = tag
+            if not tag.group(3):
+                open_depth += 1
+                counters.append(0)
+                continue
+        # An element just ended at ``open_depth``: by its close tag, or by
+        # being self-closing (then ``tag`` is its own start tag).
+        if opened is not None and open_depth == len(target):
+            return ElementSpan(
+                name=opened.group(1),
+                start=opened.start(),
+                open_end=opened.end(),
+                close_start=tag.start(),
+                end=tag.end(),
+                self_closing=not closing,
+            )
+        if match_depth > open_depth:
+            match_depth = open_depth
     raise MutationError(
         f"path {list(target)} addresses no element in the document "
         f"(an ordinal is past the last element child, or the path is too deep)"

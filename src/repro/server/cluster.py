@@ -38,10 +38,12 @@ Design points:
   sentinel to every worker, lets them finish queued work, joins with a
   deadline, and only then escalates to ``terminate``/``kill``.
 
-:class:`WorkerFleet` exposes the same surface as the in-process
-:class:`~repro.server.service.QueryService` (``query`` / ``stats_dict``
-/ ``evict`` / ``catalog`` / ``mode`` / ``request_timeout`` / ``close`` /
-``wait_ready``), so the HTTP front-end treats ``--workers N`` and
+:class:`WorkerFleet` is a :class:`~repro.server.service.ServingBackend`
+like the in-process :class:`~repro.server.service.QueryService`: plans,
+``explain``, ``measure_plan`` and ``mutate`` are the inherited single
+implementation, and this module adds only what is genuinely fleet —
+routing, the wire, slots/breakers/respawn, stats folding and the evict
+broadcast — so the HTTP front-end treats ``--workers N`` and
 ``--workers 0`` identically.
 """
 
@@ -55,14 +57,13 @@ import os
 import queue as stdlib_queue
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 
 from repro.errors import ClusterError, DeadlineExceededError, WorkerUnavailableError
 from repro.server.catalog import Catalog
 from repro.server.resilience import FAULTS, AdmissionController, CircuitBreaker, Deadline
-from repro.server.service import DEFAULT_LIMIT, CompiledQueryCache, kernel_info
+from repro.server.service import DEFAULT_LIMIT, ServingBackend, kernel_info
 from repro.server.worker import SHUTDOWN, rebuild_error, worker_main
 
 #: Request kinds counted in dispatched/completed/failed — real work, not
@@ -175,7 +176,7 @@ class _WorkerSlot:
         self.last_probe_generation = 0
 
 
-class WorkerFleet:
+class WorkerFleet(ServingBackend):
     """Dispatcher over N pre-forked workers; the ``--workers N`` service."""
 
     def __init__(
@@ -186,7 +187,6 @@ class WorkerFleet:
         window: float = 0.0,
         max_batch: int = 64,
         pool_capacity: int = 8,
-        axes: str = "functional",
         request_timeout: float = 120.0,
         worker_threads: int = 4,
         health_interval: float = 0.25,
@@ -203,7 +203,7 @@ class WorkerFleet:
         count = default_worker_count() if workers is None else int(workers)
         if count < 1:
             raise ClusterError(f"worker fleet needs >= 1 worker, got {count}")
-        self.catalog = catalog
+        super().__init__(catalog)
         self.mode = mode
         self.request_timeout = request_timeout
         self.health_interval = health_interval
@@ -222,7 +222,6 @@ class WorkerFleet:
             "window": window,
             "max_batch": max_batch,
             "pool_capacity": pool_capacity,
-            "axes": axes,
             "threads": worker_threads,
             # Primitives-only fault spec; each spawned worker arms its own
             # process-local injector from it (the chaos suite's channel for
@@ -230,18 +229,9 @@ class WorkerFleet:
             "faults": faults,
         }
         self._context = multiprocessing.get_context("spawn")
-        self._compiled = CompiledQueryCache()
-        # Dispatcher-side optimized plans (explain/measure share objects so
-        # identity-keyed actuals attach); registration stamps in the keys
-        # invalidate on re-register, the LRU bound keeps it diagnostic-sized.
-        self._optimized: OrderedDict = OrderedDict()
-        self._optimized_lock = threading.Lock()
         self._ids = itertools.count(1)
         self._closing = threading.Event()
         self._respawns = 0
-        self._stats_lock = threading.Lock()
-        #: Dispatcher-side mutation counters (writes never reach workers).
-        self._mutations: dict = {"applied": 0, "failed": 0, "ops": {}}
         self._slots = [
             _WorkerSlot(
                 slot_id,
@@ -615,19 +605,7 @@ class WorkerFleet:
         finally:
             self.admission.release()
 
-    def compiled_entry(self, query_text: str):
-        """``(expr, tags, strings)`` — the seam ``repro.api`` prepares through."""
-        return self._compiled.entry(query_text)
-
-    def seed_compiled(
-        self,
-        query_text: str,
-        expr,
-        tags: tuple[str, ...],
-        strings: tuple[str, ...],
-    ) -> None:
-        """Adopt an externally-compiled query into the dispatcher's LRU."""
-        self._compiled.seed(query_text, expr, tags, strings)
+    # -- the backend hooks -----------------------------------------------
 
     def instance_info(self, document: str, strings: tuple[str, ...]) -> dict:
         """Plan provenance under a fleet: shard affinity plus residency.
@@ -660,128 +638,24 @@ class WorkerFleet:
         info["resident"] = [document, list(strings)] in resident
         return info
 
-    def optimized_entry(self, document: str, query_text: str):
-        """The dispatcher-side :class:`OptimizationResult` for a served query.
+    def _analysis_instance(self, document: str, catalog_entry, strings: tuple[str, ...]):
+        """A *private* instance assembled in the dispatcher process.
 
-        Cached per ``(document, registration, query)`` so :meth:`explain`
-        and :meth:`measure_plan` hand out the *same* object — actuals are
-        keyed by node identity, so the annotated plan and the measured
-        trace must share expression nodes (the same contract
-        :meth:`repro.server.service.QueryService.optimized_entry` keeps).
-        Every publish — re-registration *and* mutation — bumps the entry's
-        ``doc_version``, which keys (and so invalidates) the cached plan;
-        the registration stamp alone could collide when a name is removed
-        and re-added within wall-clock resolution.
+        The shard's pooled master stays untouched — measuring inside a
+        worker would mean shipping per-node traces over the wire — and
+        the load is discarded after measuring: a diagnostic endpoint pays
+        a cold load, serving traffic pays nothing.
         """
-        from repro.xpath.optimizer import optimize as optimize_plan
-
-        expr, _, _ = self._compiled.entry(query_text)
-        entry = self.catalog.entry(document)
-        key = (document, entry.registered_at, entry.doc_version, query_text)
-        with self._optimized_lock:
-            cached = self._optimized.get(key)
-            if cached is not None:
-                self._optimized.move_to_end(key)
-                return cached
-        optimization = optimize_plan(expr, self.catalog.document_stats(document))
-        with self._optimized_lock:
-            self._optimized[key] = optimization
-            self._optimized.move_to_end(key)
-            while len(self._optimized) > 256:
-                self._optimized.popitem(last=False)
-        return optimization
-
-    def explain(self, document: str, query_text: str, analyze: bool = False) -> dict:
-        """The structured plan of ``query_text``, fleet provenance attached.
-
-        The plan itself is computed dispatcher-side (the workers rewrite
-        against the same persisted catalog statistics, so optimizing here
-        reproduces exactly the plan the shard evaluates — no IPC round
-        trip); only the residency probe touches the shard's worker.  Same
-        payload shape as
-        :meth:`repro.server.service.QueryService.explain`.
-        """
-        from repro.api.plan import Plan
-
-        expr, tags, strings = self._compiled.entry(query_text)
-        optimization = self.optimized_entry(document, query_text)
-        actuals = self.measure_plan(document, query_text) if analyze else None
-        plan = Plan.from_compiled(
-            query_text, expr, tags, strings, optimization=optimization, actuals=actuals
-        )
-        plan.instance = self.instance_info(document, strings)
-        payload = {"document": document, "query": query_text, "plan": plan.to_dict()}
-        if analyze:
-            payload["analyzed"] = True
-        return payload
-
-    def measure_plan(self, document: str, query_text: str) -> dict[int, dict]:
-        """Per-node actual cardinalities of the served (optimized) plan.
-
-        Same seam :meth:`repro.server.service.QueryService.measure_plan`
-        exposes, so :meth:`repro.api.Database.explain` measures through a
-        fleet too.  ``analyze`` assembles a *private* instance from the
-        shredded chunks in the dispatcher process (the shard's pooled
-        master stays untouched — measuring inside a worker would mean
-        shipping per-node traces over the wire) and discards it after
-        measuring; a diagnostic endpoint pays a cold load, serving traffic
-        pays nothing.
-        """
-        from repro.engine.evaluator import measure_actuals
-
-        _, tags, strings = self._compiled.entry(query_text)
-        optimization = self.optimized_entry(document, query_text)
-        working = self.catalog.load_instance(document, strings)
-        for tag in tags:
-            if not working.has_set(tag):
-                working.ensure_set(tag)
-        return measure_actuals(
-            working, optimization.expr, axes=self._config["axes"], copy=False
-        )
-
-    def mutate(self, document: str, mutations) -> dict:
-        """Apply a mutation batch and invalidate the whole fleet.
-
-        The write happens dispatcher-side (this process owns the catalog
-        directory — workers are readers; see
-        :meth:`repro.server.catalog.Catalog.mutate` for the journal →
-        maintain → publish protocol), then residency is dropped in every
-        worker via the evict broadcast.  Workers that miss the broadcast
-        (busy, mid-respawn) still converge: every dispatched query carries
-        the routed ``doc_version``, and a worker behind it refreshes before
-        serving — the broadcast is an optimization, the version stamp is
-        the guarantee.
-        """
-        started = time.monotonic()
-        try:
-            entry = self.catalog.mutate(document, mutations)
-        except Exception:
-            with self._stats_lock:
-                self._mutations["failed"] += 1
-            raise
-        evicted = self.evict(document)
-        ops: dict[str, int] = {}
-        for mutation in mutations:
-            op = mutation["op"] if isinstance(mutation, dict) else mutation.op
-            ops[op] = ops.get(op, 0) + 1
-        with self._stats_lock:
-            self._mutations["applied"] += 1
-            for op, count in ops.items():
-                self._mutations["ops"][op] = self._mutations["ops"].get(op, 0) + count
-        return {
-            "document": document,
-            "doc_version": entry.doc_version,
-            "applied": sum(ops.values()),
-            "ops": ops,
-            "seconds": time.monotonic() - started,
-            "maintenance_seconds": entry.shred_seconds,
-            "pool_entries_evicted": evicted,
-            "dag_vertices": entry.dag_vertices,
-            "skeleton_nodes": entry.skeleton_nodes,
-        }
+        return self.catalog.load_instance(document, strings)
 
     def evict(self, document: str) -> int:
         """Drop ``document`` residency in every worker; return entries dropped.
+
+        The invalidation half of :meth:`mutate`.  Workers that miss the
+        broadcast (busy, mid-respawn) still converge: every dispatched
+        query carries the routed ``doc_version``, and a worker behind it
+        refreshes before serving — the broadcast is an optimization, the
+        version stamp is the guarantee.
 
         ``request_timeout`` bounds the whole broadcast (one shared deadline
         across the fleet, same as :meth:`wait_ready`): a wedged worker must
@@ -836,11 +710,7 @@ class WorkerFleet:
         """
         with self._stats_lock:
             respawns = self._respawns
-            mutations = {
-                "applied": self._mutations["applied"],
-                "failed": self._mutations["failed"],
-                "ops": dict(self._mutations["ops"]),
-            }
+            mutations = self._mutations.as_dict()
             snapshot = [
                 {
                     "worker": slot.id,

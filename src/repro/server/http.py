@@ -171,7 +171,6 @@ def create_server(
     window: float = 0.0,
     max_batch: int = 64,
     pool_capacity: int = 8,
-    axes: str = "functional",
     quiet: bool = True,
     workers: int = 0,
     worker_threads: int = 4,
@@ -229,7 +228,6 @@ def create_server(
                 window=window,
                 max_batch=max_batch,
                 pool_capacity=pool_capacity,
-                axes=axes,
                 worker_threads=worker_threads,
                 max_queue=max_queue,
                 rate_limit=rate_limit,
@@ -241,7 +239,6 @@ def create_server(
                 window=window,
                 max_batch=max_batch,
                 pool_capacity=pool_capacity,
-                axes=axes,
                 max_queue=max_queue,
                 rate_limit=rate_limit,
             )

@@ -53,6 +53,7 @@ from repro.engine.results import QueryResult
 from repro.errors import DeadlineExceededError, ReproError
 from repro.model import planes
 from repro.model.instance import Instance
+from repro.mutation.ops import as_mutations
 from repro.server.catalog import Catalog
 from repro.server.pool import InstancePool, PoolEntry
 from repro.server.resilience import FAULTS, AdmissionController, Deadline
@@ -174,21 +175,10 @@ class ServiceStats:
     )
     #: Total queries over all observed batches (the histogram's _sum).
     batch_size_sum: int = 0
-    #: Mutation batches successfully applied and published.
-    mutations_applied: int = 0
-    #: Mutation batches refused or failed (nothing published).
-    mutations_failed: int = 0
-    #: Individual ops applied, per op name (one batch may carry several).
-    mutation_ops: dict = field(default_factory=dict)
 
     def observe_batch(self, size: int) -> None:
         self.batch_size_counts[bisect_left(BATCH_SIZE_BUCKETS, size)] += 1
         self.batch_size_sum += size
-
-    def observe_mutation(self, ops: dict) -> None:
-        self.mutations_applied += 1
-        for op, count in ops.items():
-            self.mutation_ops[op] = self.mutation_ops.get(op, 0) + count
 
     def as_dict(self) -> dict:
         return {
@@ -205,12 +195,27 @@ class ServiceStats:
                 "sum": self.batch_size_sum,
                 "count": sum(self.batch_size_counts),
             },
-            "mutations": {
-                "applied": self.mutations_applied,
-                "failed": self.mutations_failed,
-                "ops": dict(self.mutation_ops),
-            },
         }
+
+
+@dataclass
+class MutationStats:
+    """Write-path counters (the ``mutations`` block of ``/stats``)."""
+
+    #: Mutation batches successfully applied and published.
+    applied: int = 0
+    #: Mutation batches refused or failed (nothing published).
+    failed: int = 0
+    #: Individual ops applied, per op name (one batch may carry several).
+    ops: dict = field(default_factory=dict)
+
+    def observe(self, ops: dict) -> None:
+        self.applied += 1
+        for op, count in ops.items():
+            self.ops[op] = self.ops.get(op, 0) + count
+
+    def as_dict(self) -> dict:
+        return {"applied": self.applied, "failed": self.failed, "ops": dict(self.ops)}
 
 
 class _Pending:
@@ -237,62 +242,71 @@ class _Request:
     trace: str | None = None
 
 
-class QueryService:
-    """Concurrent load-once/query-forever serving over a catalog.
+def _ensure_tag_sets(working: Instance, tags) -> Instance:
+    """Materialise (empty) sets for tags the document never uses.
 
-    Thread-safe; every public method may be called from any number of
-    threads concurrently.
+    The one-shot pipeline pre-creates requested tag sets at load time;
+    the catalog schema only has tags the document actually contains, so
+    a query over an absent tag must select nothing instead of failing.
+    """
+    for tag in tags:
+        if not working.has_set(tag):
+            working.ensure_set(tag)
+    return working
+
+
+class ServingBackend:
+    """The plan / explain / mutate half of a serving backend, written once.
+
+    The in-process :class:`QueryService` and the fleet dispatcher
+    (:class:`repro.server.cluster.WorkerFleet`) both compile, optimize,
+    explain and mutate through this class, so ``/explain``, ``/mutate``
+    and the optimizer seams of :class:`repro.api.Database` cannot drift
+    between ``--workers 0`` and ``--workers N``.  A backend supplies only
+    the three things that really differ:
+
+    * :meth:`_analysis_instance` — the private instance ``analyze``
+      measures on (a copy of the pooled master in process; a cold
+      dispatcher-side load under a fleet);
+    * :meth:`instance_info` — the provenance block attached to plans;
+    * :meth:`evict` — dropping a document's resident masters.
     """
 
+    #: Bound of the compiled-query LRU and of the optimized-plan LRU.
     COMPILED_CACHE_LIMIT = 1024
 
-    def __init__(
-        self,
-        catalog: Catalog,
-        mode: str = "snapshot",
-        window: float = 0.0,
-        max_batch: int = 64,
-        pool_capacity: int = 8,
-        axes: str = "functional",
-        request_timeout: float = 120.0,
-        max_queue: int = 0,
-        rate_limit: float = 0.0,
-        degraded_shed_rate: float = 1.0,
-        optimize: bool = True,
-    ):
-        if mode not in ("snapshot", "persistent"):
-            raise ReproError(f"unknown evaluation mode {mode!r}")
+    def __init__(self, catalog: Catalog, optimize: bool = True):
         self.catalog = catalog
-        self.mode = mode
         #: Cost-based plan optimization over the catalog's shred-time
         #: statistics.  Per-document: a document published without usable
         #: statistics (``Catalog.document_stats`` → ``None``) is served
         #: with unoptimized plans — never an error.
         self.optimize = optimize
-        self.window = window
-        self.max_batch = max(1, max_batch)
-        self.axes = axes
-        self.request_timeout = request_timeout
-        self.pool = InstancePool(capacity=pool_capacity)
-        self.admission = AdmissionController(max_queue=max_queue, rate_limit=rate_limit)
-        #: Sheds/second above which :meth:`health_dict` reports ``degraded``.
-        self.degraded_shed_rate = degraded_shed_rate
-        self.stats = ServiceStats()
         self._stats_lock = threading.Lock()
-        self._pending: dict[tuple, _Pending] = {}
-        self._pending_lock = threading.Lock()
+        self._mutations = MutationStats()
         self._compiled = CompiledQueryCache(limit=self.COMPILED_CACHE_LIMIT)
         #: Optimized plans, LRU-keyed ``(query text, document, registered
-        #: stamp)`` — the stamp invalidates on re-registration, when the
-        #: statistics (and with them the right rewrites) may change.
+        #: stamp, doc_version)``.
         self._optimized: OrderedDict[tuple, OptimizationResult] = OrderedDict()
         self._optimized_lock = threading.Lock()
 
-    # -- compilation -----------------------------------------------------
+    # -- the three backend hooks -------------------------------------------
 
-    def _compiled_entry(self, query_text: str):
-        """``(expr, tags, strings)`` for a query text, LRU-cached."""
-        return self._compiled.entry(query_text)
+    def _analysis_instance(
+        self, document: str, catalog_entry, strings: tuple[str, ...]
+    ) -> Instance:
+        """A private instance of ``(document, strings)`` analyze may mutate."""
+        raise NotImplementedError
+
+    def instance_info(self, document: str, strings: tuple[str, ...]) -> dict:
+        """Where a query over ``(document, strings)`` would be answered from."""
+        raise NotImplementedError
+
+    def evict(self, document: str) -> int:
+        """Drop every resident instance of ``document``; return the count."""
+        raise NotImplementedError
+
+    # -- compilation -----------------------------------------------------
 
     def compiled_entry(self, query_text: str):
         """``(expr, tags, strings)`` — the seam ``repro.api`` prepares through."""
@@ -337,6 +351,173 @@ class QueryService:
                     self._optimized.popitem(last=False)
             self._optimized[key] = entry
         return entry
+
+    def _planned(self, document: str, query_text: str):
+        """``(catalog entry, expr, tags, strings, optimization)`` of a served query.
+
+        Unknown documents raise before the text is compiled; compilation
+        goes through the shared LRU, so hot texts are parse-free and a
+        malformed query fails with the same error on every surface.
+        ``optimization`` is ``None`` when the backend runs unoptimized.
+        """
+        catalog_entry = self.catalog.entry(document)  # raises when unknown
+        expr, tags, strings = self._compiled.entry(query_text)
+        optimization = None
+        if self.optimize:
+            optimization = self._optimized_for(document, catalog_entry, query_text, expr)
+        return catalog_entry, expr, tags, strings, optimization
+
+    # -- plans -----------------------------------------------------------
+
+    def explain(self, document: str, query_text: str, analyze: bool = False) -> dict:
+        """The structured plan of ``query_text`` against a served document.
+
+        The ``/explain`` payload: the :class:`repro.api.Plan` as JSON with
+        the backend's :meth:`instance_info` provenance attached.  Under a
+        fleet the plan is still computed here, dispatcher-side — workers
+        rewrite against the same persisted statistics, so this is exactly
+        the plan the shard evaluates, without an IPC round trip.
+
+        When the backend optimizes, the plan is the optimized tree with
+        per-node ``est_cardinality`` and rule tags (see the contract in
+        :mod:`repro.api.plan`).  ``analyze=True`` additionally *executes*
+        the plan — on a private instance, never mutating served state —
+        and attaches measured ``actual`` DAG/tree counts to every node,
+        the estimated-vs-actual view.  Analyze runs without runtime
+        short-circuiting so every node gets a measurement.
+        """
+        from repro.api.plan import Plan
+
+        catalog_entry, expr, tags, strings, optimization = self._planned(document, query_text)
+        actuals = None
+        if analyze:
+            plan_expr = expr if optimization is None else optimization.expr
+            actuals = self._measure(document, catalog_entry, plan_expr, tags, strings)
+        plan = Plan.from_compiled(
+            query_text, expr, tags, strings, optimization=optimization, actuals=actuals
+        )
+        plan.instance = self.instance_info(document, strings)
+        payload = {"document": document, "query": query_text, "plan": plan.to_dict()}
+        if analyze:
+            payload["analyzed"] = True
+        return payload
+
+    def optimized_entry(self, document: str, query_text: str):
+        """The cached :class:`OptimizationResult` for a served query.
+
+        ``None`` when the backend runs unoptimized; with statistics
+        unavailable for the document the result is the identity
+        optimization (``optimized=False``, no annotations).  The seam
+        :meth:`repro.api.Database.explain` reads optimizer metadata
+        through — the same cached object :meth:`query` evaluates, so node
+        identities line up with :meth:`measure_plan`.
+        """
+        *_, optimization = self._planned(document, query_text)
+        return optimization
+
+    def measure_plan(self, document: str, query_text: str) -> dict[int, dict]:
+        """Execute the served plan and measure per-node actual cardinalities.
+
+        ``id(node) -> {"dag_count", "tree_count"}`` over the same
+        expression tree :meth:`optimized_entry` (or, unoptimized, the
+        compiled cache) returns.
+        """
+        catalog_entry, expr, tags, strings, optimization = self._planned(document, query_text)
+        if optimization is not None:
+            expr = optimization.expr
+        return self._measure(document, catalog_entry, expr, tags, strings)
+
+    def _measure(
+        self,
+        document: str,
+        catalog_entry,
+        expr: AlgebraExpr,
+        tags: tuple[str, ...],
+        strings: tuple[str, ...],
+    ) -> dict[int, dict]:
+        from repro.engine.evaluator import measure_actuals
+
+        working = self._analysis_instance(document, catalog_entry, strings)
+        return measure_actuals(_ensure_tag_sets(working, tags), expr, copy=False)
+
+    # -- mutation --------------------------------------------------------
+
+    def mutate(self, document: str, mutations) -> dict:
+        """Apply a mutation batch to a served document; returns the outcome.
+
+        Delegates durability and publication to
+        :meth:`repro.server.catalog.Catalog.mutate` (journal append →
+        incremental maintenance → staged version publish) in this process
+        — under a fleet the dispatcher is the single writer and workers
+        are readers — then drops the document's resident masters
+        (:meth:`evict`) so the next query loads the new version.  In-flight
+        queries keep evaluating on their snapshot — their pool keys carry
+        the old ``doc_version`` — so readers never block on this writer.
+        The patch is validated into a list once, up front: the caller may
+        hand in any iterable (a generator is consumed exactly once) and
+        the op counts describe what was actually committed.
+        """
+        started = time.perf_counter()
+        try:
+            batch = as_mutations(mutations)
+            entry = self.catalog.mutate(document, batch)
+        except Exception:
+            with self._stats_lock:
+                self._mutations.failed += 1
+            raise
+        evicted = self.evict(document)
+        ops: dict[str, int] = {}
+        for mutation in batch:
+            ops[mutation.op] = ops.get(mutation.op, 0) + 1
+        with self._stats_lock:
+            self._mutations.observe(ops)
+        return {
+            "document": document,
+            "doc_version": entry.doc_version,
+            "applied": len(batch),
+            "ops": ops,
+            "seconds": time.perf_counter() - started,
+            "maintenance_seconds": entry.shred_seconds,
+            "pool_entries_evicted": evicted,
+            "dag_vertices": entry.dag_vertices,
+            "skeleton_nodes": entry.skeleton_nodes,
+        }
+
+
+class QueryService(ServingBackend):
+    """Concurrent load-once/query-forever serving over a catalog.
+
+    Thread-safe; every public method may be called from any number of
+    threads concurrently.
+    """
+
+    def __init__(
+        self,
+        catalog: Catalog,
+        mode: str = "snapshot",
+        window: float = 0.0,
+        max_batch: int = 64,
+        pool_capacity: int = 8,
+        request_timeout: float = 120.0,
+        max_queue: int = 0,
+        rate_limit: float = 0.0,
+        degraded_shed_rate: float = 1.0,
+        optimize: bool = True,
+    ):
+        if mode not in ("snapshot", "persistent"):
+            raise ReproError(f"unknown evaluation mode {mode!r}")
+        super().__init__(catalog, optimize=optimize)
+        self.mode = mode
+        self.window = window
+        self.max_batch = max(1, max_batch)
+        self.request_timeout = request_timeout
+        self.pool = InstancePool(capacity=pool_capacity)
+        self.admission = AdmissionController(max_queue=max_queue, rate_limit=rate_limit)
+        #: Sheds/second above which :meth:`health_dict` reports ``degraded``.
+        self.degraded_shed_rate = degraded_shed_rate
+        self.stats = ServiceStats()
+        self._pending: dict[tuple, _Pending] = {}
+        self._pending_lock = threading.Lock()
 
     # -- the public entry point ------------------------------------------
 
@@ -384,12 +565,9 @@ class QueryService:
         deadline: Deadline | None,
         trace: str | None = None,
     ) -> dict:
-        catalog_entry = self.catalog.entry(document)  # raises when unknown
-        expr, tags, strings = self._compiled_entry(query_text)
-        if self.optimize:
-            expr = self._optimized_for(
-                document, catalog_entry, query_text, expr
-            ).expr
+        catalog_entry, expr, tags, strings, optimization = self._planned(document, query_text)
+        if optimization is not None:
+            expr = optimization.expr
         request = _Request(
             query_text=query_text,
             expr=expr,
@@ -433,54 +611,11 @@ class QueryService:
                 ) from None
             raise
 
+    # -- the backend hooks -----------------------------------------------
+
     def evict(self, document: str) -> int:
         """Drop every resident pool instance of ``document``; return count."""
         return self.pool.evict(lambda key: key[0] == document)
-
-    # -- mutation --------------------------------------------------------
-
-    def mutate(self, document: str, mutations) -> dict:
-        """Apply a mutation batch to a served document; returns the outcome.
-
-        Delegates durability and publication to
-        :meth:`repro.server.catalog.Catalog.mutate` (journal append →
-        incremental maintenance → staged version publish), then evicts the
-        document's resident masters so the next query loads the new
-        version.  In-flight queries keep evaluating on their snapshot —
-        their pool keys carry the old ``doc_version`` — so readers never
-        block on this writer.
-        """
-        started = time.perf_counter()
-        try:
-            entry = self.catalog.mutate(document, mutations)
-        except ReproError:
-            with self._stats_lock:
-                self.stats.mutations_failed += 1
-            raise
-        evicted = self.evict(document)
-        batch = [
-            mutation
-            for mutation in (mutations if not isinstance(mutations, dict) else [mutations])
-        ]
-        ops: dict[str, int] = {}
-        for mutation in batch:
-            op = mutation["op"] if isinstance(mutation, dict) else mutation.op
-            ops[op] = ops.get(op, 0) + 1
-        with self._stats_lock:
-            self.stats.observe_mutation(ops)
-        return {
-            "document": document,
-            "doc_version": entry.doc_version,
-            "applied": len(batch),
-            "ops": ops,
-            "seconds": time.perf_counter() - started,
-            "maintenance_seconds": entry.shred_seconds,
-            "pool_entries_evicted": evicted,
-            "dag_vertices": entry.dag_vertices,
-            "skeleton_nodes": entry.skeleton_nodes,
-        }
-
-    # -- plans -----------------------------------------------------------
 
     def instance_info(self, document: str, strings: tuple[str, ...]) -> dict:
         """Where a query over ``(document, strings)`` would be answered from.
@@ -501,107 +636,20 @@ class QueryService:
             "load": self.pool.load_info(key),
         }
 
-    def explain(self, document: str, query_text: str, analyze: bool = False) -> dict:
-        """The structured plan of ``query_text`` against a served document.
-
-        The ``/explain`` payload: the :class:`repro.api.Plan` as JSON with
-        pool-residency provenance attached.  Compilation goes through the
-        same LRU as :meth:`query`, so explaining is parse-free for hot
-        texts and a malformed query fails with the same error the query
-        path would raise.
-
-        When the service optimizes, the plan is the optimized tree with
-        per-node ``est_cardinality`` and rule tags (see the contract in
-        :mod:`repro.api.plan`).  ``analyze=True`` additionally *executes*
-        the plan — on a private copy of the pooled master, never mutating
-        served state — and attaches measured ``actual`` DAG/tree counts to
-        every node, the estimated-vs-actual view.  Analyze runs without
-        runtime short-circuiting so every node gets a measurement.
-        """
-        from repro.api.plan import Plan
-
-        catalog_entry = self.catalog.entry(document)
-        expr, tags, strings = self._compiled_entry(query_text)
-        optimization = None
-        plan_expr = expr
-        if self.optimize:
-            optimization = self._optimized_for(
-                document, catalog_entry, query_text, expr
-            )
-            plan_expr = optimization.expr
-        actuals = None
-        if analyze:
-            actuals = self._measure(document, catalog_entry, plan_expr, tags, strings)
-        plan = Plan.from_compiled(
-            query_text, expr, tags, strings, optimization=optimization, actuals=actuals
-        )
-        plan.instance = self.instance_info(document, strings)
-        payload = {"document": document, "query": query_text, "plan": plan.to_dict()}
-        if analyze:
-            payload["analyzed"] = True
-        return payload
-
-    def optimized_entry(self, document: str, query_text: str):
-        """The cached :class:`OptimizationResult` for a served query.
-
-        ``None`` when the service runs unoptimized; with statistics
-        unavailable for the document the result is the identity
-        optimization (``optimized=False``, no annotations).  The seam
-        :meth:`repro.api.Database.explain` reads optimizer metadata
-        through — the same cached object :meth:`query` evaluates, so node
-        identities line up with :meth:`measure_plan`.
-        """
-        if not self.optimize:
-            return None
-        catalog_entry = self.catalog.entry(document)
-        expr, _, _ = self._compiled_entry(query_text)
-        return self._optimized_for(
-            document, catalog_entry, query_text, expr
-        )
-
-    def measure_plan(self, document: str, query_text: str) -> dict[int, dict]:
-        """Execute the served plan and measure per-node actual cardinalities.
-
-        ``id(node) -> {"dag_count", "tree_count"}`` over the same
-        expression tree :meth:`optimized_entry` (or, unoptimized, the
-        compiled cache) returns — evaluated on a private copy of the
-        pooled master, so served state is never mutated.
-        """
-        catalog_entry = self.catalog.entry(document)
-        expr, tags, strings = self._compiled_entry(query_text)
-        if self.optimize:
-            expr = self._optimized_for(
-                document, catalog_entry, query_text, expr
-            ).expr
-        return self._measure(document, catalog_entry, expr, tags, strings)
-
-    def _measure(
-        self,
-        document: str,
-        catalog_entry,
-        expr: AlgebraExpr,
-        tags: tuple[str, ...],
-        strings: tuple[str, ...],
-    ) -> dict[int, dict]:
-        """Measure ``expr``'s per-node cardinalities on the pooled master.
-
-        Evaluation runs on a private copy (the same instance
-        :meth:`query` would use, so actuals describe real serving state).
-        """
-        from repro.engine.evaluator import measure_actuals
-
+    def _analysis_instance(
+        self, document: str, catalog_entry, strings: tuple[str, ...]
+    ) -> Instance:
+        """A private copy of the pooled master — the same instance
+        :meth:`query` would use, so actuals describe real serving state."""
         key = (document, strings, catalog_entry.registered_at, catalog_entry.doc_version)
         entry = self.pool.get_or_load(key, lambda: self._load_master(key))
         with entry.lock:
-            working = entry.instance.copy()
-        for tag in tags:
-            if not working.has_set(tag):
-                working.ensure_set(tag)
-        return measure_actuals(working, expr, axes=self.axes, copy=False)
+            return entry.instance.copy()
 
     def stats_dict(self) -> dict:
         with self._stats_lock:
             service = self.stats.as_dict()
+            service["mutations"] = self._mutations.as_dict()
         return {
             "service": service,
             "pool": self.pool.stats(),
@@ -812,16 +860,8 @@ class QueryService:
 
     @staticmethod
     def _prepare(working: Instance, batch) -> Instance:
-        """Materialise (empty) sets for tags the document never uses.
-
-        The one-shot pipeline pre-creates requested tag sets at load time;
-        the catalog schema only has tags the document actually contains, so
-        a query over an absent tag must select nothing instead of failing.
-        """
         for request, _ in batch:
-            for tag in request.tags:
-                if not working.has_set(tag):
-                    working.ensure_set(tag)
+            _ensure_tag_sets(working, request.tags)
         return working
 
     def _evaluate(
@@ -841,9 +881,7 @@ class QueryService:
         later evaluator's fresh counter would silently reuse.
         """
         FAULTS.fire("service.evaluate", batch=len(batch))
-        evaluator = BatchEvaluator(
-            working, copy=False, axes=self.axes, short_circuit=self.optimize
-        )
+        evaluator = BatchEvaluator(working, copy=False, short_circuit=self.optimize)
         check = self._batch_check(batch)
         vertices_before = working.num_vertices
         try:

@@ -126,8 +126,8 @@ def worker_main(worker_id: int, catalog_dir: str, request_queue, response_queue,
     """Run one worker until a shutdown sentinel arrives (spawn entry point).
 
     ``config`` carries the service knobs as primitives: ``mode``,
-    ``window``, ``max_batch``, ``pool_capacity``, ``axes``, ``threads``,
-    and optionally ``faults`` — a primitives-only injection spec this
+    ``window``, ``max_batch``, ``pool_capacity``, ``threads``, and
+    optionally ``faults`` — a primitives-only injection spec this
     spawned process arms its own :data:`FAULTS` from (the chaos suite's
     only channel into worker internals).
     """
@@ -149,7 +149,6 @@ def worker_main(worker_id: int, catalog_dir: str, request_queue, response_queue,
         window=config.get("window", 0.0),
         max_batch=config.get("max_batch", 64),
         pool_capacity=config.get("pool_capacity", 8),
-        axes=config.get("axes", "functional"),
     )
     threads = max(1, int(config.get("threads", 4)))
 

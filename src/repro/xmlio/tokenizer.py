@@ -80,7 +80,8 @@ def tokenize(text: str) -> Iterator[Event]:
             yield EndElement(match.group(1), offset=lt)
             position = match.end()
         elif marker == "!":
-            position = yield from _bang(text, lt)
+            event, position = _bang(text, lt)
+            yield event
         elif marker == "?":
             match = _PI_RE.match(text, lt)
             if not match:
@@ -99,6 +100,36 @@ def tokenize(text: str) -> Iterator[Event]:
             position = match.end()
 
 
+def element_tags(text: str) -> Iterator[tuple[re.Match, bool]]:
+    """Yield ``(match, is_close)`` for every element tag of ``text``, in order.
+
+    The structure-only view of :func:`tokenize` for callers that need tag
+    offsets but no character data, attributes or event objects (the
+    mutation text splicer runs it over the whole kept document on every
+    commit): the same regexes, hence the same lexical decisions, at a
+    fraction of the cost.  ``match`` is an ``_OPEN_RE`` match (group 3 is
+    ``"/"`` for ``<name/>``) or a ``_CLOSE_RE`` match.
+    """
+    position = 0
+    find = text.find
+    while (lt := find("<", position)) >= 0:
+        marker = text[lt + 1 : lt + 2]
+        if marker == "!":
+            _, position = _bang(text, lt)
+            continue
+        if marker == "/":
+            match = _CLOSE_RE.match(text, lt)
+        elif marker == "?":
+            match = _PI_RE.match(text, lt)
+        else:
+            match = _OPEN_RE.match(text, lt)
+        if not match:
+            raise _error("malformed markup", text, lt)
+        if marker != "?":
+            yield match, marker == "/"
+        position = match.end()
+
+
 def _parse_attributes(blob: str, text: str, tag_offset: int) -> dict[str, str]:
     if not blob:
         return {}
@@ -112,8 +143,9 @@ def _parse_attributes(blob: str, text: str, tag_offset: int) -> dict[str, str]:
     return attributes
 
 
-def _bang(text: str, lt: int):
-    """Handle ``<!--``, ``<![CDATA[`` and ``<!DOCTYPE`` constructs."""
+def _bang(text: str, lt: int) -> tuple[Event, int]:
+    """The event of a ``<!--``, ``<![CDATA[`` or ``<!DOCTYPE`` construct and
+    the offset just past it."""
     if text.startswith("<!--", lt):
         end = text.find("-->", lt + 4)
         if end < 0:
@@ -121,14 +153,12 @@ def _bang(text: str, lt: int):
         body = text[lt + 4 : end]
         if "--" in body:
             raise _error("'--' inside comment", text, lt)
-        yield Comment(body, offset=lt)
-        return end + 3
+        return Comment(body, offset=lt), end + 3
     if text.startswith("<![CDATA[", lt):
         end = text.find("]]>", lt + 9)
         if end < 0:
             raise _error("unterminated CDATA section", text, lt)
-        yield Text(text[lt + 9 : end], offset=lt)
-        return end + 3
+        return Text(text[lt + 9 : end], offset=lt), end + 3
     if text.startswith("<!DOCTYPE", lt):
         # Skip to the matching '>' accounting for an optional internal
         # subset in [...] brackets.
@@ -140,7 +170,6 @@ def _bang(text: str, lt: int):
             elif char == "]":
                 depth -= 1
             elif char == ">" and depth == 0:
-                yield Doctype(text[lt : index + 1], offset=lt)
-                return index + 1
+                return Doctype(text[lt : index + 1], offset=lt), index + 1
         raise _error("unterminated DOCTYPE", text, lt)
     raise _error("malformed '<!' construct", text, lt)

@@ -1,7 +1,5 @@
 """The ``repro.api`` façade: Database / PreparedQuery lifecycle and plumbing."""
 
-import warnings
-
 import pytest
 
 import repro
@@ -42,17 +40,6 @@ class TestOpen:
             # No character data in a .dag: the fragment tier is off.
             with pytest.raises(ReproError, match="fragments"):
                 db.execute("//author").fragments(1)
-
-    def test_open_dag_file_honours_axes(self, tmp_path):
-        # Regression: from_file's .dag branch used to drop the axes kwarg.
-        from repro.model.serialize import save_file
-        from repro.skeleton.loader import load
-
-        path = str(tmp_path / "bib.dag")
-        save_file(load(BIB_XML).instance, path)
-        inplace = repro.open(path, axes="inplace")
-        assert inplace._axes == "inplace"
-        assert inplace.execute("//book/author").tree_count() == 3
 
     def test_open_catalog_directory(self, tmp_path):
         with Database.from_catalog(tmp_path / "cat") as first:
@@ -242,33 +229,22 @@ class TestServedDatabase:
         db.close()
 
 
-class TestDeprecatedShims:
-    def test_old_entry_points_warn_and_work(self):
+class TestTopLevelSurface:
+    def test_removed_entry_points_raise(self):
+        # The PR 5 deprecation shims were removed in 2.0.0 (DESIGN.md §9).
         for name in ("Engine", "load_instance", "query", "query_batch"):
-            with pytest.warns(DeprecationWarning, match="repro.api"):
-                attr = getattr(repro, name)
-            assert attr is not None
+            with pytest.raises(AttributeError, match=name):
+                getattr(repro, name)
+            assert name not in dir(repro)
+            assert name not in repro.__all__
 
-    def test_old_query_still_answers(self):
-        with pytest.warns(DeprecationWarning):
-            result = repro.query(BIB_XML, "//author")
-        assert result.tree_count() == 5
-
-    def test_internal_pipeline_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            from repro.engine.pipeline import Engine as PipelineEngine
-
-            assert PipelineEngine(BIB_XML).query("//author").tree_count() == 5
+    def test_internal_pipeline_still_answers(self):
+        assert Engine(BIB_XML).query("//author").tree_count() == 5
 
     def test_dir_lists_lazy_exports(self):
         listed = dir(repro)
-        for name in ("Engine", "load_instance", "query", "query_batch",
-                     "Database", "PreparedQuery", "ResultSet", "Plan", "open", "api"):
+        for name in ("Database", "PreparedQuery", "ResultSet", "Plan", "open", "api"):
             assert name in listed, name
-
-    def test_all_covers_lazy_exports(self):
-        assert set(repro.__all__) >= {"Engine", "query", "query_batch", "open"}
 
     def test_version_is_single_sourced(self):
         # Either the installed distribution's version or the source-checkout

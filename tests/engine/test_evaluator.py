@@ -131,11 +131,6 @@ class TestEvaluatorMechanics:
         with pytest.raises(EvaluationError, match="context"):
             CompressedEvaluator(instance, context="nope").evaluate("author")
 
-    def test_unknown_axes_impl_rejected(self):
-        instance = load_instance(BIB_XML, tags=["author"])
-        with pytest.raises(EvaluationError, match="axes"):
-            CompressedEvaluator(instance, axes="magic")
-
     def test_result_summary_format(self):
         result = query(BIB_XML, "//author")
         text = result.summary()

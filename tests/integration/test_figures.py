@@ -9,11 +9,13 @@ tests/`` alone (benchmarks add timing on top).
 import pytest
 
 from repro.bench.harness import figure6_row, figure7_row
-from repro.bench.queries import QUERY_IDS
+from repro.bench.queries import QUERY_IDS, queries_for
 from repro.corpora import generate
 from repro.corpora.binary_tree import FIGURE5_QUERIES, compressed_instance
 from repro.corpora.registry import QUERY_CORPORA
 from repro.engine.evaluator import CompressedEvaluator
+from repro.engine.pipeline import load_for_query
+from tests.engine.util import Figure4Evaluator
 
 SCALES = {
     "swissprot": 40,
@@ -72,9 +74,11 @@ class TestFigure7Rows:
         for corpus in ("dblp", "baseball"):
             for query_id in QUERY_IDS:
                 functional = figure7_row(corpus, xml_cache(corpus), query_id)
-                inplace = figure7_row(corpus, xml_cache(corpus), query_id, axes="inplace")
-                assert functional.selected_tree == inplace.selected_tree
-                assert functional.selected_dag == inplace.selected_dag
+                query_text = queries_for(corpus)[query_id]
+                loaded = load_for_query(xml_cache(corpus), query_text)
+                inplace = Figure4Evaluator(loaded.instance, copy=False).evaluate(query_text)
+                assert functional.selected_tree == inplace.tree_count()
+                assert functional.selected_dag == inplace.dag_count()
 
 
 class TestFigure5:

@@ -36,6 +36,17 @@ def test_locate_self_closing():
     assert span.self_closing
 
 
+def test_locate_skips_markup_that_only_looks_like_tags():
+    text = (
+        '<?xml version="1.0"?><a x="1>2"><!-- <b/> --><![CDATA[<b></b>]]>'
+        "<?pi <b>?><b>1</b><b >2</b ></a>"
+    )
+    span = locate(text, (1,))
+    assert text[span.start:span.end] == "<b >2</b >"
+    assert text[span.open_end:span.close_start] == "2"
+    assert locate(text, ()).end == len(text)
+
+
 def test_locate_rejects_missing():
     with pytest.raises(MutationError):
         locate(DOC, (9,))

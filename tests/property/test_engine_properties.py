@@ -23,7 +23,7 @@ from repro.xpath.algebra import (
 from repro.xpath.ast import AXES
 
 from tests.conftest import LABELS, random_dag_instances
-from tests.engine.util import engine_paths, oracle_paths
+from tests.engine.util import Figure4Evaluator, engine_paths, oracle_paths
 
 _AXIS_LIST = sorted(AXES)
 _SPLITTING = {
@@ -61,8 +61,8 @@ def test_compressed_engines_match_tree_oracle(instance, expr):
     if tree_size(instance) > 4000:
         return  # keep the oracle cheap
     expected = oracle_paths(instance, expr)
-    assert engine_paths(instance, expr, "functional") == expected
-    assert engine_paths(instance, expr, "inplace") == expected
+    assert engine_paths(instance, expr) == expected
+    assert engine_paths(instance, expr, Figure4Evaluator) == expected
 
 
 @given(random_dag_instances(), st.sampled_from(_AXIS_LIST), st.sampled_from(LABELS))
@@ -72,8 +72,8 @@ def test_single_axis_matches_oracle(instance, axis, label):
         return
     expr = AxisApply(axis, NamedSet(label))
     expected = oracle_paths(instance, expr)
-    assert engine_paths(instance, expr, "functional") == expected
-    assert engine_paths(instance, expr, "inplace") == expected
+    assert engine_paths(instance, expr) == expected
+    assert engine_paths(instance, expr, Figure4Evaluator) == expected
 
 
 @given(random_dag_instances(), st.sampled_from(sorted(_SPLITTING)), st.sampled_from(LABELS))

@@ -61,9 +61,7 @@ def _payload(instance, expr, short_circuit: bool) -> tuple:
     """The byte-identity triple: (dag_count, tree_count, sorted paths)."""
     working = instance.copy()
     working.ensure_set("missing")
-    evaluator = CompressedEvaluator(
-        working, axes="functional", copy=False, short_circuit=short_circuit
-    )
+    evaluator = CompressedEvaluator(working, copy=False, short_circuit=short_circuit)
     result = evaluator.evaluate(expr)
     return (result.dag_count(), result.tree_count(), tuple(sorted(result.tree_paths())))
 

@@ -12,6 +12,7 @@ import threading
 
 import pytest
 
+from repro.api import Database
 from repro.engine.pipeline import Engine
 from repro.errors import CatalogError, MutationError
 from repro.mutation.ops import Mutation
@@ -59,6 +60,129 @@ def service(tmp_path):
         service.close()
 
 
+@pytest.fixture(params=["service", "fleet"])
+def backend(request, tmp_path):
+    """Both serving backends over the same catalog: the parity fixture."""
+    catalog = Catalog(str(tmp_path / "cat"))
+    catalog.add("bib", BIB_XML)
+    if request.param == "service":
+        backend = QueryService(catalog)
+    else:
+        backend = WorkerFleet(catalog, workers=1, health_interval=0.2)
+    try:
+        assert backend.wait_ready(timeout=30)
+        yield backend
+    finally:
+        backend.close()
+
+
+def mutation_block(stats):
+    """The ``mutations`` counters of a ``/stats`` payload, either backend."""
+    return stats["mutations"] if "mutations" in stats else stats["service"]["mutations"]
+
+
+#: The exact ``/mutate`` body of one APPEND_BOOK commit, timings removed —
+#: identical at ``--workers 0`` and ``--workers 1``.
+APPEND_OUTCOME = {
+    "document": "bib",
+    "doc_version": 2,
+    "applied": 1,
+    "ops": {"append_child": 1},
+    "pool_entries_evicted": 0,
+    "dag_vertices": 7,
+    "skeleton_nodes": 16,
+}
+
+
+class TestBackendParity:
+    """One suite over ``QueryService`` and ``WorkerFleet(workers=1)``."""
+
+    def test_stats_dict_reports_versions_and_ops(self, backend):
+        outcome = backend.mutate("bib", [APPEND_BOOK])
+        assert list(outcome) == [
+            "document", "doc_version", "applied", "ops", "seconds",
+            "maintenance_seconds", "pool_entries_evicted", "dag_vertices", "skeleton_nodes",
+        ]
+        timings = {"seconds", "maintenance_seconds"}
+        assert {k: v for k, v in outcome.items() if k not in timings} == APPEND_OUTCOME
+        stats = backend.stats_dict()
+        assert stats["doc_versions"] == {"bib": 2}
+        assert mutation_block(stats) == {
+            "applied": 1, "failed": 0, "ops": {"append_child": 1}
+        }
+
+    def test_stats_and_health_keep_their_shape(self, backend):
+        # The merge moved the counters, not the bodies: /stats and /healthz
+        # keep each backend's exact key order (what metrics.py and the e2e
+        # benchmark read).
+        stats, health = backend.stats_dict(), backend.health_dict()
+        if isinstance(backend, QueryService):
+            assert list(stats) == [
+                "service", "pool", "mode", "optimize", "admission",
+                "quarantined", "kernel", "doc_versions",
+            ]
+            assert list(stats["service"])[-2:] == ["batch_sizes", "mutations"]
+            assert list(health) == ["status", "reasons", "quarantined", "shed_rate"]
+        else:
+            assert list(stats) == [
+                "cluster", "workers", "mode", "admission", "kernel",
+                "mutations", "doc_versions",
+            ]
+            # Worker rows are in-process services: same block, always zero.
+            assert stats["workers"][0]["service"]["mutations"] == {
+                "applied": 0, "failed": 0, "ops": {}
+            }
+            assert list(health) == [
+                "status", "reasons", "workers", "alive", "open_breakers",
+                "quarantined", "shed_rate",
+            ]
+        assert health["status"] == "ok"
+
+    def test_generator_patch_is_counted(self, backend):
+        # Regression: the op recount re-iterated the caller's iterable after
+        # Catalog.mutate had consumed it, so a generator patch committed a
+        # version yet reported applied=0, ops={} and never reached /metrics.
+        with Database.from_service(backend) as db:
+            outcome = db.apply_patch(dict(APPEND_BOOK) for _ in range(2))
+        assert outcome["doc_version"] == 2
+        assert outcome["applied"] == 2
+        assert outcome["ops"] == {"append_child": 2}
+        assert mutation_block(backend.stats_dict())["ops"] == {"append_child": 2}
+
+    def test_failed_mutations_count_identically(self, backend):
+        with pytest.raises(MutationError):
+            backend.mutate("bib", [{"op": "delete_subtree", "path": [99]}])
+        with pytest.raises(MutationError):
+            backend.mutate("bib", {"op": "delete_subtree", "path": [0]})  # not a list
+        with pytest.raises(CatalogError):
+            backend.mutate("nope", [APPEND_BOOK])
+        assert mutation_block(backend.stats_dict()) == {"applied": 0, "failed": 3, "ops": {}}
+
+    def test_plan_cache_not_stale_when_mutation_populates_a_tag(self, backend):
+        # The classic stale-plan bug: "//dvd" is *provably empty* before
+        # the mutation (complete-tag stats let the optimizer fold it), so
+        # a plan cached without the doc_version in its key would keep
+        # answering 0 forever.
+        assert backend.query("bib", "//dvd")["tree_count"] == 0
+        folded = backend.explain("bib", "//dvd")["plan"]["algebra"]
+        assert folded["op"] == "empty-set"
+        backend.mutate(
+            "bib", [{"op": "append_child", "path": [], "xml": "<dvd>x</dvd>"}]
+        )
+        assert backend.query("bib", "//dvd")["tree_count"] == 1
+        assert backend.explain("bib", "//dvd")["plan"]["algebra"]["op"] != "empty-set"
+
+    def test_plan_cache_not_stale_on_republished_name(self, backend):
+        # Same bug, registration flavor: evict + re-register under the
+        # same name with different content must invalidate cached plans
+        # and pooled instances.
+        assert backend.query("bib", "//author")["tree_count"] == 5
+        backend.catalog.remove("bib")
+        backend.evict("bib")
+        backend.catalog.add("bib", "<bib><book><author>only</author></book></bib>")
+        assert backend.query("bib", "//author")["tree_count"] == 1
+
+
 class TestServiceMutate:
     def test_results_match_fresh_shred_after_mutation(self, service):
         assert_matches_fresh_shred(service, "bib", BIB_XML)
@@ -92,40 +216,12 @@ class TestServiceMutate:
         assert service.catalog.entry("bib").doc_version == before
         assert_matches_fresh_shred(service, "bib", BIB_XML)
 
-    def test_stats_dict_reports_versions_and_ops(self, service):
-        service.mutate("bib", [APPEND_BOOK])
-        stats = service.stats_dict()
-        assert stats["doc_versions"] == {"bib": 2}
-        assert stats["service"]["mutations"]["applied"] == 1
-        assert stats["service"]["mutations"]["ops"] == {"append_child": 1}
-
     def test_document_stats_track_the_new_version(self, service):
         before = service.catalog.document_stats("bib")
         service.mutate("bib", [APPEND_BOOK])
         after = service.catalog.document_stats("bib")
         assert after.tree_nodes == before.tree_nodes + 3
         assert after.sets["book"].tree_count == before.sets["book"].tree_count + 1
-
-    def test_plan_cache_not_stale_when_mutation_populates_a_tag(self, service):
-        # The classic stale-plan bug: "//dvd" is *provably empty* before
-        # the mutation (complete-tag stats let the optimizer fold it), so
-        # a plan cached without the doc_version in its key would keep
-        # answering 0 forever.
-        assert service.query("bib", "//dvd")["tree_count"] == 0
-        service.mutate(
-            "bib", [{"op": "append_child", "path": [], "xml": "<dvd>x</dvd>"}]
-        )
-        assert service.query("bib", "//dvd")["tree_count"] == 1
-
-    def test_plan_cache_not_stale_on_republished_name(self, service):
-        # Same bug, registration flavor: evict + re-register under the
-        # same name with different content must invalidate cached plans
-        # and pooled instances.
-        assert service.query("bib", "//author")["tree_count"] == 5
-        service.catalog.remove("bib")
-        service.evict("bib")
-        service.catalog.add("bib", "<bib><book><author>only</author></book></bib>")
-        assert service.query("bib", "//author")["tree_count"] == 1
 
     def test_mutate_unknown_document(self, service):
         with pytest.raises(CatalogError):

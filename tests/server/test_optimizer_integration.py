@@ -12,7 +12,9 @@ import os
 import pytest
 
 from repro.compress.stats import STATS_FORMAT_VERSION
+from repro.errors import CatalogError
 from repro.server.catalog import Catalog
+from repro.server.cluster import WorkerFleet
 from repro.server.http import create_server, wait_ready
 from repro.server.service import QueryService
 
@@ -143,18 +145,49 @@ class TestServiceByteIdentity:
             service.close()
 
 
+@pytest.fixture(params=["service", "fleet"])
+def backend(request, catalog):
+    """Both serving backends over the same catalog: the parity fixture."""
+    if request.param == "service":
+        backend = QueryService(catalog)
+    else:
+        backend = WorkerFleet(catalog, workers=1, health_interval=0.2)
+    try:
+        assert backend.wait_ready(timeout=30)
+        yield backend
+    finally:
+        backend.close()
+
+
+def plan_body(backend, query, analyze=False):
+    """The ``/explain`` payload minus the one backend-specific block."""
+    payload = backend.explain("bib", query, analyze=analyze)
+    assert payload["plan"].pop("instance")["source"] in ("pool", "worker")
+    return payload
+
+
 class TestExplainAnalyze:
-    def test_explain_reports_estimates_and_rules(self, catalog):
-        service = QueryService(catalog)
-        try:
-            plan = service.explain("bib", "//book/author")["plan"]
-            block = plan["optimizer"]
-            assert block["stats_available"] is True
-            assert "root-axis-identity" in block["rules_applied"]
-            assert "unoptimized" in block
-            assert isinstance(plan["algebra"]["est_cardinality"], float)
-        finally:
-            service.close()
+    def test_explain_reports_estimates_and_rules(self, catalog, backend):
+        plan = backend.explain("bib", "//book/author")["plan"]
+        block = plan["optimizer"]
+        assert block["stats_available"] is True
+        assert "root-axis-identity" in block["rules_applied"]
+        assert "unoptimized" in block
+        assert isinstance(plan["algebra"]["est_cardinality"], float)
+        reference = QueryService(catalog)
+        for query in QUERIES:
+            for analyze in (False, True):
+                assert plan_body(backend, query, analyze) == plan_body(
+                    reference, query, analyze
+                ), (query, analyze)
+
+    def test_unknown_document_wins_over_malformed_query(self, backend):
+        # The two plan copies had drifted: the fleet compiled first (400),
+        # the service looked the document up first (404, like /query).
+        with pytest.raises(CatalogError):
+            backend.explain("nope", "//a[")
+        with pytest.raises(CatalogError):
+            backend.query("nope", "//a[")
 
     def test_analyze_attaches_actuals(self, catalog):
         service = QueryService(catalog)
@@ -174,15 +207,11 @@ class TestExplainAnalyze:
         finally:
             service.close()
 
-    def test_analyze_of_folded_plan(self, catalog):
-        service = QueryService(catalog)
-        try:
-            payload = service.explain("bib", "//absenttag/title", analyze=True)
-            root = payload["plan"]["algebra"]
-            assert root["op"] == "empty-set"
-            assert root["actual"] == {"dag_count": 0, "tree_count": 0}
-        finally:
-            service.close()
+    def test_analyze_of_folded_plan(self, backend):
+        payload = backend.explain("bib", "//absenttag/title", analyze=True)
+        root = payload["plan"]["algebra"]
+        assert root["op"] == "empty-set"
+        assert root["actual"] == {"dag_count": 0, "tree_count": 0}
 
 
 @pytest.fixture

@@ -73,10 +73,6 @@ class TestQuery:
         out = capsys.readouterr().out
         assert "1.1.2" in out
 
-    def test_inplace_axes(self, bib_file, capsys):
-        assert main(["query", bib_file, "//author", "--axes", "inplace"]) == 0
-        assert "selected tree nodes : 5" in capsys.readouterr().out
-
     def test_bad_query_fails(self, bib_file, capsys):
         assert main(["query", bib_file, "//a[["]) == 2
         assert "error: invalid query:" in capsys.readouterr().err

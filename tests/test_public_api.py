@@ -3,9 +3,12 @@
 An accidental rename, a dropped re-export, or a new symbol leaking out of
 a package ``__init__`` is an API break for downstream users — this test
 pins the exact surface so any change to it must be deliberate (update the
-snapshot in the same commit, with the reasoning in the message).
+snapshot in the same commit, with the reasoning in the message).  The
+same goes for command-line knobs: the option strings of ``repro query``
+and ``repro serve`` are pinned, so a new flag is a reviewed decision.
 """
 
+import argparse
 import importlib
 
 import pytest
@@ -15,7 +18,6 @@ SNAPSHOT = {
     "repro": [
         "DagBuilder",
         "Database",
-        "Engine",
         "Instance",
         "Plan",
         "PreparedQuery",
@@ -25,11 +27,8 @@ SNAPSHOT = {
         "decompress",
         "equivalent",
         "instance_stats",
-        "load_instance",
         "minimize",
         "open",
-        "query",
-        "query_batch",
         "tree_instance",
         "__version__",
     ],
@@ -102,6 +101,34 @@ SNAPSHOT = {
     ],
 }
 
+#: subcommand -> exact option strings (positionals excluded).  Keep sorted.
+#: Every option is a configuration to test and benchmark: add one only
+#: when two real callers need different values.
+CLI_OPTIONS = {
+    "query": ["--explain-json", "--help", "--limit", "--paths", "--workload", "-h"],
+    "serve": [
+        "--catalog",
+        "--deadline-ms",
+        "--frontend",
+        "--help",
+        "--host",
+        "--http-threads",
+        "--max-batch",
+        "--max-queue",
+        "--mode",
+        "--pool-size",
+        "--port",
+        "--rate-limit",
+        "--stats-interval",
+        "--verbose",
+        "--window-ms",
+        "--worker-threads",
+        "--workers",
+        "-C",
+        "-h",
+    ],
+}
+
 #: The exact wire/envelope kind table (most-specific-first order matters
 #: for subclass lookups, but the *set* of kinds is public contract).
 EXPECTED_ERROR_KINDS = [
@@ -157,6 +184,26 @@ def test_every_exported_name_resolves(module_name):
     module = importlib.import_module(module_name)
     for name in SNAPSHOT[module_name]:
         assert getattr(module, name, None) is not None, f"{module_name}.{name}"
+
+
+@pytest.mark.parametrize("command", sorted(CLI_OPTIONS))
+def test_cli_options_match_snapshot(command):
+    from repro.cli import build_parser
+
+    subcommands = next(
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    options = sorted(
+        option
+        for action in subcommands.choices[command]._actions
+        for option in action.option_strings
+    )
+    assert options == CLI_OPTIONS[command], (
+        f"`repro {command}` options changed; if deliberate, update "
+        "tests/test_public_api.py in the same commit"
+    )
 
 
 def test_top_level_dir_covers_all():

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import XMLSyntaxError
 from repro.xmlio.escape import escape_attribute, escape_text, unescape
-from repro.xmlio.tokenizer import tokenize
+from repro.xmlio.tokenizer import element_tags, tokenize
 
 
 def kinds(text):
@@ -126,6 +126,36 @@ class TestCommentsCdataDoctypePi:
     def test_bad_bang_rejected(self):
         with pytest.raises(XMLSyntaxError, match="'<!'"):
             list(tokenize("<a><!NOTATHING></a>"))
+
+
+class TestElementTags:
+    """The structure-only scan must make ``tokenize``'s lexical decisions."""
+
+    TRICKY = (
+        '<?xml version="1.0"?><!DOCTYPE r [<!ELEMENT r (#PCDATA)>]>'
+        '<r a="1>2"><!-- <fake> --><b x="<"/>t &lt; u<![CDATA[<c></c>]]><?pi <d>?>'
+        "<e >text</e ></r>"
+    )
+
+    def test_same_tags_and_offsets_as_tokenize(self):
+        expected = [
+            (event.kind, event.name, event.offset)
+            for event in tokenize(self.TRICKY)
+            if event.kind in ("start", "end")
+        ]
+        scanned = []
+        for match, closing in element_tags(self.TRICKY):
+            scanned.append(("end" if closing else "start", match.group(1), match.start()))
+            if not closing and match.group(3):
+                scanned.append(("end", match.group(1), match.start()))
+        assert scanned == expected
+        assert [name for _, name, _ in scanned] == ["r", "b", "b", "e", "e", "r"]
+
+    def test_malformed_markup_rejected(self):
+        with pytest.raises(XMLSyntaxError):
+            list(element_tags("<a <b/>"))
+        with pytest.raises(XMLSyntaxError, match="unterminated comment"):
+            list(element_tags("<a><!-- never closed</a>"))
 
 
 class TestErrors:
