@@ -19,13 +19,6 @@ written to ``BENCH_query_throughput.json`` at the repository root so later
 PRs have a perf trajectory; the run fails loudly when the geometric-mean
 speedup drops below ``--min-speedup`` (default 2.0 full, 1.2 ``--quick``).
 
-A second section times **cold pool fills**: every corpus is shredded into
-a :class:`repro.storage.chunked.ChunkedStore` and a fresh store assembles
-the full document via the mmap'd succinct skeleton (``skeleton.rskl``)
-versus the legacy per-chunk text parse.  The geometric-mean ratio is the
-report's ``cold_load_speedup`` and has its own floor
-(``--min-cold-load-speedup``, default 10.0 full, 1.5 ``--quick``).
-
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_query_throughput.py [--quick]
@@ -495,86 +488,6 @@ def measure(corpus: str, quick: bool) -> list[dict]:
     return rows
 
 
-#: Corpora timed by the cold-load section, with full/quick generator scales.
-#: Pool fills in production load documents whose compressed skeletons hold
-#: thousands of vertices, so the section measures corpora of that shape; the
-#: query-mix corpora compress to a few dozen vertices, where both cold paths
-#: collapse into fixed per-file costs (two opens, one manifest parse) and the
-#: ratio says nothing about the assembly work the skeleton format removes.
-COLD_LOAD_CORPORA = (
-    ("treebank", 400, 80),
-    ("shakespeare", 200, 50),
-    ("swissprot", 300, 75),
-    ("xmark", 300, 30),
-)
-
-
-def measure_cold_load(quick: bool) -> dict:
-    """Skeleton-vs-chunks cold assembly, per corpus (the pool-fill path)."""
-    import shutil
-    import tempfile
-
-    from repro.skeleton.loader import load_instance
-    from repro.storage.chunked import ChunkedStore
-
-    rows = []
-    repeats = 2 if quick else 3
-    target = 0.05 if quick else 0.25
-    tmp = tempfile.mkdtemp(prefix="bench-cold-load-")
-    try:
-        for corpus, full_scale, quick_scale in COLD_LOAD_CORPORA:
-            directory = os.path.join(tmp, corpus)
-            scale = quick_scale if quick else full_scale
-            xml = CORPORA[corpus].generate(scale, 0).xml
-            ChunkedStore.save(load_instance(xml), directory)
-
-            def load_skeleton():
-                ChunkedStore(directory).assemble()
-
-            def load_chunks():
-                fresh = ChunkedStore(directory)
-                fresh.skeleton_file = None  # force the legacy chunk path
-                fresh.assemble()
-
-            # Correctness guard: both cold paths serve the identical DAG.
-            probe = ChunkedStore(directory)
-            fast = probe.assemble()
-            info = dict(probe.last_load_info)
-            assert info["format"] == "skeleton", info
-            probe.skeleton_file = None
-            legacy = probe.assemble()
-            if (fast.num_vertices, fast.root) != (legacy.num_vertices, legacy.root):
-                raise AssertionError(f"{corpus}: skeleton and chunk loads disagree")
-
-            skeleton_seconds = best_time(
-                load_skeleton, repeats, calibrate_loops(load_skeleton, target)
-            )
-            chunk_seconds = best_time(
-                load_chunks, repeats, calibrate_loops(load_chunks, target)
-            )
-            rows.append(
-                {
-                    "corpus": corpus,
-                    "vertices": fast.num_vertices,
-                    "bytes_mapped": info["bytes_mapped"],
-                    "mmap": info["mmap"],
-                    "chunk_seconds": chunk_seconds,
-                    "skeleton_seconds": skeleton_seconds,
-                    "speedup": chunk_seconds / skeleton_seconds
-                    if skeleton_seconds
-                    else math.inf,
-                }
-            )
-            print(
-                f"  {corpus:12s} cold load  chunks {chunk_seconds * 1000:9.3f} ms   "
-                f"skeleton {skeleton_seconds * 1000:9.3f} ms   "
-                f"speedup {rows[-1]['speedup']:6.2f}x"
-            )
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-    return {"rows": rows, "geomean_speedup": geomean(row["speedup"] for row in rows)}
-
-
 def geomean(values) -> float:
     values = list(values)
     return math.exp(sum(math.log(v) for v in values) / len(values)) if values else 0.0
@@ -590,32 +503,17 @@ def main(argv=None) -> int:
         help="fail when geometric-mean speedup is below this (default: 2.0, or 1.2 with --quick)",
     )
     parser.add_argument(
-        "--min-cold-load-speedup",
-        type=float,
-        default=None,
-        help="fail when the skeleton-vs-chunks cold-load geomean is below "
-        "this (default: 10.0, or 1.5 with --quick)",
-    )
-    parser.add_argument(
         "--output",
         default=os.path.join(REPO_ROOT, "BENCH_query_throughput.json"),
         help="where to write the JSON results",
     )
     args = parser.parse_args(argv)
     min_speedup = args.min_speedup if args.min_speedup is not None else (1.2 if args.quick else 2.0)
-    min_cold_load = (
-        args.min_cold_load_speedup
-        if args.min_cold_load_speedup is not None
-        else (1.5 if args.quick else 10.0)
-    )
 
     print(f"query throughput: new engine vs seed evaluator ({'quick' if args.quick else 'full'})")
     rows: list[dict] = []
     for corpus in CORPUS_NAMES:
         rows.extend(measure(corpus, args.quick))
-
-    print("cold pool fill: mmap skeleton vs legacy chunk assembly")
-    cold_load = measure_cold_load(args.quick)
 
     overall = geomean(row["speedup"] for row in rows)
     per_corpus = {
@@ -631,9 +529,6 @@ def main(argv=None) -> int:
         "geomean_speedup": overall,
         "geomean_speedup_per_corpus": per_corpus,
         "min_speedup_required": min_speedup,
-        "cold_load": cold_load,
-        "cold_load_speedup": cold_load["geomean_speedup"],
-        "min_cold_load_speedup_required": min_cold_load,
     }
     with open(args.output, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2)
@@ -641,19 +536,11 @@ def main(argv=None) -> int:
 
     print("\nper-corpus geomean: " + "  ".join(f"{c}={s:.2f}x" for c, s in per_corpus.items()))
     print(f"overall geomean speedup: {overall:.2f}x  (required >= {min_speedup:.2f}x)")
-    print(
-        f"cold-load geomean speedup: {cold_load['geomean_speedup']:.2f}x  "
-        f"(required >= {min_cold_load:.2f}x)"
-    )
     print(f"wrote {args.output}")
-    failed = False
     if overall < min_speedup:
         print("FAIL: speedup below the required floor", file=sys.stderr)
-        failed = True
-    if cold_load["geomean_speedup"] < min_cold_load:
-        print("FAIL: cold-load speedup below the required floor", file=sys.stderr)
-        failed = True
-    return 1 if failed else 0
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

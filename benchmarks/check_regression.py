@@ -57,22 +57,13 @@ HEADLINE = {
 #: benchmark name -> (measured key, embedded requirement key) pairs checked
 #: in smoke mode when the requirement key is present and its gate applies.
 SMOKE_FLOORS = {
-    "query_throughput": [
-        ("geomean_speedup", "min_speedup_required"),
-        ("cold_load_speedup", "min_cold_load_speedup_required"),
-    ],
+    "query_throughput": [("geomean_speedup", "min_speedup_required")],
     "batch_workload": [("best_speedup", "min_speedup_required")],
     "server": [("worst_speedup", "min_speedup_required")],
     "cluster": [("scaling_at_4_workers", "min_scaling_required")],
     "overload": [("accepted_rps", "min_accepted_rps_required")],
     "optimizer": [("geomean_speedup", "min_speedup_required")],
     "mutation": [("geomean_speedup", "min_speedup_required")],
-}
-
-#: benchmark name -> additional metric keys compared against the baseline
-#: (same tolerance as the headline) when both reports carry them.
-SECONDARY = {
-    "query_throughput": ["cold_load_speedup"],
 }
 
 
@@ -214,42 +205,28 @@ def main(argv=None) -> int:
         )
         return 2
 
-    # The headline plus any secondary metrics both reports carry (e.g. the
-    # query-throughput cold-load speedup), all under the same tolerance.
-    checks = [(key, base_value, new_value)]
-    for extra_key in SECONDARY.get(baseline["benchmark"], []):
-        base_extra = baseline.get(extra_key)
-        new_extra = candidate.get(extra_key)
-        if isinstance(base_extra, (int, float)) and isinstance(new_extra, (int, float)):
-            checks.append((extra_key, float(base_extra), float(new_extra)))
-
-    failed = False
+    floor = (1.0 - args.tolerance) * base_value
+    ratio = new_value / base_value if base_value else float("inf")
+    failed = new_value < floor
+    verdict = "REGRESSION" if failed else "ok"
+    print(
+        f"{baseline['benchmark']}: {key} baseline {base_value:.3f} -> "
+        f"candidate {new_value:.3f} ({100 * ratio:.1f}%, floor {floor:.3f}) {verdict}"
+    )
     summary_lines = [
         f"### {baseline['benchmark']}",
         "",
         "| metric | baseline | candidate | ratio | floor | verdict |",
         "|---|---:|---:|---:|---:|---|",
+        f"| `{key}` | {base_value:.3f} | {new_value:.3f} | {100 * ratio:.1f}% | "
+        f"{floor:.3f} | {':x:' if failed else ':white_check_mark:'} {verdict} |",
     ]
-    for metric, base_value, new_value in checks:
-        floor = (1.0 - args.tolerance) * base_value
-        ratio = new_value / base_value if base_value else float("inf")
-        verdict = "ok" if new_value >= floor else "REGRESSION"
+    if failed:
         print(
-            f"{baseline['benchmark']}: {metric} baseline {base_value:.3f} -> "
-            f"candidate {new_value:.3f} ({100 * ratio:.1f}%, floor {floor:.3f}) {verdict}"
+            f"FAIL: {key} regressed more than {100 * args.tolerance:.0f}% "
+            f"vs {args.baseline}",
+            file=sys.stderr,
         )
-        icon = ":white_check_mark:" if new_value >= floor else ":x:"
-        summary_lines.append(
-            f"| `{metric}` | {base_value:.3f} | {new_value:.3f} | "
-            f"{100 * ratio:.1f}% | {floor:.3f} | {icon} {verdict} |"
-        )
-        if new_value < floor:
-            print(
-                f"FAIL: {metric} regressed more than {100 * args.tolerance:.0f}% "
-                f"vs {args.baseline}",
-                file=sys.stderr,
-            )
-            failed = True
     append_summary(args.summary, summary_lines + [""])
     return 1 if failed else 0
 

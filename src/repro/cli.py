@@ -247,15 +247,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_catalog_add(args: argparse.Namespace) -> int:
     from repro.server.catalog import Catalog
 
-    entry = Catalog(args.catalog).add(
+    catalog = Catalog(args.catalog)
+    entry = catalog.add(
         args.name,
         _read(args.file),
         attributes="nodes" if args.attributes else "ignore",
     )
     print(
         f"added {entry.name}: {entry.megabytes:.2f} MB, "
-        f"{entry.skeleton_nodes:,} skeleton nodes -> {entry.dag_vertices:,} dag vertices "
-        f"in {entry.chunks} chunk(s) ({entry.shred_seconds:.3f}s)"
+        f"{entry.skeleton_nodes:,} skeleton nodes -> {entry.dag_vertices:,} dag vertices, "
+        f"skeleton {catalog.store(entry.name).size():,} B ({entry.shred_seconds:.3f}s)"
     )
     return 0
 
@@ -263,7 +264,8 @@ def _cmd_catalog_add(args: argparse.Namespace) -> int:
 def _cmd_catalog_ls(args: argparse.Namespace) -> int:
     from repro.server.catalog import Catalog
 
-    entries = Catalog(args.catalog).entries()
+    catalog = Catalog(args.catalog)
+    entries = catalog.entries()
     if not entries:
         print(f"catalog {args.catalog!r} is empty")
         return 0
@@ -271,7 +273,8 @@ def _cmd_catalog_ls(args: argparse.Namespace) -> int:
         print(
             f"{entry.name:20s} {entry.megabytes:8.2f} MB  "
             f"{entry.dag_vertices:>9,}v/{entry.dag_edge_entries:,}e  "
-            f"{entry.chunks:>4} chunk(s)  attributes={entry.attributes}"
+            f"skeleton {catalog.store(entry.name).size():>9,} B  "
+            f"attributes={entry.attributes}"
         )
     return 0
 
@@ -339,11 +342,9 @@ def _cmd_catalog_verify(args: argparse.Namespace) -> int:
     for name in sorted(report):
         entry = report[name]
         status = entry["status"]
-        chunks = entry.get("chunks", "?")
-        corrupt = entry.get("corrupt") or []
-        line = f"{name:20s} {status:12s} {chunks} chunk(s)"
-        if corrupt:
-            line += f"  corrupt: {', '.join(map(str, corrupt))}"
+        line = f"{name:20s} {status:12s} skeleton {entry['skeleton_bytes']:,} B"
+        if entry["problem"]:
+            line += f"  {entry['problem']}"
         journal = entry.get("journal")
         if isinstance(journal, dict) and (journal.get("records") or journal.get("torn")):
             line += (
@@ -355,7 +356,7 @@ def _cmd_catalog_verify(args: argparse.Namespace) -> int:
             if journal.get("repaired") is not None:
                 line += f", replayed {journal['repaired']}"
         print(line)
-        if status == "corrupt":
+        if status in ("corrupt", "stale"):  # refused until repaired
             worst = EXIT_ERROR
     if not report:
         print(f"catalog {args.catalog!r} is empty")
@@ -566,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     catalog_ls.set_defaults(func=_cmd_catalog_ls)
 
     catalog_evict = actions.add_parser(
-        "evict", help="remove a document and its shredded chunks"
+        "evict", help="remove a document and its stored versions"
     )
     catalog_evict.add_argument("name")
     add_catalog_dir(catalog_evict)
@@ -598,11 +599,12 @@ def build_parser() -> argparse.ArgumentParser:
     catalog_update.set_defaults(func=_cmd_catalog_update)
 
     catalog_verify = actions.add_parser(
-        "verify", help="check every document's chunk checksums; exit 1 on corruption"
+        "verify",
+        help="check every document's skeleton image; exit 1 on a corrupt or stale one",
     )
     catalog_verify.add_argument(
         "--repair", action="store_true",
-        help="re-shred corrupt documents from their kept source text and "
+        help="re-shred corrupt or stale documents from their kept source text and "
         "replay/truncate any pending or torn journal records",
     )
     add_catalog_dir(catalog_verify)

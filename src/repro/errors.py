@@ -75,19 +75,21 @@ class CatalogError(ReproError):
 class IntegrityError(CatalogError):
     """Stored data failed its integrity check (checksum mismatch, torn write).
 
-    Raised when a chunk file's bytes no longer hash to the checksum recorded
-    in its manifest at shred time.  The catalog reacts by *quarantining* the
-    document (queries then fail fast with :class:`QuarantinedError`) rather
-    than silently serving wrong answers from corrupt chunks.
+    Raised when a stored image's bytes no longer hash to the digest recorded
+    when it was written — or the image is missing altogether.  The catalog
+    reacts by *quarantining* the document (queries then fail fast with
+    :class:`QuarantinedError`) rather than silently serving wrong answers
+    from corrupt bytes.
     """
 
 
 class QuarantinedError(CatalogError):
-    """The document is quarantined after failing an integrity check.
+    """The document is quarantined: its stored image cannot be served.
 
-    The registry entry still exists (metadata was readable) but the shredded
-    chunks are known-corrupt, so serving is refused until the document is
-    reloaded — ``repro catalog verify --repair`` or
+    The registry entry still exists (metadata was readable) but the image
+    failed an integrity check or was published in an older on-disk layout,
+    so serving is refused until the document is reloaded —
+    ``repro catalog verify --repair`` or
     :meth:`repro.server.catalog.Catalog.reload` re-shreds it from the kept
     original text.  Mapped to HTTP 503: transient, operator action restores
     service, never a wrong answer.

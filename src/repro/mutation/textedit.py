@@ -1,7 +1,7 @@
 """Byte-span location and splicing of elements in the kept document text.
 
 The catalog keeps every registered document's original text beside its
-shredded chunks (string-schema reloads re-scan it), so a mutation must
+skeleton image (string-schema reloads re-scan it), so a mutation must
 edit *both* representations.  This module does the text half: it walks the
 tokenizer's element tags — matches carrying exact byte offsets — down a
 tree path of element-child ordinals, finds the target element's span, and

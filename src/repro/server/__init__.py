@@ -2,10 +2,11 @@
 
 The subsystem has four layers, bottom up:
 
-* :mod:`repro.server.catalog` — a directory of documents shredded into the
-  chunked store at registration time; warm starts assemble instances from
-  chunks instead of re-parsing XML.  The on-disk layout doubles as the
-  fleet's replication channel (safe for concurrent reader processes).
+* :mod:`repro.server.catalog` — a directory of documents shredded once, at
+  registration time, each version stored as one RSKL image of its minimal
+  DAG; warm starts map and decode that image instead of re-parsing XML.
+  The on-disk layout doubles as the fleet's replication channel (safe for
+  concurrent reader processes).
 * :mod:`repro.server.pool` — a bounded LRU of resident master instances
   keyed by ``(document, schema key)``, with per-entry locks.
 * :mod:`repro.server.service` / :mod:`repro.server.routes` /

@@ -1,35 +1,36 @@
-"""A persistent multi-document catalog over the chunked store.
+"""A persistent multi-document catalog: one RSKL image per document version.
 
 The serving model of the paper — and of Arion et al.'s path-partitioned
-stores — is *load once, query forever*: a document is shredded into the
-compressed chunk store exactly once, at registration time, and every later
-query is answered from the resident (or quickly re-assembled) instance
-without touching the XML again.
+stores — is *load once, query forever*: a document is shredded into its
+minimal DAG exactly once, at registration time, and every later query is
+answered from the resident (or quickly re-mapped) instance without
+touching the XML again.
 
 A :class:`Catalog` is a directory::
 
-    <root>/catalog.json            registry: name -> entry metadata
-    <root>/<name>/document.xml     the original text (string-schema reloads)
-    <root>/<name>/chunks/          the shredded instance (storage.chunked)
-    <root>/<name>/stats.json       optimizer statistics (PR 9)
-    <root>/<name>/journal.wal      mutation write-ahead journal (live docs)
-    <root>/<name>/v<N>/            a mutated version's document.xml/chunks/stats
+    <root>/catalog.json                registry: name -> entry metadata
+    <root>/<name>/journal.wal          mutation write-ahead journal (live docs)
+    <root>/<name>/v<N>/document.xml    the text at ``doc_version`` N
+    <root>/<name>/v<N>/skeleton.rskl   the minimal DAG, one RSKL image
+    <root>/<name>/v<N>/stats.json      optimizer statistics (PR 9)
 
-Registration publishes into the document directory itself (the layout
-above, ``version_dir == ""``); each :meth:`mutate` publishes a complete
-new version *directory* ``v<N>`` beside it and flips the manifest entry's
-``version_dir`` — readers holding the previous version keep valid paths
-until the post-publish GC, and a crashed mutation can never half-overwrite
-the live version.  The manifest rewrite is the single commit point for
-both paths.
+Every publish — registration and each :meth:`Catalog.mutate` alike — goes
+through one routine: the three files are staged privately, renamed to a
+complete new version *directory* ``v<doc_version>`` and committed by the
+atomic manifest rewrite, the single commit point.  Readers holding the
+previous version keep valid paths until the post-publish GC, and a crashed
+publish can never half-overwrite the live version.
 
+The image is the instance the shredder (or the mutation maintainer's
+re-minimisation) produced, stored as-is: same vertex ids, same schema
+order, the paper's minimal bisimulation quotient — so ``dag_vertices`` in
+the manifest describes the file on disk and the instance that is served.
 Documents are registered with **every** tag as a node set, so any tag-only
-query can be served from the shredded chunks alone (a *warm start*: one
-:func:`repro.model.serialize.load` per distinct chunk, no XML parse).  Only
-queries with string-containment predicates need the original text again —
-string sets are computed by the one-scan matcher at load time — and the
-resulting instances are cached upstream in the server's instance pool,
-keyed by their string schema.
+query is served from the image alone (a *warm start*: mmap, digest check,
+column adoption, no XML parse).  Only queries with string-containment
+predicates need the original text again — string sets are computed by the
+one-scan matcher at load time — and the resulting instances are cached
+upstream in the server's instance pool, keyed by their string schema.
 
 All catalog methods are thread-safe: registration and removal serialise on
 one lock, and the manifest is rewritten atomically (temp file + rename).
@@ -37,7 +38,7 @@ one lock, and the manifest is rewritten atomically (temp file + rename).
 The on-disk layout is also the fleet's replication channel: any number of
 *reader* processes (the pre-forked workers of :mod:`repro.server.cluster`)
 may open the same directory concurrently with one writer (the front-end).
-A document's chunk files are fully written *before* its manifest entry is
+A version's files are fully written *before* its manifest entry is
 published, and the manifest itself is replaced atomically, so a reader
 either sees a complete document or none at all; :meth:`Catalog.refresh`
 re-reads the manifest so long-lived readers pick up registrations and
@@ -52,26 +53,30 @@ import re
 import shutil
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from repro.compress.stats import STATS_FORMAT_VERSION, DocumentStats
 from repro.errors import CatalogError, IntegrityError, QuarantinedError, ReproError
+from repro.model.instance import Instance
 from repro.mutation.apply import apply_mutations
 from repro.mutation.ops import as_mutations
 from repro.server.journal import JOURNAL_FILE, Journal
 from repro.server.resilience import FAULTS
+from repro.skeleton.layout import read_skeleton, write_skeleton
 from repro.skeleton.loader import load
-from repro.storage.chunked import ChunkedStore
 
 _MANIFEST = "catalog.json"
 _FORMAT = "repro-catalog-1"
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 _STATS_FILE = "stats.json"
+_SKELETON_FILE = "skeleton.rskl"
 
-#: Version of the shredded skeleton layout an entry was published with.
-#: Stamped alongside ``stats_version`` so readers can tell "registered by
-#: an older build" apart from "stats file torn" without probing the disk.
-SKELETON_FORMAT_VERSION = 1
+#: Version of the on-disk layout an entry was published with; 2 is "one
+#: ``skeleton.rskl`` image of the minimal DAG per ``v<N>/`` directory".
+#: An entry stamped otherwise (format-1 chunk stores, every catalog written
+#: before this layout) is refused, not half-read: :meth:`Catalog.refresh`
+#: quarantines it on sight and ``verify --repair`` re-shreds it.
+SKELETON_FORMAT_VERSION = 2
 
 #: Orphaned staging directories older than this are GCed even when their
 #: recorded pid appears alive (pids recycle; no registration takes an hour).
@@ -91,9 +96,10 @@ class CatalogEntry:
     attributes: str = "ignore"
     megabytes: float = 0.0
     skeleton_nodes: int = 0
+    #: |V| and run-length edge entries of the minimal DAG — the counts in
+    #: the version's ``skeleton.rskl`` header (``verify`` cross-checks them).
     dag_vertices: int = 0
     dag_edge_entries: int = 0
-    chunks: int = 0
     shred_seconds: float = 0.0
     #: Tag sets available in the shredded schema (queries outside this set
     #: still work: missing sets are materialised empty at serve time).
@@ -101,15 +107,16 @@ class CatalogEntry:
     #: Unique per registration (wall-clock stamp).  A name removed and
     #: re-registered gets a different stamp even for identical content, so
     #: :meth:`Catalog.refresh` can tell "same entry" from "replaced entry"
-    #: and long-lived readers never keep a stale chunk-store cache.
+    #: and long-lived readers never keep a master of the replaced document.
     registered_at: float = 0.0
-    #: Version stamps of what was persisted at registration time.  Both
-    #: default to 0, so entries published by builds that predate document
-    #: statistics deserialise cleanly — and ``stats_version == 0`` (or any
+    #: Version stamps of what was persisted at publish time.  Both
+    #: default to 0, so entries published by builds that predate either
+    #: deserialise cleanly — and ``stats_version == 0`` (or any
     #: value other than the current :data:`~repro.compress.stats.STATS_FORMAT_VERSION`)
     #: makes :meth:`Catalog.document_stats` answer ``None``: the optimizer
     #: falls back to the unoptimized plan instead of erroring.
     stats_version: int = 0
+    #: Must equal :data:`SKELETON_FORMAT_VERSION` for the entry to be served.
     skeleton_version: int = 0
     #: Monotonic per-catalog document version.  Allocated from the
     #: manifest's ``next_version`` counter on every publish — registration,
@@ -118,10 +125,48 @@ class CatalogEntry:
     #: never confuse two states of a name, even when two registrations land
     #: on the same ``registered_at`` wall-clock stamp.
     doc_version: int = 0
-    #: Subdirectory of ``<root>/<name>/`` holding this version's files;
-    #: ``""`` is the registration layout (files in the document directory
-    #: itself), ``"v<N>"`` a mutation-published version directory.
+    #: Subdirectory of ``<root>/<name>/`` holding this version's files:
+    #: ``"v<doc_version>"`` for everything this build publishes.  Empty only
+    #: on stale entries of the old registration layout (files in the
+    #: document directory itself), which :meth:`Catalog.reload` still reads
+    #: ``document.xml`` from.
     version_dir: str = ""
+
+
+_ENTRY_FIELDS = frozenset(spec.name for spec in fields(CatalogEntry))
+
+
+class SkeletonImage:
+    """A stateless handle on one published version's ``skeleton.rskl``.
+
+    What :meth:`Catalog.store` hands out.  It hides the on-disk format:
+    callers ask for the instance, never for a file layout.  Every load maps
+    the file, checks its BLAKE2b digest and decodes into private arrays
+    (:func:`repro.skeleton.layout.read_skeleton`); nothing is cached, so
+    there is nothing to invalidate when the version is superseded.
+    """
+
+    def __init__(self, path: str):
+        self.path = path
+
+    def size(self) -> int:
+        """Bytes on disk (0 when the file is missing)."""
+        try:
+            return os.path.getsize(self.path)
+        except OSError:
+            return 0
+
+    def load(self) -> tuple[Instance, dict]:
+        """The stored instance plus how the load was served (``/stats``)."""
+        try:
+            instance, info = read_skeleton(self.path)
+        except FileNotFoundError:
+            # The image *is* the data: there is nothing to fall back to.
+            raise IntegrityError(f"skeleton image {self.path} is missing") from None
+        return instance, info.as_dict()
+
+    def assemble(self) -> Instance:
+        return self.load()[0]
 
 
 class Catalog:
@@ -135,10 +180,10 @@ class Catalog:
         #: allocation and replay.  The registry ``_lock`` stays fine-grained.
         self._mutation_lock = threading.Lock()
         self._entries: dict[str, CatalogEntry] = {}
-        self._stores: dict[str, ChunkedStore] = {}
         #: Parsed stats.json per name (``None`` = known absent/unreadable).
         self._stats: dict[str, DocumentStats | None] = {}
-        #: Names whose chunks failed an integrity check; serving is refused
+        #: Names whose image failed an integrity check or was published in
+        #: another on-disk layout; serving is refused
         #: (:class:`QuarantinedError`) until :meth:`reload` re-shreds them.
         self._quarantined: set[str] = set()
         #: Next ``doc_version`` to allocate; floor 1 so version 0 always
@@ -188,14 +233,15 @@ class Catalog:
         """Re-read the manifest from disk, picking up other processes' writes.
 
         Entries that disappeared **or changed** are dropped (with their
-        cached stores — a re-registered name must never be served from the
-        previous registration's cached chunks); entries that appeared are
-        added.  Safe against a concurrent writer:
-        the manifest is replaced atomically and every entry's chunk files
+        cached statistics and quarantine verdict); entries that appeared
+        are added.  Safe against a concurrent writer:
+        the manifest is replaced atomically and every version's files
         are on disk before the entry is published, so whatever version this
         read observes is complete.  A missing manifest means the catalog is
         (still) empty — not an error, matching ``Catalog(dir)`` on a fresh
-        directory.
+        directory.  The manifest is outside input: unknown row keys are
+        ignored (a newer build's fields, an older build's ``chunks``), any
+        other malformed shape is a :class:`CatalogError`, never a traceback.
         """
         manifest_path = os.path.join(self.root, _MANIFEST)
         FAULTS.fire("catalog.manifest", path=manifest_path)
@@ -212,12 +258,20 @@ class Catalog:
                 f"torn or corrupt catalog manifest {manifest_path}: {error}; "
                 f"restore it from backup or re-register the documents"
             ) from error
-        if manifest.get("format") != _FORMAT:
-            raise CatalogError(f"not a repro catalog: {self.root}")
         fresh = {}
-        for raw in manifest["documents"]:
-            entry = CatalogEntry(**raw)
-            fresh[entry.name] = entry
+        try:
+            if manifest.get("format") != _FORMAT:
+                raise CatalogError(f"not a repro catalog: {self.root}")
+            for raw in manifest["documents"]:
+                entry = CatalogEntry(
+                    **{key: value for key, value in raw.items() if key in _ENTRY_FIELDS}
+                )
+                fresh[entry.name] = entry
+        except (AttributeError, KeyError, TypeError) as error:
+            raise CatalogError(
+                f"malformed catalog manifest {manifest_path}: {error!r}; "
+                f"restore it from backup or re-register the documents"
+            ) from error
         with self._lock:
             # The version counter only ratchets forward: the manifest's
             # persisted watermark, the highest published version, and any
@@ -228,20 +282,25 @@ class Catalog:
                 int(manifest.get("next_version") or 0),
                 1 + max((entry.doc_version for entry in fresh.values()), default=0),
             )
-            for name in list(self._stores):
+            for name in list(self._stats):
                 # Dataclass equality over every field including the
                 # registration stamp: removal and replacement both
-                # invalidate; an unchanged entry keeps its warm store.
-                if fresh.get(name) != self._entries.get(name):
-                    del self._stores[name]
-            for name in list(self._stats):
+                # invalidate; an unchanged entry keeps its parsed stats.
                 if fresh.get(name) != self._entries.get(name):
                     del self._stats[name]
-            # A quarantined name that was removed or re-registered has
-            # fresh (or no) chunks; the old verdict no longer applies.
+            # A quarantined name that was removed or re-registered has a
+            # fresh (or no) image; the old verdict no longer applies.
             for name in list(self._quarantined):
                 if fresh.get(name) != self._entries.get(name):
                     self._quarantined.discard(name)
+            # Old layouts are refused, not half-read: quarantined on sight,
+            # so they ride the same 503 envelope and the same
+            # ``verify --repair`` re-shred as a corrupt image.
+            self._quarantined.update(
+                name
+                for name, entry in fresh.items()
+                if entry.skeleton_version != SKELETON_FORMAT_VERSION
+            )
             self._entries = fresh
 
     def recover(self) -> dict:
@@ -318,17 +377,17 @@ class Catalog:
             handle.write("\n")
         os.replace(temp_path, os.path.join(self.root, _MANIFEST))
 
-    # -- registration ----------------------------------------------------
+    # -- publishing ------------------------------------------------------
 
     def add(self, name: str, xml: str, attributes: str = "ignore") -> CatalogEntry:
         """Register ``xml`` under ``name``: shred once, serve forever.
 
         The document is loaded over *all* tags (every element tag becomes a
-        node set) and shredded into the chunk store; the original text is
-        kept beside it for string-schema reloads.  The (possibly slow)
-        parse + shred runs *outside* the registry lock so a registration
-        never stalls concurrent query traffic; only the registry update is
-        serialised.
+        node set) and its minimal DAG is published as one RSKL image; the
+        original text is kept beside it for string-schema reloads.  The
+        (possibly slow) parse + shred runs *outside* the registry lock so a
+        registration never stalls concurrent query traffic; only the
+        registry update is serialised.
         """
         if not _NAME_RE.match(name):
             raise CatalogError(
@@ -338,72 +397,101 @@ class Catalog:
             if name in self._entries:
                 raise CatalogError(f"document {name!r} is already in the catalog")
         result = load(xml, tags=None, attributes=attributes)
-        doc_dir = os.path.join(self.root, name)
-        # Shred into a private staging directory and only rename it to the
-        # published path under the registry lock: two racing registrations
-        # of one name never share files, so the loser's cleanup can only
-        # ever delete its own staging area — never the winner's chunks.
-        staging = os.path.join(
-            self.root, f".staging-{name}-{os.getpid()}-{threading.get_ident()}"
-        )
-        try:
-            return self._publish(name, xml, result, staging, doc_dir, attributes)
-        finally:
-            # A successful publish renamed the staging directory away; on
-            # any failure (shred error, disk full, lost registration race)
-            # this is the garbage collection for the half-written files.
-            shutil.rmtree(staging, ignore_errors=True)
-
-    def _publish(
-        self, name: str, xml: str, result, staging: str, doc_dir: str, attributes: str
-    ) -> CatalogEntry:
-        """Stage, then atomically publish, one registration (see :meth:`add`)."""
-        instance = result.instance
-        os.makedirs(staging)
-        with open(os.path.join(staging, "document.xml"), "w", encoding="utf-8") as handle:
-            handle.write(xml)
-        store = ChunkedStore.save(instance, os.path.join(staging, "chunks"))
         # Document statistics for the plan optimizer, collected while the
         # freshly shredded instance is still in memory.  The catalog shreds
         # over *every* tag, so the stats' tag universe is complete: an
         # unknown tag is provably empty for any future query.
-        stats = DocumentStats.from_instance(instance, text=xml, complete_tags=True)
-        with open(os.path.join(staging, _STATS_FILE), "w", encoding="utf-8") as handle:
-            json.dump(stats.to_dict(), handle)
-            handle.write("\n")
+        stats = DocumentStats.from_instance(result.instance, text=xml, complete_tags=True)
+        return self._publish(
+            name, None, self._allocate_version(), xml, result.instance, stats,
+            attributes, result.parse_seconds,
+        )
+
+    def _allocate_version(self) -> int:
+        with self._lock:
+            version = self._next_version
+            self._next_version += 1
+            return version
+
+    def _publish(
+        self, name: str, base_entry: CatalogEntry | None, version: int, text: str,
+        instance: Instance, stats: DocumentStats, attributes: str, seconds: float,
+    ) -> CatalogEntry:
+        """Publish one document version — the only routine that does.
+
+        ``base_entry`` is the entry the new version supersedes (``None`` for
+        a registration).  The three files are staged in a private directory,
+        so two racing publishes of one name never share files and the
+        loser's cleanup can only ever delete its own staging area; under the
+        registry lock the staging directory is renamed to ``v<version>`` and
+        the manifest rewrite commits it.  The superseded version is
+        collected only after that commit; the journal is never touched by GC.
+        """
+        staging = os.path.join(
+            self.root, f".staging-{name}-{os.getpid()}-{threading.get_ident()}"
+        )
         entry = CatalogEntry(
             name=name,
             attributes=attributes,
-            megabytes=len(xml.encode("utf-8")) / 1e6,
-            skeleton_nodes=result.skeleton_nodes,
+            megabytes=len(text.encode("utf-8")) / 1e6,
+            skeleton_nodes=stats.tree_nodes,
             dag_vertices=instance.num_vertices,
             dag_edge_entries=instance.num_edge_entries,
-            chunks=store.num_chunks,
-            shred_seconds=result.parse_seconds,
+            shred_seconds=seconds,
             tags=[set_name for set_name in instance.schema if not set_name.startswith("#")],
             registered_at=time.time(),
             stats_version=STATS_FORMAT_VERSION,
             skeleton_version=SKELETON_FORMAT_VERSION,
+            doc_version=version,
+            version_dir=f"v{version}",
         )
-        with self._lock:
-            if name in self._entries:
-                # Lost a registration race: keep the winner's files (the
-                # caller's finally clause garbage-collects our staging).
-                raise CatalogError(f"document {name!r} is already in the catalog")
-            if os.path.exists(doc_dir):
-                # Unreferenced leftovers (a crash between a removal's manifest
-                # write and its rmtree): no live entry points here.
-                shutil.rmtree(doc_dir, ignore_errors=True)
-            os.rename(staging, doc_dir)
-            # Re-open at the published path — the staging store's directory
-            # no longer exists, so its lazy chunk loads would miss.
-            store = ChunkedStore(os.path.join(doc_dir, "chunks"))
-            entry.doc_version = self._next_version
-            self._next_version += 1
-            self._entries[name] = entry
-            self._stores[name] = store
-            self._stats[name] = stats
-            self._write_manifest()
+        doc_dir = os.path.join(self.root, name)
+        target = os.path.join(doc_dir, entry.version_dir)
+        try:
+            os.makedirs(staging)
+            with open(os.path.join(staging, "document.xml"), "w", encoding="utf-8") as handle:
+                handle.write(text)
+            write_skeleton(os.path.join(staging, _SKELETON_FILE), instance)
+            with open(os.path.join(staging, _STATS_FILE), "w", encoding="utf-8") as handle:
+                json.dump(stats.to_dict(), handle)
+                handle.write("\n")
+            with self._lock:
+                if self._entries.get(name) != base_entry:
+                    # Lost a race: keep the winner's files (the finally
+                    # clause garbage-collects our staging).
+                    raise CatalogError(
+                        f"document {name!r} is already in the catalog"
+                        if base_entry is None
+                        else f"document {name!r} changed underneath the mutation "
+                        f"(expected version {base_entry.doc_version}); retry against "
+                        f"the current version"
+                    )
+                # No live entry points at what is in the way.  A registration
+                # owns the whole document directory: leftovers of a crash
+                # between a removal's manifest write and its rmtree, or of a
+                # reloaded old layout.  A mutation owns only its ``v<N>``: a
+                # crashed earlier attempt at this version number.
+                shutil.rmtree(doc_dir if base_entry is None else target, ignore_errors=True)
+                os.makedirs(doc_dir, exist_ok=True)
+                os.rename(staging, target)
+                # The chaos seam between the two commit points: a kill here
+                # has (journaled and) staged the version but not published
+                # it, which is exactly what replay_journals() must recover.
+                FAULTS.fire("catalog.journal", op="commit", name=name, doc_version=version)
+                self._entries[name] = entry
+                self._stats[name] = stats
+                self._next_version = max(self._next_version, version + 1)
+                self._write_manifest()
+        finally:
+            # A successful publish renamed the staging directory away; on
+            # any failure (disk full, lost race) this sweeps the half-written
+            # files (a mutation's journal keeps the intent for a later replay).
+            shutil.rmtree(staging, ignore_errors=True)
+        if base_entry is not None:
+            # Post-publish housekeeping: the previous version's files are
+            # unreferenced now, and the journaled intent is live in the manifest.
+            self._gc_version_files(name, base_entry)
+            self._journal(name).compact(version)
         return entry
 
     def add_file(self, name: str, path: str, attributes: str = "ignore") -> CatalogEntry:
@@ -416,9 +504,8 @@ class Catalog:
         with self._lock:
             self.entry(name)  # raises CatalogError when unknown
             del self._entries[name]
-            self._stores.pop(name, None)
             self._stats.pop(name, None)
-            # The quarantine verdict was about chunks that no longer exist.
+            # The quarantine verdict was about an image that no longer exists.
             self._quarantined.discard(name)
             self._write_manifest()
             shutil.rmtree(os.path.join(self.root, name), ignore_errors=True)
@@ -426,9 +513,13 @@ class Catalog:
     # -- serving ---------------------------------------------------------
 
     def _data_dir(self, entry: CatalogEntry) -> str:
-        """Where ``entry``'s files live: the doc dir, or its version subdir."""
-        base = os.path.join(self.root, entry.name)
-        return os.path.join(base, entry.version_dir) if entry.version_dir else base
+        """Where ``entry``'s files live: ``<root>/<name>/<version_dir>``.
+
+        An empty ``version_dir`` (the document directory itself) occurs only
+        on stale entries of the old registration layout; it is still read so
+        :meth:`reload` can find their kept ``document.xml``.
+        """
+        return os.path.join(self.root, entry.name, entry.version_dir)
 
     def xml(self, name: str) -> str:
         """The current document text (string-schema reloads, mutation base)."""
@@ -438,15 +529,12 @@ class Catalog:
         ) as handle:
             return handle.read()
 
-    def store(self, name: str) -> ChunkedStore:
-        """The (cached) chunk store of ``name``."""
-        with self._lock:
-            store = self._stores.get(name)
-            if store is None:
-                entry = self.entry(name)
-                store = ChunkedStore(os.path.join(self._data_dir(entry), "chunks"))
-                self._stores[name] = store
-            return store
+    def _image(self, entry: CatalogEntry) -> SkeletonImage:
+        return SkeletonImage(os.path.join(self._data_dir(entry), _SKELETON_FILE))
+
+    def store(self, name: str) -> SkeletonImage:
+        """A handle on the current version's skeleton image of ``name``."""
+        return self._image(self.entry(name))
 
     def document_stats(self, name: str) -> DocumentStats | None:
         """The persisted optimizer statistics of ``name`` — or ``None``.
@@ -454,7 +542,7 @@ class Catalog:
         ``None`` — never an exception — whenever the statistics cannot be
         trusted: the entry was published by a build without statistics
         (``stats_version == 0``), with a different stats format version,
-        or the ``stats.json`` beside the chunks is missing, torn, or
+        or the ``stats.json`` beside the image is missing, torn, or
         malformed.  Callers (the query service, ``Database.explain``)
         treat ``None`` as "serve the unoptimized plan".
         """
@@ -479,32 +567,38 @@ class Catalog:
                 self._stats[name] = stats
         return stats
 
-    def load_instance(self, name: str, strings: tuple[str, ...] = ()):
-        """A full instance of ``name`` over its tag schema plus ``strings``.
+    def load(self, name: str, strings: tuple[str, ...] = ()) -> tuple[Instance, dict]:
+        """A full instance of ``name`` over its tag schema plus ``strings``,
+        with its provenance (the ``load`` block of ``/stats`` and plans).
 
-        Without string constraints this is the warm path: the instance is
-        assembled from the shredded chunks (``serialize.load`` per distinct
-        chunk, run-length repetition from the manifest) — the XML is never
-        re-parsed.  With string constraints the original text is re-scanned
-        once to compute the containment sets; callers cache the result.
+        Without string constraints this is the warm path: the version's
+        skeleton image is mapped, digest-checked and decoded — the XML is
+        never re-parsed.  With string constraints the original text is
+        re-scanned once to compute the containment sets; callers cache the
+        result.
 
-        A chunk failing its checksum quarantines the document on the spot
-        (the first observer gets the precise :class:`IntegrityError`; later
-        requests fail fast with :class:`QuarantinedError` without touching
-        disk) — corrupt chunks are never decoded into a served instance.
+        An image failing its digest — or missing — quarantines the document
+        on the spot (the first observer gets the precise
+        :class:`IntegrityError`; later requests fail fast with
+        :class:`QuarantinedError` without touching disk) — corrupt bytes
+        are never decoded into a served instance.
         """
-        self.check_serveable(name)
+        entry = self.check_serveable(name)
         FAULTS.fire("catalog.load_instance", name=name, strings=strings)
-        if not strings:
-            try:
-                return self.store(name).assemble()
-            except IntegrityError:
-                self.quarantine(name)
-                raise
-        entry = self.entry(name)
-        return load(
-            self.xml(name), tags=None, strings=list(strings), attributes=entry.attributes
-        ).instance
+        if strings:
+            instance = load(
+                self.xml(name), tags=None, strings=list(strings), attributes=entry.attributes
+            ).instance
+            return instance, {"format": "parse", "mmap": False, "bytes_mapped": 0}
+        try:
+            return self._image(entry).load()
+        except IntegrityError:
+            self.quarantine(name)
+            raise
+
+    def load_instance(self, name: str, strings: tuple[str, ...] = ()) -> Instance:
+        """:meth:`load` without the provenance."""
+        return self.load(name, strings)[0]
 
     # -- mutation --------------------------------------------------------
 
@@ -520,17 +614,15 @@ class Catalog:
         recoverable by replay — :meth:`replay_journals` re-applies the
         intent deterministically from the last published text.  Then the
         incremental maintainer (:func:`repro.mutation.apply.apply_mutations`)
-        produces the new instance/text/stats, which are staged and renamed
-        to ``v<doc_version>`` and committed by the atomic manifest rewrite.
-        Readers of the previous version are untouched until the manifest
-        flips; their files are GCed only after publish.
+        produces the new re-minimised instance/text/stats, which go through
+        the same :meth:`_publish` as a registration.  Readers of the
+        previous version are untouched until the manifest flips; their
+        files are GCed only after publish.
         """
         batch = as_mutations(mutations)
         with self._mutation_lock:
             entry = self.check_serveable(name)
-            with self._lock:
-                target_version = self._next_version
-                self._next_version += 1
+            target_version = self._allocate_version()
             self._journal(name).append(
                 {
                     "name": name,
@@ -545,109 +637,23 @@ class Catalog:
     def _apply_and_publish(
         self, name: str, entry: CatalogEntry, batch: list, target_version: int
     ) -> CatalogEntry:
-        """Maintenance + staged publish of one journaled mutation batch."""
+        """Maintenance + publish of one journaled mutation batch."""
         started = time.perf_counter()
-        try:
-            instance = self.store(name).assemble()
-        except IntegrityError:
-            self.quarantine(name)
-            raise
         outcome = apply_mutations(
-            instance,
+            self.load_instance(name),
             self.xml(name),
             batch,
             attributes=entry.attributes,
             old_stats=self.document_stats(name),
         )
-        staging = os.path.join(
-            self.root, f".staging-{name}-{os.getpid()}-{threading.get_ident()}"
+        return self._publish(
+            name, entry, target_version, outcome.text, outcome.instance, outcome.stats,
+            entry.attributes, time.perf_counter() - started,
         )
-        try:
-            return self._publish_version(name, entry, outcome, target_version, staging, started)
-        finally:
-            # On success the staging directory was renamed away; on failure
-            # this sweeps the half-written version files (the journal keeps
-            # the intent, so a later replay can retry).
-            shutil.rmtree(staging, ignore_errors=True)
 
-    def _publish_version(
-        self, name, base_entry, outcome, version: int, staging: str, started: float
-    ) -> CatalogEntry:
-        """Stage ``outcome`` as ``v<version>`` and commit it to the manifest."""
-        os.makedirs(staging)
-        with open(os.path.join(staging, "document.xml"), "w", encoding="utf-8") as handle:
-            handle.write(outcome.text)
-        ChunkedStore.save(outcome.instance, os.path.join(staging, "chunks"))
-        with open(os.path.join(staging, _STATS_FILE), "w", encoding="utf-8") as handle:
-            json.dump(outcome.stats.to_dict(), handle)
-            handle.write("\n")
-        version_dir = f"v{version}"
-        target = os.path.join(self.root, name, version_dir)
-        with self._lock:
-            current = self._entries.get(name)
-            if current is None or current.doc_version != base_entry.doc_version:
-                raise CatalogError(
-                    f"document {name!r} changed underneath the mutation "
-                    f"(expected version {base_entry.doc_version}); retry against "
-                    f"the current version"
-                )
-            if os.path.exists(target):
-                # A crashed earlier attempt at this version number left a
-                # stray directory; it was never published, so replace it.
-                shutil.rmtree(target, ignore_errors=True)
-            os.rename(staging, target)
-            store = ChunkedStore(os.path.join(target, "chunks"))
-            # The chaos seam between the two commit points: a kill here has
-            # journaled + staged the version but not published it, which is
-            # exactly what replay_journals() must recover.
-            FAULTS.fire("catalog.journal", op="commit", name=name, doc_version=version)
-            entry = CatalogEntry(
-                name=name,
-                attributes=base_entry.attributes,
-                megabytes=len(outcome.text.encode("utf-8")) / 1e6,
-                skeleton_nodes=outcome.stats.tree_nodes,
-                dag_vertices=outcome.instance.num_vertices,
-                dag_edge_entries=outcome.instance.num_edge_entries,
-                chunks=store.num_chunks,
-                shred_seconds=time.perf_counter() - started,
-                tags=[
-                    set_name
-                    for set_name in outcome.instance.schema
-                    if not set_name.startswith("#")
-                ],
-                registered_at=time.time(),
-                stats_version=STATS_FORMAT_VERSION,
-                skeleton_version=SKELETON_FORMAT_VERSION,
-                doc_version=version,
-                version_dir=version_dir,
-            )
-            self._entries[name] = entry
-            self._stores[name] = store
-            self._stats[name] = outcome.stats
-            self._next_version = max(self._next_version, version + 1)
-            self._write_manifest()
-        # Post-publish housekeeping: the previous version's files are
-        # unreferenced now, and the journaled intent is live in the manifest.
-        self._gc_version_files(name, base_entry)
-        self._journal(name).compact(version)
-        return entry
-
-    def _gc_version_files(self, name: str, old_entry) -> None:
+    def _gc_version_files(self, name: str, old_entry: CatalogEntry) -> None:
         """Delete the files of a superseded version (never the journal)."""
-        if old_entry.version_dir:
-            shutil.rmtree(
-                os.path.join(self.root, name, old_entry.version_dir), ignore_errors=True
-            )
-            return
-        # Registration layout: the version's files live in the document
-        # directory itself, next to the journal and the new v<N> subdirs.
-        doc_dir = os.path.join(self.root, name)
-        for leftover in ("document.xml", _STATS_FILE):
-            try:
-                os.remove(os.path.join(doc_dir, leftover))
-            except OSError:
-                pass
-        shutil.rmtree(os.path.join(doc_dir, "chunks"), ignore_errors=True)
+        shutil.rmtree(os.path.join(self.root, name, old_entry.version_dir), ignore_errors=True)
 
     def _sweep_stray_versions(self, name: str, entry) -> list[str]:
         """Remove unpublished ``v<N>`` directories (crashed staging renames)."""
@@ -731,9 +737,10 @@ class Catalog:
             with self._lock:
                 if name in self._quarantined:
                     raise QuarantinedError(
-                        f"document {name!r} is quarantined after an "
-                        f"integrity failure; reload it (repro catalog "
-                        f"verify --repair) to restore service"
+                        f"document {name!r} is quarantined: its stored image "
+                        f"failed an integrity check or was published in an "
+                        f"older on-disk layout; re-shred it from the kept text "
+                        f"(repro catalog verify --repair) to restore service"
                     )
         return entry
 
@@ -742,54 +749,63 @@ class Catalog:
         with self._lock:
             if name in self._entries:
                 self._quarantined.add(name)
-            self._stores.pop(name, None)  # drop any cache of the bad chunks
 
     def quarantined(self) -> list[str]:
         with self._lock:
             return sorted(self._quarantined)
 
     def verify(self, repair: bool = False) -> dict:
-        """Checksum chunks and validate journals; optionally repair both.
+        """Check every image and journal; optionally repair both.
 
-        Returns ``{name: {"status", "chunks", "corrupt", "journal"}}`` where
-        status is ``ok`` / ``corrupt`` / ``repaired`` / ``unverifiable``
-        (pre-checksum store) and ``journal`` reports the write-ahead
-        journal's intact record count, whether its tail is torn, and how
-        many intents are still unpublished.  Corrupt documents are
-        quarantined; with ``repair=True`` they are immediately re-shredded
-        from the kept original text (see :meth:`reload` for why re-shred,
-        not patch), torn journal tails are truncated, and unpublished
-        intents are replayed (:meth:`replay_journals`).
+        Returns ``{name: {"status", "skeleton_bytes", "problem", "journal"}}``
+        where status is ``ok`` / ``corrupt`` / ``stale`` / ``repaired`` and
+        ``journal`` reports the write-ahead journal's intact record count,
+        whether its tail is torn, and how many intents are still
+        unpublished.  An image is ``corrupt`` when it is missing, fails its
+        digest, or holds a different |V| / |E| than the manifest entry says
+        (a skeleton copied under the wrong version directory); an entry is
+        ``stale`` when it was published in another on-disk layout.  Both
+        are quarantined; with ``repair=True`` they are immediately
+        re-shredded from the kept original text (see :meth:`reload` for why
+        re-shred, not patch), torn journal tails are truncated, and
+        unpublished intents are replayed (:meth:`replay_journals`).
         """
         report: dict = {}
-        for name in self.names():
-            try:
-                verdict = self.store(name).verify()
-            except (OSError, ReproError) as error:
-                # Missing chunks dir / torn chunk manifest: corrupt wholesale.
-                verdict = {"chunks": 0, "corrupt": [], "error": str(error)}
-                verdict["corrupt"] = ["*"]
-            row = {
-                "status": "ok",
-                "chunks": verdict["chunks"],
-                "corrupt": verdict["corrupt"],
-            }
-            if verdict.get("unverifiable"):
-                row["status"] = "unverifiable"
-            elif verdict["corrupt"]:
-                self.quarantine(name)
-                row["status"] = "corrupt"
-                if repair:
-                    self.reload(name)
-                    row["status"] = "repaired"
+        for entry in self.entries():
+            name = entry.name
+            row: dict = {"status": "ok", "problem": None}
+            if entry.skeleton_version != SKELETON_FORMAT_VERSION:
+                row["status"] = "stale"
+                row["problem"] = (
+                    f"published in on-disk layout {entry.skeleton_version}, "
+                    f"this build reads {SKELETON_FORMAT_VERSION}"
+                )
+            else:
+                declared = (entry.dag_vertices, entry.dag_edge_entries)
+                try:
+                    instance = self._image(entry).assemble()
+                except (OSError, ReproError) as error:
+                    row["problem"] = str(error)
+                else:
+                    found = (instance.num_vertices, instance.num_edge_entries)
+                    if found != declared:
+                        row["problem"] = (
+                            f"image holds |V|, |E| = {found}, the manifest entry "
+                            f"says {declared}"
+                        )
+                if row["problem"]:
+                    self.quarantine(name)
+                    row["status"] = "corrupt"
+            if repair and row["problem"]:
+                entry = self.reload(name)
+                row["status"] = "repaired"
+            row["skeleton_bytes"] = self._image(entry).size()
             records, torn = self._journal(name).records()
-            entry = self._entries.get(name)
-            published = entry.doc_version if entry else 0
             row["journal"] = {
                 "records": len(records),
                 "torn": torn,
                 "pending": sum(
-                    1 for r in records if r.get("doc_version", 0) > published
+                    1 for r in records if r.get("doc_version", 0) > entry.doc_version
                 ),
             }
             report[name] = row
@@ -803,25 +819,24 @@ class Catalog:
     def reload(self, name: str) -> CatalogEntry:
         """Re-shred ``name`` from its kept original text; clears quarantine.
 
-        Recovery always re-shreds rather than patching chunks in place: the
-        kept text is the only trustworthy source once a chunk's bytes are
+        Recovery always re-shreds rather than patching the image in place:
+        the kept text is the only trustworthy source once stored bytes are
         wrong, and per the recompression-cost analysis in *Optimizing XML
         Compression* the shred cost is dominated by the parse — which a
-        chunk-level repair would pay anyway to recompute the subtree — so
+        partial repair would pay anyway to recompute the subtree — so
         in-place repair saves almost nothing while adding a second publish
         path to get crash-safe.  The re-registration gets a fresh
         ``registered_at`` stamp, so pools and fleet shards drop any cached
-        master built from the old chunks.
+        master built from the old image.
         """
         entry = self.entry(name)
         xml = self.xml(name)  # read the kept text BEFORE dropping the entry
         with self._lock:
             self.entry(name)  # re-check under the lock (racing remove/reload)
             del self._entries[name]
-            self._stores.pop(name, None)
             self._stats.pop(name, None)
             self._quarantined.discard(name)
             self._write_manifest()
-        # add() stages fresh chunks and atomically republishes over the old
-        # directory (its publish path GCs the unreferenced leftover files).
+        # add() stages a fresh version and atomically republishes over the
+        # old directory (its publish GCs the unreferenced leftover files).
         return self.add(name, xml, attributes=entry.attributes)

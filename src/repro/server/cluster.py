@@ -10,13 +10,13 @@ it, so N workers evaluate on N cores with no shared interpreter state.
 
 Design points:
 
-* **Spawn-safe replication via the chunk store.**  Workers are started
-  with the ``spawn`` method and receive only the catalog *directory*;
-  they assemble their resident masters from the shredded chunks on disk
-  (or re-scan the kept text for string schemas).  Instances are never
-  pickled across the boundary — the on-disk store is the IPC-free
-  replication channel, so worker startup cost is one warm assemble per
-  resident key, independent of front-end state.
+* **Spawn-safe replication via the published image.**  Workers are
+  started with the ``spawn`` method and receive only the catalog
+  *directory*; they load their resident masters from each document
+  version's ``skeleton.rskl`` on disk (or re-scan the kept text for string
+  schemas).  Instances are never pickled across the boundary — the
+  on-disk catalog is the IPC-free replication channel, so worker startup
+  cost is one warm load per resident key, independent of front-end state.
 
 * **Rendezvous (HRW) routing = shard affinity.**  Each request is routed
   by the highest ``blake2b(worker slot | document | string-schema)``
@@ -32,7 +32,7 @@ Design points:
   with :class:`~repro.errors.WorkerUnavailableError` — mapped to HTTP
   503, never a hang or a wrong answer — and the worker is respawned on
   fresh queues.  Subsequent requests for the shard hit the respawned
-  worker, which re-assembles its masters from disk.
+  worker, which reloads its masters from disk.
 
 * **Graceful drain.**  :meth:`WorkerFleet.close` sends a shutdown
   sentinel to every worker, lets them finish queued work, joins with a
@@ -455,7 +455,7 @@ class WorkerFleet(ServingBackend):
         Walks the preference list and takes the best-scoring slot whose
         circuit breaker admits traffic — so a shard whose worker keeps
         failing is routed around (its keys fail over to their second-choice
-        slot, which loads the masters from the shared chunk store) while
+        slot, which loads the masters from the shared catalog) while
         the breaker's half-open probes test for recovery.  If *every*
         breaker is open the primary slot is used anyway: under a fleet-wide
         hiccup a forced probe beats certain failure.
@@ -816,7 +816,12 @@ class WorkerFleet(ServingBackend):
         # each worker's own catalog, so the front-end's view alone would
         # report "ok" while a shard refuses a corrupt document.  Union the
         # workers' quarantine sets (best-effort stats probes — a worker too
-        # busy to answer just contributes nothing this round).
+        # busy to answer just contributes nothing this round).  The
+        # dispatcher's own verdicts (entries of an older on-disk layout,
+        # refused on sight) get the probe the workers' stats handler runs:
+        # a repair in another process lifts them via a fresh manifest stamp.
+        if self.catalog.quarantined():
+            self.catalog.refresh()
         quarantine_union = set(self.catalog.quarantined())
         for row in self.stats_dict()["workers"]:
             quarantine_union.update(row.get("quarantined") or [])

@@ -52,8 +52,8 @@ class PoolEntry:
         self.working: Instance | None = None
         self.load_seconds = 0.0
         self.hits = 0
-        #: How the cold load was served ("skeleton" mmap vs "chunks"), set
-        #: by the service after a successful load; surfaced in ``/stats``.
+        #: How the cold load was served ("skeleton" mmap vs "parse" of the
+        #: kept text), as the loader returned it; surfaced in ``/stats``.
         self.load_info: dict | None = None
 
 
@@ -84,11 +84,15 @@ class InstancePool:
             entry = self._entries.get(key)
             return entry.load_info if entry is not None else None
 
-    def get_or_load(self, key: PoolKey, loader: Callable[[], Instance]) -> PoolEntry:
+    def get_or_load(
+        self, key: PoolKey, loader: Callable[[], tuple[Instance, dict | None]]
+    ) -> PoolEntry:
         """The entry for ``key``, loading its master exactly once.
 
-        ``loader`` runs under the entry lock (not the pool lock), so a slow
-        load blocks only same-key requesters.  The returned entry's
+        ``loader`` returns the instance together with its provenance (the
+        entry's ``load_info``) and runs under the entry lock (not the pool
+        lock), so a slow load blocks only same-key requesters and the
+        provenance can never describe a different load.  The returned entry's
         ``instance`` is loaded and must be treated as read-only; take
         ``entry.lock`` before copying or touching ``working``.
         """
@@ -115,9 +119,9 @@ class InstancePool:
                     from repro.server.resilience import FAULTS
 
                     FAULTS.fire("pool.load", key=key)
-                    instance = loader()
+                    instance, load_info = loader()
                 except BaseException:
-                    # A failed load (deadline-cancelled, corrupt chunks, disk
+                    # A failed load (deadline-cancelled, corrupt image, disk
                     # error) must not leave a poisoned placeholder squatting
                     # in the LRU: drop it (if eviction didn't already) so the
                     # next requester gets a clean retry instead of inheriting
@@ -128,6 +132,7 @@ class InstancePool:
                     raise
                 warm(instance)  # derive the structure caches once, pre-share
                 entry.load_seconds = time.perf_counter() - started
+                entry.load_info = load_info
                 entry.instance = instance
         return entry
 

@@ -316,10 +316,10 @@ class FaultInjector:
     """Named injection points for the chaos suite (no-ops unless armed).
 
     The serving path calls :meth:`fire` at its seams — catalog manifest
-    and chunk reads, pool loads, service evaluation, the worker wire.
+    and image reads, pool loads, service evaluation, the worker wire.
     Unarmed, a fire is a single attribute read.  Armed, a point can sleep
     (``latency``), raise (``error``), and/or run a ``callback`` (for
-    corruption: the callback gets the fire-site context, e.g. the chunk
+    corruption: the callback gets the fire-site context, e.g. the manifest
     path, and damages it for real).  ``times`` bounds how often a fault
     triggers before disarming itself — "fail the next 3 loads" without a
     test having to race the disarm.

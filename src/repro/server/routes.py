@@ -218,7 +218,7 @@ class Router:
         if isinstance(error, ReproError):
             return self._fail(500, error)
         # e.g. FileNotFoundError when a concurrent DELETE removed the
-        # chunk files mid-load: still a JSON envelope, never a dropped
+        # kept text mid-load: still a JSON envelope, never a dropped
         # connection with a server-side traceback.
         return self._plain_error(500, f"{type(error).__name__}: {error}", kind="internal")
 
@@ -324,10 +324,10 @@ class Router:
         try:
             # Remove from the catalog FIRST: under --workers N the evict
             # broadcast makes every worker re-read the manifest, and only a
-            # post-removal manifest makes them drop their cached entry and
-            # chunk store — evicting first would refresh against a manifest
-            # that still lists the document, leaving workers serving stale
-            # chunks if the name is re-registered.
+            # post-removal manifest makes them drop their cached entry —
+            # evicting first would refresh against a manifest that still
+            # lists the document, leaving workers serving the stale entry
+            # if the name is re-registered.
             service.catalog.remove(name)
             evicted = service.evict(name)
         except CatalogError as error:

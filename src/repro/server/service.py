@@ -747,9 +747,9 @@ class QueryService(ServingBackend):
 
     # -- evaluation ------------------------------------------------------
 
-    def _load_master(self, key: tuple) -> Instance:
+    def _load_master(self, key: tuple) -> tuple[Instance, dict]:
         document, strings = key[0], key[1]
-        return self.catalog.load_instance(document, strings)
+        return self.catalog.load(document, strings)
 
     def _prune_expired(
         self, batch: list[tuple[_Request, Future]]
@@ -787,15 +787,6 @@ class QueryService(ServingBackend):
             return
         entry = self.pool.get_or_load(key, lambda: self._load_master(key))
         pool_hit = entry.hits > 0
-        if entry.load_info is None:
-            # First sight of this entry: record which on-disk form served
-            # the cold load.  No-strings loads come from the document's
-            # store (mmap skeleton or legacy chunks — it remembers which);
-            # string-schema loads re-parse the original XML.
-            if key[1]:
-                entry.load_info = {"format": "parse", "mmap": False, "bytes_mapped": 0}
-            else:
-                entry.load_info = self.catalog.store(document).last_load_info
         if self.mode == "snapshot":
             with entry.lock:
                 working = self._prepare(entry.instance.copy(), batch)

@@ -8,9 +8,10 @@ two queues and a config dict of primitives) builds its **own**
 :class:`~repro.engine.batch.BatchEvaluator` runs, own GIL — over the
 shared on-disk :class:`~repro.server.catalog.Catalog`.
 
-The chunked store is the replication channel: a worker *assembles* its
-resident masters from the document's shredded chunks (or re-scans the
-kept text for string schemas), exactly like the single-process server.
+The published image is the replication channel: a worker *loads* its
+resident masters from the document version's ``skeleton.rskl`` (or
+re-scans the kept text for string schemas), exactly like the
+single-process server.
 No instance ever crosses the process boundary — requests and responses
 are tuples of primitives, so there is no pickling of engine state, no
 shared memory, and a worker crash can never corrupt a sibling.

@@ -35,10 +35,11 @@ version 1 (all offsets 8-aligned)::
 
 Instances that do not fit the fixed widths (vertex ids or name-table over
 u32, multiplicities over u64, newlines in set names) raise
-:class:`SkeletonUnsupported`; writers catch it and simply keep the legacy
-chunked form.  A corrupted payload raises
+:class:`SkeletonUnsupported`, which refuses the publish: the image is the
+catalog's only stored form of an instance, so there is nothing to fall
+back to.  A corrupted payload raises
 :class:`repro.errors.IntegrityError`, which flows into the catalog's
-quarantine machinery exactly like a bad chunk.  ``REPRO_NO_MMAP=1`` (or a
+quarantine machinery.  ``REPRO_NO_MMAP=1`` (or a
 platform where mapping fails — e.g. some Windows filesystems) falls back
 to an ordinary read of the same bytes.
 """
@@ -132,10 +133,7 @@ _LITTLE = sys.byteorder == "little"
 
 
 class SkeletonUnsupported(ReproError):
-    """The instance does not fit RSKL's fixed-width columns.
-
-    Writers treat this as "keep the legacy form", never as a failure.
-    """
+    """The instance does not fit RSKL's fixed-width columns (or is empty)."""
 
 
 def _le(values: array) -> bytes:
@@ -158,8 +156,8 @@ def encode_skeleton(instance: Instance) -> bytes:
     """Serialise ``instance`` into the RSKL byte layout.
 
     The instance is stored as-is — same vertex numbering, same schema order
-    — so decoding reproduces it byte-identically to the legacy chunk
-    assembly it was encoded from.
+    — so decoding reproduces it exactly: an image of the shredder's minimal
+    DAG decodes to the shredder's vertex ids.
     """
     nvertices = instance.num_vertices
     if nvertices == 0 or not instance.has_root:

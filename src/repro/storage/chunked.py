@@ -14,20 +14,15 @@ suite verifies against unshredded evaluation.
 
 Layout on disk::
 
-    <dir>/manifest.json        schema, masks, ordered (chunk, count) list
+    <dir>/manifest.json        schema, masks, ordered (chunk, count) list,
+                               one sha256 per chunk file
     <dir>/chunk-<n>.dag        one REPRO-DAG file per distinct subtree
-    <dir>/skeleton.rskl        succinct whole-document image (format 2 only)
 
-Format 2 manifests additionally record a **succinct skeleton** — the fully
-assembled document encoded once at shred time into the RSKL layout of
-:mod:`repro.skeleton.layout`.  Whole-document loads (``assemble(None)``,
-the instance pool's cold path) then mmap-and-decode that one file instead
-of deserialising every chunk; partial (pruned) loads and format-1 stores
-keep using the chunk files, so old catalogs read back byte-identically
-with no migration.  A skeleton that fails its digest raises
-:class:`~repro.errors.IntegrityError` exactly like a corrupt chunk; a
-*missing* skeleton silently falls back to chunks (it is a cache of the
-chunks' content, not data).
+This is the partial-residency *experiment* (``benchmarks/bench_shredding.py``
+measures it); the serving catalog does not use it.  Chunking is not free:
+assembly re-numbers vertices and duplicates every sub-DAG shared between
+two top-level subtrees, so an assembled instance is equivalent to, but
+generally larger than, the minimal DAG it was shredded from.
 """
 
 from __future__ import annotations
@@ -40,17 +35,10 @@ import threading
 from repro.errors import IntegrityError, ReproError
 from repro.model.instance import Instance, normalize_edges
 from repro.model.serialize import load_file as load_dag, save_file as save_dag
-from repro.skeleton.layout import (
-    SkeletonUnsupported,
-    read_skeleton,
-    write_skeleton,
-)
 from repro.storage.prune import prunable_top_tags
 
 _MANIFEST = "manifest.json"
-_SKELETON_FILE = "skeleton.rskl"
-_FORMAT_V1 = "repro-chunks-1"
-_FORMAT_V2 = "repro-chunks-2"
+_FORMAT = "repro-chunks-1"
 
 
 def _file_checksum(path: str) -> str:
@@ -93,13 +81,8 @@ class ChunkedStore:
         self.directory = directory
         with open(os.path.join(directory, _MANIFEST), "r", encoding="utf-8") as handle:
             manifest = json.load(handle)
-        if manifest.get("format") not in (_FORMAT_V1, _FORMAT_V2):
+        if manifest.get("format") != _FORMAT or "checksums" not in manifest:
             raise ReproError(f"not a chunk store: {directory}")
-        #: Relative name of the succinct whole-document skeleton, or None
-        #: for format-1 (legacy) stores and stores the encoder skipped.
-        self.skeleton_file: str | None = manifest.get("skeleton")
-        #: How the most recent :meth:`assemble` was served (stats surface).
-        self.last_load_info: dict | None = None
         self.schema: list[str] = manifest["schema"]
         self._doc_mask: int = manifest["doc_mask"]
         self._root_mask: int = manifest["root_mask"]
@@ -107,27 +90,18 @@ class ChunkedStore:
         self._top: list[tuple[int, int]] = [tuple(e) for e in manifest["top"]]
         #: Tags (plain set names) of each chunk's top vertex, for pruning.
         self._chunk_tags: list[list[str]] = manifest["chunk_tags"]
-        #: sha256 per chunk file, recorded at shred time.  Absent from
-        #: stores shredded before checksums existed — those load unverified
-        #: (``verify()`` reports them as unverifiable, not corrupt).
-        self.checksums: list[str] | None = manifest.get("checksums")
+        #: sha256 per chunk file, recorded at shred time.
+        self.checksums: list[str] = manifest["checksums"]
         self._cache: dict[int, Instance] = {}
-        # Serialises cache fills so concurrent readers (the query service's
-        # warm-start path) load each chunk from disk exactly once.
+        # Serialises cache fills so concurrent readers load each chunk from
+        # disk exactly once.
         self._cache_lock = threading.Lock()
 
     # -- construction ---------------------------------------------------
 
     @staticmethod
     def save(instance: Instance, directory: str) -> "ChunkedStore":
-        """Shred ``instance`` (a loader-produced document) into ``directory``.
-
-        Writes the chunk files and manifest first, then encodes the succinct
-        skeleton *from the assembled chunks* — so the skeleton is guaranteed
-        to decode byte-identically to a legacy chunk assembly (same vertex
-        numbering, same schema order).  An instance the RSKL layout cannot
-        hold simply omits the skeleton; loads fall back to chunks.
-        """
+        """Shred ``instance`` (a loader-produced document) into ``directory``."""
         os.makedirs(directory, exist_ok=True)
         document = instance.root
         root_children = instance.children(document)
@@ -153,7 +127,7 @@ class ChunkedStore:
             top.append((chunk, count))
 
         manifest = {
-            "format": _FORMAT_V2,
+            "format": _FORMAT,
             "schema": list(instance.schema),
             "doc_mask": instance.mask(document),
             "root_mask": instance.mask(root_element),
@@ -161,19 +135,7 @@ class ChunkedStore:
             "chunk_tags": chunk_tags,
             "checksums": checksums,
         }
-        manifest_path = os.path.join(directory, _MANIFEST)
-        with open(manifest_path, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle)
-
-        store = ChunkedStore(directory)
-        try:
-            write_skeleton(
-                os.path.join(directory, _SKELETON_FILE), store.assemble()
-            )
-        except SkeletonUnsupported:
-            return store
-        manifest["skeleton"] = _SKELETON_FILE
-        with open(manifest_path, "w", encoding="utf-8") as handle:
+        with open(os.path.join(directory, _MANIFEST), "w", encoding="utf-8") as handle:
             json.dump(manifest, handle)
         return ChunkedStore(directory)
 
@@ -200,10 +162,7 @@ class ChunkedStore:
             with self._cache_lock:
                 cached = self._cache.get(chunk_id)
                 if cached is None:
-                    from repro.server.resilience import FAULTS
-
                     path = os.path.join(self.directory, f"chunk-{chunk_id}.dag")
-                    FAULTS.fire("catalog.chunk", path=path, chunk_id=chunk_id)
                     self._verify_chunk(chunk_id, path)
                     cached = load_dag(path)
                     cached.postorder()  # pre-warm: later readers only read
@@ -212,8 +171,6 @@ class ChunkedStore:
         return cached
 
     def _verify_chunk(self, chunk_id: int, path: str) -> None:
-        if self.checksums is None or chunk_id >= len(self.checksums):
-            return  # pre-checksum store: load unverified, as before
         try:
             actual = _file_checksum(path)
         except FileNotFoundError:
@@ -225,35 +182,6 @@ class ChunkedStore:
                 f"chunk {chunk_id} of {self.directory} failed its checksum "
                 f"(stored {self.checksums[chunk_id][:12]}..., actual {actual[:12]}...)"
             )
-
-    def verify(self) -> dict:
-        """Check every chunk file (and the skeleton) against its checksum.
-
-        Returns ``{"chunks": N, "corrupt": [ids], "unverifiable": bool}``
-        without decoding anything — pure byte hashing, so verification of a
-        quarantine candidate never crashes on malformed data.  A skeleton
-        failing its embedded digest appends ``"skeleton"`` to the corrupt
-        list (a *missing* skeleton is not corruption — loads fall back to
-        the chunks it was encoded from).
-        """
-        corrupt: list = []
-        if self.checksums is None:
-            return {"chunks": self.num_chunks, "corrupt": corrupt, "unverifiable": True}
-        for chunk_id in range(self.num_chunks):
-            try:
-                self._verify_chunk(
-                    chunk_id, os.path.join(self.directory, f"chunk-{chunk_id}.dag")
-                )
-            except IntegrityError:
-                corrupt.append(chunk_id)
-        if self.skeleton_file is not None:
-            try:
-                read_skeleton(os.path.join(self.directory, self.skeleton_file))
-            except FileNotFoundError:
-                pass
-            except (IntegrityError, OSError):
-                corrupt.append("skeleton")
-        return {"chunks": self.num_chunks, "corrupt": corrupt, "unverifiable": False}
 
     def chunks_with_tags(self, tags: set[str] | None) -> list[int]:
         """Chunk ids whose top vertex carries one of ``tags`` (None = all)."""
@@ -271,17 +199,7 @@ class ChunkedStore:
         The result is a document instance with the same schema; omitted
         top-level subtrees are absent (the partial-residency model of
         section 6: queries that cannot observe them run unchanged).
-
-        Whole-document assemblies of format-2 stores are served from the
-        succinct skeleton when one exists — mmap, digest check, column
-        adoption — producing the identical instance without touching the
-        chunk files.  :attr:`last_load_info` records which path served the
-        call (and, for skeleton loads, how many bytes were mapped).
         """
-        if chunk_ids is None and self.skeleton_file is not None:
-            instance = self._assemble_from_skeleton()
-            if instance is not None:
-                return instance
         selected = set(chunk_ids if chunk_ids is not None else range(self.num_chunks))
         combined = Instance(self.schema)
         roots: dict[int, int] = {}
@@ -303,30 +221,7 @@ class ChunkedStore:
         root_element = combined.new_vertex_masked(self._root_mask, top_edges)
         document = combined.new_vertex_masked(self._doc_mask, ((root_element, 1),))
         combined.set_root(document)
-        self.last_load_info = {
-            "format": "chunks",
-            "chunks_loaded": len(selected),
-            "mmap": False,
-            "bytes_mapped": 0,
-        }
         return combined
-
-    def _assemble_from_skeleton(self) -> Instance | None:
-        """The mmap fast path; None means "fall back to chunks" (no file).
-
-        A skeleton whose bytes fail their digest raises
-        :class:`IntegrityError` — same quarantine flow as a corrupt chunk.
-        """
-        from repro.server.resilience import FAULTS
-
-        path = os.path.join(self.directory, self.skeleton_file)
-        FAULTS.fire("catalog.skeleton", path=path)
-        try:
-            instance, info = read_skeleton(path)
-        except FileNotFoundError:
-            return None  # the skeleton is a cache; chunks are the data
-        self.last_load_info = info.as_dict()
-        return instance
 
     def instance_for_query(self, query: str) -> tuple[Instance, int]:
         """Assemble just enough chunks to answer ``query``.

@@ -2,40 +2,28 @@
 
 import json
 import os
+import shutil
 
 import pytest
 
+from repro.corpora import dblp, shakespeare
 from repro.engine.evaluator import evaluate
 from repro.errors import CatalogError, IntegrityError, QuarantinedError
 from repro.model.equivalence import equivalent
-from repro.server.catalog import Catalog
+from repro.server.catalog import SKELETON_FORMAT_VERSION, Catalog
 from repro.skeleton.loader import load_instance
 
 from tests.skeleton.test_loader import BIB_XML
 
 
-def corrupt_chunk(root, name, chunk_id=0):
-    """Flip bytes in one published chunk file (bit rot / torn write).
-
-    The succinct skeleton is removed alongside: whole-document loads would
-    otherwise be served from it without touching the chunk files at all
-    (skeleton-specific corruption has its own tests below).
-    """
-    skeleton = os.path.join(root, name, "chunks", "skeleton.rskl")
-    if os.path.exists(skeleton):
-        os.remove(skeleton)
-    path = os.path.join(root, name, "chunks", f"chunk-{chunk_id}.dag")
-    with open(path, "r+b") as handle:
-        handle.seek(0, os.SEEK_END)
-        size = handle.tell()
-        handle.seek(size // 2)
-        handle.write(b"\xde\xad\xbe\xef")
-    return path
+def skeleton_path(root, name):
+    """The one file holding the current version's instance."""
+    return Catalog(root, journal_replay=False).store(name).path
 
 
 def corrupt_skeleton(root, name):
-    """Flip bytes inside the succinct skeleton's payload."""
-    path = os.path.join(root, name, "chunks", "skeleton.rskl")
+    """Flip bytes inside the published skeleton image (bit rot / torn write)."""
+    path = skeleton_path(root, name)
     with open(path, "r+b") as handle:
         handle.seek(0, os.SEEK_END)
         size = handle.tell()
@@ -53,7 +41,7 @@ class TestRegistry:
     def test_add_and_entry(self, catalog):
         entry = catalog.add("bib", BIB_XML)
         assert entry.name == "bib"
-        assert entry.chunks == 2  # book chunk + shared paper chunk
+        assert (entry.dag_vertices, entry.skeleton_version) == (6, SKELETON_FORMAT_VERSION)
         assert set(entry.tags) >= {"bib", "book", "paper", "title", "author"}
         assert "bib" in catalog
         assert catalog.names() == ["bib"]
@@ -84,13 +72,13 @@ class TestRegistry:
         catalog.add("bib", BIB_XML)
         reopened = Catalog(str(tmp_path / "cat"))
         assert reopened.names() == ["bib"]
-        assert reopened.entry("bib").chunks == 2
+        assert reopened.entry("bib") == catalog.entry("bib")
         assert reopened.xml("bib") == BIB_XML
 
 
 class TestWarmStart:
     def test_assembled_equivalent_to_direct_load(self, catalog):
-        """The warm path (chunks only, no XML parse) rebuilds the instance."""
+        """The warm path (the image only, no XML parse) rebuilds the instance."""
         catalog.add("bib", BIB_XML)
         warm = catalog.load_instance("bib")
         warm.validate()
@@ -137,7 +125,8 @@ class TestRefresh:
     def test_picks_up_removal_and_drops_cached_store(self, catalog, tmp_path):
         catalog.add("bib", BIB_XML)
         reader = Catalog(str(tmp_path / "cat"))
-        reader.load_instance("bib")  # caches the chunk store
+        reader.load_instance("bib")
+        reader.document_stats("bib")  # the one per-name cache a reader holds
         catalog.remove("bib")
         reader.refresh()
         assert "bib" not in reader
@@ -153,7 +142,7 @@ class TestRefresh:
         catalog.add("bib", BIB_XML)
         catalog.refresh()
         assert catalog.names() == ["bib"]
-        assert catalog.entry("bib").chunks == 2
+        assert catalog.entry("bib").dag_vertices == 6
 
     def test_torn_manifest_is_a_diagnosable_error(self, catalog, tmp_path):
         catalog.add("bib", BIB_XML)
@@ -162,13 +151,41 @@ class TestRefresh:
         with pytest.raises(CatalogError, match="torn or corrupt catalog manifest"):
             catalog.refresh()
 
+    @pytest.mark.parametrize(
+        "manifest, readable",
+        [
+            ({"documents": [{"name": "bib", "future_field": 1, "chunks": 2}]}, True),
+            ({"documents": [5]}, False),
+            ({"documents": [{"attributes": "ignore"}]}, False),
+            ({"documents": 7}, False),
+            ({}, False),
+        ],
+        ids=["unknown-keys", "non-object-row", "nameless-row", "non-list-documents", "absent"],
+    )
+    def test_manifest_rows_are_outside_input(self, catalog, tmp_path, manifest, readable):
+        """``refresh`` sits on serving paths (``check_serveable``): a malformed
+        manifest is a ``CatalogError`` naming the file, never a TypeError /
+        KeyError traceback.  Unknown row keys — a newer build's field, an
+        older build's ``chunks`` — are ignored, as ``stats_version`` already
+        tolerates older rows."""
+        (tmp_path / "cat").mkdir()
+        (tmp_path / "cat" / "catalog.json").write_text(
+            json.dumps({"format": "repro-catalog-1", **manifest})
+        )
+        if readable:
+            catalog.refresh()
+            assert catalog.names() == ["bib"]
+        else:
+            with pytest.raises(CatalogError, match="catalog.json"):
+                catalog.refresh()
+
     def test_refresh_invalidates_replaced_entry(self, catalog, tmp_path):
         """remove + re-register under one name must drop the cached store.
 
         Long-lived readers (fleet workers) may only learn of the swap
         *after* the new registration is already in the manifest; entry
-        equality (including the registration stamp) must invalidate the
-        cached chunks, or the reader serves the old document forever.
+        equality (including the registration stamp) must invalidate what
+        the reader cached, or it serves the old document forever.
         """
         catalog.add("doc", "<d><x/><x/></d>")
         reader = Catalog(str(tmp_path / "cat"))
@@ -180,79 +197,81 @@ class TestRefresh:
 
 
 class TestIntegrity:
-    """Checksums, quarantine, verify/repair — the catalog's failure model."""
+    """Digests, quarantine, verify/repair — the catalog's failure model."""
 
     def test_corrupt_chunk_raises_integrity_error(self, catalog, tmp_path):
         catalog.add("bib", BIB_XML)
-        corrupt_chunk(str(tmp_path / "cat"), "bib")
+        corrupt_skeleton(str(tmp_path / "cat"), "bib")
         with pytest.raises(IntegrityError, match="failed its checksum"):
             catalog.load_instance("bib")
 
     def test_corruption_quarantines_then_fails_fast(self, catalog, tmp_path):
         catalog.add("bib", BIB_XML)
-        corrupt_chunk(str(tmp_path / "cat"), "bib")
+        corrupt_skeleton(str(tmp_path / "cat"), "bib")
         with pytest.raises(IntegrityError):
             catalog.load_instance("bib")
         assert catalog.quarantined() == ["bib"]
-        # Later requests never touch the bad chunks again.
+        # Later requests never touch the bad image again.
         with pytest.raises(QuarantinedError, match="quarantined"):
             catalog.load_instance("bib")
         with pytest.raises(QuarantinedError):
             catalog.check_serveable("bib")
 
     def test_missing_chunk_is_integrity_not_crash(self, catalog, tmp_path):
+        """The image is the data: a missing one is corruption, not a fallback."""
         catalog.add("bib", BIB_XML)
-        # Without the skeleton, the load must fall back to chunks and
-        # discover the missing file there.
-        os.remove(tmp_path / "cat" / "bib" / "chunks" / "skeleton.rskl")
-        os.remove(tmp_path / "cat" / "bib" / "chunks" / "chunk-0.dag")
+        os.remove(skeleton_path(str(tmp_path / "cat"), "bib"))
         with pytest.raises(IntegrityError, match="missing"):
             catalog.load_instance("bib")
+        assert catalog.quarantined() == ["bib"]
 
     def test_corrupt_skeleton_quarantines(self, catalog, tmp_path):
+        """A torn write (truncated image) never reaches the decoder's arrays."""
         catalog.add("bib", BIB_XML)
-        corrupt_skeleton(str(tmp_path / "cat"), "bib")
-        with pytest.raises(IntegrityError, match="failed its checksum"):
+        path = skeleton_path(str(tmp_path / "cat"), "bib")
+        with open(path, "r+b") as handle:
+            handle.truncate(os.path.getsize(path) // 2)
+        with pytest.raises(IntegrityError, match="does not match layout"):
             catalog.load_instance("bib")
         assert catalog.quarantined() == ["bib"]
 
-    def test_missing_skeleton_falls_back_to_chunks(self, catalog, tmp_path):
-        catalog.add("bib", BIB_XML)
-        os.remove(tmp_path / "cat" / "bib" / "chunks" / "skeleton.rskl")
-        warm = catalog.load_instance("bib")
-        assert equivalent(warm, load_instance(BIB_XML, tags=None))
-        store = catalog.store("bib")
-        assert store.last_load_info["format"] == "chunks"
-
     def test_verify_reports_corrupt_skeleton(self, catalog, tmp_path):
+        """A *valid* image of another document (a skeleton copied under the
+        wrong version directory) passes its digest; the |V| / |E| cross-check
+        against the manifest entry is what catches it."""
         catalog.add("bib", BIB_XML)
-        corrupt_skeleton(str(tmp_path / "cat"), "bib")
+        catalog.add("tiny", "<r><x/></r>")
+        root = str(tmp_path / "cat")
+        shutil.copyfile(skeleton_path(root, "tiny"), skeleton_path(root, "bib"))
         report = catalog.verify()
         assert report["bib"]["status"] == "corrupt"
-        assert report["bib"]["corrupt"] == ["skeleton"]
+        assert "manifest entry" in report["bib"]["problem"]
+        assert report["tiny"]["status"] == "ok"
         assert catalog.quarantined() == ["bib"]
 
-    def test_verify_reports_ok(self, catalog):
+    def test_verify_reports_ok(self, catalog, tmp_path):
         catalog.add("bib", BIB_XML)
         report = catalog.verify()
         assert report["bib"]["status"] == "ok"
-        assert report["bib"]["chunks"] == 2
-        assert report["bib"]["corrupt"] == []
+        assert report["bib"]["problem"] is None
+        assert report["bib"]["skeleton_bytes"] == os.path.getsize(
+            skeleton_path(str(tmp_path / "cat"), "bib")
+        )
 
     def test_verify_detects_and_quarantines(self, catalog, tmp_path):
         catalog.add("bib", BIB_XML)
         catalog.add("tiny", "<r><x/></r>")
-        corrupt_chunk(str(tmp_path / "cat"), "bib", chunk_id=1)
+        corrupt_skeleton(str(tmp_path / "cat"), "bib")
         report = catalog.verify()
         assert report["bib"]["status"] == "corrupt"
-        assert report["bib"]["corrupt"] == [1]
+        assert "failed its checksum" in report["bib"]["problem"]
         assert report["tiny"]["status"] == "ok"
         assert catalog.quarantined() == ["bib"]
 
     def test_verify_repair_reshreds_from_kept_text(self, catalog, tmp_path):
         catalog.add("bib", BIB_XML)
         before = catalog.entry("bib").registered_at
-        corrupt_chunk(str(tmp_path / "cat"), "bib")
+        corrupt_skeleton(str(tmp_path / "cat"), "bib")
         report = catalog.verify(repair=True)
         assert report["bib"]["status"] == "repaired"
         assert catalog.quarantined() == []
@@ -263,7 +282,7 @@ class TestIntegrity:
 
     def test_reload_clears_quarantine_and_serves_again(self, catalog, tmp_path):
         catalog.add("bib", BIB_XML)
-        corrupt_chunk(str(tmp_path / "cat"), "bib")
+        corrupt_skeleton(str(tmp_path / "cat"), "bib")
         with pytest.raises(IntegrityError):
             catalog.load_instance("bib")
         catalog.reload("bib")
@@ -272,26 +291,12 @@ class TestIntegrity:
         assert result.tree_count() == 3
 
     def test_verify_missing_chunks_dir_is_wholesale_corrupt(self, catalog, tmp_path):
-        import shutil
-
         catalog.add("bib", BIB_XML)
-        shutil.rmtree(tmp_path / "cat" / "bib" / "chunks")
+        shutil.rmtree(tmp_path / "cat" / "bib" / catalog.entry("bib").version_dir)
         report = catalog.verify()
         assert report["bib"]["status"] == "corrupt"
-        # Every chunk is unreadable: each one is reported individually.
-        assert report["bib"]["corrupt"] == list(range(report["bib"]["chunks"]))
-        assert report["bib"]["chunks"] > 0
-
-    def test_pre_checksum_store_is_unverifiable_not_corrupt(self, catalog, tmp_path):
-        catalog.add("bib", BIB_XML)
-        manifest_path = tmp_path / "cat" / "bib" / "chunks" / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        del manifest["checksums"]  # a store shredded before checksums existed
-        manifest_path.write_text(json.dumps(manifest))
-        fresh = Catalog(str(tmp_path / "cat"))
-        report = fresh.verify()
-        assert report["bib"]["status"] == "unverifiable"
-        fresh.load_instance("bib")  # still serves, unverified, as before
+        assert "missing" in report["bib"]["problem"]
+        assert report["bib"]["skeleton_bytes"] == 0
 
     def test_external_repair_lifts_quarantine_without_restart(
         self, catalog, tmp_path
@@ -300,7 +305,7 @@ class TestIntegrity:
         process; the long-lived server's next request to the quarantined
         document must probe the manifest and come back — no restart."""
         catalog.add("bib", BIB_XML)
-        corrupt_chunk(str(tmp_path / "cat"), "bib")
+        corrupt_skeleton(str(tmp_path / "cat"), "bib")
         with pytest.raises(IntegrityError):
             catalog.load_instance("bib")
         with pytest.raises(QuarantinedError):
@@ -311,13 +316,13 @@ class TestIntegrity:
         entry = catalog.check_serveable("bib")  # probes, lifts, serves
         assert entry.name == "bib"
         assert catalog.quarantined() == []
-        catalog.load_instance("bib")  # fresh chunks really do load
+        catalog.load_instance("bib")  # the fresh image really does load
 
     def test_quarantine_without_manifest_change_stays_quarantined(
         self, catalog, tmp_path
     ):
         catalog.add("bib", BIB_XML)
-        corrupt_chunk(str(tmp_path / "cat"), "bib")
+        corrupt_skeleton(str(tmp_path / "cat"), "bib")
         with pytest.raises(IntegrityError):
             catalog.load_instance("bib")
         # Nothing repaired: the probe must not lift the verdict.
@@ -327,7 +332,7 @@ class TestIntegrity:
 
     def test_removal_lifts_quarantine(self, catalog, tmp_path):
         catalog.add("bib", BIB_XML)
-        corrupt_chunk(str(tmp_path / "cat"), "bib")
+        corrupt_skeleton(str(tmp_path / "cat"), "bib")
         with pytest.raises(IntegrityError):
             catalog.load_instance("bib")
         catalog.remove("bib")
@@ -335,6 +340,86 @@ class TestIntegrity:
         assert catalog.quarantined() == []
         catalog.add("bib", BIB_XML)  # re-registered clean: serveable
         catalog.check_serveable("bib")
+
+
+def write_old_layout_catalog(root, name, xml, skeleton_version=1):
+    """A catalog as a build before the one-image layout left it, as far as
+    this build looks: a hand-written manifest row (``skeleton_version`` 1 —
+    or absent, with ``None`` — an obsolete ``chunks`` key, no ``version_dir``)
+    over a document directory holding only the kept ``document.xml``."""
+    os.makedirs(os.path.join(root, name))
+    with open(os.path.join(root, name, "document.xml"), "w", encoding="utf-8") as handle:
+        handle.write(xml)
+    row = {"name": name, "chunks": 2, "dag_vertices": 8, "registered_at": 1.0}
+    row["doc_version"] = 1
+    if skeleton_version is not None:
+        row["skeleton_version"] = skeleton_version
+    with open(os.path.join(root, "catalog.json"), "w", encoding="utf-8") as handle:
+        json.dump({"format": "repro-catalog-1", "next_version": 2, "documents": [row]}, handle)
+
+
+class TestOldLayout:
+    """Entries of another on-disk layout are refused, then repaired — never half-read."""
+
+    @pytest.mark.parametrize("skeleton_version", [1, None])
+    def test_refused_then_stale_then_repaired(self, tmp_path, skeleton_version):
+        root = str(tmp_path / "cat")
+        write_old_layout_catalog(root, "bib", BIB_XML, skeleton_version)
+        catalog = Catalog(root)
+        assert catalog.names() == ["bib"]  # still listed: the operator can see it
+        with pytest.raises(QuarantinedError, match="verify --repair"):
+            catalog.load_instance("bib")
+        with pytest.raises(QuarantinedError):
+            catalog.mutate("bib", [{"op": "delete_subtree", "path": [0]}])
+        assert catalog.verify()["bib"]["status"] == "stale"
+        assert catalog.verify(repair=True)["bib"]["status"] == "repaired"
+        assert catalog.quarantined() == []
+        assert catalog.entry("bib").skeleton_version == SKELETON_FORMAT_VERSION
+        assert os.listdir(os.path.join(root, "bib")) == [catalog.entry("bib").version_dir]
+        assert evaluate(catalog.load_instance("bib"), "//author").tree_count() == 5
+        assert catalog.verify()["bib"]["status"] == "ok"
+
+
+GENERATED = {
+    "bib": lambda: BIB_XML,
+    "dblp": lambda: dblp.generate(scale=40).xml,
+    "shakespeare": lambda: shakespeare.generate(scale=2).xml,
+}
+
+
+def assert_served_is_minimal(catalog, name):
+    """Stored, declared and served are one DAG — the fresh shred's minimal
+    one — in one ``v<doc_version>/`` directory of exactly three files."""
+    entry = catalog.entry(name)
+    served = catalog.load_instance(name)
+    fresh = load_instance(catalog.xml(name), tags=None)
+    assert served.num_vertices == entry.dag_vertices == fresh.num_vertices
+    assert equivalent(served, fresh)
+    assert entry.version_dir == f"v{entry.doc_version}"
+    assert sorted(os.listdir(os.path.join(catalog.root, name, entry.version_dir))) == [
+        "document.xml", "skeleton.rskl", "stats.json",
+    ]
+
+
+class TestServedMasterIsThePapersInstance:
+    """What is stored, what the manifest says and what is served are one
+    thing: the minimal DAG ``load(xml, tags=None)`` builds — at registration
+    and after every kind of mutation."""
+
+    @pytest.mark.parametrize("name", sorted(GENERATED))
+    def test_at_registration_and_after_mutations(self, catalog, name):
+        catalog.add(name, GENERATED[name]())
+        assert_served_is_minimal(catalog, name)
+        for mutation in (
+            {"op": "append_child", "path": [], "xml": "<book><title>New</title></book>"},
+            {"op": "replace_subtree", "path": [1], "xml": "<book><title>X</title><title/></book>"},
+            {"op": "delete_subtree", "path": [0, 0]},
+        ):  # (no tag leaves the document, so the fresh shred has the same schema)
+            catalog.mutate(name, [mutation])
+            assert_served_is_minimal(catalog, name)
+        assert sorted(os.listdir(os.path.join(catalog.root, name))) == [
+            catalog.entry(name).version_dir
+        ]  # superseded versions collected, journal compacted away
 
 
 class TestRecovery:

@@ -30,7 +30,7 @@ from repro.server.http import create_server, wait_ready
 from repro.server.resilience import FAULTS, Deadline
 from repro.server.service import QueryService, decode_result
 
-from tests.server.test_catalog import corrupt_chunk
+from tests.server.test_catalog import corrupt_skeleton, write_old_layout_catalog
 from tests.server.test_cluster import wait_until
 from tests.skeleton.test_loader import BIB_XML
 
@@ -61,8 +61,9 @@ def expected(query, paths=0):
     return decode_result(Engine(BIB_XML).query(query), paths=paths)
 
 
-def start_server(tmp_path, **kwargs):
-    Catalog(str(tmp_path / "cat")).add("bib", BIB_XML)
+def start_server(tmp_path, register=True, **kwargs):
+    if register:
+        Catalog(str(tmp_path / "cat")).add("bib", BIB_XML)
     server = create_server(str(tmp_path / "cat"), port=0, **kwargs)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -132,13 +133,13 @@ class TestHTTPFaults:
     def test_real_corruption_quarantine_reload_cycle(self, tmp_path):
         server, thread = start_server(tmp_path)
         try:
-            corrupt_chunk(str(tmp_path / "cat"), "bib")
+            corrupt_skeleton(str(tmp_path / "cat"), "bib")
             status, payload, _ = request(
                 server, "POST", "/query", {"document": "bib", "query": "//book/author"}
             )
             assert status == 503
             assert payload["error"]["kind"] == "integrity"
-            # Fail-fast now: quarantined, the corrupt chunks are not re-read.
+            # Fail-fast now: quarantined, the corrupt image is not re-read.
             status, payload, _ = request(
                 server, "POST", "/query", {"document": "bib", "query": "//book/author"}
             )
@@ -153,6 +154,36 @@ class TestHTTPFaults:
             )
             assert status == 200
             assert payload["tree_count"] == expected("//book/author")["tree_count"]
+            status, payload, _ = request(server, "GET", "/healthz")
+            assert status == 200 and payload["status"] == "ok"
+        finally:
+            stop_server(server, thread)
+
+    @pytest.mark.parametrize(
+        "frontend, workers", [("threaded", 0), ("async", 0), ("async", 1)]
+    )
+    def test_old_layout_ends_in_an_envelope_then_in_service(
+        self, tmp_path, frontend, workers
+    ):
+        """A catalog written before the one-image layout: the server starts,
+        refuses the document with the 503 envelope (no traceback, no hang, no
+        half-read instance), and serves it once the operator repairs it."""
+        write_old_layout_catalog(str(tmp_path / "cat"), "bib", BIB_XML)
+        server, thread = start_server(
+            tmp_path, register=False, frontend=frontend, workers=workers
+        )
+        ask = {"document": "bib", "query": "//author"}
+        try:
+            status, payload, _ = request(server, "POST", "/query", ask)
+            assert status == 503
+            assert payload["error"]["kind"] == "quarantined"
+            assert "verify --repair" in payload["error"]["message"]
+            # The operator's CLI process: an independent handle on the root.
+            report = Catalog(str(tmp_path / "cat")).verify(repair=True)
+            assert report["bib"]["status"] == "repaired"
+            status, payload, _ = request(server, "POST", "/query", ask)
+            assert status == 200
+            assert payload["tree_count"] == expected("//author")["tree_count"]
             status, payload, _ = request(server, "GET", "/healthz")
             assert status == 200 and payload["status"] == "ok"
         finally:

@@ -135,7 +135,7 @@ class TestDispatch:
         stats = shared_fleet.stats_dict()
         for row in stats["workers"]:
             assert ["bib", []] not in (row.get("resident") or [])
-        # Still servable afterwards (cold reload from the chunk store).
+        # Still servable afterwards (cold reload from the stored image).
         assert shared_fleet.query("bib", "//author")["tree_count"] > 0
 
     def test_explain_is_optimized_from_catalog_stats(self, shared_fleet):
@@ -197,7 +197,7 @@ class TestFailover:
         assert wait_until(
             lambda: slot.process.is_alive() and slot.process.pid != first_pid
         )
-        # ... and the respawned worker answers correctly from the chunk store.
+        # ... and the respawned worker answers correctly from the stored image.
         response = own_fleet.query("bib", "//author", paths=10)
         assert response["tree_count"] == expected
         assert own_fleet.stats_dict()["cluster"]["respawns"] >= 1
@@ -332,11 +332,11 @@ class TestClusterHTTP:
         assert status == 200 and payload["tree_count"] == 2
 
     def test_delete_then_reregister_serves_fresh_data(self, server):
-        """Workers must drop stale chunks when a name is removed + re-added.
+        """Workers must drop stale masters when a name is removed + re-added.
 
         Regression test for the evict/remove ordering: the catalog entry
         must leave the manifest *before* workers refresh, or a worker
-        keeps its cached chunk store and answers from the old document.
+        keeps its resident master and answers from the old document.
         """
         self.request(server, "POST", "/catalog/doc", {"xml": "<d><x/><x/></d>"})
         status, payload = self.request(
@@ -430,9 +430,9 @@ class TestFleetQuarantineVisibility:
     ):
         from repro.errors import IntegrityError, QuarantinedError
 
-        from tests.server.test_catalog import corrupt_chunk
+        from tests.server.test_catalog import corrupt_skeleton
 
-        corrupt_chunk(str(tmp_path / "cat"), "bib")
+        corrupt_skeleton(str(tmp_path / "cat"), "bib")
         with pytest.raises((IntegrityError, QuarantinedError)):
             own_fleet.query("bib", "//author")
         # The verdict lives in the worker process; the union in

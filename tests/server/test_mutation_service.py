@@ -22,6 +22,7 @@ from repro.server.cluster import WorkerFleet
 from repro.server.http import create_server, wait_ready
 from repro.server.service import QueryService, decode_result
 
+from tests.server.test_catalog import assert_served_is_minimal
 from tests.skeleton.test_loader import BIB_XML
 
 APPEND_BOOK = {
@@ -195,6 +196,7 @@ class TestServiceMutate:
         batch = [APPEND_BOOK, {"op": "delete_subtree", "path": [1]}]
         service.mutate("bib", batch)
         assert_matches_fresh_shred(service, "bib", edited(BIB_XML, batch))
+        assert_served_is_minimal(service.catalog, "bib")
 
     def test_failed_mutation_changes_nothing(self, service):
         before = service.catalog.entry("bib").doc_version
@@ -267,6 +269,7 @@ class TestCatalogReplayAndVerify:
         entry = reopened.entry("bib")
         assert entry.doc_version == 2
         assert reopened.xml("bib") == edited(BIB_XML, [APPEND_BOOK])
+        assert_served_is_minimal(reopened, "bib")  # the replayed version too
 
     def test_reader_does_not_replay(self, tmp_path):
         root = str(tmp_path / "cat")

@@ -10,7 +10,8 @@ from repro.server.pool import InstancePool
 
 
 def make_instance():
-    return tree_instance(("r", [("a", []), ("b", [])]))
+    """A pool loader's result: the instance plus its (here absent) provenance."""
+    return tree_instance(("r", [("a", []), ("b", [])])), None
 
 
 class TestLRU:

@@ -1,16 +1,15 @@
-"""The succinct on-disk skeleton codec (RSKL) and its store integration.
+"""The succinct on-disk skeleton codec (RSKL).
 
 Round-trips must be *byte-identical*, not merely bisimilar: the skeleton is
-the pool's cold-load fast path, and a decoded instance that numbered its
-vertices differently from the legacy chunk assembly would invalidate every
-cached plan and result comparison.  So the tests compare full observable
-state — schema order, vertex numbering, run-length children, plane bytes —
-between codec output, chunk assembly, and pre-skeleton (format 1) catalogs.
+the catalog's only stored form of an instance, and a decoded instance that
+numbered its vertices differently from the shredder's would make the
+manifest's counts and every result comparison describe something else.  So
+the tests compare full observable state — schema order, vertex numbering,
+run-length children, plane bytes — between the instance and codec output.
 """
 
 from __future__ import annotations
 
-import json
 import os
 
 import pytest
@@ -18,7 +17,6 @@ import pytest
 from repro.corpora import binary_tree, relational, xmark
 from repro.errors import IntegrityError
 from repro.model import planes
-from repro.model.equivalence import equivalent
 from repro.model.instance import Instance
 from repro.skeleton.layout import (
     SkeletonUnsupported,
@@ -28,7 +26,6 @@ from repro.skeleton.layout import (
     write_skeleton,
 )
 from repro.skeleton.loader import load_instance
-from repro.storage.chunked import ChunkedStore
 
 from tests.skeleton.test_loader import BIB_XML
 
@@ -94,6 +91,8 @@ class TestFileAndMmap:
         return path, instance
 
     def test_mmap_read_round_trips(self, skeleton_file):
+        """``write_skeleton(load_instance(xml))`` → ``read_skeleton``: what the
+        catalog publishes and serves — vertex ids are the shredder's."""
         path, instance = skeleton_file
         loaded, info = read_skeleton(path)
         assert observable(loaded) == observable(instance)
@@ -139,51 +138,3 @@ class TestFileAndMmap:
         open(path, "wb").write(bytes(blob))
         with pytest.raises(IntegrityError):
             read_skeleton(path)
-
-
-class TestStoreIntegration:
-    def test_skeleton_load_matches_chunk_assembly(self, tmp_path):
-        instance = load_instance(BIB_XML, strings=["Codd"])
-        store = ChunkedStore.save(instance, str(tmp_path / "store"))
-        fast = store.assemble()
-        assert store.last_load_info["format"] == "skeleton"
-        assert store.last_load_info["bytes_mapped"] > 0
-        # Force the legacy path by dropping the skeleton from a reopened
-        # store's manifest view.
-        os.remove(os.path.join(str(tmp_path / "store"), "skeleton.rskl"))
-        legacy = ChunkedStore(str(tmp_path / "store")).assemble()
-        assert observable(fast) == observable(legacy)
-
-    def test_legacy_format1_catalog_loads_byte_identically(self, tmp_path):
-        # A catalog written before the skeleton format existed: manifest
-        # version 1, no skeleton key, chunks only.  It must keep loading,
-        # producing the exact instance a format-2 skeleton load produces.
-        instance = load_instance(BIB_XML, strings=["Codd"])
-        directory = str(tmp_path / "store")
-        store = ChunkedStore.save(instance, directory)
-        modern = store.assemble()
-
-        manifest_path = os.path.join(directory, "manifest.json")
-        with open(manifest_path, "r", encoding="utf-8") as handle:
-            manifest = json.load(handle)
-        manifest["format"] = "repro-chunks-1"
-        manifest.pop("skeleton", None)
-        with open(manifest_path, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle)
-        os.remove(os.path.join(directory, "skeleton.rskl"))
-
-        legacy_store = ChunkedStore(directory)
-        legacy = legacy_store.assemble()
-        assert legacy_store.last_load_info["format"] == "chunks"
-        # Byte-identical to what the format-2 skeleton fast path serves
-        # (chunk assembly renumbers vertices relative to the pre-shred
-        # instance, so equivalence to the original is the weaker check).
-        assert observable(legacy) == observable(modern)
-        assert equivalent(legacy, instance)
-
-    def test_partial_assembly_never_uses_the_skeleton(self, tmp_path):
-        instance = load_instance(BIB_XML)
-        store = ChunkedStore.save(instance, str(tmp_path / "store"))
-        chunks = store.chunks_with_tags({"paper"})
-        store.assemble(chunks)
-        assert store.last_load_info["format"] == "chunks"

@@ -1,10 +1,13 @@
 """Tests for shredded storage and query-driven partial loading (section 6)."""
 
+import json
+import os
+
 import pytest
 
 from repro.corpora import generate
 from repro.engine.evaluator import evaluate
-from repro.errors import ReproError
+from repro.errors import IntegrityError, ReproError
 from repro.model.equivalence import equivalent
 from repro.skeleton.loader import load_instance
 from repro.storage.chunked import ChunkedStore, extract_subdag
@@ -68,9 +71,6 @@ class TestSaveAndAssemble:
             ChunkedStore.save(figure2_compressed, str(tmp_path / "bad"))
 
     def test_open_rejects_non_store(self, tmp_path):
-        import json
-        import os
-
         os.makedirs(tmp_path / "junk", exist_ok=True)
         (tmp_path / "junk" / "manifest.json").write_text(json.dumps({"format": "nope"}))
         with pytest.raises(ReproError, match="not a chunk store"):
@@ -81,6 +81,21 @@ class TestSaveAndAssemble:
         ChunkedStore.save(instance, str(tmp_path / "s"))
         reopened = ChunkedStore(str(tmp_path / "s"))
         assert equivalent(reopened.assemble(), instance)
+
+    @pytest.mark.parametrize(
+        "damage, message", [("flip", "failed its checksum"), ("remove", "missing")]
+    )
+    def test_damaged_chunk_is_never_decoded(self, bib_store, damage, message):
+        store, _ = bib_store
+        path = os.path.join(store.directory, "chunk-0.dag")
+        if damage == "flip":
+            with open(path, "r+b") as handle:
+                handle.seek(os.path.getsize(path) // 2)
+                handle.write(b"\xde\xad\xbe\xef")
+        else:
+            os.remove(path)
+        with pytest.raises(IntegrityError, match=message):
+            ChunkedStore(store.directory).assemble()
 
 
 class TestPruning:

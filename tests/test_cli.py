@@ -1,5 +1,7 @@
 """Tests for the repro command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -206,10 +208,14 @@ class TestCatalogCLI:
         catalog = str(tmp_path / "cat")
         assert main(["catalog", "add", "bib", bib_file, "-C", catalog]) == 0
         out = capsys.readouterr().out
-        assert "added bib" in out and "chunk(s)" in out
+        assert "added bib" in out and re.search(r"skeleton \d+ B", out)
 
         assert main(["catalog", "ls", "-C", catalog]) == 0
-        assert "bib" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "bib" in out and re.search(r"skeleton +\d+ B", out)
+
+        assert main(["catalog", "verify", "-C", catalog]) == 0
+        assert re.search(r"bib +ok +skeleton \d+ B", capsys.readouterr().out)
 
         assert main(["catalog", "evict", "bib", "-C", catalog]) == 0
         capsys.readouterr()
