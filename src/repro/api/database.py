@@ -7,14 +7,14 @@ behind one surface:
   the document text: per-schema one-scan loads (cached by default), the
   compiled-algebra LRU, and batch evaluation with cross-query sharing;
 * **embedded instance** — a pre-built compressed instance (e.g. a saved
-  ``.dag`` file): evaluation on a working copy, no character data;
+  RSKL image): evaluation on a working copy, no character data;
 * **served** — a :class:`repro.server.catalog.Catalog` plus
   :class:`repro.server.service.QueryService` (or a worker fleet exposing
   the same surface): load-once/query-forever over the persistent store,
   coalescing concurrent callers into shared batches.
 
 ``repro.open(path_or_text)`` picks the backend from its argument (XML
-text, an XML file, a saved ``.dag`` instance, or a catalog directory);
+text, an XML file, a saved RSKL instance, or a catalog directory);
 :meth:`Database.from_catalog` opens the served backend explicitly.  Every
 backend consumes the same :class:`repro.api.PreparedQuery` (compiled
 once, seeded into whichever compiled-query cache the backend maintains)
@@ -88,18 +88,25 @@ class Database:
     def from_file(
         cls, path: str | os.PathLike, reparse_per_query: bool = False
     ) -> "Database":
-        """An embedded database over an XML file or a saved ``.dag`` instance.
+        """An embedded database over an XML file or a saved instance.
 
-        ``reparse_per_query`` only applies to XML files (a ``.dag`` holds
-        one pre-built instance, there is nothing to re-parse).
+        The one place a document path is opened: the bytes are read once;
+        an RSKL image (``repro compress --save``, recognised by its magic
+        whatever the file is called) decodes to its instance, anything else
+        is UTF-8 XML.  A damaged image raises
+        :class:`repro.errors.IntegrityError`, undecodable text
+        :class:`repro.errors.XMLSyntaxError`.  ``reparse_per_query`` only
+        applies to XML (an image holds one pre-built instance, there is
+        nothing to re-parse).
         """
-        path = os.fspath(path)
-        if path.endswith(".dag"):
-            from repro.model.serialize import load_file
+        from repro.skeleton.layout import SKELETON_MAGIC, decode_skeleton
+        from repro.xmlio.tokenizer import decode_text
 
-            return cls.from_instance(load_file(path))
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_text(handle.read(), reparse_per_query=reparse_per_query)
+        with open(os.fspath(path), "rb") as handle:
+            data = handle.read()
+        if data.startswith(SKELETON_MAGIC):
+            return cls.from_instance(decode_skeleton(data))
+        return cls.from_text(decode_text(data), reparse_per_query=reparse_per_query)
 
     @classmethod
     def from_catalog(cls, root: str | os.PathLike, **service_kwargs) -> "Database":
@@ -380,16 +387,9 @@ class Database:
         if self._service is not None:
             name = self._document_name(document)
             instance = self._service.instance_info(name, prepared.strings)
-            # Duck-typed: both the in-process QueryService and the worker
-            # fleet expose optimized_entry/measure_plan; a backend without
-            # them yields an unannotated (and analyze-less) plan.
-            optimized_entry = getattr(self._service, "optimized_entry", None)
-            if optimized_entry is not None:
-                optimization = optimized_entry(name, prepared.text)
+            optimization = self._service.optimized_entry(name, prepared.text)
             if analyze:
-                measure = getattr(self._service, "measure_plan", None)
-                if measure is not None:
-                    actuals = measure(name, prepared.text)
+                actuals = self._service.measure_plan(name, prepared.text)
         elif self._engine is not None:
             instance = {
                 "source": "engine",
@@ -479,7 +479,8 @@ def open_database(source: str | os.PathLike, reparse_per_query: bool = False) ->
 
     * XML text (anything containing ``<``) — embedded over the text;
     * a path to an XML file — embedded over its contents;
-    * a path to a saved ``.dag`` instance — embedded over the instance;
+    * a path to a saved instance (an RSKL image, any file name) — embedded
+      over the instance;
     * a catalog directory (holds ``catalog.json``) — served.
 
     This is the ``repro.open`` entry point.

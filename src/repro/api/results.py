@@ -189,7 +189,7 @@ class ResultSet:
         if self._document_loader is None:
             raise ReproError(
                 "XML fragments need a text-backed embedded database "
-                "(served results and .dag instances carry no character data)"
+                "(served results and saved instances carry no character data)"
             )
         root = self._document_loader()
         return (fragment_at(root, path) for path in self.iter_paths(limit=limit))

@@ -78,10 +78,3 @@ def queries_for(corpus: str) -> dict[str, str]:
         return QUERIES[corpus]
     except KeyError:
         raise CorpusError(f"no benchmark queries for corpus {corpus!r}") from None
-
-
-def xmark_q2_note() -> str:
-    """The only semantic wrinkle worth recording: XMark Q2 ends in ``text``,
-    which in the original document is an element tag (XMark wraps text
-    content in <text> elements); our generator plants exactly that path."""
-    return "XMark Q2's trailing step selects <text> elements, as in XMark itself."

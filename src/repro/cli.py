@@ -6,6 +6,7 @@ Installed as the ``repro`` console script::
     repro gen dblp --scale 500 -o d.xml   # generate synthetic XML
     repro compress d.xml                  # compression statistics
     repro compress d.xml --tags none      # ... structure only (Figure 6 "-")
+    repro compress d.xml --save d.rskl    # ... and keep the instance (RSKL image)
     repro query d.xml '//article[author["Codd"]]'
     repro query d.xml '//article' '//inproceedings' --workload mix.txt
     repro query d.xml '//article' --explain-json   # structured plan, no eval
@@ -24,9 +25,10 @@ algebra subtrees.
 
 Exit codes are uniform across subcommands: ``0`` success, ``2`` for
 anything wrong with the *invocation or its inputs* (missing files,
-malformed queries, unknown corpora or catalog documents — argparse uses 2
-for usage errors too), ``1`` for runtime failures inside the engine.
-Every error goes to stderr as one ``error: ...`` line.
+malformed queries, unknown corpora or catalog documents, a damaged saved
+instance — argparse uses 2 for usage errors too), ``1`` for runtime
+failures inside the engine, malformed XML (bytes that are not UTF-8
+included) among them.  Every error goes to stderr as one ``error: ...`` line.
 """
 
 from __future__ import annotations
@@ -71,10 +73,12 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _read(path: str) -> str:
+    from repro.xmlio.tokenizer import decode_text
+
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        return decode_text(sys.stdin.buffer.read())
+    with open(path, "rb") as handle:
+        return decode_text(handle.read())
 
 
 def _parse_tags(spec: str):
@@ -87,7 +91,7 @@ def _parse_tags(spec: str):
 
 def _cmd_compress(args: argparse.Namespace) -> int:
     from repro.compress.stats import instance_stats
-    from repro.model.serialize import save_file
+    from repro.skeleton.layout import write_skeleton
     from repro.skeleton.loader import load
 
     result = load(
@@ -103,7 +107,7 @@ def _cmd_compress(args: argparse.Namespace) -> int:
     print(f"dag edges     |E^M| : {stats.edge_entries:,}")
     print(f"ratio |E^M|/|E^T|   : {100 * stats.edge_ratio:.2f}%")
     if args.save:
-        save_file(result.instance, args.save)
+        write_skeleton(args.save, result.instance)
         print(f"saved compressed instance to {args.save}", file=sys.stderr)
     if args.dot:
         print(result.instance.to_dot())
@@ -160,32 +164,28 @@ def _cmd_query(args: argparse.Namespace) -> int:
         print(json.dumps(plans[0] if len(plans) == 1 else plans, indent=2))
         return 0
 
-    if args.file.endswith(".dag"):
-        # A previously saved compressed instance: skip the XML parse.
-        from repro.model.serialize import load_file as load_dag
-
-        database = Database.from_instance(load_dag(args.file))
-        parse_seconds = 0.0
+    if args.file == "-":
+        database = Database.from_text(_read("-"))
     else:
-        database = Database.from_text(_read(args.file), reparse_per_query=False)
-        parse_seconds = None  # known only after the one-scan load runs
+        database = Database.from_file(args.file)
+
+    def parse_seconds() -> float:
+        # Known only once the one-scan load ran; a saved instance parses nothing.
+        load = database.last_load
+        return load.parse_seconds if load is not None else 0.0
 
     with database as db:
         if len(prepared) == 1:
             result = db.execute(prepared[0])
-            if parse_seconds is None:
-                parse_seconds = db.last_load.parse_seconds
-            print(f"parse+compress time : {parse_seconds:.3f}s")
+            print(f"parse+compress time : {parse_seconds():.3f}s")
             _print_result(result, args.paths, args.limit)
             return 0
 
         # Batch: one scan over the union of all the queries' schemas, one
         # shared working copy, cross-query subexpression reuse.
         batch = db.execute_batch(prepared)
-        if parse_seconds is None:
-            parse_seconds = db.last_load.parse_seconds
         stats = batch.stats
-        print(f"parse+compress time : {parse_seconds:.3f}s")
+        print(f"parse+compress time : {parse_seconds():.3f}s")
         print(f"batch               : {len(queries)} queries in "
               f"{1000 * batch.seconds:.2f}ms")
         print(f"shared work         : {stats.nodes_reused:,} of {stats.nodes_total:,} "
@@ -428,14 +428,14 @@ def build_parser() -> argparse.ArgumentParser:
     compress.add_argument(
         "--attributes", action="store_true", help="encode attributes as @name nodes"
     )
-    compress.add_argument("--save", help="write the instance to a .dag file")
+    compress.add_argument("--save", help="write the instance to a file (RSKL image)")
     compress.add_argument("--dot", action="store_true", help="print graphviz dot")
     compress.set_defaults(func=_cmd_compress)
 
     query = commands.add_parser(
         "query", help="evaluate Core XPath queries (several = one batch)"
     )
-    query.add_argument("file", help="XML file ('-' for stdin) or a saved .dag instance")
+    query.add_argument("file", help="XML file ('-' for stdin) or a saved instance")
     query.add_argument("xpath", nargs="*", help="one or more XPath queries")
     query.add_argument(
         "--workload", help="file with one XPath per line ('#' comments allowed)"
@@ -462,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     explain.add_argument(
         "--file",
-        help="plan against this XML (or .dag) document: shows the optimized "
+        help="plan against this XML file (or saved instance): shows the optimized "
         "plan with per-node cardinality estimates",
     )
     explain.add_argument(

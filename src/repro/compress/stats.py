@@ -57,10 +57,6 @@ class InstanceStats:
         """The paper's compression measure ``|E^M| / |E^T|`` (entries)."""
         return self.edge_entries / self.tree_edges if self.tree_edges else 1.0
 
-    @property
-    def vertex_ratio(self) -> float:
-        return self.vertices / self.tree_vertices if self.tree_vertices else 1.0
-
     def row(self) -> str:
         """One formatted line in the style of Figure 6."""
         return (

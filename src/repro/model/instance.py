@@ -232,7 +232,7 @@ class Instance:
         nwords: int,
         root: int,
     ) -> "Instance":
-        """Adopt pre-built columns wholesale (the mmap skeleton fast path).
+        """Adopt pre-built columns wholesale (the RSKL skeleton fast path).
 
         ``children`` and every plane are adopted, not copied; planes must
         all be ``nwords`` long with no bits at or above ``len(children)``.
@@ -762,9 +762,9 @@ class Instance:
 
         ``origin[new_id]`` names the source vertex whose memberships vertex
         ``new_id`` inherits — the one bulk primitive behind every
-        renumbering construction (product rebuilds, compaction, chunk
-        assembly, common extension).  Only sets present in both schemas are
-        gathered; this instance's extra sets are left untouched.
+        renumbering construction (product rebuilds, compaction, common
+        extension).  Only sets present in both schemas are gathered; this
+        instance's extra sets are left untouched.
         """
         if len(origin) != len(self._children):
             raise InstanceError(

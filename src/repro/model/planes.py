@@ -6,7 +6,7 @@ owns a fixed-width contiguous **plane** — an ``array('Q')`` holding one bit
 per vertex, 64 vertices per machine word.  Set algebra then runs word-at-a-
 time instead of vertex-at-a-time, and a plane's bytes are exactly what the
 succinct on-disk skeleton format (:mod:`repro.skeleton.layout`) stores and
-``mmap``\\ s back.
+reads back.
 
 Two kernel tiers implement every operation:
 
@@ -53,11 +53,6 @@ FULL_WORD = (1 << 64) - 1
 #: The plane-format version reported in plans and ``/stats`` and written in
 #: the succinct skeleton header.
 PLANE_FORMAT_VERSION = 1
-
-
-def numpy_available() -> bool:
-    """True when numpy is importable (regardless of the runtime switch)."""
-    return _numpy is not None
 
 
 def numpy_active() -> bool:
@@ -109,10 +104,6 @@ def set_bit(plane: array, vertex: int) -> None:
     plane[vertex >> 6] |= 1 << (vertex & 63)
 
 
-def clear_bit(plane: array, vertex: int) -> None:
-    plane[vertex >> 6] &= FULL_WORD ^ (1 << (vertex & 63))
-
-
 def grow_plane(plane: array, nwords: int) -> None:
     """Extend ``plane`` with zero words up to ``nwords`` (in place)."""
     missing = nwords - len(plane)
@@ -134,11 +125,6 @@ def write_int(plane: array, value: int) -> None:
     """Overwrite ``plane`` from a big integer (must fit its width)."""
     raw = value.to_bytes(8 * len(plane), "little")
     plane[:] = array("Q", raw)
-
-
-def plane_from_int(value: int, nwords: int) -> array:
-    out = array("Q", value.to_bytes(8 * nwords, "little"))
-    return out
 
 
 def plane_from_bits(bits: Iterable[int], nwords: int) -> array:
@@ -212,10 +198,6 @@ def or_into(out: array, other: array) -> None:
     write_int(out, to_int(out) | to_int(other))
 
 
-def copy_into(out: array, src: array) -> None:
-    out[:] = src
-
-
 def zero(plane: array) -> None:
     plane[:] = array("Q", bytes(8 * len(plane)))
 
@@ -252,16 +234,6 @@ def iter_bits(plane: array):
     return iter_bits_of(to_int(plane))
 
 
-def bits_list(plane: array, nbits: int) -> list[int]:
-    """Set vertex ids below ``nbits``, ascending."""
-    if _np_worthwhile(plane):
-        bools = unpack_bool(plane, nbits)
-        result = _numpy.flatnonzero(bools).tolist()
-        del bools
-        return result
-    return [v for v in iter_bits(plane) if v < nbits]
-
-
 # ----------------------------------------------------------------------
 # Bool-array helpers (numpy tier only; kernels guard on numpy_active())
 # ----------------------------------------------------------------------
@@ -284,9 +256,9 @@ def pack_bool(bools, nwords: int) -> array:
 def gather(plane: array, origin: list[int], nwords_out: int) -> array:
     """A new plane where bit ``i`` = ``plane[origin[i]]`` (renumber/gather).
 
-    Used by the rebuild paths (product construction, compaction, chunk
-    assembly) to carry every schema set through a vertex renumbering in one
-    vectorised pass per plane instead of one gather per vertex.
+    Used by the rebuild paths (product construction, compaction) to carry
+    every schema set through a vertex renumbering in one vectorised pass per
+    plane instead of one gather per vertex.
     """
     if _active and (len(plane) >= SMALL_PLANE_WORDS or nwords_out >= SMALL_PLANE_WORDS):
         bools = unpack_bool(plane, len(plane) * WORD_BITS)

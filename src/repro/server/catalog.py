@@ -3,7 +3,7 @@
 The serving model of the paper — and of Arion et al.'s path-partitioned
 stores — is *load once, query forever*: a document is shredded into its
 minimal DAG exactly once, at registration time, and every later query is
-answered from the resident (or quickly re-mapped) instance without
+answered from the resident (or quickly re-read) instance without
 touching the XML again.
 
 A :class:`Catalog` is a directory::
@@ -26,7 +26,7 @@ re-minimisation) produced, stored as-is: same vertex ids, same schema
 order, the paper's minimal bisimulation quotient — so ``dag_vertices`` in
 the manifest describes the file on disk and the instance that is served.
 Documents are registered with **every** tag as a node set, so any tag-only
-query is served from the image alone (a *warm start*: mmap, digest check,
+query is served from the image alone (a *warm start*: one read, digest check,
 column adoption, no XML parse).  Only queries with string-containment
 predicates need the original text again — string sets are computed by the
 one-scan matcher at load time — and the resulting instances are cached
@@ -494,11 +494,6 @@ class Catalog:
             self._journal(name).compact(version)
         return entry
 
-    def add_file(self, name: str, path: str, attributes: str = "ignore") -> CatalogEntry:
-        """Register the XML file at ``path`` (see :meth:`add`)."""
-        with open(path, "r", encoding="utf-8") as handle:
-            return self.add(name, handle.read(), attributes=attributes)
-
     def remove(self, name: str) -> None:
         """Drop ``name`` from the registry and delete its files."""
         with self._lock:
@@ -572,7 +567,7 @@ class Catalog:
         with its provenance (the ``load`` block of ``/stats`` and plans).
 
         Without string constraints this is the warm path: the version's
-        skeleton image is mapped, digest-checked and decoded — the XML is
+        skeleton image is read, digest-checked and decoded — the XML is
         never re-parsed.  With string constraints the original text is
         re-scanned once to compute the containment sets; callers cache the
         result.
@@ -589,7 +584,7 @@ class Catalog:
             instance = load(
                 self.xml(name), tags=None, strings=list(strings), attributes=entry.attributes
             ).instance
-            return instance, {"format": "parse", "mmap": False, "bytes_mapped": 0}
+            return instance, {"format": "parse", "bytes_mapped": 0}
         try:
             return self._image(entry).load()
         except IntegrityError:

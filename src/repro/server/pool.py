@@ -52,7 +52,7 @@ class PoolEntry:
         self.working: Instance | None = None
         self.load_seconds = 0.0
         self.hits = 0
-        #: How the cold load was served ("skeleton" mmap vs "parse" of the
+        #: How the cold load was served ("skeleton" image vs "parse" of the
         #: kept text), as the loader returned it; surfaced in ``/stats``.
         self.load_info: dict | None = None
 

@@ -306,6 +306,15 @@ class ServingBackend:
         """Drop every resident instance of ``document``; return the count."""
         raise NotImplementedError
 
+    # -- lifecycle (a backend owning processes overrides both) -------------
+
+    def wait_ready(self, timeout: float = 10.0) -> bool:
+        """Ready once constructed."""
+        return True
+
+    def close(self, timeout: float | None = None) -> None:
+        """Nothing to tear down."""
+
     # -- compilation -----------------------------------------------------
 
     def compiled_entry(self, query_text: str):
@@ -689,15 +698,6 @@ class QueryService(ServingBackend):
     def resident_keys(self) -> list[tuple]:
         """The ``(document, strings)`` pairs currently resident in the pool."""
         return [(key[0], key[1]) for key in self.pool.keys()]
-
-    # -- lifecycle (uniform surface with the cluster dispatcher) ---------
-
-    def wait_ready(self, timeout: float = 10.0) -> bool:
-        """In-process service: always ready once constructed."""
-        return True
-
-    def close(self, timeout: float = 10.0) -> None:
-        """Nothing to tear down: the in-process service owns no processes."""
 
     # -- coalescing ------------------------------------------------------
 

@@ -18,8 +18,8 @@ element; the virtual document root is -1) and ``slot`` is how many child
 The second half of this module is the **RSKL succinct skeleton codec**
 (DESIGN.md section 11): a compressed instance flattened into a handful of
 contiguous little-endian arrays — CSR edge structure plus the raw bit
-planes of :mod:`repro.model.planes` — so a stored skeleton loads by
-``mmap`` + memcpy + digest check instead of re-parsing text.  Layout of
+planes of :mod:`repro.model.planes` — so a stored skeleton loads by one
+read + memcpy + digest check instead of re-parsing text.  Layout of
 version 1 (all offsets 8-aligned)::
 
     0   magic  b"RSKL"
@@ -39,14 +39,11 @@ u32, multiplicities over u64, newlines in set names) raise
 catalog's only stored form of an instance, so there is nothing to fall
 back to.  A corrupted payload raises
 :class:`repro.errors.IntegrityError`, which flows into the catalog's
-quarantine machinery.  ``REPRO_NO_MMAP=1`` (or a
-platform where mapping fails — e.g. some Windows filesystems) falls back
-to an ordinary read of the same bytes.
+quarantine machinery.
 """
 
 from __future__ import annotations
 
-import mmap as _mmap_module
 import os
 import struct
 import sys
@@ -306,7 +303,6 @@ class SkeletonLoadInfo:
     """How a skeleton load was served (surfaced through ``/stats``)."""
 
     bytes_mapped: int
-    mmap: bool
     format_version: int = SKELETON_VERSION
     plane_format_version: int = _pl.PLANE_FORMAT_VERSION
 
@@ -316,7 +312,6 @@ class SkeletonLoadInfo:
             "format_version": self.format_version,
             "plane_format_version": self.plane_format_version,
             "bytes_mapped": self.bytes_mapped,
-            "mmap": self.mmap,
         }
 
 
@@ -333,28 +328,11 @@ def write_skeleton(path: str, instance: Instance) -> int:
 
 
 def read_skeleton(path: str) -> tuple[Instance, SkeletonLoadInfo]:
-    """Load an RSKL file, via ``mmap`` when the platform allows it.
+    """Load an RSKL file: one read, then :func:`decode_skeleton`.
 
-    The mapping lives only for the duration of the decode — the decoded
-    arrays are private copies, so no page of the file is referenced after
-    return and the file can be replaced or deleted freely (this also
-    side-steps Windows' open-mapping file-locking semantics).
+    The decoded arrays are private copies, so the file can be replaced or
+    deleted freely after return.
     """
-    use_mmap = not os.environ.get("REPRO_NO_MMAP")
     with open(path, "rb") as handle:
-        if use_mmap:
-            try:
-                mapped = _mmap_module.mmap(handle.fileno(), 0, access=_mmap_module.ACCESS_READ)
-            except (ValueError, OSError):
-                mapped = None  # empty file or mapping-hostile platform
-        else:
-            mapped = None
-        if mapped is not None:
-            try:
-                instance = decode_skeleton(mapped)
-                size = len(mapped)
-            finally:
-                mapped.close()
-            return instance, SkeletonLoadInfo(bytes_mapped=size, mmap=True)
         data = handle.read()
-    return decode_skeleton(data), SkeletonLoadInfo(bytes_mapped=len(data), mmap=False)
+    return decode_skeleton(data), SkeletonLoadInfo(bytes_mapped=len(data))

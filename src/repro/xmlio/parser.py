@@ -9,7 +9,7 @@ a tree.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.errors import XMLSyntaxError
 from repro.xmlio.events import Event, Text
@@ -113,8 +113,3 @@ def sax_parse(text: str, handler: Handler) -> None:
             handler.comment(event.data)
         elif kind == "pi":
             handler.processing_instruction(event.target, event.data)
-
-
-def iter_events(source: Iterable[Event]) -> Iterator[Event]:
-    """Identity adaptor so loaders accept pre-tokenized event streams."""
-    return iter(source)

@@ -53,6 +53,23 @@ def _error(message: str, text: str, offset: int) -> XMLSyntaxError:
     return XMLSyntaxError(message, offset=offset, line=line, column=column)
 
 
+def decode_text(data: bytes) -> str:
+    """``data`` as UTF-8 text with universal newlines, as text-mode ``open`` reads.
+
+    Bytes that are not UTF-8 raise :class:`XMLSyntaxError` carrying the byte
+    offset, so a mis-encoded file ends in the library's own error type.
+    """
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as error:
+        raise XMLSyntaxError(
+            f"input is not valid UTF-8 ({error.reason})", offset=error.start
+        ) from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def tokenize(text: str) -> Iterator[Event]:
     """Yield lexical events for ``text`` in document order.
 

@@ -30,14 +30,15 @@ class TestOpen:
             assert db.execute("//author").tree_count() == 5
 
     def test_open_dag_file(self, tmp_path):
-        from repro.model.serialize import save_file
+        from repro.skeleton.layout import write_skeleton
         from repro.skeleton.loader import load
 
-        path = str(tmp_path / "bib.dag")
-        save_file(load(BIB_XML).instance, path)
+        # Recognised by its RSKL magic, not by what the file is called.
+        path = str(tmp_path / "bib.saved")
+        write_skeleton(path, load(BIB_XML).instance)
         with repro.open(path) as db:
             assert db.execute("//author").tree_count() == 5
-            # No character data in a .dag: the fragment tier is off.
+            # No character data in a saved instance: the fragment tier is off.
             with pytest.raises(ReproError, match="fragments"):
                 db.execute("//author").fragments(1)
 

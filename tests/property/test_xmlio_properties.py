@@ -2,8 +2,8 @@
 
 from hypothesis import given, strategies as st
 
-from repro.model.serialize import dumps, loads
 from repro.model.equivalence import equivalent
+from repro.skeleton.layout import decode_skeleton, encode_skeleton
 from repro.skeleton.loader import load
 from repro.skeleton.reassemble import reassemble
 from repro.xmlio.dom import Element, parse_document
@@ -74,6 +74,6 @@ def test_full_decomposition_round_trip(element):
 
 @given(random_dag_instances())
 def test_instance_serialization_round_trip(instance):
-    restored = loads(dumps(instance))
+    restored = decode_skeleton(encode_skeleton(instance))
     restored.validate()
     assert equivalent(restored, instance)

@@ -238,8 +238,8 @@ class TestFaultInjector:
         injector = FaultInjector()
         seen = {}
         injector.arm("point", callback=lambda **ctx: seen.update(ctx))
-        injector.fire("point", path="/tmp/chunk-0.dag", chunk_id=0)
-        assert seen == {"path": "/tmp/chunk-0.dag", "chunk_id": 0}
+        injector.fire("point", path="/tmp/some-file", attempt=0)
+        assert seen == {"path": "/tmp/some-file", "attempt": 0}
 
     def test_disarm_all(self):
         injector = FaultInjector()

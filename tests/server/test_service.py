@@ -275,7 +275,7 @@ class TestKernelProvenance:
             service.close()
 
     def test_cold_load_served_from_skeleton(self, catalog):
-        """A shredded document's first load maps the succinct skeleton."""
+        """A shredded document's first load reads the succinct skeleton."""
         service = QueryService(catalog)
         try:
             service.query("bib", "//author")
@@ -285,7 +285,7 @@ class TestKernelProvenance:
             info = service.instance_info("bib", ())
             assert info["resident"] is True
             assert info["load"]["format"] == "skeleton"
-            assert info["load"]["mmap"] in (True, False)  # REPRO_NO_MMAP fallback
+            assert info["load"]["bytes_mapped"] == catalog.store("bib").size()
             assert info["kernel"]["plane_format_version"] >= 1
         finally:
             service.close()

@@ -90,27 +90,18 @@ class TestFileAndMmap:
         assert written == os.path.getsize(path)
         return path, instance
 
-    def test_mmap_read_round_trips(self, skeleton_file):
+    def test_read_round_trips(self, skeleton_file):
         """``write_skeleton(load_instance(xml))`` → ``read_skeleton``: what the
         catalog publishes and serves — vertex ids are the shredder's."""
         path, instance = skeleton_file
         loaded, info = read_skeleton(path)
         assert observable(loaded) == observable(instance)
-        assert info.mmap is True
         assert info.bytes_mapped == os.path.getsize(path)
         assert info.as_dict()["format"] == "skeleton"
 
-    def test_no_mmap_fallback_round_trips(self, skeleton_file, monkeypatch):
-        path, instance = skeleton_file
-        monkeypatch.setenv("REPRO_NO_MMAP", "1")
-        loaded, info = read_skeleton(path)
-        assert observable(loaded) == observable(instance)
-        assert info.mmap is False
-        assert info.bytes_mapped == os.path.getsize(path)
-
     def test_file_replaceable_after_read(self, skeleton_file):
-        # The decoded arrays are private copies: no page of the mapping is
-        # referenced after return, so the file can be replaced in place.
+        # The decoded arrays are private copies: nothing of the file is
+        # referenced after return, so it can be replaced in place.
         path, instance = skeleton_file
         loaded, _ = read_skeleton(path)
         os.remove(path)

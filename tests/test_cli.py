@@ -4,7 +4,9 @@ import re
 
 import pytest
 
+import repro
 from repro.cli import main
+from repro.errors import IntegrityError, XMLSyntaxError
 
 
 @pytest.fixture
@@ -138,30 +140,82 @@ class TestQueryBatch:
         assert "1.1.2" in out  # first book author
 
     def test_batch_on_saved_dag(self, bib_file, tmp_path, capsys):
-        dag = str(tmp_path / "bib.dag")
-        assert main(["compress", bib_file, "--save", dag]) == 0
+        saved = str(tmp_path / "bib.rskl")
+        assert main(["compress", bib_file, "--save", saved]) == 0
         capsys.readouterr()
-        assert main(["query", dag, "//author", "//title"]) == 0
+        assert main(["query", saved, "//author", "//title"]) == 0
         out = capsys.readouterr().out
         assert "batch               : 2 queries" in out
 
 
+def _selected(out: str) -> list[str]:
+    return [line for line in out.splitlines() if line.startswith("selected")]
+
+
 class TestSavedInstances:
     def test_compress_save_then_query_dag(self, bib_file, tmp_path, capsys):
-        dag = str(tmp_path / "bib.dag")
-        assert main(["compress", bib_file, "--save", dag]) == 0
+        # A saved instance is recognised by its RSKL magic, whatever the suffix.
+        saved = str(tmp_path / "bib.any")
+        assert main(["compress", bib_file, "--save", saved]) == 0
         capsys.readouterr()
-        assert main(["query", dag, "//author"]) == 0
+        assert main(["query", saved, "//author"]) == 0
         out = capsys.readouterr().out
         assert "selected tree nodes : 5" in out
         assert "parse+compress time : 0.000s" in out  # no XML re-parse
+        assert main(["explain", "--file", saved, "--analyze", "//author"]) == 0
+        assert "actual=5" in capsys.readouterr().out
 
     def test_compress_with_string_sets(self, bib_file, tmp_path, capsys):
-        dag = str(tmp_path / "bib.dag")
-        assert main(["compress", bib_file, "--string", "Codd", "--save", dag]) == 0
+        saved = str(tmp_path / "bib.rskl")
+        query = '//paper[author["Codd"]]'
+        assert main(["compress", bib_file, "--string", "Codd", "--save", saved]) == 0
         capsys.readouterr()
-        assert main(["query", dag, '//paper[author["Codd"]]']) == 0
-        assert "selected tree nodes : 1" in capsys.readouterr().out
+        assert main(["query", saved, query]) == 0
+        from_saved = capsys.readouterr().out
+        assert "selected tree nodes : 1" in from_saved
+        assert main(["query", bib_file, query]) == 0
+        assert _selected(capsys.readouterr().out) == _selected(from_saved)
+
+    @pytest.mark.parametrize(
+        "damage, code, error",
+        [
+            ("truncated", 2, IntegrityError),
+            ("flipped-byte", 2, IntegrityError),
+            ("wrong-version", 2, IntegrityError),
+            ("bad-magic", 1, XMLSyntaxError),  # not an image, so read as (broken) XML
+            ("non-utf8-xml", 1, XMLSyntaxError),
+        ],
+    )
+    def test_damaged_file_is_one_error_line(
+        self, damage, code, error, bib_file, tmp_path, capsys
+    ):
+        saved = tmp_path / "bib.rskl"
+        assert main(["compress", bib_file, "--save", str(saved)]) == 0
+        capsys.readouterr()
+        image = saved.read_bytes()
+        damaged = tmp_path / "damaged"
+        damaged.write_bytes(
+            {
+                "truncated": image[: len(image) // 2],
+                "flipped-byte": image[:-1] + bytes([image[-1] ^ 0xFF]),
+                "wrong-version": image[:4] + b"\x09" + image[5:],
+                "bad-magic": b"RSKX" + image[4:],
+                "non-utf8-xml": b"<a>caf\xe9</a>",
+            }[damage]
+        )
+        path = str(damaged)
+        for argv, expected in (
+            (["query", path, "//a"], code),
+            (["explain", "--file", path, "//a"], code),
+            (["compress", path], 1),  # compress only reads XML: all five are broken XML
+        ):
+            assert main(argv) == expected
+            captured = capsys.readouterr()
+            err = captured.err.strip()
+            assert err.startswith("error: ") and "\n" not in err
+            assert "Traceback" not in err and captured.out == ""
+        with pytest.raises(error):
+            repro.open(path)
 
 
 class TestExitCodes:
