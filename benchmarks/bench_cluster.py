@@ -189,7 +189,7 @@ def measure_config(
     workload: dict[str, list[str]],
     reference: dict[tuple[str, str], str] | None,
 ) -> dict:
-    under_test = ServerUnderTest(catalog_dir, mode="snapshot", workers=workers)
+    under_test = ServerUnderTest(catalog_dir, workers=workers)
     try:
         checked = 0
         if reference is not None:
@@ -248,7 +248,7 @@ def main(argv=None) -> int:
         workload = build_catalog(catalog_dir, args.smoke)
         requests = mixed_requests(workload, total)
 
-        baseline_server = ServerUnderTest(catalog_dir, mode="snapshot", workers=0)
+        baseline_server = ServerUnderTest(catalog_dir, workers=0)
         try:
             reference = reference_answers(baseline_server, workload)
             warm = list({pair for pair in requests})

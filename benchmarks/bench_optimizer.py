@@ -41,6 +41,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
 from corpus_cache import cached_xml
+from repro.api.envelope import encode_result
 from repro.bench.queries import queries_for
 from repro.corpora.registry import CORPORA
 from repro.engine.evaluator import CompressedEvaluator
@@ -102,10 +103,7 @@ def payload(instance, expr, short_circuit: bool, decode_paths: bool):
         instance, copy=True, short_circuit=short_circuit
     )
     result = evaluator.evaluate(expr)
-    identity = {
-        "dag_count": result.dag_count(),
-        "tree_count": result.tree_count(),
-    }
+    identity = encode_result(result)  # the served counts: the answer contract
     if decode_paths and identity["tree_count"] <= _PATH_CHECK_CAP:
         identity["paths"] = sorted(result.tree_paths())
     return identity

@@ -14,15 +14,13 @@ measures that difference end to end, over real HTTP:
 * **warm-sequential** — a generous baseline: one long-lived
   ``Engine(reparse_per_query=False)`` answering the stream sequentially
   (no parse after warm-up, no concurrency, no coalescing);
-* **served (snapshot / persistent)** — N client threads firing the same
-  request stream at a live ``repro serve`` instance, for both evaluation
-  modes (per-batch ``copy()`` of the immutable master vs one long-lived
-  working instance per pool entry).
+* **served** — N client threads firing the same request stream at a live
+  ``repro serve`` instance.
 
 Before timing anything, every distinct query's server response is checked
 **byte-identical** (canonical JSON of counts + decoded paths) against
 direct evaluation; any divergence fails the run.  Results go to
-``BENCH_server.json``; the run fails when the best served throughput is
+``BENCH_server.json``; the run fails when the served throughput is
 below ``--min-speedup`` x the one-shot baseline (default 2.0).
 
 Usage::
@@ -127,10 +125,9 @@ def canonical(payload: dict) -> str:
 class ServerUnderTest:
     """A live ``repro serve`` on an ephemeral port over a throwaway catalog."""
 
-    def __init__(self, catalog_dir: str, mode: str, workers: int = 0,
-                 frontend: str = "threaded"):
+    def __init__(self, catalog_dir: str, workers: int = 0, frontend: str = "threaded"):
         self.server = create_server(
-            catalog_dir, port=0, mode=mode, workers=workers, frontend=frontend
+            catalog_dir, port=0, workers=workers, frontend=frontend
         )
         self.host, self.port = self.server.server_address[:2]
         self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
@@ -216,7 +213,7 @@ def verify_frontends_identical(catalog_dir: str, document: str, queries) -> int:
     servers = {}
     try:
         for frontend in ("threaded", "async"):
-            servers[frontend] = ServerUnderTest(catalog_dir, "snapshot", frontend=frontend)
+            servers[frontend] = ServerUnderTest(catalog_dir, frontend=frontend)
         for method, path, body in probes:
             bodies = {}
             for frontend, under_test in servers.items():
@@ -307,7 +304,7 @@ def coalescing_probe(
     """
     from repro.server.service import QueryService
 
-    service = QueryService(Catalog(catalog_dir), mode="snapshot")
+    service = QueryService(Catalog(catalog_dir))
     service.query("doc", query)  # warm: residency outside the clock
     failures: list[str] = []
 
@@ -371,29 +368,24 @@ def measure(
         one_shot_seconds = run_sequential_one_shot(xml, requests)
         warm_seconds = run_sequential_warm(xml, requests)
 
-        served = {}
-        checked = 0
         frontends_checked = 0
         if frontend == "async":
             # The async run doubles as the differential gate: both
             # front-ends must answer the same requests byte-identically.
             frontends_checked = verify_frontends_identical(catalog_dir, "doc", queries)
-        for mode in ("snapshot", "persistent"):
-            under_test = ServerUnderTest(catalog_dir, mode, frontend=frontend)
-            try:
-                checked += verify_byte_identical(under_test, "doc", xml, queries)
-                # One warm pass so resident instances exist before the clock.
-                drive_clients(under_test, "doc", requests[: len(queries)], clients)
-                run = drive_clients(under_test, "doc", requests, clients)
-                run["stats"] = under_test.server.service.stats_dict()
-                served[mode] = run
-            finally:
-                under_test.close()
+        under_test = ServerUnderTest(catalog_dir, frontend=frontend)
+        try:
+            checked = verify_byte_identical(under_test, "doc", xml, queries)
+            # One warm pass so resident instances exist before the clock.
+            drive_clients(under_test, "doc", requests[: len(queries)], clients)
+            served = drive_clients(under_test, "doc", requests, clients)
+            served["stats"] = under_test.server.service.stats_dict()
+        finally:
+            under_test.close()
         probe = coalescing_probe(catalog_dir, queries[0])
     finally:
         shutil.rmtree(catalog_dir, ignore_errors=True)
 
-    best_mode = max(served, key=lambda mode: served[mode]["throughput_rps"])
     one_shot_rps = len(requests) / one_shot_seconds
     warm_rps = len(requests) / warm_seconds
     row = {
@@ -409,17 +401,15 @@ def measure(
         "warm_sequential_rps": warm_rps,
         "served": served,
         "coalescing_probe": probe,
-        "best_mode": best_mode,
-        "speedup_vs_one_shot": served[best_mode]["throughput_rps"] / one_shot_rps,
-        "speedup_vs_warm": served[best_mode]["throughput_rps"] / warm_rps,
+        "speedup_vs_one_shot": served["throughput_rps"] / one_shot_rps,
+        "speedup_vs_warm": served["throughput_rps"] / warm_rps,
     }
     print(
         f"  {corpus:12s}  one-shot {one_shot_rps:8.1f} rps  warm {warm_rps:8.1f} rps  "
-        f"served[snapshot] {served['snapshot']['throughput_rps']:8.1f} rps  "
-        f"served[persistent] {served['persistent']['throughput_rps']:8.1f} rps  "
-        f"best {row['speedup_vs_one_shot']:6.1f}x one-shot "
+        f"served {served['throughput_rps']:8.1f} rps  "
+        f"{row['speedup_vs_one_shot']:6.1f}x one-shot "
         f"({row['speedup_vs_warm']:4.2f}x warm, p95 "
-        f"{served[best_mode]['latency_p95_ms']:.2f} ms, coalesced "
+        f"{served['latency_p95_ms']:.2f} ms, coalesced "
         f"{100 * probe['coalesced_fraction']:.0f}% depth {probe['max_batch_size']})"
     )
     return row

@@ -113,9 +113,9 @@ class Database:
         """A served database over a catalog directory (owned lifecycle).
 
         ``service_kwargs`` pass through to
-        :class:`repro.server.service.QueryService` (``mode``, ``window``,
-        ``max_batch``, ``pool_capacity``, ...).  Closing the
-        database closes the service.
+        :class:`repro.server.service.QueryService` (``window``,
+        ``max_batch``, ``pool_capacity``, ...).  Closing the database
+        closes the service.
         """
         from repro.server.catalog import Catalog
         from repro.server.service import QueryService

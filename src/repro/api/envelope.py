@@ -8,7 +8,11 @@ here — once:
   object.  ``repro.server.service.decode_result`` (the HTTP wire format
   and the cluster worker protocol) and :meth:`repro.api.ResultSet.to_json`
   all delegate here, so "server response == direct evaluation" stays a
-  byte comparison of canonical JSON.
+  byte comparison of canonical JSON.  The served ``dag_count`` is the
+  number of vertices of the document's instance *as loaded* (the pooled
+  master) that hold at least one selected tree node — like ``tree_count``
+  and the paths a function of the selected tree nodes and the document,
+  never of which vertices this or an earlier evaluation split.
 * **Error envelopes** — :func:`error_envelope` produces the uniform
   ``{"error": {"kind", "message", "detail"}}`` body every HTTP route
   returns, and :data:`ERROR_KINDS` names the error families the worker
@@ -149,7 +153,7 @@ def encode_result(result, paths: int = 0, limit: int = DEFAULT_LIMIT) -> dict:
     walk to the same paths: O(|DAG| + N * depth * fan-out), never O(|tree|).
     """
     payload: dict = {
-        "dag_count": result.dag_count(),
+        "dag_count": result.instance.count_origins(result.set_name),
         "tree_count": result.tree_count(),
     }
     if paths:

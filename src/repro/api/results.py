@@ -134,7 +134,8 @@ class ResultSet:
         return self.result.vertices()
 
     def dag_count(self) -> int:
-        """Figure 7 column (7): #nodes selected in the compressed instance."""
+        """Selected DAG vertices: served, counted on the pooled master (what
+        :meth:`to_json` reports on either backend); embedded, Figure 7 column (7)."""
         if self._payload is not None:
             return self._payload["dag_count"]
         return self._result.dag_count()

@@ -227,7 +227,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         args.catalog,
         host=args.host,
         port=args.port,
-        mode=args.mode,
         window=args.window_ms / 1000.0,
         max_batch=args.max_batch,
         pool_capacity=args.pool_size,
@@ -486,11 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_catalog_dir(serve)
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080)
-    serve.add_argument(
-        "--mode", choices=("snapshot", "persistent"), default="snapshot",
-        help="per-batch copy of the resident master (snapshot) or one "
-        "long-lived working instance per pool entry (persistent)",
-    )
     serve.add_argument(
         "--window-ms", type=float, default=0.0,
         help="coalescing window in milliseconds (0 = batch whatever queues "

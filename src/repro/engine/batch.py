@@ -157,13 +157,13 @@ class BatchEvaluator(CompressedEvaluator):
     def reset_results(self) -> None:
         """Drop every durable ``#q<i>`` snapshot from the working instance.
 
-        The long-lived serving path (:mod:`repro.server.service`,
-        ``mode="persistent"``) reuses one working instance across many
-        batches: results are decoded to plain payloads immediately after
-        each batch, after which their snapshot selections are dead weight —
-        without this reset the schema (and with it every vertex mask) would
-        grow by one set per query forever.  Do **not** call this while any
-        undecoded :class:`QueryResult` of this evaluator is still alive.
+        The serving path (:mod:`repro.server.service`) reuses one working
+        instance across many batches: results are decoded to plain payloads
+        immediately after each batch, after which their snapshot selections
+        are dead weight — without this reset the schema (and with it every
+        vertex mask) would grow by one set per query forever.  Do **not**
+        call this while any undecoded :class:`QueryResult` of this
+        evaluator is still alive.
         """
         self._instance.drop_sets(
             name for name in self._instance.schema if is_result(name)

@@ -34,7 +34,6 @@ from repro.xpath.algebra import (
     RootFilter,
     RootSet,
     Union,
-    is_split_free,
 )
 from repro.xpath.compiler import compile_query
 
@@ -49,9 +48,9 @@ class CompressedEvaluator:
     ``short_circuit=True`` enables the optimizer's dynamic counterpart to
     static empty-branch folding: when the left operand of an intersection
     or difference evaluates to the empty selection, the right operand is
-    skipped — but only when :func:`repro.xpath.algebra.is_split_free`
-    holds for it, so the final instance's vertex partition (and with it
-    every reported DAG count) is byte-identical to a full evaluation.
+    skipped.  The selection is the same either way; the splits the skipped
+    operand would have run show only in :meth:`QueryResult.dag_count`,
+    never in the served payload (:func:`repro.api.envelope.encode_result`).
     """
 
     def __init__(
@@ -160,11 +159,9 @@ class CompressedEvaluator:
             if (
                 self._short_circuit
                 and not isinstance(expr, Union)
-                and is_split_free(expr.right)
                 and self._is_empty_selection(left)
             ):
-                # ∅ ∩ R = ∅ and ∅ − R = ∅; skipping R only elides
-                # split-free work, so the partition stays identical.
+                # ∅ ∩ R = ∅ and ∅ − R = ∅ for any R.
                 return self._empty_selection()
             right = self._eval(expr.right)
             return self._combine(expr, left, right)

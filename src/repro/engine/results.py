@@ -55,7 +55,8 @@ class QueryResult:
         return self.instance.members(self.set_name)
 
     def dag_count(self) -> int:
-        """Figure 7 column (7): #nodes selected in the compressed instance."""
+        """Figure 7 column (7): #nodes selected in the compressed instance this
+        evaluation ended on (the served count is :mod:`repro.api.envelope`'s)."""
         if self._dag_count is None:
             self._dag_count = self.instance.count_set(self.set_name)
         return self._dag_count

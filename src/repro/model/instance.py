@@ -198,6 +198,7 @@ class Instance:
         "_nwords",
         "_nedge_entries",
         "_root",
+        "_origin",
         "_generation",
         "_pre_cache",
         "_post_cache",
@@ -216,6 +217,9 @@ class Instance:
         self._children: list[tuple[Edge, ...]] = []
         self._nedge_entries: int = 0
         self._root: int = -1
+        #: ``_origin[v]`` = the vertex ``v`` stood for in the instance this
+        #: one was forked from; ``None`` = identity (see :meth:`count_origins`).
+        self._origin: list[int] | None = None
         self._generation: int = 0
         self._pre_cache: list[int] | None = None
         self._post_cache: list[int] | None = None
@@ -258,6 +262,7 @@ class Instance:
         instance._children = children
         instance._nedge_entries = sum(len(edges) for edges in children)
         instance._root = root
+        instance._origin = None
         instance._generation = 0
         instance._pre_cache = None
         instance._post_cache = None
@@ -443,10 +448,15 @@ class Instance:
         :meth:`copy` shares them).  A clone's parents are parents of its
         original or their clones, and its children are the original's or
         their clones, so it can sit right after its original in the cached
-        postorder and inherit its level in the :class:`EdgeCSR`.
+        postorder and inherit its level in the :class:`EdgeCSR`.  Each clone
+        also inherits its original's origin (:meth:`count_origins`).
         """
         table = self._children
         first = len(table)
+        origin = self._origin
+        if origin is None:
+            origin = self._origin = list(range(first))
+        origin.extend([origin[vertex] for vertex in originals])
         clone_of = {vertex: first + i for i, vertex in enumerate(originals)}
         flat, csr = self._flat_cache, self._csr_cache
         if _pl.numpy_active() and not (flat is None and csr is None):
@@ -585,14 +595,34 @@ class Instance:
         """The vertex set named ``name`` as a Python set."""
         return set(_pl.iter_bits(self._planes[self.bit_of(name)]))
 
+    def _live_plane(self, name: str) -> array:
+        """Set ``name`` restricted to reachable vertices (read-only)."""
+        plane = self._planes[self.bit_of(name)]
+        if not self.fully_reachable:
+            plane = _pl.copy_plane(plane)
+            _pl.intersect_into(plane, self.reachable_plane())
+        return plane
+
     def count_set(self, name: str, reachable_only: bool = True) -> int:
         """``|S|`` by popcount — without materialising a Python set."""
-        plane = self._planes[self.bit_of(name)]
-        if not reachable_only or self.fully_reachable:
-            return _pl.count_bits(plane)
-        restricted = _pl.copy_plane(plane)
-        _pl.intersect_into(restricted, self.reachable_plane())
-        return _pl.count_bits(restricted)
+        if reachable_only:
+            return _pl.count_bits(self._live_plane(name))
+        return _pl.count_bits(self._planes[self.bit_of(name)])
+
+    def count_origins(self, name: str) -> int:
+        """Distinct *origins* among the reachable members of set ``name``.
+
+        A vertex's origin is the vertex it stood for in the instance this
+        one was forked from: itself, or its original's origin for a clone
+        (:meth:`split_vertices`, :meth:`gather_sets_from`; :meth:`copy`
+        carries the map).  Splits only refine which tree nodes share a
+        vertex, so this counts the vertices *of the forked-from instance*
+        that hold a selected tree node, whichever splits evaluation ran.
+        """
+        origin = self._origin
+        if origin is None:
+            return self.count_set(name)
+        return len({origin[vertex] for vertex in _pl.iter_bits(self._live_plane(name))})
 
     def sets_at(self, vertex: int) -> tuple[str, ...]:
         """Names of all sets containing ``vertex`` (in schema order)."""
@@ -764,12 +794,15 @@ class Instance:
         ``new_id`` inherits — the one bulk primitive behind every
         renumbering construction (product rebuilds, compaction, common
         extension).  Only sets present in both schemas are gathered; this
-        instance's extra sets are left untouched.
+        instance's extra sets are left untouched.  Origins
+        (:meth:`count_origins`) are inherited the same way.
         """
         if len(origin) != len(self._children):
             raise InstanceError(
                 f"origin maps {len(origin)} vertices, instance has {len(self._children)}"
             )
+        inherited = source._origin
+        self._origin = list(origin) if inherited is None else [inherited[v] for v in origin]
         shared = [
             (i, source._planes[source._bits[name]])
             for i, name in enumerate(self._schema)
@@ -946,6 +979,7 @@ class Instance:
         clone._nwords = self._nwords
         clone._nedge_entries = self._nedge_entries
         clone._root = self._root
+        clone._origin = None if self._origin is None else list(self._origin)
         clone._generation = self._generation
         # Structure-derived caches are read-only values over identical
         # structure, so the clone shares them; either side's next structural

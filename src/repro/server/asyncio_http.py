@@ -264,7 +264,10 @@ class AsyncReproHTTPServer:
         method, path, version = parts
         headers = Headers()
         for _ in range(MAX_HEADERS):
-            line = await reader.readuntil(b"\n")
+            try:
+                line = await reader.readuntil(b"\n")
+            except asyncio.LimitOverrunError:  # past the stream's own buffer limit
+                raise _BadRequest(400, "header line too long", "bad-request") from None
             if len(line) > MAX_LINE:
                 raise _BadRequest(400, "header line too long", "bad-request")
             stripped = line.strip()

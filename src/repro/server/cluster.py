@@ -22,7 +22,7 @@ Design points:
   by the highest ``blake2b(worker slot | document | string-schema)``
   score over the fleet, so a given ``(document, string-schema)`` master
   is resident in **exactly one** worker: PR 3's micro-batch coalescing
-  and persistent-mode reuse keep working per shard, memory is not
+  and working-fork reuse keep working per shard, memory is not
   duplicated N ways, and adding/removing a slot only remaps the keys
   that hashed to it.  A respawned worker keeps its slot id, so affinity
   survives crashes.
@@ -183,7 +183,6 @@ class WorkerFleet(ServingBackend):
         self,
         catalog: Catalog,
         workers: int | None = None,
-        mode: str = "snapshot",
         window: float = 0.0,
         max_batch: int = 64,
         pool_capacity: int = 8,
@@ -204,7 +203,6 @@ class WorkerFleet(ServingBackend):
         if count < 1:
             raise ClusterError(f"worker fleet needs >= 1 worker, got {count}")
         super().__init__(catalog)
-        self.mode = mode
         self.request_timeout = request_timeout
         self.health_interval = health_interval
         self.drain_timeout = drain_timeout
@@ -218,7 +216,6 @@ class WorkerFleet(ServingBackend):
         self.admission = AdmissionController(max_queue=max_queue, rate_limit=rate_limit)
         self.degraded_shed_rate = degraded_shed_rate
         self._config = {
-            "mode": mode,
             "window": window,
             "max_batch": max_batch,
             "pool_capacity": pool_capacity,
@@ -620,7 +617,6 @@ class WorkerFleet(ServingBackend):
         slot = self._slot_for(document, strings)
         info: dict = {
             "source": "worker",
-            "mode": self.mode,
             "workers": self.workers,
             "shard": slot.id,
             "strings": list(strings),
@@ -773,7 +769,6 @@ class WorkerFleet(ServingBackend):
             "cluster": {
                 "workers": self.workers,
                 "alive": sum(1 for row in snapshot if row["alive"]),
-                "mode": self.mode,
                 "dispatched": sum(row["dispatched"] for row in snapshot),
                 "completed": sum(row["completed"] for row in snapshot),
                 "failed": sum(row["failed"] for row in snapshot),
@@ -784,7 +779,6 @@ class WorkerFleet(ServingBackend):
                 ),
             },
             "workers": snapshot,
-            "mode": self.mode,
             "admission": self.admission.stats(),
             "kernel": kernel_info(),
             "mutations": mutations,

@@ -167,7 +167,6 @@ def create_server(
     catalog_dir: str,
     host: str = "127.0.0.1",
     port: int = 8080,
-    mode: str = "snapshot",
     window: float = 0.0,
     max_batch: int = 64,
     pool_capacity: int = 8,
@@ -224,7 +223,6 @@ def create_server(
             service = WorkerFleet(
                 Catalog(catalog_dir),
                 workers=workers,
-                mode=mode,
                 window=window,
                 max_batch=max_batch,
                 pool_capacity=pool_capacity,
@@ -235,7 +233,6 @@ def create_server(
         else:
             service = QueryService(
                 Catalog(catalog_dir),
-                mode=mode,
                 window=window,
                 max_batch=max_batch,
                 pool_capacity=pool_capacity,
@@ -352,7 +349,7 @@ def serve(
     fleet = f" workers={workers}" if workers else ""
     print(
         f"repro serve: {server.url}  catalog={catalog_dir!r} "
-        f"documents={len(documents)} mode={service.mode} frontend={frontend}{fleet}",
+        f"documents={len(documents)} frontend={frontend}{fleet}",
         file=sys.stderr,
     )
     stop_stats = threading.Event()

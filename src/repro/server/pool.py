@@ -15,10 +15,9 @@ document is shredded with all of its tags (see
   block on that entry alone — the instance is loaded exactly once — and
   requests for other documents proceed in parallel;
 * the master instance is never handed out for mutation: callers take the
-  entry lock and either ``copy()`` it (snapshot mode — the copy shares
-  the master's cached traversal orders until a structural mutation, so a
-  steady-state snapshot skips the initial DFS) or evaluate on the entry's
-  persistent working instance while still holding the lock.
+  entry lock and evaluate on the entry's working fork — one ``copy()`` of
+  the master, sharing its cached traversal orders, kept across batches —
+  while still holding the lock.
 
 Eviction drops the pool's reference only; an evaluation holding the entry
 keeps it alive until it finishes.
@@ -27,7 +26,6 @@ keeps it alive until it finishes.
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from typing import Callable, Hashable
 
@@ -41,16 +39,16 @@ PoolKey = Hashable
 class PoolEntry:
     """One resident master instance plus its serialisation lock."""
 
-    __slots__ = ("key", "lock", "instance", "working", "load_seconds", "hits", "load_info")
+    __slots__ = ("key", "lock", "instance", "working", "hits", "load_info")
 
     def __init__(self, key: PoolKey):
         self.key = key
         self.lock = threading.Lock()
         #: The immutable master (``None`` until the first loader ran).
         self.instance: Instance | None = None
-        #: Persistent-mode working instance (lazily forked from the master).
+        #: The long-lived working fork batches evaluate on (lazily copied
+        #: from the master; dropped and re-forked by the service).
         self.working: Instance | None = None
-        self.load_seconds = 0.0
         self.hits = 0
         #: How the cold load was served ("skeleton" image vs "parse" of the
         #: kept text), as the loader returned it; surfaced in ``/stats``.
@@ -114,7 +112,6 @@ class InstancePool:
                 self.evictions += 1
         with entry.lock:
             if entry.instance is None:
-                started = time.perf_counter()
                 try:
                     from repro.server.resilience import FAULTS
 
@@ -131,7 +128,6 @@ class InstancePool:
                             del self._entries[key]
                     raise
                 warm(instance)  # derive the structure caches once, pre-share
-                entry.load_seconds = time.perf_counter() - started
                 entry.load_info = load_info
                 entry.instance = instance
         return entry

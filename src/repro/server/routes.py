@@ -257,7 +257,6 @@ class Router:
         if path == "/healthz":
             payload = service.health_dict()
             payload["documents"] = len(service.catalog)
-            payload["mode"] = service.mode
             workers = getattr(service, "workers", 0)
             if workers:
                 payload["workers"] = workers

@@ -17,19 +17,14 @@ One :class:`QueryService` serves many concurrent callers over a
 3. the resident master instance comes from the LRU
    :class:`repro.server.pool.InstancePool`; evaluation never mutates it.
 
-Two evaluation strategies (the ``mode`` parameter; ``bench_server.py``
-measures both, DESIGN.md section 7 discusses the numbers):
-
-* ``"snapshot"`` — each batch evaluates on a fresh ``copy()`` of the
-  immutable master, taken under the entry lock and discarded after the
-  results are decoded.  Copies are cheap (list copies sharing the master's
-  cached traversal orders) and batches for *different* keys can evaluate
-  concurrently.
-* ``"persistent"`` — each entry forks one long-lived working instance and
-  every batch evaluates on it in place, under the entry lock.  No per-batch
-  copy, and partial decompressions are paid once and reused by later
-  batches; the working instance is reset (result snapshots dropped) after
-  each batch so it cannot grow without bound.
+Every batch evaluates in place, under the entry lock, on the entry's
+long-lived **working fork**: one ``copy()`` of the immutable master, so the
+splits of partial decompression (valid for every later query — the paper's
+result is again an instance) are paid once.  A fork whose evaluation died
+mid-batch is discarded, and one grown past :data:`WORKING_GROWTH_LIMIT`
+times its master is re-forked, so growth cannot accumulate across
+requests; answers never depend on the fork's history (``dag_count`` is
+counted on the master, :func:`repro.api.envelope.encode_result`).
 
 Results are decoded to plain dictionaries *before* any cleanup, so a
 response never depends on live engine state.
@@ -49,8 +44,7 @@ from dataclasses import dataclass, field
 # to the shared envelope module, and callers still read the cap from us.
 from repro.api.envelope import DEFAULT_LIMIT, MAX_PATHS, encode_result  # noqa: F401
 from repro.engine.batch import BatchEvaluator
-from repro.engine.results import QueryResult
-from repro.errors import DeadlineExceededError, ReproError
+from repro.errors import DeadlineExceededError
 from repro.model import planes
 from repro.model.instance import Instance
 from repro.mutation.ops import as_mutations
@@ -63,16 +57,11 @@ from repro.xpath.optimizer import OptimizationResult, optimize as optimize_plan
 from repro.xpath.parser import parse_query
 
 
-def decode_result(result: QueryResult, paths: int = 0, limit: int = DEFAULT_LIMIT) -> dict:
-    """Decode a :class:`QueryResult` into a plain response payload.
-
-    A thin alias of :func:`repro.api.envelope.encode_result` — THE
-    canonical wire shape, shared with :meth:`repro.api.ResultSet.to_json`
-    — kept under its historical name because the benchmarks build their
-    expected payloads through it, so "server response == direct
-    evaluation" is a byte comparison of canonical JSON.
-    """
-    return encode_result(result, paths=paths, limit=limit)
+#: :func:`repro.api.envelope.encode_result` — THE canonical wire shape —
+#: under its historical name: the benchmarks build their expected payloads
+#: through it, so "server response == direct evaluation" is a byte
+#: comparison of canonical JSON.
+decode_result = encode_result
 
 
 def kernel_info() -> dict:
@@ -150,6 +139,11 @@ class CompiledQueryCache:
             self._entries[query_text] = (expr, tuple(tags), tuple(strings))
 
 
+#: A working fork holding more than this multiple of its master's |V| is
+#: re-forked before its next batch.  Observed maxima over the benchmark
+#: workloads are 1.1x-1.6x, so the bound only meets the Theorem 3.6 family.
+WORKING_GROWTH_LIMIT = 4
+
 #: Batch-size histogram bucket upper bounds (queries per executed batch).
 BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64)
 
@@ -169,6 +163,8 @@ class ServiceStats:
     #: Vertices added to working instances by partial decompression, summed
     #: over executed batches (the paper's cost of a query, Figure 7).
     split_vertices: int = 0
+    #: Working forks dropped for outgrowing :data:`WORKING_GROWTH_LIMIT`.
+    working_reforks: int = 0
     #: Per-bucket (non-cumulative) batch-size counts; last slot is +Inf.
     batch_size_counts: list[int] = field(
         default_factory=lambda: [0] * (len(BATCH_SIZE_BUCKETS) + 1)
@@ -189,6 +185,7 @@ class ServiceStats:
             "errors": self.errors,
             "deadline_expired": self.deadline_expired,
             "split_vertices": self.split_vertices,
+            "working_reforks": self.working_reforks,
             "batch_sizes": {
                 "le": list(BATCH_SIZE_BUCKETS),
                 "counts": list(self.batch_size_counts),
@@ -503,7 +500,6 @@ class QueryService(ServingBackend):
     def __init__(
         self,
         catalog: Catalog,
-        mode: str = "snapshot",
         window: float = 0.0,
         max_batch: int = 64,
         pool_capacity: int = 8,
@@ -513,10 +509,7 @@ class QueryService(ServingBackend):
         degraded_shed_rate: float = 1.0,
         optimize: bool = True,
     ):
-        if mode not in ("snapshot", "persistent"):
-            raise ReproError(f"unknown evaluation mode {mode!r}")
         super().__init__(catalog, optimize=optimize)
-        self.mode = mode
         self.window = window
         self.max_batch = max(1, max_batch)
         self.request_timeout = request_timeout
@@ -631,14 +624,13 @@ class QueryService(ServingBackend):
 
         The cached-instance provenance attached to structured plans:
         whether the master is currently resident in the pool (a pool hit)
-        and which evaluation mode batches would run under.  Raises
-        :class:`repro.errors.CatalogError` for unknown documents.
+        and how it was loaded.  Raises :class:`repro.errors.CatalogError`
+        for unknown documents.
         """
         entry = self.catalog.entry(document)
         key = (document, tuple(strings), entry.registered_at, entry.doc_version)
         return {
             "source": "pool",
-            "mode": self.mode,
             "resident": key in self.pool.keys(),
             "strings": list(strings),
             "kernel": kernel_info(),
@@ -662,7 +654,6 @@ class QueryService(ServingBackend):
         return {
             "service": service,
             "pool": self.pool.stats(),
-            "mode": self.mode,
             "optimize": self.optimize,
             "admission": self.admission.stats(),
             "quarantined": self.catalog.quarantined(),
@@ -787,20 +778,19 @@ class QueryService(ServingBackend):
             return
         entry = self.pool.get_or_load(key, lambda: self._load_master(key))
         pool_hit = entry.hits > 0
-        if self.mode == "snapshot":
-            with entry.lock:
-                working = self._prepare(entry.instance.copy(), batch)
-            # The master is only touched under the lock; the copy is private
-            # to this batch, so evaluation runs outside it.  (Same-key
-            # batches are still serialised by the per-key leader loop.)
-            outcomes = self._evaluate(working, batch)
-        else:
-            with entry.lock:
-                if entry.working is None:
-                    # Fork once; the master stays pristine for re-forks.
-                    entry.working = entry.instance.copy()
-                working = self._prepare(entry.working, batch)
-                outcomes = self._evaluate(working, batch, persistent_entry=entry)
+        with entry.lock:
+            master, working = entry.instance, entry.working
+            if (
+                working is not None
+                and working.num_vertices > WORKING_GROWTH_LIMIT * master.num_vertices
+            ):
+                working = None
+                with self._stats_lock:
+                    self.stats.working_reforks += 1
+            if working is None:
+                # The master stays pristine, so a fork is always one copy away.
+                entry.working = master.copy()
+            outcomes = self._evaluate(entry, batch)
         with self._stats_lock:
             self.stats.batches += 1
             self.stats.max_batch_size = max(self.stats.max_batch_size, len(batch))
@@ -821,7 +811,6 @@ class QueryService(ServingBackend):
                 query=request.query_text,
                 batched_with=len(batch),
                 pool_hit=pool_hit,
-                mode=self.mode,
             )
             if request.trace is not None:
                 outcome["trace"] = request.trace
@@ -849,29 +838,24 @@ class QueryService(ServingBackend):
 
         return check
 
-    @staticmethod
-    def _prepare(working: Instance, batch) -> Instance:
-        for request, _ in batch:
-            _ensure_tag_sets(working, request.tags)
-        return working
-
     def _evaluate(
-        self,
-        working: Instance,
-        batch: list[tuple[_Request, Future]],
-        persistent_entry: PoolEntry | None = None,
+        self, entry: PoolEntry, batch: list[tuple[_Request, Future]]
     ) -> list[dict | Exception]:
         """Evaluate one coalesced batch; per-request outcomes, not all-or-nothing.
 
-        Decoding failures (e.g. a client-supplied path ``limit`` blown by a
-        huge selection) are captured *per request*, so one bad request never
-        poisons its batch-mates.  In persistent mode the working instance is
-        handed back to the entry on every successful evaluation (snapshots
-        dropped), and **discarded** if evaluation itself died mid-batch —
-        a half-evaluated instance still carries populated temp sets that a
-        later evaluator's fresh counter would silently reuse.
+        Runs on ``entry.working`` with ``entry.lock`` held.  Decoding
+        failures (e.g. a client-supplied path ``limit`` blown by a huge
+        selection) are captured *per request*, so one bad request never
+        poisons its batch-mates.  The working fork is handed back to the
+        entry on every successful evaluation (snapshots dropped), and
+        **discarded** if evaluation itself died mid-batch — a half-evaluated
+        instance still carries populated temp sets that a later evaluator's
+        fresh counter would silently reuse.
         """
         FAULTS.fire("service.evaluate", batch=len(batch))
+        working = entry.working
+        for request, _ in batch:
+            _ensure_tag_sets(working, request.tags)
         evaluator = BatchEvaluator(working, copy=False, short_circuit=self.optimize)
         check = self._batch_check(batch)
         vertices_before = working.num_vertices
@@ -880,8 +864,7 @@ class QueryService(ServingBackend):
                 [request.expr for request, _ in batch], check=check
             )
         except BaseException:
-            if persistent_entry is not None:
-                persistent_entry.working = None  # re-fork from the pristine master
+            entry.working = None  # re-fork from the pristine master
             raise
         with self._stats_lock:
             self.stats.split_vertices += evaluator.instance.num_vertices - vertices_before
@@ -895,10 +878,14 @@ class QueryService(ServingBackend):
                 outcomes.append(payload)
             except Exception as error:  # noqa: BLE001 - forwarded to one waiter
                 outcomes.append(error)
-        if persistent_entry is not None:
-            # Keep the (possibly rebuilt) final instance for the next batch,
-            # minus this batch's durable result snapshots — everything was
-            # decoded above, so nothing references them anymore.
-            evaluator.reset_results()
-            persistent_entry.working = evaluator.instance
+        # Keep the (possibly rebuilt) final instance for the next batch,
+        # minus what this batch added to its schema: the durable result
+        # snapshots — everything was decoded above, so nothing references
+        # them anymore — and the empty sets of tags the document lacks.
+        evaluator.reset_results()
+        working = evaluator.instance
+        working.drop_sets(
+            [name for name in working.schema if not entry.instance.has_set(name)]
+        )
+        entry.working = working
         return outcomes

@@ -202,31 +202,18 @@ def axis_applications(expr: AlgebraExpr) -> list[str]:
 
 
 def uses_only_upward_axes(expr: AlgebraExpr) -> bool:
-    """True if Corollary 3.7 applies: evaluation will never decompress."""
-    from repro.xpath.ast import UPWARD_AXES
-
-    return all(axis in UPWARD_AXES for axis in axis_applications(expr))
-
-
-def is_split_free(expr: AlgebraExpr) -> bool:
-    """True when evaluating ``expr`` can never split a vertex.
+    """True if Corollary 3.7 applies: evaluation will never decompress.
 
     Upward axes and ``self`` are in-place mask passes (Proposition 3.3);
-    everything else — downward and sibling axes, and the ``following`` /
-    ``preceding`` compositions that contain them — may rebuild the
-    instance.  The optimizer (and the evaluator's short-circuit mode) may
-    only *skip* split-free subtrees: skipping a possibly-splitting one
-    would change the final instance's vertex partition, and with it the
-    DAG-vertex counts reported for other selections on the same instance.
-    Cached per node (expressions are immutable), same trick as
-    :meth:`AlgebraExpr.structural_key`.
+    downward and sibling axes, and the ``following`` / ``preceding``
+    compositions that contain them, may split vertices.
     """
     from repro.xpath.ast import UPWARD_AXES
 
-    cached = getattr(expr, "_split_free", None)
-    if cached is None:
-        cached = (
-            not isinstance(expr, AxisApply) or expr.axis in UPWARD_AXES
-        ) and all(is_split_free(child) for child in expr.children())
-        object.__setattr__(expr, "_split_free", cached)
-    return cached
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, AxisApply) and node.axis not in UPWARD_AXES:
+            return False
+        stack.extend(node.children())
+    return True

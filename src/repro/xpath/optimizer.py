@@ -23,18 +23,17 @@ before/after plans for each):
   split-free predicate subtrees ahead of subtrees containing structural
   joins (non-upward axis applications).
 
-**The soundness contract** (property-pinned in
+**The answer contract** (property-pinned in
 ``tests/property/test_optimizer_properties.py``): every rewrite preserves
-the *byte-identical* result payload — DAG vertex count, tree-node count
-and decoded paths.  Tree counts and paths only need set-semantics
-equivalence, but the DAG count also depends on which vertex splits
-evaluation performs, so a rewrite may only *eliminate* work that can
-never split (:func:`repro.xpath.algebra.is_split_free`): upward-axis
-subtrees, leaf sets, and axis applications whose source is already empty
-(the engine fast-paths those without touching the structure).  A branch
-that may split is kept in the plan even when its result is provably
-empty — the evaluator's short-circuit mode applies the same guard at
-runtime.
+the *byte-identical* result payload of
+:func:`repro.api.envelope.encode_result` — tree-node count, decoded paths
+and the master-counted ``dag_count``.  All three are functions of the
+selected tree-node set, so set-semantics equivalence is the whole
+obligation: a rewrite may eliminate any work whose result is provably
+unused, splitting or not (which vertices evaluation happens to split
+shows only in the in-process ``QueryResult.dag_count()``, the paper's
+Figure 7 column, which may differ between two plans).  The evaluator's
+short-circuit mode is the same rule applied at runtime.
 
 Estimates are in *tree-node* units (what ``result.tree_count()``
 reports), computed bottom-up under independence assumptions; see
@@ -59,7 +58,7 @@ from repro.xpath.algebra import (
     RootFilter,
     RootSet,
     Union,
-    is_split_free,
+    uses_only_upward_axes,
 )
 
 #: Rule tags attached to plan nodes (the `rules` field of explain output).
@@ -179,8 +178,7 @@ class _Optimizer:
     def _rewrite_axis(self, expr: AxisApply) -> AlgebraExpr:
         operand = self.rewrite(expr.operand)
         if isinstance(operand, EmptySet):
-            # chi(∅) = ∅ for every axis; the engine would fast-path this
-            # without structural change, so folding it away is split-safe.
+            # chi(∅) = ∅ for every axis.
             return self._tag(EmptySet(), RULE_PROPAGATE_EMPTY)
         identity = self._axis_identity(expr.axis, operand)
         if identity is not None:
@@ -194,9 +192,8 @@ class _Optimizer:
         """Closed forms for axis images of ``{root}`` and ``V``.
 
         Each identity replaces an application the engine would evaluate
-        with a structure pass (split-free in these cases — the context is
-        uniform, so the product never refines the partition) by plain mask
-        arithmetic; results are identical selections.
+        with a structure pass by plain mask arithmetic; results are
+        identical selections.
         """
         if isinstance(operand, RootSet):
             if axis == "self":
@@ -242,19 +239,9 @@ class _Optimizer:
 
     def _rewrite_conjunction(self, expr: Intersect) -> AlgebraExpr:
         conjuncts = [self.rewrite(part) for part in self._conjuncts(expr)]
-        empties = [part for part in conjuncts if isinstance(part, EmptySet)]
-        rest = [part for part in conjuncts if not isinstance(part, EmptySet)]
-        if empties:
-            if all(is_split_free(part) for part in rest):
-                # The whole conjunction is provably empty, and dropping the
-                # other conjuncts eliminates only split-free work.
-                return self._tag(EmptySet(), RULE_PROPAGATE_EMPTY)
-            # Keep the possibly-splitting conjuncts in the plan (the DAG
-            # partition must stay byte-identical) but intersect with the
-            # empty set *first*: evaluation becomes trivial mask work and
-            # the runtime short-circuit can skip any split-free tail.
-            ordered = [empties[0]] + self._ordered(rest)
-            return self._tag(_fold_intersect(ordered), RULE_REORDER)
+        if any(isinstance(part, EmptySet) for part in conjuncts):
+            # One provably empty conjunct empties the whole conjunction.
+            return self._tag(EmptySet(), RULE_PROPAGATE_EMPTY)
         ordered = self._ordered(conjuncts)
         if ordered == conjuncts:
             # Order unchanged: keep the original node when nothing below
@@ -281,7 +268,7 @@ class _Optimizer:
         passes), 2 = contains a structural join (may rebuild)."""
         if not expr.children():
             return 0
-        return 1 if is_split_free(expr) else 2
+        return 1 if uses_only_upward_axes(expr) else 2
 
     def _quick_estimate(self, expr: AlgebraExpr) -> float:
         """Selectivity used only for ordering (full model in ``_estimate``)."""
@@ -294,7 +281,7 @@ class _Optimizer:
         """Did a string-containment leaf move ahead of a structural join?"""
 
         def has_join(expr: AlgebraExpr) -> bool:
-            return bool(expr.children()) and not is_split_free(expr)
+            return bool(expr.children()) and not uses_only_upward_axes(expr)
 
         for ordering, direction in ((before, False), (after, True)):
             seen_join = False
@@ -317,8 +304,6 @@ class _Optimizer:
     def _rewrite_union(self, expr: Union) -> AlgebraExpr:
         left = self.rewrite(expr.left)
         right = self.rewrite(expr.right)
-        # An EmptySet branch evaluates to a fresh empty selection with no
-        # structural effect, so eliminating it is always split-safe.
         if isinstance(left, EmptySet):
             return self._tag(right, RULE_PROPAGATE_EMPTY)
         if isinstance(right, EmptySet):
@@ -331,11 +316,10 @@ class _Optimizer:
         left = self.rewrite(expr.left)
         right = self.rewrite(expr.right)
         if isinstance(left, EmptySet):
-            if is_split_free(right):
-                # ∅ − R = ∅, and skipping R eliminates only in-place work.
-                return self._tag(EmptySet(), RULE_PROPAGATE_EMPTY)
-        elif isinstance(right, EmptySet):
-            # L − ∅ = L (the dropped branch is a no-op leaf).
+            # ∅ − R = ∅ for any R.
+            return self._tag(EmptySet(), RULE_PROPAGATE_EMPTY)
+        if isinstance(right, EmptySet):
+            # L − ∅ = L.
             return self._tag(left, RULE_PROPAGATE_EMPTY)
         if left is expr.left and right is expr.right:
             return expr

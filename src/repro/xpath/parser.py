@@ -36,12 +36,23 @@ from repro.xpath.lexer import Token, lex
 _DOS_STAR = Step("descendant-or-self", "*")
 _RESERVED = {"and", "or", "not"}
 
+#: Most *terms* one query may hold: paths, their location steps (``//``
+#: counts as the step it desugars to) and predicate operands (each
+#: ``(...)``, ``not(...)``, string or path inside ``[...]``).  Query text is
+#: outside input and parser, compiler, optimizer and evaluator all recurse
+#: over what it builds: every level of nesting and every link of a chain is
+#: at least one term and adds at most two levels to the compiled plan, so
+#: this one number bounds nesting depth, step count and every recursion
+#: downstream (~6 frames per step served; the paper's queries have < 20).
+MAX_TERMS = 64
+
 
 class _Parser:
     def __init__(self, query: str):
         self.query = query
         self.tokens = lex(query)
         self.index = 0
+        self.terms = 0
 
     # -- token helpers -------------------------------------------------
 
@@ -67,6 +78,14 @@ class _Parser:
             )
         return self.advance()
 
+    def count_terms(self, count: int = 1) -> None:
+        self.terms += count
+        if self.terms > MAX_TERMS:
+            raise XPathSyntaxError(
+                f"query too large: more than {MAX_TERMS} steps and predicate terms",
+                position=self.current.position,
+            )
+
     # -- grammar -------------------------------------------------------
 
     def parse(self) -> LocationPath | PathUnion:
@@ -80,16 +99,16 @@ class _Parser:
         return paths[0] if len(paths) == 1 else PathUnion(tuple(paths))
 
     def path(self) -> LocationPath:
-        steps: list[Step] = []
+        absolute = True
         if self.accept("DSLASH"):
-            steps.append(_DOS_STAR)
-            steps.extend(self.relative_steps())
-            return LocationPath(absolute=True, steps=tuple(steps))
-        if self.accept("SLASH"):
-            if self._at_step_start():
-                steps.extend(self.relative_steps())
-            return LocationPath(absolute=True, steps=tuple(steps))
-        return LocationPath(absolute=False, steps=tuple(self.relative_steps()))
+            steps = [_DOS_STAR, *self.relative_steps()]
+        elif self.accept("SLASH"):
+            steps = self.relative_steps() if self._at_step_start() else []
+        else:
+            absolute = False
+            steps = self.relative_steps()
+        self.count_terms(1 + len(steps))
+        return LocationPath(absolute=absolute, steps=tuple(steps))
 
     def relative_steps(self) -> list[Step]:
         steps = [self.step()]
@@ -157,6 +176,7 @@ class _Parser:
         return parts[0] if len(parts) == 1 else AndExpr(tuple(parts))
 
     def unary(self) -> Expr:
+        self.count_terms()
         token = self.current
         if token.kind == "NAME" and token.value == "not":
             self.advance()

@@ -103,12 +103,11 @@ class TestHistogramInvariants:
 
 
 @pytest.mark.parametrize("frontend", ["threaded", "async"])
-@pytest.mark.parametrize("mode", ["snapshot", "persistent"])
-def test_live_scrape_observations_equal_requests_issued(tmp_path, mode, frontend):
+def test_live_scrape_observations_equal_requests_issued(tmp_path, frontend):
     """End to end: every request issued is exactly one histogram observation."""
     catalog_dir = str(tmp_path / "cat")
     Catalog(catalog_dir).add("bib", BIB_XML)
-    server = create_server(catalog_dir, port=0, mode=mode, frontend=frontend)
+    server = create_server(catalog_dir, port=0, frontend=frontend)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]

@@ -1,16 +1,17 @@
-"""Property tests pinning the optimizer's soundness contract.
+"""Property tests pinning the optimizer's answer contract.
 
 The contract (docs/optimizer.md, DESIGN.md section 13): for ANY document
 and ANY plan, evaluating the optimized plan yields the byte-identical
-result payload — same DAG vertex count, same exact tree-node count, same
-decoded paths — as the unoptimized plan on the same instance, with and
-without the runtime short-circuit.  Tree counts and paths would follow
-from set-semantics equivalence alone; the DAG count additionally pins
-that rewrites never change which vertex splits evaluation performs.
+served payload (``encode_result``) — same master-counted ``dag_count``,
+same exact tree-node count, same decoded paths — as the unoptimized plan
+on the same instance, with and without the runtime short-circuit.  The two
+plans may split different vertices, so the raw ``QueryResult.dag_count()``
+is deliberately not compared.
 """
 
 from hypothesis import given, settings, strategies as st
 
+from repro.api.envelope import encode_result
 from repro.compress.stats import DocumentStats
 from repro.engine.evaluator import CompressedEvaluator
 from repro.model.paths import tree_size
@@ -57,13 +58,12 @@ def algebra_expressions(max_leaves: int = 4):
     return st.recursive(leaves, extend, max_leaves=max_leaves)
 
 
-def _payload(instance, expr, short_circuit: bool) -> tuple:
-    """The byte-identity triple: (dag_count, tree_count, sorted paths)."""
+def _payload(instance, expr, short_circuit: bool) -> dict:
+    """The served payload: master-counted dag_count, tree_count, all paths."""
     working = instance.copy()
     working.ensure_set("missing")
     evaluator = CompressedEvaluator(working, copy=False, short_circuit=short_circuit)
-    result = evaluator.evaluate(expr)
-    return (result.dag_count(), result.tree_count(), tuple(sorted(result.tree_paths())))
+    return encode_result(evaluator.evaluate(expr), paths=4000)
 
 
 @given(random_dag_instances(), algebra_expressions())

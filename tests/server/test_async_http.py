@@ -90,6 +90,19 @@ class TestFraming:
         )
         assert response.startswith(b"HTTP/1.1 400 ")
 
+    @pytest.mark.parametrize("size", [20_000, 70_000])
+    def test_oversized_header_line_is_400(self, server, size):
+        """Over MAX_LINE, and over the stream reader's own 64 KiB limit
+        (which surfaces as LimitOverrunError, once an unanswered drop)."""
+        response = raw_exchange(
+            server, b"GET /healthz HTTP/1.1\r\nX-Big: " + b"x" * size + b"\r\n\r\n"
+        )
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        error = json.loads(body)["error"]
+        assert (error["kind"], error["message"]) == ("bad-request", "header line too long")
+
     def test_too_many_headers_is_400(self, server):
         headers = "".join(f"X-H{i}: {i}\r\n" for i in range(200))
         response = raw_exchange(
@@ -182,7 +195,6 @@ class TestGracefulDrain:
         started = threading.Event()
 
         class SlowService:
-            mode = "snapshot"
             catalog = ()
 
             def health_dict(self):

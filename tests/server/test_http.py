@@ -60,6 +60,7 @@ class TestEndpoints:
         assert status == 200
         assert payload["status"] == "ok"
         assert payload["documents"] == 1
+        assert "mode" not in payload
 
     def test_query_matches_direct_evaluation(self, server):
         status, payload = request(
@@ -71,7 +72,7 @@ class TestEndpoints:
         assert payload["tree_count"] == expected["tree_count"]
         assert payload["paths"] == expected["paths"]
         assert payload["document"] == "bib"
-        assert payload["mode"] == "snapshot"
+        assert "mode" not in payload
 
     def test_catalog_listing(self, server):
         status, payload = request(server, "GET", "/catalog")
@@ -131,6 +132,37 @@ class TestErrorMapping:
         assert "invalid query" in envelope["message"]
         # Syntax errors carry their machine-readable location.
         assert envelope["detail"]["position"] == 4
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "/a" + "[b" * 3000 + "]" * 3000,
+            "/a[" + "(" * 3000 + "b" + ")" * 3000 + "]",
+            "/a[" + "not(" * 1500 + "b" + ")" * 1500 + "]",
+            "/a" * 3000,
+        ],
+        ids=["brackets", "parentheses", "nots", "steps"],
+    )
+    def test_oversized_query_is_a_syntax_error_on_every_surface(
+        self, server, query, tmp_path, capsys
+    ):
+        """Each shape once ran out of stack (HTTP 500, a raw traceback)."""
+        import repro
+        from repro.cli import main
+        from repro.errors import XPathSyntaxError
+
+        status, payload = request(
+            server, "POST", "/query", {"document": "bib", "query": query}
+        )
+        assert status == 400
+        assert "query too large" in assert_envelope(payload, "xpath-syntax")["message"]
+        with pytest.raises(XPathSyntaxError, match="query too large"):
+            repro.open(BIB_XML).execute(query)
+        (tmp_path / "bib.xml").write_text(BIB_XML)
+        assert main(["query", str(tmp_path / "bib.xml"), query]) == 2
+        captured = capsys.readouterr()
+        assert "query too large" in captured.err
+        assert "Traceback" not in captured.err + captured.out
 
     def test_malformed_json_is_400(self, server):
         host, port = server.server_address[:2]

@@ -119,14 +119,14 @@ class TestBackendParity:
         stats, health = backend.stats_dict(), backend.health_dict()
         if isinstance(backend, QueryService):
             assert list(stats) == [
-                "service", "pool", "mode", "optimize", "admission",
+                "service", "pool", "optimize", "admission",
                 "quarantined", "kernel", "doc_versions",
             ]
             assert list(stats["service"])[-2:] == ["batch_sizes", "mutations"]
             assert list(health) == ["status", "reasons", "quarantined", "shed_rate"]
         else:
             assert list(stats) == [
-                "cluster", "workers", "mode", "admission", "kernel",
+                "cluster", "workers", "admission", "kernel",
                 "mutations", "doc_versions",
             ]
             # Worker rows are in-process services: same block, always zero.

@@ -115,10 +115,9 @@ class TestStatsPersistence:
 
 
 class TestServiceByteIdentity:
-    @pytest.mark.parametrize("mode", ["snapshot", "persistent"])
-    def test_optimized_matches_unoptimized(self, catalog, mode):
-        plain = QueryService(catalog, mode=mode, optimize=False)
-        tuned = QueryService(catalog, mode=mode, optimize=True)
+    def test_optimized_matches_unoptimized(self, catalog):
+        plain = QueryService(catalog, optimize=False)
+        tuned = QueryService(catalog, optimize=True)
         try:
             for query in QUERIES:
                 expected = plain.query("bib", query, paths=10)

@@ -29,25 +29,23 @@ def catalog(tmp_path):
     return catalog
 
 
-def expected_payload(query, paths=0):
+def expected_payload(query, paths=0, xml=BIB_XML):
     """Direct one-shot evaluation decoded through the same wire shape."""
-    return decode_result(Engine(BIB_XML).query(query), paths=paths)
+    return decode_result(Engine(xml).query(query), paths=paths)
 
 
 class TestCorrectness:
-    @pytest.mark.parametrize("mode", ["snapshot", "persistent"])
     @pytest.mark.parametrize("query", QUERIES)
-    def test_matches_direct_evaluation(self, catalog, mode, query):
-        service = QueryService(catalog, mode=mode)
+    def test_matches_direct_evaluation(self, catalog, query):
+        service = QueryService(catalog)
         response = service.query("bib", query, paths=50)
         expected = expected_payload(query, paths=50)
         assert response["tree_count"] == expected["tree_count"]
         assert response["paths"] == expected["paths"]
 
-    @pytest.mark.parametrize("mode", ["snapshot", "persistent"])
-    def test_repeated_queries_stay_correct(self, catalog, mode):
-        """Round 2+ exercises the pool-hit path (and persistent reuse)."""
-        service = QueryService(catalog, mode=mode)
+    def test_repeated_queries_stay_correct(self, catalog):
+        """Round 2+ exercises the pool-hit path and the reused working fork."""
+        service = QueryService(catalog)
         for _ in range(3):
             for query in QUERIES:
                 response = service.query("bib", query, paths=50)
@@ -71,40 +69,84 @@ class TestCorrectness:
             service.query("bib", "//a[[")
         assert service.stats.requests == 0
 
-    def test_rejects_unknown_mode(self, catalog):
-        from repro.errors import ReproError
+    def test_there_is_no_mode_selector(self, catalog):
+        from repro.server.cluster import WorkerFleet
 
-        with pytest.raises(ReproError, match="unknown evaluation mode"):
-            QueryService(catalog, mode="turbo")
+        for backend in (QueryService, WorkerFleet):
+            with pytest.raises(TypeError):
+                backend(catalog, mode="snapshot")
+        payload = QueryService(catalog).query("bib", "//author")
+        assert "mode" not in payload
+
+
+def full_binary_xml(depth: int) -> str:
+    return "<a/>" if depth == 0 else f"<a>{2 * full_binary_xml(depth - 1)}</a>"
+
+
+def turn_conjunction(k: int):
+    """``D_1 ∩ … ∩ D_k`` of ``benchmarks/bench_worstcase_decompression.py``:
+    D_j = below a right child at level j; ~2^k growth (Theorem 3.6)."""
+    from repro.xpath.algebra import AxisApply, Intersect, RootSet
+
+    def turn(level):
+        expr = RootSet()
+        for _ in range(level + 1):  # one more than the bench: the document root
+            expr = AxisApply("child", expr)
+        return AxisApply("descendant-or-self", AxisApply("following-sibling", expr))
+
+    expr = turn(1)
+    for level in range(2, k + 1):
+        expr = Intersect(expr, turn(level))
+    return expr
 
 
 class TestMasterIsolation:
-    def test_snapshot_mode_never_mutates_the_master(self, catalog):
-        service = QueryService(catalog, mode="snapshot")
+    @staticmethod
+    def entry_of(service, document, strings=()):
+        key = next(k for k in service.pool.keys() if k[:2] == (document, strings))
+        return service.pool.get_or_load(key, lambda: None)
+
+    def test_serving_never_mutates_the_master(self, catalog):
+        service = QueryService(catalog)
         for query in QUERIES:
             service.query("bib", query)
-        key = next(k for k in service.pool.keys() if k[0] == "bib" and k[1] == ())
-        entry = service.pool.get_or_load(key, lambda: None)
-        master = entry.instance
+        master = self.entry_of(service, "bib").instance
         assert not any(name.startswith("#t") for name in master.schema)
         assert not any(name.startswith("#q") for name in master.schema)
         # Structural generation untouched: no split ever reached the master.
         assert master.generation == catalog.load_instance("bib").generation
 
-    def test_persistent_mode_resets_result_snapshots(self, catalog):
-        service = QueryService(catalog, mode="persistent")
+    def test_working_fork_sheds_what_each_batch_added(self, catalog):
+        service = QueryService(catalog)
         for _ in range(4):
-            for query in QUERIES:
+            for query in QUERIES + ["//nosuchtag/author"]:
                 service.query("bib", query)
-        key = next(k for k in service.pool.keys() if k[0] == "bib" and k[1] == ())
-        entry = service.pool.get_or_load(key, lambda: None)
-        working = entry.working
-        assert not any(name.startswith("#q") for name in working.schema)
-        assert not any(
-            name.startswith("#t") and name[2:].isdigit() for name in working.schema
-        )
-        # The master itself stayed pristine (persistent forks once).
-        assert not any(name.startswith("#q") for name in entry.instance.schema)
+        entry = self.entry_of(service, "bib")
+        # No result snapshot, temporary or absent-tag set outlives its batch.
+        assert entry.working.schema == entry.instance.schema
+        assert entry.working is not entry.instance
+
+    def test_outgrown_working_fork_is_reforked(self, catalog):
+        """Theorem 3.6 growth is per query: it never accumulates in the fork."""
+        from repro.server.service import WORKING_GROWTH_LIMIT
+
+        xml = full_binary_xml(10)
+        catalog.add("tree", xml)
+        service = QueryService(catalog)
+        service.seed_compiled("worst-case", turn_conjunction(8), (), ())
+        expected = expected_payload("/a/a", paths=5, xml=xml)
+        for reforks in (1, 2):
+            blown = service.query("tree", "worst-case", paths=5)
+            # Everything below the all-right node of level 8: 1 + 2 + 4.
+            assert (blown["dag_count"], blown["tree_count"]) == (3, 7)
+            entry = self.entry_of(service, "tree")
+            bound = WORKING_GROWTH_LIMIT * entry.instance.num_vertices
+            assert entry.working.num_vertices > bound
+            cheap = service.query("tree", "/a/a", paths=5)
+            assert {key: cheap[key] for key in expected} == expected
+            assert entry.working.num_vertices <= bound
+            assert service.stats_dict()["service"]["working_reforks"] == reforks
+        assert entry.instance.generation == catalog.load_instance("tree").generation
 
     def test_string_queries_get_their_own_pool_entry(self, catalog):
         service = QueryService(catalog)
@@ -121,9 +163,8 @@ class TestMasterIsolation:
 
 
 class TestCoalescing:
-    @pytest.mark.parametrize("mode", ["snapshot", "persistent"])
-    def test_concurrent_requests_coalesce_and_stay_correct(self, catalog, mode):
-        service = QueryService(catalog, mode=mode, window=0.05)
+    def test_concurrent_requests_coalesce_and_stay_correct(self, catalog):
+        service = QueryService(catalog, window=0.05)
         service.query("bib", "//author")  # warm the pool outside the window
         barrier = threading.Barrier(8)
         responses = {}
@@ -200,13 +241,12 @@ class TestFailureIsolation:
         assert outcomes["good"]["paths"] == expected["paths"]
         assert service.stats.errors == 1
 
-    @pytest.mark.parametrize("mode", ["snapshot", "persistent"])
-    def test_still_correct_after_decode_failure(self, catalog, mode):
+    def test_still_correct_after_decode_failure(self, catalog):
         """Regression: a failed decode must not leave polluted engine state
         (stale #t/#q sets) behind for later batches on the same entry."""
         from repro.errors import DecompressionLimitError
 
-        service = QueryService(catalog, mode=mode)
+        service = QueryService(catalog)
         for _ in range(2):
             with pytest.raises(DecompressionLimitError):
                 service.query("bib", "//author", paths=5, limit=2)

@@ -298,13 +298,14 @@ class TestServeParser:
         from repro.cli import build_parser
 
         args = build_parser().parse_args(["serve"])
-        assert args.mode == "snapshot"
         assert args.window_ms == 0.0
         assert args.pool_size == 8
         assert args.catalog == "repro-catalog"
         assert args.workers is None  # resolved to one per CPU at run time
         assert args.worker_threads == 4
         assert args.stats_interval == 0.0
+        with pytest.raises(SystemExit):  # the evaluation-mode selector is gone
+            build_parser().parse_args(["serve", "--mode", "snapshot"])
 
     def test_fleet_flags(self):
         from repro.cli import build_parser

@@ -115,7 +115,6 @@ CLI_OPTIONS = {
         "--http-threads",
         "--max-batch",
         "--max-queue",
-        "--mode",
         "--pool-size",
         "--port",
         "--rate-limit",

@@ -1,8 +1,8 @@
 """Unit tests for the cost-based plan optimizer: one class per rule family.
 
-The split-safety contract itself (byte-identical results) is pinned by the
-property suite in ``tests/property/test_optimizer_properties.py``; these
-tests pin each rewrite's *shape* — what fires, what is guarded, and what
+The answer contract itself (byte-identical served payloads) is pinned by
+the property suite in ``tests/property/test_optimizer_properties.py``;
+these tests pin each rewrite's *shape* — what fires, what folds, and what
 the estimator reports.
 """
 
@@ -101,8 +101,8 @@ class TestPropagateEmpty:
         assert RULE_PROPAGATE_EMPTY in result.rules_applied
 
     def test_whole_downward_chain_folds(self, bib_stats):
-        # //absent/title: the spine below the fold is split-free after the
-        # root-axis identity, so the entire conjunction collapses.
+        # //absent/title: the fold empties the child step's source, so the
+        # entire conjunction collapses.
         expr = Intersect(
             AxisApply(
                 "child",
@@ -122,30 +122,23 @@ class TestPropagateEmpty:
         result = optimize(Union(keep, NamedSet("absent")), bib_stats)
         assert result.expr == keep
 
-    def test_difference_empty_left_guarded_by_split_free(self, bib_stats):
-        splitting = AxisApply("child", NamedSet("book"))
-        upward = AxisApply("ancestor", NamedSet("book"))
-        # ∅ − (split-free) folds away entirely ...
-        folded = optimize(Difference(NamedSet("absent"), upward), bib_stats)
+    @pytest.mark.parametrize("axis", ["ancestor", "child"])  # split-free or not
+    def test_difference_empty_left_folds(self, bib_stats, axis):
+        right = AxisApply(axis, NamedSet("book"))
+        folded = optimize(Difference(NamedSet("absent"), right), bib_stats)
         assert isinstance(folded.expr, EmptySet)
-        # ... but a splitting right operand must stay in the plan.
-        kept = optimize(Difference(NamedSet("absent"), splitting), bib_stats)
-        assert isinstance(kept.expr, Difference)
-        assert isinstance(kept.expr.left, EmptySet)
+        assert folded.rules_applied == (RULE_FOLD_EMPTY, RULE_PROPAGATE_EMPTY)
 
     def test_difference_empty_right_drops(self, bib_stats):
         keep = AxisApply("child", NamedSet("book"))
         result = optimize(Difference(keep, NamedSet("absent")), bib_stats)
         assert result.expr == keep
 
-    def test_conjunction_with_empty_keeps_splitting_conjuncts(self, bib_stats):
+    def test_conjunction_with_empty_conjunct_folds(self, bib_stats):
         splitting = AxisApply("descendant", NamedSet("book"))
         result = optimize(Intersect(splitting, NamedSet("absent")), bib_stats)
-        # The splitting subtree must remain, but ∅ is intersected first so
-        # the runtime short-circuit gets its chance.
-        assert isinstance(result.expr, Intersect)
-        assert isinstance(result.expr.left, EmptySet)
-        assert result.expr.right == splitting
+        assert isinstance(result.expr, EmptySet)
+        assert RULE_REORDER not in result.rules_applied
 
     def test_root_filter_of_empty_folds(self, bib_stats):
         result = optimize(RootFilter(NamedSet("absent")), bib_stats)

@@ -202,3 +202,39 @@ def test_all_appendix_a_queries_parse(query):
     path = parse_query(query)
     assert isinstance(path, LocationPath)
     assert path.absolute
+
+
+class TestSizeLimit:
+    """MAX_TERMS: query text is outside input, and everything recurses on it."""
+
+    def test_limit_counts_paths_steps_and_operands(self):
+        from repro.xpath.parser import MAX_TERMS
+
+        parse_query("/a" * (MAX_TERMS - 1))  # one path + its steps
+        with pytest.raises(XPathSyntaxError, match="query too large"):
+            parse_query("/a" * MAX_TERMS)
+        largest = max(parser_terms(query) for query in APPENDIX_A)
+        assert largest < MAX_TERMS // 2  # the paper's queries are nowhere near
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "/a[" + " and ".join(['"x"'] * 100) + "]",
+            "/a[" + " or ".join(["b"] * 100) + "]",
+            "/a" + "[b]" * 100,
+            " | ".join(["/"] * 100),
+            "//a" * 40,  # '//' is a step of its own
+        ],
+        ids=["and", "or", "predicates", "union", "double-slash"],
+    )
+    def test_wide_queries_compile_as_deep_as_nested_ones(self, query):
+        with pytest.raises(XPathSyntaxError, match="query too large"):
+            parse_query(query)
+
+
+def parser_terms(query: str) -> int:
+    from repro.xpath.parser import _Parser
+
+    parser = _Parser(query)
+    parser.parse()
+    return parser.terms
