@@ -1,9 +1,10 @@
-"""Micro-benchmarks: every axis, both implementations (Figure 4 vs rebuild).
+"""Micro-benchmarks: every axis, both implementations (Figure 4 vs delta split).
 
 Per-operator costs on a mid-size corpus instance: upward axes are in-place
-mask passes (Proposition 3.3), downward/sibling axes rebuild at most twice
-the instance (Proposition 3.2).  The Figure 4 in-place splitter is timed
-against the functional rebuild on the downward axes it implements.
+mask passes (Proposition 3.3), downward/sibling axes clone the vertices
+that split, at most doubling the instance (Proposition 3.2).  The Figure 4
+in-place splitter is timed against the scan-split-commit kernel on the
+downward axes it implements.
 """
 
 from __future__ import annotations

@@ -33,6 +33,7 @@ from repro.api.results import ResultSet, ResultSetBatch
 from repro.errors import ReproError
 from repro.model.instance import Instance
 from repro.xmlio.dom import Element
+from repro.xpath.compiler import CompiledQueryCache
 
 
 def _attributes_mode(tags: Iterable[str]) -> str:
@@ -61,8 +62,8 @@ class Database:
         # Reassembled document DOM per attributes mode (fragment tier 3).
         self._dom_cache: dict[str, Element] = {}
         # Instance-backed databases own their compiled cache (the other
-        # backends delegate to the engine's / service's LRU).
-        self._prepared: dict[str, PreparedQuery] = {}
+        # backends delegate to the engine's / service's).
+        self._compiled = CompiledQueryCache()
         self._closed = False
 
     # -- constructors ----------------------------------------------------
@@ -230,16 +231,11 @@ class Database:
             return query
         if self._engine is not None:
             expr, (tags, strings) = self._engine.compiled_entry(query)
-            return PreparedQuery(query, expr, tags, strings)
-        if self._service is not None:
+        elif self._service is not None:
             expr, tags, strings = self._service.compiled_entry(query)
-            return PreparedQuery(query, expr, tags, strings)
-        prepared = self._prepared.get(query)
-        if prepared is None:
-            if len(self._prepared) >= 1024:
-                self._prepared.clear()
-            prepared = self._prepared[query] = PreparedQuery.compile(query)
-        return prepared
+        else:
+            expr, tags, strings = self._compiled.entry(query)
+        return PreparedQuery(query, expr, tags, strings)
 
     def _seed(self, prepared: PreparedQuery) -> None:
         """Adopt an externally-compiled query into the backend's cache."""
@@ -252,7 +248,9 @@ class Database:
                 prepared.text, prepared.expr, prepared.tags, prepared.strings
             )
         else:
-            self._prepared.setdefault(prepared.text, prepared)
+            self._compiled.seed(
+                prepared.text, prepared.expr, prepared.tags, prepared.strings
+            )
 
     # -- execution -------------------------------------------------------
 

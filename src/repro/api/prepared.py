@@ -5,11 +5,10 @@ single time from its text: the compiled algebra expression, the schema
 key (the tags and string-containment needles the one-scan loader must
 extract — section 4), and the canonical structural key the batch engine's
 common-subexpression cache shares work by.  The same object feeds every
-execution surface: an embedded :class:`repro.api.Database` seeds its
-engine's compiled-LRU with it, a served database seeds the service's
-:class:`repro.server.service.CompiledQueryCache`, and the batch evaluator
-consumes its expression directly — so no surface ever re-parses a text
-this object already compiled.
+execution surface: a :class:`repro.api.Database` seeds its backend's
+:class:`repro.xpath.compiler.CompiledQueryCache` with it, and the batch
+evaluator consumes its expression directly — so no surface ever re-parses
+a text this object already compiled.
 """
 
 from __future__ import annotations

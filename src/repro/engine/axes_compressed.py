@@ -29,12 +29,11 @@ refers to the expanded counts.
 Splitting only what splits (DESIGN.md section 5): an O(|E|) scan computes,
 for every reachable vertex, which context bits it receives.  Only a vertex
 receiving both differs from the input (none on a tree, none where shared
-vertices happen to agree — e.g. ``descendant`` from the root).  The
-downward axes clone exactly those vertices in place
-(:meth:`Instance.split_vertices`, which patches the instance's cached
-orders and edge arrays instead of dropping them) and commit the selection
-as one plane OR.  The sibling axes still commit in place when nothing
-splits and rebuild the whole product otherwise.
+vertices happen to agree — e.g. ``descendant`` from the root).  Both axis
+families clone exactly those vertices in place through the one growth seam
+:meth:`Instance.split_vertices` and commit the selection on the grown
+instance; existing selections survive because a clone copies its
+original's membership row.
 
 Kernel tiers (DESIGN.md section 11): with set memberships stored as
 contiguous bit planes, the in-place passes come in two shapes.  When numpy
@@ -54,7 +53,7 @@ from __future__ import annotations
 
 from repro.errors import EvaluationError
 from repro.model import planes as _pl
-from repro.model.instance import Instance, normalize_edges
+from repro.model.instance import Instance
 
 #: Minimum run-length edge entries before the numpy level-synchronous
 #: kernels pay for themselves; tiny instances (the paper's Figure 1 scale)
@@ -88,11 +87,9 @@ def _restrict_reachable(instance: Instance, plane) -> None:
 def apply_axis(instance: Instance, axis: str, source: str, target: str) -> Instance:
     """Apply ``axis`` to set ``source``, adding the result as set ``target``.
 
-    Upward axes, ``self`` and the downward axes mutate ``instance`` in
-    place and return it (downward axes append a clone per split vertex);
-    so do split-free applications of the sibling axes, while genuinely
-    splitting ones return a *new* instance (all existing sets carried
-    over).  ``target`` must not already exist.
+    Every axis mutates ``instance`` in place and returns it — always the
+    object passed in; the downward and sibling axes append one clone per
+    vertex that splits.  ``target`` must not already exist.
     """
     if instance.has_set(target):
         raise EvaluationError(f"target set {target!r} already exists")
@@ -129,8 +126,8 @@ def apply_axis(instance: Instance, axis: str, source: str, target: str) -> Insta
 def _composite(instance: Instance, source: str, target: str, chain) -> Instance:
     """following/preceding via the section 3.2 composition, through temps.
 
-    The first stage is an in-place upward pass and the later stages usually
-    split nothing, so all three stages share the instance's cached orders
+    The first stage is an upward pass and the later stages usually split
+    nothing, so all three stages share the instance's cached orders
     (mask-only passes do not invalidate them); the temporaries are then
     dropped in a single :meth:`Instance.drop_sets` pass.
     """
@@ -138,7 +135,7 @@ def _composite(instance: Instance, source: str, target: str, chain) -> Instance:
     temps = []
     for index, axis in enumerate(chain):
         name = f"{target}~{index}" if index < len(chain) - 1 else target
-        instance = apply_axis(instance, axis, current, name)
+        apply_axis(instance, axis, current, name)
         if current != source:
             temps.append(current)
         current = name
@@ -326,29 +323,25 @@ def _downward(instance: Instance, axis: str, source: str, target: str) -> Instan
 
 
 # ----------------------------------------------------------------------
-# Sibling axes: product rebuild with per-run splitting (Proposition 3.4)
+# Sibling axes: delta split with per-run splitting (Proposition 3.4)
 # ----------------------------------------------------------------------
 
 
 def _sibling(instance: Instance, source: str, target: str, following: bool) -> Instance:
-    fast = _sibling_inplace(instance, source, target, following)
-    if fast is not None:
-        return fast
-    return _sibling_rebuild(instance, source, target, following)
+    """Scan, split, commit — in place, like :func:`_downward`.
 
-
-def _sibling_inplace(
-    instance: Instance, source: str, target: str, following: bool
-) -> Instance | None:
-    """Split-avoiding fast path for the sibling axes, or ``None``.
-
-    A vertex splits when two parent positions disagree on "has a
-    preceding/following sibling in S", or when a run ``(w, m)`` with
-    ``m > 1`` straddles the flag flip (``w in S`` while the flag is still
-    0), which would split the run itself.  One scan over all reachable
-    edge lists detects both; otherwise the selection is a pure mask pass.
-    The flag scan is order-sensitive along each edge list, so it stays
-    scalar in both kernel tiers.
+    The context bit is per *position*: "a sibling before (after, for
+    ``preceding-sibling``) this occurrence is in S".  Walking an edge list
+    with a running flag, the first occurrence of a run ``(w, m)`` gets the
+    flag and the other ``m - 1`` get ``flag | [w in S]``, so a run that
+    straddles the flip hands ``w`` both bits by itself.  Vertices holding
+    both bits are cloned for bit 1 and only the parents owning one have
+    their edge tuples rewritten: a bit-1 occurrence points at the clone and
+    a straddling run becomes ``(w, 1) + (w', m - 1)`` (mirrored for
+    ``preceding-sibling``).  The bit never depends on the parent's own bit,
+    so a split parent and its clone share the rewritten tuple.  The flag
+    scan is order-sensitive along each edge list and stays scalar in both
+    kernel tiers.
     """
     source_plane = instance.plane_of(source)
     children = instance.edge_table()
@@ -358,114 +351,46 @@ def _sibling_inplace(
     got0[instance.root] = 1
     for vertex in order:
         edges = children[vertex]
-        if not edges:
-            continue
         flag = 0
         for child, count in edges if following else reversed(edges):
-            in_source = source_plane[child >> 6] >> (child & 63) & 1
-            if count > 1 and in_source and not flag:
-                return None  # the run itself splits: (w,1) + (w',m-1)
             if flag:
                 got1[child] = 1
-            else:
-                got0[child] = 1
-            if in_source:
+                continue
+            got0[child] = 1
+            if source_plane[child >> 6] >> (child & 63) & 1:
                 flag = 1
-    for vertex in order:
-        if got0[vertex] and got1[vertex]:
-            return None
-    target_plane = instance.ensure_plane(target)
+                if count > 1:
+                    got1[child] = 1  # the run itself splits
+    originals: list[int] = []
+    selected: list[int] = []
     for vertex in order:
         if got1[vertex]:
-            target_plane[vertex >> 6] |= 1 << (vertex & 63)
+            (originals if got0[vertex] else selected).append(vertex)
+    if originals:
+        originals.sort()  # clone ids follow vertex ids, as in _downward
+        first = instance.num_vertices
+        clone_of = {vertex: first + i for i, vertex in enumerate(originals)}
+        rewritten: dict[int, tuple] = {}
+        for vertex in order:
+            edges = children[vertex]
+            if clone_of.keys().isdisjoint([child for child, _ in edges]):
+                continue
+            runs = []
+            flag = 0
+            for child, count in edges if following else reversed(edges):
+                clone = clone_of.get(child, child)
+                if flag:
+                    runs.append((clone, count))
+                    continue
+                flag = source_plane[child >> 6] >> (child & 63) & 1
+                if flag and count > 1:
+                    runs.extend([(child, 1), (clone, count - 1)])
+                else:
+                    runs.append((child, count))
+            rewritten[vertex] = tuple(runs if following else reversed(runs))
+        instance.split_vertices(originals, rewritten=rewritten)
+        selected.extend(clone_of.values())
+    target_plane = instance.ensure_plane(target)
+    for vertex in selected:
+        target_plane[vertex >> 6] |= 1 << (vertex & 63)
     return instance
-
-
-def _sibling_rebuild(
-    instance: Instance, source: str, target: str, following: bool
-) -> Instance:
-    result = Instance(instance.schema)
-    source_plane = instance.plane_of(source)
-    children = instance.edge_table()
-    new_vertex = result.new_vertex_masked
-
-    # The bit a child state receives depends only on its parent's children
-    # (not on the parent's own bit), so each parent's child-state run list is
-    # computed once and shared by both of its product states.
-    order = instance.topological_order()
-    nvertices = len(children)
-    runs_of: list = [None] * nvertices
-
-    def states_of(vertex: int) -> list[tuple[int, int, int]]:
-        runs: list[tuple[int, int, int]] = []  # (child, bit, count)
-        edges = children[vertex]
-        flag = 0
-        sequence = edges if following else tuple(reversed(edges))
-        for child, count in sequence:
-            in_source = source_plane[child >> 6] >> (child & 63) & 1
-            inner = 1 if (flag or in_source) else 0
-            if count == 1:
-                part = [(child, flag, 1)]
-            elif following:
-                part = [(child, flag, 1), (child, inner, count - 1)]
-            else:
-                part = [(child, inner, count - 1), (child, flag, 1)]
-            if not following:
-                part.reverse()  # we are scanning right-to-left
-            runs.extend(part)
-            flag = 1 if (flag or in_source) else 0
-        if not following:
-            runs.reverse()
-        return runs
-
-    # Pass 1 — which product states are reachable.  Since the child bit is
-    # independent of the parent's bit, a vertex's run list fires whenever the
-    # vertex is reachable at all.
-    has0 = bytearray(nvertices)
-    has1 = bytearray(nvertices)
-    has0[instance.root] = 1
-    for vertex in order:
-        runs = states_of(vertex)
-        runs_of[vertex] = runs
-        for child, child_bit, _ in runs:
-            if child_bit:
-                has1[child] = 1
-            else:
-                has0[child] = 1
-
-    # Pass 2 — materialize states children-first through flat id maps; both
-    # states of a vertex share one (immutable) edge tuple, and the emitted
-    # edges double as the new instance's flat edge list.
-    id0 = [0] * nvertices
-    id1 = [0] * nvertices
-    origin: list[int] = []
-    selected: list[int] = []
-    fsrc: list[int] = []
-    fdst: list[int] = []
-    for vertex in reversed(order):
-        edges = normalize_edges(
-            ((id1 if child_bit else id0)[child], count)
-            for child, child_bit, count in runs_of[vertex]
-        )
-        if has0[vertex]:
-            new_id = id0[vertex] = new_vertex(0, edges)
-            origin.append(vertex)
-            selected.append(0)
-            for c, _ in edges:
-                fsrc.append(new_id)
-                fdst.append(c)
-        if has1[vertex]:
-            new_id = id1[vertex] = new_vertex(0, edges)
-            origin.append(vertex)
-            selected.append(1)
-            for c, _ in edges:
-                fsrc.append(new_id)
-                fdst.append(c)
-    result.gather_sets_from(instance, origin)
-    target_plane = result.ensure_plane(target)
-    for new_id, flag in enumerate(selected):
-        if flag:
-            target_plane[new_id >> 6] |= 1 << (new_id & 63)
-    result.set_root(id0[instance.root])
-    result.adopt_edge_flat(fsrc, fdst)
-    return result

@@ -13,10 +13,9 @@ subtree.
 
 Two invariants make this sound:
 
-* **every set is carried through a rebuild** (section 3.3 of the paper):
-  axis applications that partially decompress the instance copy all schema
-  sets onto the rebuilt vertices, so a cached selection from query i is
-  still a correct selection when query j > i forces a split;
+* **every set survives a split** (section 3.3 of the paper): a clone
+  copies its original's membership row, so a cached selection from query i
+  is still a correct selection when query j > i forces a split;
 * **results are snapshotted as durable selections**: the final selection of
   query i is copied into ``#q<i>`` (:func:`repro.model.schema.result_set`)
   before query i+1 runs, so dropping the engine temporaries at the end of
@@ -141,9 +140,10 @@ class BatchEvaluator(CompressedEvaluator):
                 name for name in self._instance.schema if is_temp(name)
             )
             self._memo.clear()
-        final = self._instance  # axes may have rebuilt it during the loop
         results = [
-            QueryResult(instance=final, set_name=snapshot, before=before, seconds=seconds)
+            QueryResult(
+                instance=self._instance, set_name=snapshot, before=before, seconds=seconds
+            )
             for snapshot, seconds in zip(snapshots, timings)
         ]
         batch_stats = BatchStats(

@@ -4,8 +4,8 @@ The evaluator walks the query's algebra tree in postorder.  Every
 subexpression materialises as a *named selection* on the working instance
 (the paper's "always adding the resulting selection to the resulting
 instance for future use"); axis applications may partially decompress the
-instance, and because every existing set is carried through a rebuild,
-previously computed selections remain valid.
+instance in place, and because a clone copies its original's membership
+row, previously computed selections remain valid.
 
 Set operations and ``V|root`` are pure mask arithmetic; axes dispatch to
 :mod:`repro.engine.axes_compressed` through the one overridable
@@ -168,11 +168,10 @@ class CompressedEvaluator:
         if isinstance(expr, AxisApply):
             source = self._eval(expr.operand)
             target = self._fresh()
-            self._instance = self._apply_axis(expr.axis, source, target)
+            self._apply_axis(expr.axis, source, target)
             return target
         if isinstance(expr, RootFilter):
             source = self._eval(expr.operand)
-            instance = self._instance  # may have been rebuilt
             name = self._fresh()
             if instance.in_set(instance.root, source):
                 instance.fill_set(name)
@@ -181,11 +180,10 @@ class CompressedEvaluator:
             return name
         raise EvaluationError(f"cannot evaluate algebra node {expr!r}")
 
-    def _apply_axis(self, axis: str, source: str, target: str) -> Instance:
-        """Apply one axis to the working instance; returns the (possibly
-        rebuilt) instance.  The single seam an alternative axis kernel
-        overrides."""
-        return axes_compressed.apply_axis(self._instance, axis, source, target)
+    def _apply_axis(self, axis: str, source: str, target: str) -> None:
+        """Apply one axis to the working instance, in place.  The single
+        seam an alternative axis kernel overrides."""
+        axes_compressed.apply_axis(self._instance, axis, source, target)
 
     def _combine(self, expr: AlgebraExpr, left: str, right: str) -> str:
         if isinstance(expr, Union):

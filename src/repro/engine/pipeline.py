@@ -26,7 +26,7 @@ from repro.skeleton.loader import LoadResult, load
 from repro.engine.evaluator import CompressedEvaluator
 from repro.engine.results import BatchResult, QueryResult
 from repro.xpath.algebra import AlgebraExpr
-from repro.xpath.compiler import compile_query, required_strings, required_tags
+from repro.xpath.compiler import CompiledQueryCache, required_strings, required_tags
 from repro.xpath.optimizer import OptimizationResult, optimize as optimize_plan
 from repro.xpath.parser import parse_query
 
@@ -148,7 +148,7 @@ class Engine:
         self._reparse = reparse_per_query
         self._optimize = (not reparse_per_query) if optimize is None else optimize
         self._cache: dict[SchemaKey, LoadResult] = {}
-        self._compiled: OrderedDict[str, tuple[AlgebraExpr, SchemaKey]] = OrderedDict()
+        self._compiled = CompiledQueryCache(limit=self.COMPILED_CACHE_LIMIT)
         self._stats_cache: dict[SchemaKey, DocumentStats] = {}
         self._optimized: OrderedDict[str, OptimizationResult] = OrderedDict()
         self.last_load: LoadResult | None = None
@@ -172,7 +172,7 @@ class Engine:
 
     def compiled(self, query_text: str) -> AlgebraExpr:
         """The compiled algebra of ``query_text`` (cached per query text)."""
-        return self._compiled_entry(query_text)[0]
+        return self._compiled.entry(query_text)[0]
 
     def compiled_entry(self, query_text: str) -> tuple[AlgebraExpr, SchemaKey]:
         """``(compiled algebra, schema key)`` — the full per-text cache entry.
@@ -180,7 +180,8 @@ class Engine:
         The seam :class:`repro.api.PreparedQuery` is built from: both
         derivations of one parse, LRU-cached by query text.
         """
-        return self._compiled_entry(query_text)
+        expr, tags, strings = self._compiled.entry(query_text)
+        return expr, (tags, strings)
 
     def adopt_compiled(self, query_text: str, expr: AlgebraExpr, key: SchemaKey) -> None:
         """Seed the compiled-algebra cache with an externally-compiled query.
@@ -189,41 +190,18 @@ class Engine:
         engine without re-parsing its text; an existing entry is kept (and
         refreshed, like any cache hit).
         """
-        if query_text in self._compiled:
-            self._compiled.move_to_end(query_text)
-            return
-        while len(self._compiled) >= self.COMPILED_CACHE_LIMIT:
-            self._compiled.popitem(last=False)
-        self._compiled[query_text] = (expr, key)
+        self._compiled.seed(query_text, expr, *key)
 
     def instance_cached(self, query_text: str) -> bool:
         """Would :meth:`query` serve this text's schema from the cache?"""
         if self._reparse:
             return False
-        return self._compiled_entry(query_text)[1] in self._cache
+        return self.compiled_entry(query_text)[1] in self._cache
 
-    #: Bound on distinct query texts kept compiled (least recently *used*
-    #: evicted first), so a long-lived engine fed generated queries cannot
-    #: grow without limit.
+    #: Bound on distinct query texts kept compiled or optimized (least
+    #: recently *used* evicted first), so a long-lived engine fed generated
+    #: queries cannot grow without limit.
     COMPILED_CACHE_LIMIT = 1024
-
-    def _compiled_entry(self, query_text: str) -> tuple[AlgebraExpr, SchemaKey]:
-        entry = self._compiled.get(query_text)
-        if entry is not None:
-            # True LRU: a hit refreshes recency, so hot queries survive churn.
-            self._compiled.move_to_end(query_text)
-            return entry
-        ast = parse_query(query_text)  # one parse feeds all three derivations
-        expr = compile_query(ast)
-        key = (
-            tuple(sorted(required_tags(ast))),
-            tuple(sorted(required_strings(ast))),
-        )
-        entry = (expr, key)
-        while len(self._compiled) >= self.COMPILED_CACHE_LIMIT:
-            self._compiled.popitem(last=False)
-        self._compiled[query_text] = entry
-        return entry
 
     def _instance_for_key(self, key: SchemaKey) -> Instance:
         if not self._reparse:
@@ -243,7 +221,7 @@ class Engine:
 
     def instance_for(self, query_text: str) -> Instance:
         """The compressed instance over the query's schema (maybe cached)."""
-        return self._instance_for_key(self._compiled_entry(query_text)[1])
+        return self._instance_for_key(self.compiled_entry(query_text)[1])
 
     def _stats_for(self, key: SchemaKey, instance: Instance) -> DocumentStats:
         """Document statistics for one schema, collected once per key.
@@ -281,12 +259,12 @@ class Engine:
         """
         if not self._optimize:
             return None
-        expr, key = self._compiled_entry(query_text)
+        expr, key = self.compiled_entry(query_text)
         instance = self._instance_for_key(key)
         return self._optimized_for(query_text, expr, key, instance)
 
     def query(self, query_text: str, context: str | None = None) -> QueryResult:
-        expr, key = self._compiled_entry(query_text)
+        expr, key = self.compiled_entry(query_text)
         instance = self._instance_for_key(key)
         short_circuit = False
         if self._optimize:
@@ -311,7 +289,7 @@ class Engine:
         """
         from repro.engine.batch import BatchEvaluator
 
-        entries = [self._compiled_entry(text) for text in query_texts]
+        entries = [self.compiled_entry(text) for text in query_texts]
         tags: set[str] = set()
         strings: set[str] = set()
         for _, (entry_tags, entry_strings) in entries:

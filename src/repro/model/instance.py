@@ -98,12 +98,11 @@ class EdgeFlat:
     order) — *without* the level grouping of :class:`EdgeCSR`, which is
     fine for the kernels whose recurrence is order-free per edge: the
     ``parent`` axis and the ``child``-axis context scan.  Deriving it skips
-    the level relaxation and bucketing, and the sibling rebuild seeds it
-    for free as it emits edges.
+    the level relaxation and bucketing.
 
     Built once per structure and shared by :meth:`Instance.copy`; strictly
-    read-only — :meth:`Instance.split_vertices` replaces it by a patched
-    copy (:meth:`split`) instead of re-deriving it.
+    read-only — a downward :meth:`Instance.split_vertices` replaces it by a
+    patched copy (:meth:`split`) instead of re-deriving it.
     """
 
     __slots__ = ("esrc", "edst", "_np")
@@ -432,24 +431,42 @@ class Instance:
         self._children[vertex] = normalized
         self._touch()
 
-    def split_vertices(self, originals: Sequence[int], redirect) -> int:
+    def split_vertices(
+        self,
+        originals: Sequence[int],
+        redirect=None,
+        *,
+        rewritten: dict[int, tuple[Edge, ...]] | None = None,
+    ) -> int:
         """Clone every vertex of ``originals``; return the first clone's id.
 
-        The structural step of partial decompression (Proposition 3.2):
-        clone ``i`` gets id ``first + i`` and the membership row and child
-        sequence of ``originals[i]``.  ``redirect`` holds one 0/1 byte per
-        vertex id, clones included: a flagged vertex has each of its edges
-        into ``originals`` re-pointed at the matching clone; nothing else
-        changes.  The caller guarantees that all ``originals`` are
-        reachable and that each keeps an unflagged reachable parent and
-        gains a flagged one, so no vertex becomes garbage.
+        The structural step of partial decompression (Propositions 3.2 and
+        3.4) and the one place an evaluation grows an instance: clone ``i``
+        gets id ``first + i`` (``first`` = :attr:`num_vertices` before the
+        call) and the membership row of ``originals[i]``.  The caller says
+        which edges follow the clones in one of two ways:
 
-        Structure caches are patched, not dropped (and never mutated:
-        :meth:`copy` shares them).  A clone's parents are parents of its
-        original or their clones, and its children are the original's or
-        their clones, so it can sit right after its original in the cached
-        postorder and inherit its level in the :class:`EdgeCSR`.  Each clone
-        also inherits its original's origin (:meth:`count_origins`).
+        * ``redirect`` (downward axes) holds one 0/1 byte per vertex id,
+          clones included: a flagged vertex has each of its edges into
+          ``originals`` re-pointed at the matching clone, an unflagged one
+          keeps its — for a clone, its original's — child sequence;
+        * ``rewritten`` (sibling axes, where the bit is per position and a
+          run can split) maps each vertex owning an edge into ``originals``
+          to its new, normalized child sequence in final ids; a clone takes
+          its original's new sequence.
+
+        Nothing else changes.  The caller guarantees that all ``originals``
+        are reachable and that each keeps a reachable parent edge and its
+        clone gains one, so no vertex becomes garbage.
+
+        Structure caches are never mutated (:meth:`copy` shares them).  A
+        clone's parents are parents of its original or their clones, and
+        its children are the original's or their clones, so it can sit
+        right after its original in the cached postorder and inherit its
+        level in the :class:`EdgeCSR`.  The postorder is always patched; the
+        edge arrays are patched under ``redirect`` and dropped under
+        ``rewritten``.  Each clone also inherits its original's origin
+        (:meth:`count_origins`).
         """
         table = self._children
         first = len(table)
@@ -459,24 +476,40 @@ class Instance:
         origin.extend([origin[vertex] for vertex in originals])
         clone_of = {vertex: first + i for i, vertex in enumerate(originals)}
         flat, csr = self._flat_cache, self._csr_cache
-        if _pl.numpy_active() and not (flat is None and csr is None):
-            numpy = _pl._numpy
-            remap = numpy.arange(first, dtype=numpy.intp)
-            remap[originals] = numpy.arange(first, first + len(originals))
-            flags = numpy.frombuffer(redirect, dtype=numpy.uint8)
-            esrc, edst = (csr if flat is None else flat).np_arrays()
-            parents = numpy.unique(
-                esrc[flags[esrc].astype(bool) & (remap[edst] != edst)]
-            ).tolist()
-            self._flat_cache = None if flat is None else flat.split(remap, flags)
-            self._csr_cache = None if csr is None else csr.split(remap, flags)
-        else:
+        if rewritten is not None:
             self._flat_cache = self._csr_cache = None
-            parents = [
-                vertex
-                for vertex in self.postorder()
-                if redirect[vertex] and any(child in clone_of for child, _ in table[vertex])
+            clone_edges = [rewritten.get(vertex, table[vertex]) for vertex in originals]
+        else:
+            if _pl.numpy_active() and not (flat is None and csr is None):
+                numpy = _pl._numpy
+                remap = numpy.arange(first, dtype=numpy.intp)
+                remap[originals] = numpy.arange(first, first + len(originals))
+                flags = numpy.frombuffer(redirect, dtype=numpy.uint8)
+                esrc, edst = (csr if flat is None else flat).np_arrays()
+                parents = numpy.unique(
+                    esrc[flags[esrc].astype(bool) & (remap[edst] != edst)]
+                ).tolist()
+                self._flat_cache = None if flat is None else flat.split(remap, flags)
+                self._csr_cache = None if csr is None else csr.split(remap, flags)
+            else:
+                self._flat_cache = self._csr_cache = None
+                parents = [
+                    vertex
+                    for vertex in self.postorder()
+                    if redirect[vertex] and any(child in clone_of for child, _ in table[vertex])
+                ]
+
+            def repointed(vertex: int) -> tuple[Edge, ...]:
+                return tuple(
+                    [(clone_of.get(child, child), count) for child, count in table[vertex]]
+                )
+
+            # Clones copy their originals' *old* child sequences.
+            clone_edges = [
+                repointed(vertex) if redirect[clone] else table[vertex]
+                for clone, vertex in enumerate(originals, first)
             ]
+            rewritten = {vertex: repointed(vertex) for vertex in parents}
         post = self._post_cache
         if post is not None:
             patched: list[int] = []
@@ -488,16 +521,11 @@ class Instance:
         self._pre_cache = None
         self._reach_cache = None
         self._generation += 1
-
-        def repointed(vertex: int) -> tuple[Edge, ...]:
-            return tuple([(clone_of.get(child, child), count) for child, count in table[vertex]])
-
-        # Clones first: they copy their originals' *old* child sequences.
-        for clone, vertex in enumerate(originals, first):
-            table.append(repointed(vertex) if redirect[clone] else table[vertex])
-            self._nedge_entries += len(table[vertex])
-        for vertex in parents:
-            table[vertex] = repointed(vertex)
+        for vertex, edges in rewritten.items():
+            self._nedge_entries += len(edges) - len(table[vertex])
+            table[vertex] = edges
+        table.extend(clone_edges)
+        self._nedge_entries += sum(map(len, clone_edges))
         self._grow(len(table))
         _pl.clone_bits(self._planes, originals, first)
         return first
@@ -738,16 +766,6 @@ class Instance:
         self._flat_cache = flat
         return flat
 
-    def adopt_edge_flat(self, esrc: list[int], edst: list[int]) -> None:
-        """Install a prebuilt flat edge list (see :class:`EdgeFlat`).
-
-        For construction paths that already know every reachable edge entry
-        as they emit it (the sibling rebuild): the lists are adopted, not
-        copied, and must cover exactly the reachable entries.  Call after
-        the last structural mutation — any later one re-derives the list.
-        """
-        self._flat_cache = EdgeFlat(esrc, edst)
-
     def edge_csr(self) -> EdgeCSR:
         """The cached level-grouped flat edge list (see :class:`EdgeCSR`)."""
         cached = self._csr_cache
@@ -791,9 +809,8 @@ class Instance:
         """Fill this instance's sets by gathering ``source``'s planes.
 
         ``origin[new_id]`` names the source vertex whose memberships vertex
-        ``new_id`` inherits — the one bulk primitive behind every
-        renumbering construction (product rebuilds, compaction, common
-        extension).  Only sets present in both schemas are gathered; this
+        ``new_id`` inherits — the bulk primitive behind :meth:`compact`'s
+        renumbering.  Only sets present in both schemas are gathered; this
         instance's extra sets are left untouched.  Origins
         (:meth:`count_origins`) are inherited the same way.
         """

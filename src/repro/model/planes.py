@@ -253,28 +253,6 @@ def pack_bool(bools, nwords: int) -> array:
     return array("Q", bytes(out))
 
 
-def gather(plane: array, origin: list[int], nwords_out: int) -> array:
-    """A new plane where bit ``i`` = ``plane[origin[i]]`` (renumber/gather).
-
-    Used by the rebuild paths (product construction, compaction) to carry
-    every schema set through a vertex renumbering in one vectorised pass per
-    plane instead of one gather per vertex.
-    """
-    if _active and (len(plane) >= SMALL_PLANE_WORDS or nwords_out >= SMALL_PLANE_WORDS):
-        bools = unpack_bool(plane, len(plane) * WORD_BITS)
-        taken = bools[origin] if not isinstance(origin, list) else bools[_numpy.asarray(origin, dtype=_numpy.intp)]
-        out = pack_bool(taken, nwords_out)
-        del bools, taken
-        return out
-    words = [0] * nwords_out
-    value = to_int(plane)
-    if value:
-        for new_id, old_id in enumerate(origin):
-            if value >> old_id & 1:
-                words[new_id >> 6] |= 1 << (new_id & 63)
-    return array("Q", words)
-
-
 def clone_bits(plane_list, origins, first: int) -> None:
     """In every plane, set bit ``first + i`` where bit ``origins[i]`` is set.
 
@@ -308,12 +286,11 @@ def clone_bits(plane_list, origins, first: int) -> None:
 
 
 def gather_many(plane_list, origin: list[int], nwords_out: int) -> list[array]:
-    """:func:`gather` over several same-width planes through one origin map.
+    """New planes where bit ``i`` = ``plane[origin[i]]`` (renumber/gather).
 
-    Converting the origin map (numpy tier) happens once instead of once per
-    plane, and all-zero planes short-circuit to a fresh zero plane — both
-    matter on the product-rebuild path, which re-gathers every schema set of
-    the instance after each split.
+    Carries several same-width planes through one vertex renumbering:
+    converting the origin map (numpy tier) happens once instead of once per
+    plane, and all-zero planes short-circuit to a fresh zero plane.
     """
     out = []
     np_origin = None

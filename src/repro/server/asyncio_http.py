@@ -37,7 +37,7 @@ from concurrent.futures import ThreadPoolExecutor
 from http import HTTPStatus
 
 from repro.server.metrics import ServerMetrics
-from repro.server.routes import MAX_BODY, Headers, Request, Router
+from repro.server.routes import Headers, Request, Router, body_limit
 
 #: Per-connection transport write high-water mark (bytes): a slow reader
 #: suspends its own coroutine at ``drain()`` once this much is queued.
@@ -119,7 +119,7 @@ class AsyncReproHTTPServer:
         self._loop = loop
         try:
             # The reader limit bounds line buffering (readuntil); bodies
-            # stream through readexactly and are capped by MAX_BODY instead.
+            # stream through readexactly and are capped by body_limit instead.
             self._server = loop.run_until_complete(
                 asyncio.start_server(self._on_client, sock=self._socket, limit=4 * MAX_LINE)
             )
@@ -287,11 +287,12 @@ class AsyncReproHTTPServer:
             raise _BadRequest(
                 400, "Content-Length must be an integer", "bad-request"
             ) from None
-        if length > MAX_BODY:
+        limit = body_limit(method, path)
+        if length > limit:
             # Refuse before reading: the body is unread, so the connection
             # cannot be re-synced — _BadRequest closes it.
             raise _BadRequest(
-                413, f"request body over {MAX_BODY} bytes", "payload-too-large"
+                413, f"request body over {limit} bytes", "payload-too-large"
             )
         body = await reader.readexactly(length) if length > 0 else b""
         request = Request(

@@ -48,7 +48,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.server.catalog import Catalog
 from repro.server.metrics import ServerMetrics
-from repro.server.routes import MAX_BODY, Request, Router
+from repro.server.routes import MAX_BODY, Request, Router, body_limit
 from repro.server.service import QueryService
 
 __all__ = [
@@ -124,34 +124,34 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(response.body)
 
+    def _refuse(self, request: Request, status: int, message: str, kind: str) -> None:
+        """Answer from the headers alone.  The body stays unread, so the
+        stream cannot be re-synced: the connection closes."""
+        response = self.server.router.reject(request, status, message, kind)
+        response.headers["Connection"] = "close"
+        self.close_connection = True
+        self._write(response)
+
     def _dispatch(self, method: str) -> None:
-        received_at = time.monotonic()
+        request = Request(
+            method, self.path, headers=self.headers,
+            client=self.client_address[0], received_at=time.monotonic(),
+        )
+        self._trace = request.trace
         try:
             length = int(self.headers.get("Content-Length", 0) or 0)
         except ValueError:
-            length = 0
-        router = self.server.router
-        if length > MAX_BODY:
-            # Refuse before reading the body (matching the historical
-            # behavior of replying without draining the oversized payload).
-            request = Request(
-                method, self.path, headers=self.headers,
-                client=self.client_address[0], received_at=received_at,
-            )
-            self._trace = request.trace
-            self._write(
-                router.reject(
-                    request, 413, f"request body over {MAX_BODY} bytes", "payload-too-large"
-                )
+            self._refuse(request, 400, "Content-Length must be an integer", "bad-request")
+            return
+        limit = body_limit(method, self.path)
+        if length > limit:
+            self._refuse(
+                request, 413, f"request body over {limit} bytes", "payload-too-large"
             )
             return
-        body = self.rfile.read(length) if length > 0 else b""
-        request = Request(
-            method, self.path, headers=self.headers, body=body,
-            client=self.client_address[0], received_at=received_at,
-        )
-        self._trace = request.trace
-        self._write(router.dispatch(request))
+        if length > 0:
+            request.body = self.rfile.read(length)
+        self._write(self.server.router.dispatch(request))
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
         self._dispatch("GET")

@@ -43,8 +43,22 @@ from repro.server.metrics import CONTENT_TYPE as METRICS_CONTENT_TYPE
 from repro.server.metrics import route_label
 from repro.server.resilience import Deadline
 
-#: Registration payloads above this size are rejected (bytes).
+#: Registration and mutation payloads above this size are rejected (bytes).
 MAX_BODY = 256 * 1024 * 1024
+#: Every other request: a query text is bounded by the parser's term limit
+#: long before this, so nothing legitimate comes close.
+MAX_QUERY_BODY = 1024 * 1024
+
+
+def body_limit(method: str, path: str) -> int:
+    """The largest body (bytes) a front-end may buffer for ``method path``.
+
+    Only the two routes that carry a document — ``POST /catalog/<name>``
+    and ``POST /mutate`` — get :data:`MAX_BODY`.
+    """
+    if method == "POST" and (path == "/mutate" or path.startswith("/catalog/")):
+        return MAX_BODY
+    return MAX_QUERY_BODY
 
 
 def new_trace() -> str:
@@ -226,9 +240,10 @@ class Router:
         body = request.body
         if not body:
             return None, self._plain_error(400, "missing request body")
-        if len(body) > MAX_BODY:
+        limit = body_limit(request.method, request.path)
+        if len(body) > limit:
             return None, self._plain_error(
-                413, f"request body over {MAX_BODY} bytes", kind="payload-too-large"
+                413, f"request body over {limit} bytes", kind="payload-too-large"
             )
         try:
             payload = json.loads(body.decode("utf-8"))

@@ -52,9 +52,8 @@ from repro.server.catalog import Catalog
 from repro.server.pool import InstancePool, PoolEntry
 from repro.server.resilience import FAULTS, AdmissionController, Deadline
 from repro.xpath.algebra import AlgebraExpr
-from repro.xpath.compiler import compile_query, required_strings, required_tags
+from repro.xpath.compiler import CompiledQueryCache
 from repro.xpath.optimizer import OptimizationResult, optimize as optimize_plan
-from repro.xpath.parser import parse_query
 
 
 #: :func:`repro.api.envelope.encode_result` — THE canonical wire shape —
@@ -76,67 +75,6 @@ def kernel_info() -> dict:
         "numpy": planes.numpy_active(),
         "plane_format_version": planes.PLANE_FORMAT_VERSION,
     }
-
-
-class CompiledQueryCache:
-    """Bounded LRU of ``query text -> (expr, tags, strings)``.
-
-    Shared seam between the in-process :class:`QueryService` and the
-    cluster dispatcher (:mod:`repro.server.cluster`): the dispatcher needs
-    a query's *string schema* to route by ``(document, string-schema)``
-    without evaluating anything, and caching here keeps repeat routing
-    decisions parse-free.  Thread-safe.
-    """
-
-    def __init__(self, limit: int = 1024):
-        self.limit = limit
-        self._entries: OrderedDict[
-            str, tuple[AlgebraExpr, tuple[str, ...], tuple[str, ...]]
-        ] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def entry(self, query_text: str) -> tuple[AlgebraExpr, tuple[str, ...], tuple[str, ...]]:
-        """``(expr, tags, strings)`` for a query text, LRU-cached."""
-        with self._lock:
-            entry = self._entries.get(query_text)
-            if entry is not None:
-                self._entries.move_to_end(query_text)
-                return entry
-        ast = parse_query(query_text)  # outside the lock: parsing may be slow
-        expr = compile_query(ast)
-        entry = (
-            expr,
-            tuple(sorted(required_tags(ast))),
-            tuple(sorted(required_strings(ast))),
-        )
-        with self._lock:
-            # A racing thread may have inserted this key already; evicting
-            # then would drop an unrelated entry for a no-op overwrite.
-            if query_text not in self._entries:
-                while len(self._entries) >= self.limit:
-                    self._entries.popitem(last=False)
-            self._entries[query_text] = entry
-        return entry
-
-    def seed(
-        self,
-        query_text: str,
-        expr: AlgebraExpr,
-        tags: tuple[str, ...],
-        strings: tuple[str, ...],
-    ) -> None:
-        """Adopt an externally-compiled query (a ``repro.api.PreparedQuery``).
-
-        An existing entry is kept (and refreshed, like any cache hit), so
-        racing seeds and lookups of one text are harmless.
-        """
-        with self._lock:
-            if query_text in self._entries:
-                self._entries.move_to_end(query_text)
-                return
-            while len(self._entries) >= self.limit:
-                self._entries.popitem(last=False)
-            self._entries[query_text] = (expr, tuple(tags), tuple(strings))
 
 
 #: A working fork holding more than this multiple of its master's |V| is
@@ -846,8 +784,8 @@ class QueryService(ServingBackend):
         Runs on ``entry.working`` with ``entry.lock`` held.  Decoding
         failures (e.g. a client-supplied path ``limit`` blown by a huge
         selection) are captured *per request*, so one bad request never
-        poisons its batch-mates.  The working fork is handed back to the
-        entry on every successful evaluation (snapshots dropped), and
+        poisons its batch-mates.  The working fork stays with the entry
+        after every successful evaluation (snapshots dropped), and is
         **discarded** if evaluation itself died mid-batch — a half-evaluated
         instance still carries populated temp sets that a later evaluator's
         fresh counter would silently reuse.
@@ -867,7 +805,7 @@ class QueryService(ServingBackend):
             entry.working = None  # re-fork from the pristine master
             raise
         with self._stats_lock:
-            self.stats.split_vertices += evaluator.instance.num_vertices - vertices_before
+            self.stats.split_vertices += working.num_vertices - vertices_before
         outcomes: list[dict | Exception] = []
         for (request, _), query_result in zip(batch, result):
             try:
@@ -878,14 +816,12 @@ class QueryService(ServingBackend):
                 outcomes.append(payload)
             except Exception as error:  # noqa: BLE001 - forwarded to one waiter
                 outcomes.append(error)
-        # Keep the (possibly rebuilt) final instance for the next batch,
-        # minus what this batch added to its schema: the durable result
-        # snapshots — everything was decoded above, so nothing references
-        # them anymore — and the empty sets of tags the document lacks.
+        # Keep the working fork for the next batch, minus what this batch
+        # added to its schema: the durable result snapshots — everything was
+        # decoded above, so nothing references them anymore — and the empty
+        # sets of tags the document lacks.
         evaluator.reset_results()
-        working = evaluator.instance
         working.drop_sets(
             [name for name in working.schema if not entry.instance.has_set(name)]
         )
-        entry.working = working
         return outcomes

@@ -16,6 +16,9 @@ introduced for exactly this purpose in section 3.1).
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
+
 from repro.errors import XPathCompileError
 from repro.model.schema import string_set
 from repro.xpath.algebra import (
@@ -171,3 +174,65 @@ def required_strings(query: str | LocationPath | PathUnion) -> set[str]:
 
     ast = parse_query(query) if isinstance(query, str) else query
     return {node.needle for node in walk(ast) if isinstance(node, StringExpr)}
+
+
+class CompiledQueryCache:
+    """Bounded LRU of ``query text -> (expr, tags, strings)``.
+
+    The one compiled-query cache: the embedded ``Engine``, the
+    instance-backed ``Database`` and the serving backends each hold one, so
+    a repeated query text is parsed and compiled once and a hit refreshes
+    its recency (the hottest texts are the last evicted).  The cluster
+    dispatcher also reads a query's *string schema* from it to route by
+    ``(document, string-schema)`` without evaluating anything.  Thread-safe.
+    """
+
+    def __init__(self, limit: int = 1024):
+        self.limit = limit
+        self._entries: OrderedDict[
+            str, tuple[AlgebraExpr, tuple[str, ...], tuple[str, ...]]
+        ] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def entry(self, query_text: str) -> tuple[AlgebraExpr, tuple[str, ...], tuple[str, ...]]:
+        """``(expr, tags, strings)`` for a query text, LRU-cached."""
+        with self._lock:
+            entry = self._entries.get(query_text)
+            if entry is not None:
+                self._entries.move_to_end(query_text)
+                return entry
+        ast = parse_query(query_text)  # outside the lock: parsing may be slow
+        expr = compile_query(ast)
+        entry = (
+            expr,
+            tuple(sorted(required_tags(ast))),
+            tuple(sorted(required_strings(ast))),
+        )
+        with self._lock:
+            # A racing thread may have inserted this key already; evicting
+            # then would drop an unrelated entry for a no-op overwrite.
+            if query_text not in self._entries:
+                while len(self._entries) >= self.limit:
+                    self._entries.popitem(last=False)
+            self._entries[query_text] = entry
+        return entry
+
+    def seed(
+        self,
+        query_text: str,
+        expr: AlgebraExpr,
+        tags: tuple[str, ...],
+        strings: tuple[str, ...],
+    ) -> None:
+        """Adopt an externally-compiled query (a ``repro.api.PreparedQuery``).
+
+        An existing entry is kept (and refreshed, like any cache hit), so
+        racing seeds and lookups of one text are harmless.
+        """
+        with self._lock:
+            if query_text in self._entries:
+                self._entries.move_to_end(query_text)
+                return
+            while len(self._entries) >= self.limit:
+                self._entries.popitem(last=False)
+            self._entries[query_text] = (expr, tuple(tags), tuple(strings))

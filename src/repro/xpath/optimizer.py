@@ -15,8 +15,8 @@ before/after plans for each):
 * ``root-axis-identity`` — axis applications whose source is ``{root}``
   or ``V`` have closed forms (``descendant({root})`` is ``V − {root}``,
   ``parent({root})`` is empty, ``descendant-or-self(V)`` is ``V``, ...):
-  the inverted product rebuild the axis would run is replaced by pure
-  mask arithmetic, the optimizer's "choose axis direction" lever;
+  the context scan the axis would run is replaced by pure mask
+  arithmetic, the optimizer's "choose axis direction" lever;
 * ``reorder-conjuncts`` / ``push-string-predicate`` — conjunction chains
   re-associate cheapest-and-most-selective-first: leaf sets (including
   string-containment sets, ordered by the selectivity sketch) ahead of
@@ -265,7 +265,7 @@ class _Optimizer:
     @staticmethod
     def _cost_class(expr: AlgebraExpr) -> int:
         """0 = leaf set (free mask), 1 = split-free subtree (in-place
-        passes), 2 = contains a structural join (may rebuild)."""
+        passes), 2 = contains a structural join (may split)."""
         if not expr.children():
             return 0
         return 1 if uses_only_upward_axes(expr) else 2

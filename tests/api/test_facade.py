@@ -95,6 +95,17 @@ class TestEmbeddedDatabase:
         # Adoption seeded the engine cache with the foreign expression.
         assert db.engine.compiled("//author") is prepared.expr
 
+    def test_instance_backend_keeps_its_hottest_query_compiled(self):
+        # One hot text interleaved with more one-off texts than the cache
+        # holds: an LRU keeps it, the old clear-at-1024 dict recompiled it.
+        from repro.skeleton.loader import load
+
+        db = Database.from_instance(load(BIB_XML, tags=["book"]).instance)
+        hot = db.prepare("//book")
+        for i in range(1100):
+            db.prepare(f"//oneoff{i}")
+            assert db.prepare("//book").expr is hot.expr
+
     def test_structural_key_matches_algebra(self):
         prepared = PreparedQuery.compile("//a/b")
         assert prepared.structural_key() == prepared.expr.structural_key()

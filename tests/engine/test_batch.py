@@ -67,7 +67,7 @@ class TestSnapshotInvariant:
     def test_snapshots_survive_later_splits(self, figure2_compressed):
         # Query 1's result is snapshotted before query 2 splits the shared
         # author leaf (selected under book, unselected under paper); the
-        # snapshot must ride through the rebuild.
+        # snapshot must ride through the split.
         mix = ["//author", "//book/author"]
         expected_first = solo_paths(figure2_compressed, mix[0])
         batch = evaluate_batch(figure2_compressed, mix)

@@ -18,37 +18,34 @@ from tests.skeleton.test_loader import BIB_XML
 class TestCompiledCacheLRU:
     def test_hit_refreshes_recency(self):
         engine = Engine(BIB_XML)
-        engine.COMPILED_CACHE_LIMIT = 2
+        engine._compiled.limit = 2
         engine.compiled("//book")
         engine.compiled("//paper")
         engine.compiled("//book")  # hit: //book becomes most recent
         engine.compiled("//title")  # evicts //paper, not //book
-        assert "//book" in engine._compiled
-        assert "//paper" not in engine._compiled
-        assert "//title" in engine._compiled
+        assert list(engine._compiled._entries) == ["//book", "//title"]
 
     def test_hot_query_survives_churn(self):
         # The regression scenario: one hot query interleaved with a stream
         # of one-off queries longer than the cache. FIFO evicted the hot
         # query as soon as the stream wrapped; LRU must keep it resident.
         engine = Engine(BIB_XML)
-        engine.COMPILED_CACHE_LIMIT = 4
+        engine._compiled.limit = 4
         hot = "//book/author"
         engine.compiled(hot)
-        hot_expr = engine._compiled[hot][0]
+        hot_expr = engine.compiled(hot)
         for i in range(20):
             engine.compiled(f"//oneoff{i}")
             engine.compiled(hot)
-        assert hot in engine._compiled
         # Same object: the hot entry was never recompiled.
-        assert engine._compiled[hot][0] is hot_expr
+        assert engine.compiled(hot) is hot_expr
 
     def test_cache_stays_bounded(self):
         engine = Engine(BIB_XML)
-        engine.COMPILED_CACHE_LIMIT = 3
+        engine._compiled.limit = 3
         for i in range(10):
             engine.compiled(f"//b{i}")
-        assert len(engine._compiled) == 3
+        assert len(engine._compiled._entries) == 3
 
     def test_repeated_query_reuses_compiled_object(self):
         engine = Engine(BIB_XML)

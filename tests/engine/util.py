@@ -17,10 +17,11 @@ class Figure4Evaluator(CompressedEvaluator):
     equivalence suites can pin the two against each other.
     """
 
-    def _apply_axis(self, axis: str, source: str, target: str) -> Instance:
+    def _apply_axis(self, axis: str, source: str, target: str) -> None:
         if axis in ("child", "descendant", "descendant-or-self"):
-            return downward_axis_inplace(self._instance, axis, source, target)
-        return super()._apply_axis(axis, source, target)
+            downward_axis_inplace(self._instance, axis, source, target)
+        else:
+            super()._apply_axis(axis, source, target)
 
 
 def oracle_paths(instance: Instance, query, context_vertices=None) -> set[tuple]:

@@ -14,7 +14,7 @@ from repro.corpora import generate
 from repro.corpora.binary_tree import FIGURE5_QUERIES, compressed_instance
 from repro.corpora.registry import QUERY_CORPORA
 from repro.engine.evaluator import CompressedEvaluator
-from repro.engine.pipeline import load_for_query
+from repro.engine.pipeline import Engine, load_for_query
 from tests.engine.util import Figure4Evaluator
 
 SCALES = {
@@ -79,6 +79,25 @@ class TestFigure7Rows:
                 inplace = Figure4Evaluator(loaded.instance, copy=False).evaluate(query_text)
                 assert functional.selected_tree == inplace.tree_count()
                 assert functional.selected_dag == inplace.dag_count()
+
+
+#: Corpora (registry-default size) on which Q5's sibling step splits:
+#: reachable ``(|V|, |E|)`` before and after the whole query.
+Q5_SIZES = {
+    "swissprot": ((103, 1323), (110, 1329)),
+    "dblp": ((29, 2882), (32, 2882)),
+    "treebank": ((2639, 7360), (2817, 7693)),
+    "omim": ((194, 1598), (197, 1598)),
+    "xmark": ((48, 825), (53, 831)),
+    "shakespeare": ((608, 3703), (611, 3707)),
+    "baseball": ((87, 741), (88, 741)),
+}
+
+
+@pytest.mark.parametrize("corpus", sorted(Q5_SIZES))
+def test_q5_grows_by_the_split_vertices_only(corpus):
+    result = Engine(generate(corpus).xml).query(queries_for(corpus)["Q5"])
+    assert (result.before, result.after) == Q5_SIZES[corpus]
 
 
 class TestFigure5:

@@ -1,19 +1,22 @@
-"""The downward axes split only what splits, in place (DESIGN.md section 5).
+"""The splitting axes split only what splits, in place (DESIGN.md section 5).
 
-``_downward`` scans for the reachable ``(vertex, bit)`` product states,
-clones exactly the vertices that hold both through
-:meth:`Instance.split_vertices`, and commits the selection — on both kernel
+``_downward`` and ``_sibling`` scan for the reachable ``(vertex, bit)``
+product states, clone exactly the vertices that hold both through
+:meth:`Instance.split_vertices`, and commit the selection — on both kernel
 tiers.  Pinned here, on random shared DAGs:
 
-* the result is equivalent to the Figure 4 oracle and selects what naive
-  evaluation on the uncompressed tree selects;
+* the result selects what naive evaluation on the uncompressed tree
+  selects and, for the downward axes, is equivalent to the Figure 4 oracle;
 * it is the instance that was passed in, grown to exactly the number of
-  reachable product states, with no unreachable garbage;
-* every *patched* structure cache still satisfies the contract its readers
-  rely on;
+  reachable product states, with no unreachable garbage, and applying the
+  same axis again splits nothing;
+* every structure cache — patched or re-derived — still satisfies the
+  contract its readers rely on;
 * patching is copy-on-write: the master a working copy was taken from is
   untouched, object for object;
-* a working copy of a warmed master never derives a cache from scratch.
+* the kernel tiers build the same instance, id for id;
+* a working copy of a warmed master never derives a cache from scratch on
+  a downward query.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from repro.skeleton.loader import load
 from tests.conftest import LABELS, random_dag_instances
 
 DOWNWARD = ("child", "descendant", "descendant-or-self")
+SPLITTING = DOWNWARD + ("following-sibling", "preceding-sibling")
 
 
 #: Scan tier x patch tier: the level-synchronous scan (threshold forced to
@@ -72,9 +76,21 @@ def warmed(instance: Instance) -> Instance:
 
 
 def product_states(instance: Instance, axis: str, source: str) -> int:
-    """Reachable ``(vertex, bit)`` states of Proposition 3.2's product."""
+    """Reachable ``(vertex, bit)`` states of Proposition 3.2 / 3.4's product."""
     members = instance.members(source)
     seen = {(instance.root, 0)}
+    if axis not in DOWNWARD:
+        # The bit belongs to a *position* — "a sibling before (after) this
+        # occurrence is in S" — whatever the parent's own bit is.
+        for vertex in instance.reachable():
+            sequence = list(instance.expanded_children(vertex))
+            if axis == "preceding-sibling":
+                sequence.reverse()
+            bit = 0
+            for child in sequence:
+                seen.add((child, bit))
+                bit |= child in members
+        return len(seen)
     stack = [(instance.root, 0)]
     while stack:
         vertex, bit = stack.pop()
@@ -113,7 +129,7 @@ def assert_cache_contracts(instance: Instance) -> None:
 @settings(max_examples=150, deadline=None)
 @given(
     random_dag_instances(),
-    st.lists(st.tuples(st.sampled_from(DOWNWARD), st.sampled_from(LABELS)), min_size=1, max_size=3),
+    st.lists(st.tuples(st.sampled_from(SPLITTING), st.sampled_from(LABELS)), min_size=1, max_size=3),
     st.sampled_from(sorted(TIERS)),
 )
 def test_split_matches_oracles_and_keeps_caches_valid(master, steps, tier):
@@ -123,20 +139,22 @@ def test_split_matches_oracles_and_keeps_caches_valid(master, steps, tier):
     paths = unfolded.paths()
     index = TreeIndex(unfolded.tree)
     working = master.copy()
-    oracle = master.copy()
     # Later steps split an instance whose caches are already patched.
     for number, (axis, source) in enumerate(steps):
         target = f"T{number}"
+        before = working.copy()
         states = product_states(working, axis, source)
         result = apply_on_tier(working, axis, source, target, tier)
         assert result is working
         result.validate()  # in particular: no unreachable garbage
         assert result.num_reachable == result.num_vertices == states
         assert_cache_contracts(result)
-        oracle = downward_axis_inplace(oracle, axis, source, target)
-        assert equivalent(result, oracle)
+        if axis in DOWNWARD:
+            assert equivalent(result, downward_axis_inplace(before, axis, source, target))
         expected = tree_axis(index, axis, unfolded.tree.members(source))
         assert set_path_sets(result)[target] == {paths[vertex] for vertex in expected}
+        again = apply_on_tier(result.copy(), axis, source, "again", tier)
+        assert again.num_vertices == states  # every vertex now holds one bit
 
 
 def snapshot(instance: Instance) -> dict:
@@ -157,10 +175,21 @@ def snapshot(instance: Instance) -> dict:
     }
 
 
+def shared_master() -> Instance:
+    """Figure 5's maximally shared DAG under a root that also makes the
+    sibling axes split from ``b``: the old root sits on both sides of a
+    ``b`` run, and the run straddles its own flag flip."""
+    instance = binary_tree.compressed_instance(depth=6)
+    top = instance.root
+    b = instance.children(top)[1][0]
+    instance.set_root(instance.new_vertex(["a"], [(top, 1), (b, 2), (top, 1)]))
+    return instance
+
+
 @pytest.mark.parametrize("tier", sorted(TIERS))
-@pytest.mark.parametrize("axis", DOWNWARD)
+@pytest.mark.parametrize("axis", SPLITTING)
 def test_split_is_copy_on_write(axis, tier):
-    master = warmed(binary_tree.compressed_instance(depth=6))
+    master = warmed(shared_master())
     before = snapshot(master)
     working = master.copy()
     apply_on_tier(working, axis, "b", "T", tier)
@@ -169,8 +198,25 @@ def test_split_is_copy_on_write(axis, tier):
     # The master still answers like a fresh instance.
     assert equivalent(
         apply_on_tier(master.copy(), axis, "b", "T", tier),
-        apply_on_tier(binary_tree.compressed_instance(depth=6), axis, "b", "T", tier),
+        apply_on_tier(shared_master(), axis, "b", "T", tier),
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_dag_instances(), st.sampled_from(SPLITTING), st.sampled_from(LABELS))
+def test_tiers_build_identical_instances(master, axis, source):
+    built = []
+    for tier in sorted(TIERS):
+        result = apply_on_tier(warmed(master.copy()), axis, source, "T", tier)
+        built.append(
+            (
+                result.root,
+                list(result.edge_table()),
+                {name: sorted(result.members(name)) for name in result.schema},
+                result.postorder(),
+            )
+        )
+    assert built[0] == built[1] == built[2]
 
 
 @pytest.mark.skipif(not planes.numpy_active(), reason="the vector tier needs numpy")

@@ -3,7 +3,7 @@
 The central invariant of the paper: evaluating on the compressed instance
 and decoding the selection gives exactly the nodes the baseline tree engine
 selects on the decompressed tree — for random instances and random algebra
-expressions, with both axis implementations (functional rebuild and the
+expressions, with both axis implementations (the delta split and the
 Figure 4 in-place splitter).
 """
 

@@ -16,7 +16,7 @@ from repro.compress.stats import DocumentStats
 from repro.engine.batch import BatchEvaluator
 from repro.model.paths import tree_size
 from repro.server.service import QueryService
-from repro.xpath.algebra import AxisApply, NamedSet
+from repro.xpath.compiler import compile_query
 
 from tests.conftest import LABELS, random_dag_instances
 from tests.property.test_optimizer_properties import _SET_NAMES, algebra_expressions
@@ -43,10 +43,12 @@ class OneInstanceCatalog:
 
 @st.composite
 def query_sequences(draw):
-    """2-6 random plans, one of them a sibling axis (the rebuilding kind)."""
+    """3-7 random plans, two of them ``//x/following-sibling::x`` and its
+    mirror: on a run ``(w, m)`` with ``w`` in ``x`` the run itself splits."""
     plans = draw(st.lists(algebra_expressions(), min_size=1, max_size=5))
-    axis = draw(st.sampled_from(["following-sibling", "preceding-sibling"]))
-    plans.append(AxisApply(axis, NamedSet(draw(st.sampled_from(LABELS)))))
+    label = draw(st.sampled_from(LABELS))
+    for axis in ("following-sibling", "preceding-sibling"):
+        plans.append(compile_query(f"//{label}/{axis}::{label}"))
     return draw(st.permutations(plans))
 
 

@@ -1,7 +1,8 @@
 """Async front-end specifics: framing, keep-alive, drain, byte-identity.
 
-The shared route core is exercised on both transports by
-``test_http.py``'s parametrized fixture; this module covers what only
+The shared route core — and the ``Content-Length`` refusals both
+transports must agree on — is exercised on both by ``test_http.py``'s
+parametrized fixture; this module covers what only
 the asyncio transport owns — HTTP/1.1 framing edge cases the stdlib
 handler used to absorb, graceful drain under load, and the differential
 check that both front-ends emit byte-identical bodies for the same
@@ -62,27 +63,6 @@ class TestFraming:
         envelope = json.loads(body)
         assert envelope["error"]["kind"] == "bad-request"
         assert "malformed request line" in envelope["error"]["message"]
-
-    def test_non_integer_content_length_is_400(self, server):
-        response = raw_exchange(
-            server,
-            b"POST /query HTTP/1.1\r\nContent-Length: lots\r\n\r\n",
-        )
-        assert response.startswith(b"HTTP/1.1 400 ")
-        assert b"Content-Length must be an integer" in response
-
-    def test_oversized_content_length_is_413_without_reading(self, server):
-        from repro.server.routes import MAX_BODY
-
-        # Announce a body far over the cap but send none of it: the
-        # refusal must come from the header alone.
-        response = raw_exchange(
-            server,
-            f"POST /query HTTP/1.1\r\nContent-Length: {MAX_BODY + 1}\r\n\r\n".encode(),
-        )
-        assert response.startswith(b"HTTP/1.1 413 ")
-        envelope = json.loads(response.partition(b"\r\n\r\n")[2])
-        assert envelope["error"]["kind"] == "payload-too-large"
 
     def test_header_without_colon_is_400(self, server):
         response = raw_exchange(

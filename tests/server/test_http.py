@@ -107,6 +107,54 @@ def assert_envelope(payload: dict, kind: str) -> dict:
     return envelope
 
 
+class TestContentLengthRefusals:
+    """Decided from the headers alone, identically on both front-ends: the
+    envelope, then ``Connection: close`` — the unread body cannot be skipped."""
+
+    def refusal(self, server, head: bytes) -> tuple[bytes, dict]:
+        from tests.server.test_async_http import raw_exchange
+
+        # A second request rides behind: a server that kept the stream open
+        # would answer it too, and the body would no longer be one document.
+        response = raw_exchange(server, head + b"GET /healthz HTTP/1.1\r\n\r\n")
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert b"Connection: close" in head and b"X-Repro-Trace: " in head
+        return head, json.loads(body)
+
+    def test_non_integer_content_length_is_400(self, server):
+        head, payload = self.refusal(
+            server, b"POST /query HTTP/1.1\r\nContent-Length: lots\r\n\r\n"
+        )
+        assert head.startswith(b"HTTP/1.1 400 ")
+        error = assert_envelope(payload, "bad-request")
+        assert error["message"] == "Content-Length must be an integer"
+
+    def test_query_routes_have_their_own_body_cap(self, server):
+        from repro.server.routes import MAX_BODY, MAX_QUERY_BODY, body_limit
+
+        assert body_limit("POST", "/query") == body_limit("POST", "/explain") == MAX_QUERY_BODY
+        assert body_limit("POST", "/catalog/x") == body_limit("POST", "/mutate") == MAX_BODY
+        # Announced, never sent: the refusal comes before any body is read.
+        head, payload = self.refusal(
+            server,
+            f"POST /query HTTP/1.1\r\nContent-Length: {MAX_QUERY_BODY + 1}\r\n\r\n".encode(),
+        )
+        assert head.startswith(b"HTTP/1.1 413 ")
+        error = assert_envelope(payload, "payload-too-large")
+        assert str(MAX_QUERY_BODY) in error["message"]
+        # A body of exactly the cap is served.
+        body = json.dumps({"document": "bib", "query": "//author"})
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            connection.request("POST", "/query", body.ljust(MAX_QUERY_BODY))
+            response = connection.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read())["tree_count"] == 5
+        finally:
+            connection.close()
+
+
 class TestErrorMapping:
     """Regression-pins the uniform error envelope on every route.
 
