@@ -37,32 +37,26 @@ original's membership row.
 
 Kernel tiers (DESIGN.md section 11): with set memberships stored as
 contiguous bit planes, the in-place passes come in two shapes.  When numpy
-is active and the instance has at least :data:`VECTOR_THRESHOLD` edge
-entries, the passes run *level-synchronously* over the cached
-:class:`~repro.model.instance.EdgeCSR` — unpack the source plane to a bool
-vector once, then one gather/scatter per level (ascending for downward
-propagation, descending for upward), packing the result back into
-the target plane at the end.  Below the threshold, or without numpy, the
-scalar loops walk the cached traversal orders reading single plane bits —
-the historical shape, still O(|E|), and the reference the vectorized tier
-is property-tested against.  The genuinely sequential sibling flag scan
-stays scalar in both tiers.
+is active and the instance has at least
+:data:`~repro.model.instance.VECTOR_THRESHOLD` edge entries, every pass is
+whole-array: unpack the source plane to a bool vector once, then either one
+gather/scatter per level of the cached
+:class:`~repro.model.instance.EdgeCSR` (ascending for downward propagation,
+descending for upward), or — where the recurrence stays inside one edge list
+— one pass over the cached :class:`~repro.model.instance.EdgeFlat`: a single
+scatter for ``parent`` and the ``child`` scan, a prefix sum segmented by
+edge list for the sibling flag scan.  The result is packed back into the
+target plane at the end.  Below the threshold, or without numpy, the scalar
+loops walk the cached traversal orders reading single plane bits — the
+historical shape, still O(|E|), and the reference the vector tier is
+property-tested against.
 """
 
 from __future__ import annotations
 
 from repro.errors import EvaluationError
 from repro.model import planes as _pl
-from repro.model.instance import Instance
-
-#: Minimum run-length edge entries before the numpy level-synchronous
-#: kernels pay for themselves; tiny instances (the paper's Figure 1 scale)
-#: stay on the scalar loops.
-VECTOR_THRESHOLD = 256
-
-
-def _vectorized(instance: Instance) -> bool:
-    return _pl.numpy_active() and instance.num_edge_entries >= VECTOR_THRESHOLD
+from repro.model.instance import Instance, vectorized
 
 
 def warm(instance: Instance) -> None:
@@ -73,9 +67,10 @@ def warm(instance: Instance) -> None:
     warmed master never derives one from scratch.
     """
     instance.postorder()
-    if _vectorized(instance):
+    if vectorized(instance):
+        instance.postorder_array()
         instance.edge_csr().np_arrays()
-        instance.edge_flat().np_arrays()
+        instance.edge_flat().runs()
 
 
 def _restrict_reachable(instance: Instance, plane) -> None:
@@ -156,7 +151,7 @@ def _self(instance: Instance, live, target: str) -> Instance:
 
 def _parent(instance: Instance, source: str, target: str) -> Instance:
     source_plane = instance.plane_of(source)
-    if _vectorized(instance):
+    if vectorized(instance):
         numpy = _pl._numpy
         esrc, edst = instance.edge_flat().np_arrays()
         # One gather + one scatter: a vertex is selected iff any of its
@@ -180,23 +175,12 @@ def _parent(instance: Instance, source: str, target: str) -> Instance:
 
 def _ancestor(instance: Instance, source: str, target: str, or_self: bool) -> Instance:
     source_plane = instance.plane_of(source)
-    if _vectorized(instance):
-        numpy = _pl._numpy
-        csr = instance.edge_csr()
-        esrc, edst = csr.np_arrays()
-        source_bool = _pl.unpack_bool(source_plane, instance.num_vertices)
-        # strict[v] = "v has a proper descendant in S".  Levels descending:
-        # every child sits at a strictly greater level than its parents, so
-        # strict[child] is final before any of the child's in-edges fire.
+    if vectorized(instance):
         # The recurrence is the same for both variants: or-self only changes
         # the final commit (strict | S), not what flows upward.
-        strict = numpy.zeros(instance.num_vertices, dtype=numpy.uint8)
-        for start, end in reversed(csr.spans):
-            if start == end:
-                continue
-            dst = edst[start:end]
-            hit = (source_bool[dst] | strict[dst]).astype(bool)
-            strict[esrc[start:end][hit]] = 1
+        strict = instance.edge_csr().strict_ancestors(
+            _pl.unpack_bool(source_plane, instance.num_vertices)
+        )
         result = _pl.pack_bool(strict, instance.nwords)
         if or_self:
             _pl.or_into(result, source_plane)
@@ -243,7 +227,7 @@ def _downward(instance: Instance, axis: str, source: str, target: str) -> Instan
     or_self = axis == "descendant-or-self"
     source_plane = instance.plane_of(source)
     nvertices = instance.num_vertices
-    if _vectorized(instance):
+    if vectorized(instance):
         numpy = _pl._numpy
         in_source = _pl.unpack_bool(source_plane, nvertices)
         has0 = numpy.zeros(nvertices, dtype=numpy.uint8)
@@ -331,44 +315,68 @@ def _sibling(instance: Instance, source: str, target: str, following: bool) -> I
     """Scan, split, commit — in place, like :func:`_downward`.
 
     The context bit is per *position*: "a sibling before (after, for
-    ``preceding-sibling``) this occurrence is in S".  Walking an edge list
-    with a running flag, the first occurrence of a run ``(w, m)`` gets the
-    flag and the other ``m - 1`` get ``flag | [w in S]``, so a run that
-    straddles the flip hands ``w`` both bits by itself.  Vertices holding
-    both bits are cloned for bit 1 and only the parents owning one have
-    their edge tuples rewritten: a bit-1 occurrence points at the clone and
-    a straddling run becomes ``(w, 1) + (w', m - 1)`` (mirrored for
+    ``preceding-sibling``) this occurrence is in S".  Along an edge list
+    the first occurrence of a run ``(w, m)`` gets the flag "an earlier
+    entry is in S" and the other ``m - 1`` get ``flag | [w in S]``, so a
+    run that straddles the flip hands ``w`` both bits by itself.  The
+    scalar tier carries the flag down each list; the vector tier reads it
+    off two prefix sums over ``S[edst]``, because an edge list is one
+    contiguous, child-ordered stretch of the :class:`EdgeFlat` columns
+    (also after a downward split patched them).  Vertices holding both
+    bits are cloned for bit 1 and only the parents owning one have their
+    edge tuples rewritten: a bit-1 occurrence points at the clone and a
+    straddling run becomes ``(w, 1) + (w', m - 1)`` (mirrored for
     ``preceding-sibling``).  The bit never depends on the parent's own bit,
-    so a split parent and its clone share the rewritten tuple.  The flag
-    scan is order-sensitive along each edge list and stays scalar in both
-    kernel tiers.
+    so a split parent and its clone share the rewritten tuple.
     """
     source_plane = instance.plane_of(source)
     children = instance.edge_table()
     order = instance.postorder()
-    got0 = bytearray(len(children))
-    got1 = bytearray(len(children))
-    got0[instance.root] = 1
-    for vertex in order:
-        edges = children[vertex]
-        flag = 0
-        for child, count in edges if following else reversed(edges):
-            if flag:
-                got1[child] = 1
-                continue
-            got0[child] = 1
-            if source_plane[child >> 6] >> (child & 63) & 1:
-                flag = 1
-                if count > 1:
-                    got1[child] = 1  # the run itself splits
-    originals: list[int] = []
-    selected: list[int] = []
-    for vertex in order:
-        if got1[vertex]:
-            (originals if got0[vertex] else selected).append(vertex)
-    if originals:
-        originals.sort()  # clone ids follow vertex ids, as in _downward
-        first = instance.num_vertices
+    nvertices = instance.num_vertices
+    vector = vectorized(instance)
+    if vector:
+        numpy = _pl._numpy
+        flat = instance.edge_flat()
+        edst = flat.np_arrays()[1]
+        multi, starts, sizes = flat.runs()
+        member = _pl.unpack_bool(source_plane, nvertices)[edst]
+        # before[e] = entries in S ahead of e in the flat order; an edge
+        # list is one contiguous stretch of it, so a difference of two
+        # prefix sums counts the siblings in S on either side of e.
+        before = numpy.zeros(len(edst) + 1, dtype=numpy.intp)
+        numpy.cumsum(member, out=before[1:])
+        if following:
+            flagged = before[:-1] > numpy.repeat(before[starts], sizes)
+        else:
+            flagged = numpy.repeat(before[starts + sizes], sizes) > before[1:]
+        got0 = numpy.zeros(nvertices, dtype=numpy.uint8)
+        got1 = numpy.zeros(nvertices, dtype=numpy.uint8)
+        got0[instance.root] = 1
+        got1[edst[flagged]] = 1
+        got0[edst[~flagged]] = 1
+        got1[edst[~flagged & multi & member.view(bool)]] = 1  # the run itself splits
+        originals = numpy.flatnonzero(got0 & got1).tolist()
+        selected = got1 > got0
+    else:
+        got0 = bytearray(nvertices)
+        got1 = bytearray(nvertices)
+        got0[instance.root] = 1
+        for vertex in order:
+            edges = children[vertex]
+            flag = 0
+            for child, count in edges if following else reversed(edges):
+                if flag:
+                    got1[child] = 1
+                    continue
+                got0[child] = 1
+                if source_plane[child >> 6] >> (child & 63) & 1:
+                    flag = 1
+                    if count > 1:
+                        got1[child] = 1  # the run itself splits
+        originals = sorted(vertex for vertex in order if got0[vertex] and got1[vertex])
+        selected = [vertex for vertex in order if got1[vertex] > got0[vertex]]
+    if originals:  # sorted: clone ids follow vertex ids, as in _downward
+        first = nvertices
         clone_of = {vertex: first + i for i, vertex in enumerate(originals)}
         rewritten: dict[int, tuple] = {}
         for vertex in order:
@@ -389,7 +397,11 @@ def _sibling(instance: Instance, source: str, target: str, following: bool) -> I
                     runs.append((child, count))
             rewritten[vertex] = tuple(runs if following else reversed(runs))
         instance.split_vertices(originals, rewritten=rewritten)
-        selected.extend(clone_of.values())
+    if vector:
+        selected = numpy.concatenate((selected, numpy.ones(len(originals), dtype=bool)))
+        _pl.or_into(instance.ensure_plane(target), _pl.pack_bool(selected, instance.nwords))
+        return instance
+    selected.extend(range(nvertices, instance.num_vertices))
     target_plane = instance.ensure_plane(target)
     for vertex in selected:
         target_plane[vertex >> 6] |= 1 << (vertex & 63)

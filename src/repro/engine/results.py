@@ -92,9 +92,11 @@ class QueryResult:
     def iter_tree_matches(self, limit: int = 1_000_000) -> Iterator[tuple[tuple[int, ...], int]]:
         """Yield ``(edge_path, dag_vertex)`` for each selected tree node.
 
-        Lazy and selection-guided: after the one memoised summary pass, a
-        prefix of k matches (e.g. via ``itertools.islice``) costs
-        O(k * depth * fan-out) wherever they lie, on any size of tree.
+        Lazy and selection-guided: after the one memoised summary pass
+        (over ``ancestor-or-self(S)`` on the vector kernel tier, the whole
+        DAG on the scalar one), a prefix of k matches (e.g. via
+        ``itertools.islice``) costs O(k * depth * fan-out) wherever they
+        lie, on any size of tree.
         """
         below = self._selection_summary()
         return iter_selected_paths(self.instance, self.set_name, below, limit)

@@ -63,6 +63,16 @@ from repro.model import planes as _pl
 #: A run-length encoded edge: ``(child vertex, multiplicity)``.
 Edge = tuple[int, int]
 
+#: Minimum run-length edge entries before the numpy whole-array kernels pay
+#: for themselves; tiny instances (the paper's Figure 1 scale) stay on the
+#: scalar loops.
+VECTOR_THRESHOLD = 256
+
+
+def vectorized(instance: "Instance") -> bool:
+    """True when ``instance`` is served by the vector kernel tier."""
+    return _pl.numpy_active() and instance.num_edge_entries >= VECTOR_THRESHOLD
+
 
 def normalize_edges(edges: Iterable[Edge]) -> tuple[Edge, ...]:
     """Merge adjacent runs with equal targets and validate multiplicities.
@@ -91,26 +101,34 @@ def expand_edges(edges: Iterable[Edge]) -> Iterator[int]:
 
 
 class EdgeFlat:
-    """The reachable edge entries of an instance, flat, in no fixed order.
+    """The reachable edge entries of an instance as flat columns.
 
     ``esrc[i]``/``edst[i]`` are the parent and child of the ``i``-th
-    run-length edge entry (a vertex's entries are contiguous, in child
-    order) — *without* the level grouping of :class:`EdgeCSR`, which is
-    fine for the kernels whose recurrence is order-free per edge: the
-    ``parent`` axis and the ``child``-axis context scan.  Deriving it skips
-    the level relaxation and bucketing.
+    run-length edge entry and ``emulti[i]`` is 1 where its multiplicity
+    exceeds one (all a sibling scan asks of a run; a flag cannot overflow a
+    machine column where an exact multiplicity, a Python int, could).
+
+    Invariant, for freshly derived and :meth:`split`-patched arrays alike:
+    **a vertex's entries are contiguous and in child order.**  The vertices
+    themselves come in no fixed order and *without* the level grouping of
+    :class:`EdgeCSR` — enough for the kernels whose recurrence is order-free
+    per edge (the ``parent`` axis, the ``child``-axis context scan) or runs
+    along one edge list (the sibling flag scan, a prefix sum segmented by
+    :meth:`runs`).  Deriving it skips the level relaxation and bucketing.
 
     Built once per structure and shared by :meth:`Instance.copy`; strictly
     read-only — a downward :meth:`Instance.split_vertices` replaces it by a
     patched copy (:meth:`split`) instead of re-deriving it.
     """
 
-    __slots__ = ("esrc", "edst", "_np")
+    __slots__ = ("esrc", "edst", "emulti", "_np", "_runs")
 
-    def __init__(self, esrc, edst):
+    def __init__(self, esrc, edst, emulti=None):
         self.esrc = esrc
         self.edst = edst
+        self.emulti = emulti
         self._np: tuple | None = None
+        self._runs: tuple | None = None
 
     def __len__(self) -> int:
         return len(self.esrc)
@@ -125,6 +143,27 @@ class EdgeFlat:
             )
         return self._np
 
+    def runs(self):
+        """``(multi, starts, sizes)``, memoised (numpy tier).
+
+        ``multi`` is :attr:`emulti` as a bool array; edge list ``k`` — the
+        entries of one vertex — is ``[starts[k], starts[k] + sizes[k])``,
+        found from where ``esrc`` changes, which is what the class
+        invariant buys: no pass over the edge table.
+        """
+        if self._runs is None:
+            numpy = _pl._numpy
+            esrc = self.np_arrays()[0]
+            opens = numpy.ones(len(esrc), dtype=bool)
+            opens[1:] = esrc[1:] != esrc[:-1]
+            starts = numpy.flatnonzero(opens)
+            self._runs = (
+                numpy.frombuffer(self.emulti, dtype=bool),
+                starts,
+                numpy.diff(starts, append=len(esrc)),
+            )
+        return self._runs
+
     def split(self, remap, redirect) -> "EdgeFlat":
         """The patched copy after a vertex split (numpy tier).
 
@@ -132,7 +171,7 @@ class EdgeFlat:
         split) and ``redirect`` the per-vertex flag of
         :meth:`Instance.split_vertices`: a flagged parent's entries follow
         their child to its clone, and every split vertex's entries are
-        copied for its clone.
+        copied, in order, for its clone.
         """
         numpy = _pl._numpy
         esrc, edst = self.np_arrays()
@@ -146,23 +185,26 @@ class EdgeFlat:
 
     def _with_clones(self, esrc, edst, owned, clone_src, clone_dst) -> "EdgeFlat":
         numpy = _pl._numpy
+        multi = numpy.frombuffer(self.emulti, dtype=numpy.uint8)
         return EdgeFlat(
-            numpy.concatenate((esrc, clone_src)), numpy.concatenate((edst, clone_dst))
+            numpy.concatenate((esrc, clone_src)),
+            numpy.concatenate((edst, clone_dst)),
+            numpy.concatenate((multi, multi[owned])),
         )
 
 
 class EdgeCSR(EdgeFlat):
     """The reachable edge entries of an instance, flat and level-grouped.
 
-    The columns of :class:`EdgeFlat`, grouped by a *level assignment with
-    every parent strictly above its children*: ``spans[L] = (start, end)``
-    delimits the entries whose parent sits at level ``L``, so iterating
-    spans in order gives a level-synchronous schedule for downward
-    propagation, and iterating them reversed gives one for upward
-    propagation.  Freshly derived, a vertex's level is its longest-path
-    depth; a clone made by :meth:`Instance.split_vertices` inherits its
-    original's level (its parents are parents of the original or their
-    clones, its children the original's or their clones).
+    The ``esrc``/``edst`` columns of :class:`EdgeFlat`, grouped by a *level
+    assignment with every parent strictly above its children*:
+    ``spans[L] = (start, end)`` delimits the entries whose parent sits at
+    level ``L``, so iterating spans in order gives a level-synchronous
+    schedule for downward propagation, and iterating them reversed gives
+    one for upward propagation.  Freshly derived, a vertex's level is its
+    longest-path depth; a clone made by :meth:`Instance.split_vertices`
+    inherits its original's level (its parents are parents of the original
+    or their clones, its children the original's or their clones).
     """
 
     __slots__ = ("spans",)
@@ -170,6 +212,25 @@ class EdgeCSR(EdgeFlat):
     def __init__(self, esrc, edst, spans: list[tuple[int, int]]):
         super().__init__(esrc, edst)
         self.spans = spans
+
+    def strict_ancestors(self, selected):
+        """``strict[v]`` = "``v`` has a proper descendant in ``selected``".
+
+        The ``ancestor`` recurrence (Proposition 3.3) over uint8 0/1
+        vectors, numpy tier.  Levels descending: every child sits at a
+        strictly greater level than its parents, so ``strict[child]`` is
+        final before any of the child's in-edges fire.
+        """
+        numpy = _pl._numpy
+        esrc, edst = self.np_arrays()
+        strict = numpy.zeros(len(selected), dtype=numpy.uint8)
+        for start, end in reversed(self.spans):
+            if start == end:
+                continue
+            dst = edst[start:end]
+            hit = (selected[dst] | strict[dst]).astype(bool)
+            strict[esrc[start:end][hit]] = 1
+        return strict
 
     def _with_clones(self, esrc, edst, owned, clone_src, clone_dst) -> "EdgeCSR":
         # A clone's entries go to the end of its original's level.
@@ -201,6 +262,7 @@ class Instance:
         "_generation",
         "_pre_cache",
         "_post_cache",
+        "_post_array",
         "_reach_cache",
         "_csr_cache",
         "_flat_cache",
@@ -222,6 +284,7 @@ class Instance:
         self._generation: int = 0
         self._pre_cache: list[int] | None = None
         self._post_cache: list[int] | None = None
+        self._post_array = None  # _post_cache as a numpy intp array
         self._reach_cache: array | None = None
         self._csr_cache: EdgeCSR | None = None
         self._flat_cache: EdgeFlat | None = None
@@ -265,6 +328,7 @@ class Instance:
         instance._generation = 0
         instance._pre_cache = None
         instance._post_cache = None
+        instance._post_array = None
         instance._reach_cache = None
         instance._csr_cache = None
         instance._flat_cache = None
@@ -363,6 +427,7 @@ class Instance:
         self._generation += 1
         self._pre_cache = None
         self._post_cache = None
+        self._post_array = None
         self._reach_cache = None
         self._csr_cache = None
         self._flat_cache = None
@@ -463,10 +528,10 @@ class Instance:
         clone's parents are parents of its original or their clones, and
         its children are the original's or their clones, so it can sit
         right after its original in the cached postorder and inherit its
-        level in the :class:`EdgeCSR`.  The postorder is always patched; the
-        edge arrays are patched under ``redirect`` and dropped under
-        ``rewritten``.  Each clone also inherits its original's origin
-        (:meth:`count_origins`).
+        level in the :class:`EdgeCSR`.  The postorder (list and array) is
+        always patched; the edge arrays are patched under ``redirect`` and
+        dropped under ``rewritten``.  Each clone also inherits its
+        original's origin (:meth:`count_origins`).
         """
         table = self._children
         first = len(table)
@@ -518,6 +583,8 @@ class Instance:
                 if vertex in clone_of:
                     patched.append(clone_of[vertex])
             self._post_cache = patched
+            if self._post_array is not None:
+                self._post_array = _pl._numpy.asarray(patched, dtype=_pl._numpy.intp)
         self._pre_cache = None
         self._reach_cache = None
         self._generation += 1
@@ -756,13 +823,16 @@ class Instance:
         children = self._children
         esrc: list[int] = []
         edst: list[int] = []
+        emulti = bytearray()
         add_src = esrc.append
         add_dst = edst.append
+        add_multi = emulti.append
         for vertex in self.topological_order():
-            for child, _ in children[vertex]:
+            for child, count in children[vertex]:
                 add_src(vertex)
                 add_dst(child)
-        flat = EdgeFlat(esrc, edst)
+                add_multi(count > 1)
+        flat = EdgeFlat(esrc, edst, emulti)
         self._flat_cache = flat
         return flat
 
@@ -804,6 +874,12 @@ class Instance:
         csr = EdgeCSR(esrc, edst, spans)
         self._csr_cache = csr
         return csr
+
+    @property
+    def has_edge_csr(self) -> bool:
+        """True when :meth:`edge_csr` is at hand (a warmed master, its forks,
+        or an instance an upward or descendant axis has run on)."""
+        return self._csr_cache is not None
 
     def gather_sets_from(self, source: "Instance", origin: Sequence[int]) -> None:
         """Fill this instance's sets by gathering ``source``'s planes.
@@ -874,6 +950,14 @@ class Instance:
                 stack.pop()
         self._post_cache = order
         return order
+
+    def postorder_array(self):
+        """:meth:`postorder` as a cached numpy intp array (numpy tier)."""
+        cached = self._post_array
+        if cached is None:
+            numpy = _pl._numpy
+            cached = self._post_array = numpy.asarray(self.postorder(), dtype=numpy.intp)
+        return cached
 
     def preorder(self) -> list[int]:
         """Vertices reachable from the root in DFS preorder (first visit).
@@ -1003,6 +1087,7 @@ class Instance:
         # mutation drops its own references only.
         clone._pre_cache = self._pre_cache
         clone._post_cache = self._post_cache
+        clone._post_array = self._post_array
         clone._reach_cache = self._reach_cache
         clone._csr_cache = self._csr_cache
         clone._flat_cache = self._flat_cache

@@ -16,7 +16,11 @@ the compression), so this module offers:
   integers).  ``below[root]`` is Figure 7 column (8), and a document-order
   walk that descends only where ``below > 0`` (stepping over match-free
   runs by position arithmetic) decodes the first ``k`` selected paths in
-  ``O(|DAG| + k * depth * fan-out)``, never ``O(|tree|)``;
+  ``O(k * depth * fan-out)`` on top of the summary, never ``O(|tree|)``.
+  The summary's big-integer recurrence visits only
+  ``ancestor-or-self(S)`` on the vector kernel tier — the one part of the
+  DAG where ``below`` is non-zero, found by one whole-array upward pass —
+  and the whole postorder, ``O(|DAG|)``, on the scalar tier;
 * :func:`tree_node_counts` — per-vertex counts ``|Pi(v)|`` by top-down
   dynamic programming (linear in the DAG; one table answers many sets);
 * :func:`tree_size` — ``|V^{T(I)}|`` without materialising the tree;
@@ -29,7 +33,8 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.errors import DecompressionLimitError
-from repro.model.instance import Edge, Instance
+from repro.model import instance as _instance, planes as _pl
+from repro.model.instance import Edge, Instance, vectorized
 
 
 def tree_node_counts(instance: Instance) -> dict[int, int]:
@@ -80,11 +85,33 @@ def selection_summary(instance: Instance, name: str) -> dict[int, int]:
     One pass of the module doc's recurrence over the cached postorder.
     Only non-zero entries are stored: ``v in below`` means "a match at or
     under ``v``", and ``below.get(root, 0)`` is the tree-node count.
+
+    ``below`` is non-zero exactly on the reachable part of
+    ``ancestor-or-self(S)`` (Proposition 3.3: one upward pass, no split),
+    so on the vector tier the pass skips every other vertex — provided
+    there are vertices to skip (a DAG of a few dozen keeps its edge
+    entries on the root path, inside every closure) and the level
+    structure is at hand, as on every served instance (the pool warms its
+    masters and splits patch it): deriving one costs more interpreter time
+    than the full walk it would save.  DESIGN.md section 11 has both
+    measurements.  The counts stay Python integers on both tiers: they
+    outgrow any machine word.
     """
     plane = instance.plane_of(name)
     table = instance.edge_table()
+    if (
+        vectorized(instance)
+        and instance.num_vertices >= _instance.VECTOR_THRESHOLD
+        and instance.has_edge_csr
+    ):
+        selected = _pl.unpack_bool(plane, instance.num_vertices)
+        closure = instance.edge_csr().strict_ancestors(selected) | selected
+        post = instance.postorder_array()
+        order = post[closure[post].view(bool)].tolist()
+    else:
+        order = instance.postorder()
     below: dict[int, int] = {}
-    for vertex in instance.postorder():
+    for vertex in order:
         total = plane[vertex >> 6] >> (vertex & 63) & 1
         for child, count in table[vertex]:
             if child in below:

@@ -22,6 +22,7 @@ tiers.  Pinned here, on random shared DAGs:
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -33,7 +34,7 @@ from repro.engine import axes_compressed
 from repro.engine.axes_inplace import downward_axis_inplace
 from repro.engine.axes_tree import TreeIndex, tree_axis
 from repro.engine.evaluator import CompressedEvaluator
-from repro.model import planes
+from repro.model import instance as instance_module, planes
 from repro.model.equivalence import equivalent
 from repro.model.instance import Instance
 from repro.model.paths import set_path_sets, tree_size
@@ -51,17 +52,24 @@ SPLITTING = DOWNWARD + ("following-sibling", "preceding-sibling")
 TIERS = {"vector": (True, 0), "scalar": (True, 1 << 30), "stdlib": (False, 0)}
 
 
+@contextmanager
+def forced_tier(tier: str):
+    """Run the body under one of :data:`TIERS`."""
+    numpy, threshold = TIERS[tier]
+    previous_threshold = instance_module.VECTOR_THRESHOLD
+    previous_tier = planes.set_numpy(numpy)
+    instance_module.VECTOR_THRESHOLD = threshold
+    try:
+        yield
+    finally:
+        instance_module.VECTOR_THRESHOLD = previous_threshold
+        planes.set_numpy(previous_tier)
+
+
 def apply_on_tier(instance: Instance, axis: str, source: str, target: str, tier: str) -> Instance:
     """``apply_axis`` in place under one of :data:`TIERS`."""
-    numpy, threshold = TIERS[tier]
-    previous_threshold = axes_compressed.VECTOR_THRESHOLD
-    previous_tier = planes.set_numpy(numpy)
-    axes_compressed.VECTOR_THRESHOLD = threshold
-    try:
+    with forced_tier(tier):
         return axes_compressed.apply_axis(instance, axis, source, target)
-    finally:
-        axes_compressed.VECTOR_THRESHOLD = previous_threshold
-        planes.set_numpy(previous_tier)
 
 
 def warmed(instance: Instance) -> Instance:
@@ -71,6 +79,9 @@ def warmed(instance: Instance) -> Instance:
     instance.reachable_plane()
     instance.edge_csr()
     instance.edge_flat()
+    if planes.numpy_active():
+        instance.postorder_array()
+        instance.edge_flat().runs()
     assert instance.fully_reachable
     return instance
 
@@ -116,6 +127,24 @@ def assert_cache_contracts(instance: Instance) -> None:
     assert set(planes.iter_bits(instance.reachable_plane())) == reachable
     flat = instance.edge_flat()
     assert Counter(zip(flat.esrc, flat.edst)) == entries
+    # A vertex's entries are contiguous and in child order, runs flagged.
+    esrc, edst, emulti = list(flat.esrc), list(flat.edst), list(flat.emulti)
+    first = {}
+    for i, vertex in enumerate(esrc):
+        first.setdefault(int(vertex), i)
+    for vertex, start in first.items():
+        end = start + len(table[vertex])
+        assert esrc[start:end] == [vertex] * len(table[vertex])
+        assert list(zip(edst[start:end], emulti[start:end])) == [
+            (child, count > 1) for child, count in table[vertex]
+        ]
+    assert sum(len(table[vertex]) for vertex in first) == len(esrc)
+    if planes.numpy_active():
+        multi, starts, sizes = flat.runs()
+        assert multi.tolist() == [bool(flag) for flag in emulti]
+        assert starts.tolist() == sorted(first.values())
+        assert sizes.tolist() == [len(table[int(esrc[start])]) for start in starts]
+        assert instance.postorder_array().tolist() == post
     csr = instance.edge_csr()
     assert Counter(zip(csr.esrc, csr.edst)) == entries
     level = {}
@@ -161,7 +190,9 @@ def snapshot(instance: Instance) -> dict:
     """Identity and content of everything a split must leave alone."""
     caches = {
         name: getattr(instance, name)
-        for name in ("_pre_cache", "_post_cache", "_reach_cache", "_csr_cache", "_flat_cache")
+        for name in (
+            "_pre_cache", "_post_cache", "_post_array", "_reach_cache", "_csr_cache", "_flat_cache"
+        )
     }
     csr, flat = caches["_csr_cache"], caches["_flat_cache"]
     return {
@@ -170,7 +201,11 @@ def snapshot(instance: Instance) -> dict:
         "cache_ids": {name: id(value) for name, value in caches.items()},
         "orders": (list(caches["_pre_cache"]), list(caches["_post_cache"])),
         "reach": bytes(caches["_reach_cache"]),
-        "edges": (list(csr.esrc), list(csr.edst), list(csr.spans), list(flat.esrc), list(flat.edst)),
+        "edges": (
+            list(csr.esrc), list(csr.edst), list(csr.spans),
+            list(flat.esrc), list(flat.edst), list(flat.emulti),
+            None if caches["_post_array"] is None else caches["_post_array"].tolist(),
+        ),
         "counts": (instance.num_vertices, instance.num_edge_entries, instance.num_reachable),
     }
 
@@ -223,10 +258,11 @@ def test_tiers_build_identical_instances(master, axis, source):
 def test_warmed_master_serves_treebank_q2_without_deriving_a_cache(monkeypatch):
     master = load(generate("treebank", 400, 0).xml).instance
     axes_compressed.warm(master)
-    assert axes_compressed._vectorized(master)
+    assert instance_module.vectorized(master)
     derived = []
     for method, cache in (
         ("postorder", "_post_cache"),
+        ("postorder_array", "_post_array"),
         ("edge_csr", "_csr_cache"),
         ("edge_flat", "_flat_cache"),
     ):

@@ -27,7 +27,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.corpora import binary_tree, relational, xmark
 from repro.engine import axes_compressed
-from repro.model import planes
+from repro.model import instance as instance_module, planes
 from repro.model.instance import Instance
 from repro.skeleton.loader import load
 
@@ -192,8 +192,8 @@ class TestCloneBitsTierEquivalence:
 
 def apply_forced(instance: Instance, axis: str, source: str, numpy: bool) -> tuple:
     """One ``apply_axis`` with the tier forced and the threshold at zero."""
-    previous_threshold = axes_compressed.VECTOR_THRESHOLD
-    axes_compressed.VECTOR_THRESHOLD = 0
+    previous_threshold = instance_module.VECTOR_THRESHOLD
+    instance_module.VECTOR_THRESHOLD = 0
     try:
 
         def run():
@@ -204,7 +204,7 @@ def apply_forced(instance: Instance, axis: str, source: str, numpy: bool) -> tup
 
         return under_tier(numpy, run)
     finally:
-        axes_compressed.VECTOR_THRESHOLD = previous_threshold
+        instance_module.VECTOR_THRESHOLD = previous_threshold
 
 
 class TestAxisTierEquivalence:
@@ -226,13 +226,13 @@ class TestAxisTierEquivalence:
         # Below the threshold the scalar path runs even with numpy active;
         # the dispatch predicate is what the equivalence above licenses.
         small = binary_tree.compressed_instance(depth=3)
-        assert small.num_edge_entries < axes_compressed.VECTOR_THRESHOLD
-        assert not axes_compressed._vectorized(small)
+        assert small.num_edge_entries < instance_module.VECTOR_THRESHOLD
+        assert not instance_module.vectorized(small)
         if planes.numpy_active():
             wide = Instance(LABELS)
             leaves = [wide.new_vertex(["b"]) for _ in range(300)]
             wide.set_root(wide.new_vertex(["a"], [(leaf, 1) for leaf in leaves]))
-            assert axes_compressed._vectorized(wide)
+            assert instance_module.vectorized(wide)
 
 
 # ----------------------------------------------------------------------
