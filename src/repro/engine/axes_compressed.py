@@ -39,13 +39,13 @@ Kernel tiers (DESIGN.md section 11): with set memberships stored as
 contiguous bit planes, the in-place passes come in two shapes.  When numpy
 is active and the instance has at least
 :data:`~repro.model.instance.VECTOR_THRESHOLD` edge entries, every pass is
-whole-array: unpack the source plane to a bool vector once, then either one
-gather/scatter per level of the cached
-:class:`~repro.model.instance.EdgeCSR` (ascending for downward propagation,
-descending for upward), or — where the recurrence stays inside one edge list
-— one pass over the cached :class:`~repro.model.instance.EdgeFlat`: a single
-scatter for ``parent`` and the ``child`` scan, a prefix sum segmented by
-edge list for the sibling flag scan.  The result is packed back into the
+whole-array over the one cached :class:`~repro.model.instance.EdgeCSR`:
+unpack the source plane to a bool vector once, then either one
+gather/scatter per level (ascending for downward propagation, descending for
+upward) or — where the recurrence stays inside one edge list — one pass over
+the whole columns: a single scatter for ``parent`` and the ``child`` scan, a
+prefix sum segmented by edge list for the sibling flag scan.  The result is
+packed back into the
 target plane at the end.  Below the threshold, or without numpy, the scalar
 loops walk the cached traversal orders reading single plane bits — the
 historical shape, still O(|E|), and the reference the vector tier is
@@ -69,8 +69,7 @@ def warm(instance: Instance) -> None:
     instance.postorder()
     if vectorized(instance):
         instance.postorder_array()
-        instance.edge_csr().np_arrays()
-        instance.edge_flat().runs()
+        instance.edge_csr().runs()
 
 
 def _restrict_reachable(instance: Instance, plane) -> None:
@@ -153,7 +152,7 @@ def _parent(instance: Instance, source: str, target: str) -> Instance:
     source_plane = instance.plane_of(source)
     if vectorized(instance):
         numpy = _pl._numpy
-        esrc, edst = instance.edge_flat().np_arrays()
+        esrc, edst = instance.edge_csr().np_arrays()
         # One gather + one scatter: a vertex is selected iff any of its
         # run-length edges points into S.  No level schedule needed.
         source_bool = _pl.unpack_bool(source_plane, instance.num_vertices)
@@ -233,12 +232,12 @@ def _downward(instance: Instance, axis: str, source: str, target: str) -> Instan
         has0 = numpy.zeros(nvertices, dtype=numpy.uint8)
         has1 = numpy.zeros(nvertices, dtype=numpy.uint8)
         has0[instance.root] = 1
+        csr = instance.edge_csr()
+        esrc, edst = csr.np_arrays()
         if descend:
             # Levels ascending: both state flags of a parent are final once
             # its level is reached, because all of its in-edges fired
             # earlier.
-            csr = instance.edge_csr()
-            esrc, edst = csr.np_arrays()
             for start, end in csr.spans:
                 src = esrc[start:end]
                 dst = edst[start:end]
@@ -247,8 +246,7 @@ def _downward(instance: Instance, axis: str, source: str, target: str) -> Instan
                 has0[dst[has0[src] > member]] = 1
         else:
             # The child bit depends only on the parent's own membership, so
-            # no level schedule is needed: one scatter over the flat edges.
-            esrc, edst = instance.edge_flat().np_arrays()
+            # no level schedule is needed: one scatter over all the edges.
             member = in_source[esrc].astype(bool)
             has1[edst[member]] = 1
             has0[edst[~member]] = 1
@@ -321,7 +319,7 @@ def _sibling(instance: Instance, source: str, target: str, following: bool) -> I
     run that straddles the flip hands ``w`` both bits by itself.  The
     scalar tier carries the flag down each list; the vector tier reads it
     off two prefix sums over ``S[edst]``, because an edge list is one
-    contiguous, child-ordered stretch of the :class:`EdgeFlat` columns
+    contiguous, child-ordered stretch of the :class:`EdgeCSR` columns
     (also after a downward split patched them).  Vertices holding both
     bits are cloned for bit 1 and only the parents owning one have their
     edge tuples rewritten: a bit-1 occurrence points at the clone and a
@@ -336,9 +334,9 @@ def _sibling(instance: Instance, source: str, target: str, following: bool) -> I
     vector = vectorized(instance)
     if vector:
         numpy = _pl._numpy
-        flat = instance.edge_flat()
-        edst = flat.np_arrays()[1]
-        multi, starts, sizes = flat.runs()
+        csr = instance.edge_csr()
+        edst = csr.np_arrays()[1]
+        multi, starts, sizes = csr.runs()
         member = _pl.unpack_bool(source_plane, nvertices)[edst]
         # before[e] = entries in S ahead of e in the flat order; an edge
         # list is one contiguous stretch of it, so a difference of two

@@ -11,10 +11,10 @@ of vertices to split up front and clones them in one step; this module
 exists because the paper's pseudocode is a contribution in itself, and as
 the test oracle the two are property-tested equivalent
 (``tests/property/test_delta_split.py``).  Like the primary engine it
-mutates the instance (vertex ids are stable, copies are appended); unlike
-it, vertices whose every parent switched to a copy become unreachable (the
-paper does not garbage-collect either) — use :meth:`Instance.compact` if a
-validated instance is needed afterwards.
+mutates the instance (vertex ids are stable, copies are appended) and
+leaves no garbage: a vertex is first visited from an original, whose edge
+to it is never re-pointed.  Copies are numbered in visiting order, so the
+two engines agree up to :func:`~repro.model.equivalence.equivalent`.
 
 The recursion of Figure 4 is unrolled onto an explicit stack so arbitrarily
 deep DAGs (compressed chains) do not hit Python's recursion limit.

@@ -24,8 +24,7 @@ The row-mask view survives as an *interface*: :meth:`mask`,
 integer bitmasks (bit position = schema position), which keeps the
 compressor's hash-consing key a cheap ``(mask, children)`` tuple.  Reading
 one row mask gathers across all planes (O(S)); writers that need many rows
-should use :meth:`row_masks`, and renumbering constructions should use
-:meth:`gather_sets_from` (one vectorised gather per plane).
+should use :meth:`row_masks`.
 
 The structure is mutable: the query engine adds selections (new sets) and
 splits shared vertices during partial decompression.  Use :meth:`copy` when
@@ -42,11 +41,12 @@ sections 5 and 11):
   result, invalidated by a structural generation counter that every
   structure-mutating method bumps.  Callers must treat the returned lists
   as read-only.
-* *cached edge structure*: :meth:`edge_csr` memoises a flat edge list
-  grouped into levels, the input of the engine's vectorised
-  level-synchronous axis kernels; :meth:`reachable_plane` memoises the
-  reachable vertex set as a plane.  Both are structural, so :meth:`copy`
-  shares them like the traversal caches.
+* *cached edge structure*: :meth:`edge_csr` memoises the one flat edge
+  list every vectorised axis kernel reads — grouped into levels, each
+  vertex's entries contiguous and in child order, run flags alongside;
+  :meth:`reachable_plane` memoises the reachable vertex set as a plane.
+  Both are structural, so :meth:`copy` shares them like the traversal
+  caches.
 
 The general mutators drop every cache; :meth:`split_vertices`, the
 structural step of partial decompression, patches them instead.
@@ -100,38 +100,42 @@ def expand_edges(edges: Iterable[Edge]) -> Iterator[int]:
             yield child
 
 
-class EdgeFlat:
-    """The reachable edge entries of an instance as flat columns.
+class EdgeCSR:
+    """The reachable edge entries of an instance as flat, level-grouped columns.
 
     ``esrc[i]``/``edst[i]`` are the parent and child of the ``i``-th
     run-length edge entry and ``emulti[i]`` is 1 where its multiplicity
     exceeds one (all a sibling scan asks of a run; a flag cannot overflow a
     machine column where an exact multiplicity, a Python int, could).
 
+    The entries are grouped by a *level assignment with every parent
+    strictly above its children*: ``spans[L] = (start, end)`` delimits the
+    entries whose parent sits at level ``L``, so iterating spans in order
+    gives a level-synchronous schedule for downward propagation, and
+    iterating them reversed gives one for upward propagation.  Freshly
+    derived, a vertex's level is its longest-path depth; a clone made by
+    :meth:`Instance.split_vertices` inherits its original's level (its
+    parents are parents of the original or their clones, its children the
+    original's or their clones).
+
     Invariant, for freshly derived and :meth:`split`-patched arrays alike:
-    **a vertex's entries are contiguous and in child order.**  The vertices
-    themselves come in no fixed order and *without* the level grouping of
-    :class:`EdgeCSR` — enough for the kernels whose recurrence is order-free
-    per edge (the ``parent`` axis, the ``child``-axis context scan) or runs
-    along one edge list (the sibling flag scan, a prefix sum segmented by
-    :meth:`runs`).  Deriving it skips the level relaxation and bucketing.
+    **a vertex's entries are contiguous and in child order** — what the
+    sibling flag scan, a prefix sum segmented by :meth:`runs`, relies on.
 
     Built once per structure and shared by :meth:`Instance.copy`; strictly
     read-only — a downward :meth:`Instance.split_vertices` replaces it by a
     patched copy (:meth:`split`) instead of re-deriving it.
     """
 
-    __slots__ = ("esrc", "edst", "emulti", "_np", "_runs")
+    __slots__ = ("esrc", "edst", "emulti", "spans", "_np", "_runs")
 
-    def __init__(self, esrc, edst, emulti=None):
+    def __init__(self, esrc, edst, emulti, spans: list[tuple[int, int]]):
         self.esrc = esrc
         self.edst = edst
         self.emulti = emulti
+        self.spans = spans
         self._np: tuple | None = None
         self._runs: tuple | None = None
-
-    def __len__(self) -> int:
-        return len(self.esrc)
 
     def np_arrays(self):
         """``(esrc, edst)`` as numpy intp arrays, built lazily, memoised."""
@@ -164,14 +168,16 @@ class EdgeFlat:
             )
         return self._runs
 
-    def split(self, remap, redirect) -> "EdgeFlat":
+    def split(self, remap, redirect) -> "EdgeCSR":
         """The patched copy after a vertex split (numpy tier).
 
         ``remap[v]`` is the clone of ``v`` (``v`` itself when it is not
         split) and ``redirect`` the per-vertex flag of
         :meth:`Instance.split_vertices`: a flagged parent's entries follow
-        their child to its clone, and every split vertex's entries are
-        copied, in order, for its clone.
+        their child to its clone, and every split vertex's entries and run
+        flags are copied, in order, for its clone — inserted at the end of
+        its original's level.  ``owned`` is ascending, so each clone's copy
+        is one in-order stretch: the contiguity invariant survives.
         """
         numpy = _pl._numpy
         esrc, edst = self.np_arrays()
@@ -179,39 +185,18 @@ class EdgeFlat:
         owned = numpy.flatnonzero(remap[esrc] != esrc)
         clone_src = remap[esrc[owned]]
         clone_dst = numpy.where(redirect[clone_src], moved[owned], edst[owned])
-        return self._with_clones(
-            esrc, numpy.where(redirect[esrc], moved, edst), owned, clone_src, clone_dst
-        )
-
-    def _with_clones(self, esrc, edst, owned, clone_src, clone_dst) -> "EdgeFlat":
-        numpy = _pl._numpy
         multi = numpy.frombuffer(self.emulti, dtype=numpy.uint8)
-        return EdgeFlat(
-            numpy.concatenate((esrc, clone_src)),
-            numpy.concatenate((edst, clone_dst)),
-            numpy.concatenate((multi, multi[owned])),
+        ends = numpy.array([end for _, end in self.spans], dtype=numpy.intp)
+        level = numpy.searchsorted(ends, owned, side="right")
+        at = ends[level]
+        ends += numpy.cumsum(numpy.bincount(level, minlength=len(ends)))
+        bounds = [0, *ends.tolist()]
+        return EdgeCSR(
+            numpy.insert(esrc, at, clone_src),
+            numpy.insert(numpy.where(redirect[esrc], moved, edst), at, clone_dst),
+            numpy.insert(multi, at, multi[owned]),
+            list(zip(bounds, bounds[1:])),
         )
-
-
-class EdgeCSR(EdgeFlat):
-    """The reachable edge entries of an instance, flat and level-grouped.
-
-    The ``esrc``/``edst`` columns of :class:`EdgeFlat`, grouped by a *level
-    assignment with every parent strictly above its children*:
-    ``spans[L] = (start, end)`` delimits the entries whose parent sits at
-    level ``L``, so iterating spans in order gives a level-synchronous
-    schedule for downward propagation, and iterating them reversed gives
-    one for upward propagation.  Freshly derived, a vertex's level is its
-    longest-path depth; a clone made by :meth:`Instance.split_vertices`
-    inherits its original's level (its parents are parents of the original
-    or their clones, its children the original's or their clones).
-    """
-
-    __slots__ = ("spans",)
-
-    def __init__(self, esrc, edst, spans: list[tuple[int, int]]):
-        super().__init__(esrc, edst)
-        self.spans = spans
 
     def strict_ancestors(self, selected):
         """``strict[v]`` = "``v`` has a proper descendant in ``selected``".
@@ -232,20 +217,6 @@ class EdgeCSR(EdgeFlat):
             strict[esrc[start:end][hit]] = 1
         return strict
 
-    def _with_clones(self, esrc, edst, owned, clone_src, clone_dst) -> "EdgeCSR":
-        # A clone's entries go to the end of its original's level.
-        numpy = _pl._numpy
-        ends = numpy.array([end for _, end in self.spans], dtype=numpy.intp)
-        level = numpy.searchsorted(ends, owned, side="right")
-        at = ends[level]
-        ends += numpy.cumsum(numpy.bincount(level, minlength=len(ends)))
-        bounds = [0, *ends.tolist()]
-        return EdgeCSR(
-            numpy.insert(esrc, at, clone_src),
-            numpy.insert(edst, at, clone_dst),
-            list(zip(bounds, bounds[1:])),
-        )
-
 
 class Instance:
     """A rooted, ordered, acyclic sigma-instance with multiplicity edges."""
@@ -265,7 +236,6 @@ class Instance:
         "_post_array",
         "_reach_cache",
         "_csr_cache",
-        "_flat_cache",
     )
 
     def __init__(self, schema: Iterable[str] = ()):
@@ -287,7 +257,6 @@ class Instance:
         self._post_array = None  # _post_cache as a numpy intp array
         self._reach_cache: array | None = None
         self._csr_cache: EdgeCSR | None = None
-        self._flat_cache: EdgeFlat | None = None
 
     @classmethod
     def from_parts(
@@ -331,7 +300,6 @@ class Instance:
         instance._post_array = None
         instance._reach_cache = None
         instance._csr_cache = None
-        instance._flat_cache = None
         if children:
             instance._check_vertex(root)
         return instance
@@ -430,7 +398,6 @@ class Instance:
         self._post_array = None
         self._reach_cache = None
         self._csr_cache = None
-        self._flat_cache = None
 
     def _grow(self, nbits: int) -> None:
         """Ensure every plane can hold ``nbits`` vertex bits (doubling)."""
@@ -529,9 +496,10 @@ class Instance:
         its children are the original's or their clones, so it can sit
         right after its original in the cached postorder and inherit its
         level in the :class:`EdgeCSR`.  The postorder (list and array) is
-        always patched; the edge arrays are patched under ``redirect`` and
-        dropped under ``rewritten``.  Each clone also inherits its
-        original's origin (:meth:`count_origins`).
+        always patched; the :class:`EdgeCSR` is patched under ``redirect``
+        on the numpy tier (:meth:`EdgeCSR.split`) and dropped otherwise —
+        under ``rewritten`` run splitting changes the entry count.  Each
+        clone also inherits its original's origin (:meth:`count_origins`).
         """
         table = self._children
         first = len(table)
@@ -540,24 +508,22 @@ class Instance:
             origin = self._origin = list(range(first))
         origin.extend([origin[vertex] for vertex in originals])
         clone_of = {vertex: first + i for i, vertex in enumerate(originals)}
-        flat, csr = self._flat_cache, self._csr_cache
+        csr = self._csr_cache
+        self._csr_cache = None
         if rewritten is not None:
-            self._flat_cache = self._csr_cache = None
             clone_edges = [rewritten.get(vertex, table[vertex]) for vertex in originals]
         else:
-            if _pl.numpy_active() and not (flat is None and csr is None):
+            if _pl.numpy_active() and csr is not None:
                 numpy = _pl._numpy
                 remap = numpy.arange(first, dtype=numpy.intp)
                 remap[originals] = numpy.arange(first, first + len(originals))
                 flags = numpy.frombuffer(redirect, dtype=numpy.uint8)
-                esrc, edst = (csr if flat is None else flat).np_arrays()
+                esrc, edst = csr.np_arrays()
                 parents = numpy.unique(
                     esrc[flags[esrc].astype(bool) & (remap[edst] != edst)]
                 ).tolist()
-                self._flat_cache = None if flat is None else flat.split(remap, flags)
-                self._csr_cache = None if csr is None else csr.split(remap, flags)
+                self._csr_cache = csr.split(remap, flags)
             else:
-                self._flat_cache = self._csr_cache = None
                 parents = [
                     vertex
                     for vertex in self.postorder()
@@ -709,10 +675,10 @@ class Instance:
 
         A vertex's origin is the vertex it stood for in the instance this
         one was forked from: itself, or its original's origin for a clone
-        (:meth:`split_vertices`, :meth:`gather_sets_from`; :meth:`copy`
-        carries the map).  Splits only refine which tree nodes share a
-        vertex, so this counts the vertices *of the forked-from instance*
-        that hold a selected tree node, whichever splits evaluation ran.
+        (:meth:`split_vertices`; :meth:`copy` carries the map).  Splits only
+        refine which tree nodes share a vertex, so this counts the vertices
+        *of the forked-from instance* that hold a selected tree node,
+        whichever splits evaluation ran.
         """
         origin = self._origin
         if origin is None:
@@ -815,27 +781,6 @@ class Instance:
         """
         return self._children
 
-    def edge_flat(self) -> EdgeFlat:
-        """The cached flat edge list (see :class:`EdgeFlat`)."""
-        cached = self._flat_cache
-        if cached is not None:
-            return cached
-        children = self._children
-        esrc: list[int] = []
-        edst: list[int] = []
-        emulti = bytearray()
-        add_src = esrc.append
-        add_dst = edst.append
-        add_multi = emulti.append
-        for vertex in self.topological_order():
-            for child, count in children[vertex]:
-                add_src(vertex)
-                add_dst(child)
-                add_multi(count > 1)
-        flat = EdgeFlat(esrc, edst, emulti)
-        self._flat_cache = flat
-        return flat
-
     def edge_csr(self) -> EdgeCSR:
         """The cached level-grouped flat edge list (see :class:`EdgeCSR`)."""
         cached = self._csr_cache
@@ -861,49 +806,28 @@ class Instance:
             buckets[vertex_level].append(vertex)
         esrc: list[int] = []
         edst: list[int] = []
+        emulti = bytearray()
         spans: list[tuple[int, int]] = []
         add_src = esrc.append
         add_dst = edst.append
+        add_multi = emulti.append
         for bucket in buckets:
             start = len(esrc)
             for vertex in bucket:
-                for child, _ in children[vertex]:
+                for child, count in children[vertex]:
                     add_src(vertex)
                     add_dst(child)
+                    add_multi(count > 1)
             spans.append((start, len(esrc)))
-        csr = EdgeCSR(esrc, edst, spans)
+        csr = EdgeCSR(esrc, edst, emulti, spans)
         self._csr_cache = csr
         return csr
 
     @property
     def has_edge_csr(self) -> bool:
-        """True when :meth:`edge_csr` is at hand (a warmed master, its forks,
-        or an instance an upward or descendant axis has run on)."""
+        """True when :meth:`edge_csr` is at hand: a warmed master, its forks,
+        or any instance a vector-tier axis ran on (a sibling split drops it)."""
         return self._csr_cache is not None
-
-    def gather_sets_from(self, source: "Instance", origin: Sequence[int]) -> None:
-        """Fill this instance's sets by gathering ``source``'s planes.
-
-        ``origin[new_id]`` names the source vertex whose memberships vertex
-        ``new_id`` inherits — the bulk primitive behind :meth:`compact`'s
-        renumbering.  Only sets present in both schemas are gathered; this
-        instance's extra sets are left untouched.  Origins
-        (:meth:`count_origins`) are inherited the same way.
-        """
-        if len(origin) != len(self._children):
-            raise InstanceError(
-                f"origin maps {len(origin)} vertices, instance has {len(self._children)}"
-            )
-        inherited = source._origin
-        self._origin = list(origin) if inherited is None else [inherited[v] for v in origin]
-        shared = [
-            (i, source._planes[source._bits[name]])
-            for i, name in enumerate(self._schema)
-            if source.has_set(name)
-        ]
-        gathered = _pl.gather_many([plane for _, plane in shared], origin, self._nwords)
-        for (i, _), plane in zip(shared, gathered):
-            self._planes[i] = plane
 
     # ------------------------------------------------------------------
     # Traversal
@@ -986,17 +910,6 @@ class Instance:
     def reachable(self) -> set[int]:
         """Vertices reachable from the root."""
         return set(self.preorder())
-
-    def parents(self) -> list[list[int]]:
-        """For each vertex, the list of distinct parents (reachable subgraph)."""
-        result: list[list[int]] = [[] for _ in range(len(self._children))]
-        for vertex in self.preorder():
-            seen: set[int] = set()
-            for child, _ in self._children[vertex]:
-                if child not in seen:
-                    seen.add(child)
-                    result[child].append(vertex)
-        return result
 
     # ------------------------------------------------------------------
     # Structure checks and transformations
@@ -1090,27 +1003,6 @@ class Instance:
         clone._post_array = self._post_array
         clone._reach_cache = self._reach_cache
         clone._csr_cache = self._csr_cache
-        clone._flat_cache = self._flat_cache
-        return clone
-
-    def compact(self) -> "Instance":
-        """A copy with unreachable vertices dropped and ids renumbered.
-
-        Vertices are renumbered in topological (parent-before-child) order,
-        so the root becomes vertex 0.  Set memberships are carried over with
-        one vectorised gather per plane.
-        """
-        order = self.topological_order()
-        renumber = {old: new for new, old in enumerate(order)}
-        clone = Instance(self._schema)
-        clone._grow(len(order))
-        clone._children = [
-            tuple((renumber[child], count) for child, count in self._children[old])
-            for old in order
-        ]
-        clone._nedge_entries = sum(len(edges) for edges in clone._children)
-        clone._root = renumber[self.root]
-        clone.gather_sets_from(self, order)
         return clone
 
     def reduct(self, names: Iterable[str]) -> "Instance":

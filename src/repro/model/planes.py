@@ -284,47 +284,3 @@ def clone_bits(plane_list, origins, first: int) -> None:
     for row, clone in hits:
         plane_list[row][clone >> 6] |= 1 << (clone & 63)
 
-
-def gather_many(plane_list, origin: list[int], nwords_out: int) -> list[array]:
-    """New planes where bit ``i`` = ``plane[origin[i]]`` (renumber/gather).
-
-    Carries several same-width planes through one vertex renumbering:
-    converting the origin map (numpy tier) happens once instead of once per
-    plane, and all-zero planes short-circuit to a fresh zero plane.
-    """
-    out = []
-    np_origin = None
-    reverse: dict[int, list[int]] | None = None
-    for plane in plane_list:
-        if not any(plane):
-            out.append(new_plane(nwords_out))
-            continue
-        if _active and (len(plane) >= SMALL_PLANE_WORDS or nwords_out >= SMALL_PLANE_WORDS):
-            if np_origin is None:
-                np_origin = _numpy.asarray(origin, dtype=_numpy.intp)
-            bools = unpack_bool(plane, len(plane) * WORD_BITS)
-            out.append(pack_bool(bools[np_origin], nwords_out))
-            del bools
-        else:
-            # Stdlib tier: walk the set bits through an old-id -> new-ids
-            # reverse map (built once) instead of testing every origin entry
-            # against every plane.
-            if reverse is None:
-                reverse = {}
-                for new_id, old_id in enumerate(origin):
-                    slot = reverse.get(old_id)
-                    if slot is None:
-                        reverse[old_id] = [new_id]
-                    else:
-                        slot.append(new_id)
-            words = [0] * nwords_out
-            value = to_int(plane)
-            while value:
-                low = value & -value
-                targets = reverse.get(low.bit_length() - 1)
-                if targets is not None:
-                    for new_id in targets:
-                        words[new_id >> 6] |= 1 << (new_id & 63)
-                value ^= low
-            out.append(array("Q", words))
-    return out

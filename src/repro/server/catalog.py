@@ -576,7 +576,11 @@ class Catalog:
         on the spot (the first observer gets the precise
         :class:`IntegrityError`; later requests fail fast with
         :class:`QuarantinedError` without touching disk) — corrupt bytes
-        are never decoded into a served instance.
+        are never decoded into a served instance.  Only the *current*
+        version's image can condemn a document: when a commit published a
+        newer version (and collected the files of the one read) between the
+        entry read and the image read, the new version is read instead, as
+        if the commit had landed first.
         """
         entry = self.check_serveable(name)
         FAULTS.fire("catalog.load_instance", name=name, strings=strings)
@@ -585,11 +589,17 @@ class Catalog:
                 self.xml(name), tags=None, strings=list(strings), attributes=entry.attributes
             ).instance
             return instance, {"format": "parse", "bytes_mapped": 0}
-        try:
-            return self._image(entry).load()
-        except IntegrityError:
-            self.quarantine(name)
-            raise
+        for retry in (False, True):
+            try:
+                return self._image(entry).load()
+            except IntegrityError:
+                current = self.entry(name)
+                if current == entry:
+                    self.quarantine(name)
+                    raise
+                if retry:
+                    raise
+                entry = current
 
     def load_instance(self, name: str, strings: tuple[str, ...] = ()) -> Instance:
         """:meth:`load` without the provenance."""

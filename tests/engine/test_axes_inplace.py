@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.engine.axes_compressed import apply_axis
 from repro.engine.axes_inplace import downward_axis_inplace
 from repro.errors import EvaluationError
+from repro.model.equivalence import equivalent
 from repro.model.instance import Instance
 
 
@@ -70,12 +72,15 @@ class TestFigure4:
         with pytest.raises(EvaluationError, match="already exists"):
             downward_axis_inplace(diamond, "child", "a", "b")
 
-    def test_unreachable_originals_tolerated_by_compact(self, diamond):
-        # If every parent switches to the copy the original goes stale;
-        # compact() must yield a valid instance either way.
-        downward_axis_inplace(diamond, "descendant-or-self", "r", "out")
-        compacted = diamond.compact()
-        compacted.validate()
+    @pytest.mark.parametrize("axis", ("child", "descendant", "descendant-or-self"))
+    def test_result_is_equivalent_to_the_production_axis(self, diamond, axis):
+        # Copies get other ids than the production axis's clones, and every
+        # original keeps the edge from the parent that visited it first.
+        fresh = apply_axis(diamond.copy(), axis, "a", "out")
+        downward_axis_inplace(diamond, axis, "a", "out")
+        diamond.validate()
+        assert diamond.num_vertices == fresh.num_vertices
+        assert equivalent(diamond, fresh)
 
     def test_multiplicity_edges_orthogonal(self):
         # Fig 4 note: multiplicities are orthogonal to downward axes.

@@ -154,15 +154,6 @@ class TestTraversal:
             assert sorted(order) == sorted(figure2_compressed.reachable())
             assert len(set(order)) == len(order)
 
-    def test_parents(self, figure2_compressed):
-        instance = figure2_compressed
-        parents = instance.parents()
-        title = next(iter(instance.members("title")))
-        book = next(iter(instance.members("book")))
-        paper = next(iter(instance.members("paper")))
-        assert sorted(parents[title]) == sorted([book, paper])
-        assert parents[instance.root] == []
-
     def test_deep_chain_does_not_overflow(self):
         # 50k-deep chain: traversals must be iterative.
         instance = Instance()
@@ -213,20 +204,6 @@ class TestCopyCompactReduct:
         clone = figure2_compressed.copy()
         clone.add_to_set(clone.root, "marker")
         assert not figure2_compressed.has_set("marker")
-
-    def test_compact_renumbers_root_to_zero(self, figure2_compressed):
-        compact = figure2_compressed.compact()
-        assert compact.root == 0
-        compact.validate()
-        assert compact.num_vertices == 5
-
-    def test_compact_drops_unreachable(self):
-        instance = Instance(["a"])
-        instance.new_vertex(["a"])  # unreachable
-        root = instance.new_vertex()
-        instance.set_root(root)
-        compact = instance.compact()
-        assert compact.num_vertices == 1
 
     def test_reduct_restricts_schema(self, figure2_compressed):
         reduct = figure2_compressed.reduct(["author", "title"])

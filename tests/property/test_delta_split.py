@@ -78,10 +78,9 @@ def warmed(instance: Instance) -> Instance:
     instance.preorder()
     instance.reachable_plane()
     instance.edge_csr()
-    instance.edge_flat()
     if planes.numpy_active():
         instance.postorder_array()
-        instance.edge_flat().runs()
+        instance.edge_csr().runs()
     assert instance.fully_reachable
     return instance
 
@@ -125,10 +124,10 @@ def assert_cache_contracts(instance: Instance) -> None:
     position = {vertex: i for i, vertex in enumerate(post)}
     assert all(position[child] < position[vertex] for vertex, child in entries)
     assert set(planes.iter_bits(instance.reachable_plane())) == reachable
-    flat = instance.edge_flat()
-    assert Counter(zip(flat.esrc, flat.edst)) == entries
+    csr = instance.edge_csr()
+    assert Counter(zip(csr.esrc, csr.edst)) == entries
     # A vertex's entries are contiguous and in child order, runs flagged.
-    esrc, edst, emulti = list(flat.esrc), list(flat.edst), list(flat.emulti)
+    esrc, edst, emulti = list(csr.esrc), list(csr.edst), list(csr.emulti)
     first = {}
     for i, vertex in enumerate(esrc):
         first.setdefault(int(vertex), i)
@@ -140,16 +139,17 @@ def assert_cache_contracts(instance: Instance) -> None:
         ]
     assert sum(len(table[vertex]) for vertex in first) == len(esrc)
     if planes.numpy_active():
-        multi, starts, sizes = flat.runs()
+        multi, starts, sizes = csr.runs()
         assert multi.tolist() == [bool(flag) for flag in emulti]
         assert starts.tolist() == sorted(first.values())
         assert sizes.tolist() == [len(table[int(esrc[start])]) for start in starts]
         assert instance.postorder_array().tolist() == post
-    csr = instance.edge_csr()
-    assert Counter(zip(csr.esrc, csr.edst)) == entries
+    # Spans tile the columns; every parent sits at a level above its children.
+    bounds = [0, *(end for _, end in csr.spans)]
+    assert list(csr.spans) == list(zip(bounds, bounds[1:])) and bounds[-1] == len(esrc)
     level = {}
     for number, (start, end) in enumerate(csr.spans):
-        for vertex in csr.esrc[start:end]:
+        for vertex in esrc[start:end]:
             assert level.setdefault(int(vertex), number) == number
     depth = len(csr.spans)  # leaves own no entries: below every parent
     assert all(level[vertex] < level.get(child, depth) for vertex, child in entries)
@@ -190,11 +190,9 @@ def snapshot(instance: Instance) -> dict:
     """Identity and content of everything a split must leave alone."""
     caches = {
         name: getattr(instance, name)
-        for name in (
-            "_pre_cache", "_post_cache", "_post_array", "_reach_cache", "_csr_cache", "_flat_cache"
-        )
+        for name in ("_pre_cache", "_post_cache", "_post_array", "_reach_cache", "_csr_cache")
     }
-    csr, flat = caches["_csr_cache"], caches["_flat_cache"]
+    csr = caches["_csr_cache"]
     return {
         "children": [(id(edges), edges) for edges in instance.edge_table()],
         "planes": {name: bytes(instance.plane_of(name)) for name in instance.schema},
@@ -202,8 +200,7 @@ def snapshot(instance: Instance) -> dict:
         "orders": (list(caches["_pre_cache"]), list(caches["_post_cache"])),
         "reach": bytes(caches["_reach_cache"]),
         "edges": (
-            list(csr.esrc), list(csr.edst), list(csr.spans),
-            list(flat.esrc), list(flat.edst), list(flat.emulti),
+            list(csr.esrc), list(csr.edst), list(csr.emulti), list(csr.spans),
             None if caches["_post_array"] is None else caches["_post_array"].tolist(),
         ),
         "counts": (instance.num_vertices, instance.num_edge_entries, instance.num_reachable),
@@ -264,7 +261,6 @@ def test_warmed_master_serves_treebank_q2_without_deriving_a_cache(monkeypatch):
         ("postorder", "_post_cache"),
         ("postorder_array", "_post_array"),
         ("edge_csr", "_csr_cache"),
-        ("edge_flat", "_flat_cache"),
     ):
         original = getattr(Instance, method)
 

@@ -128,8 +128,7 @@ def test_result_is_equivalent_instance(instance, expr):
 
     if tree_size(instance) > 4000:
         return
-    result = evaluate(instance, expr)
-    final = result.instance.compact()
+    final = evaluate(instance, expr).instance
     original_names = sorted(set(instance.schema))
     assert equivalent(final.reduct(original_names), instance.reduct(original_names))
 

@@ -11,6 +11,7 @@ from repro.engine.evaluator import evaluate
 from repro.errors import CatalogError, IntegrityError, QuarantinedError
 from repro.model.equivalence import equivalent
 from repro.server.catalog import SKELETON_FORMAT_VERSION, Catalog
+from repro.server.resilience import FAULTS
 from repro.skeleton.loader import load_instance
 
 from tests.skeleton.test_loader import BIB_XML
@@ -223,6 +224,42 @@ class TestIntegrity:
         os.remove(skeleton_path(str(tmp_path / "cat"), "bib"))
         with pytest.raises(IntegrityError, match="missing"):
             catalog.load_instance("bib")
+        assert catalog.quarantined() == ["bib"]
+
+    def commit_between_entry_and_image_read(self, catalog, then=lambda: None):
+        """Arm the load seam so a commit publishes a new version — and
+        collects the one the load already chose — before the image read."""
+
+        def commit(**_):
+            catalog.mutate("bib", [{"op": "append_child", "path": [], "xml": "<book/>"}])
+            then()
+
+        FAULTS.arm("catalog.load_instance", times=1, callback=commit)
+
+    def test_commit_during_load_serves_the_new_version(self, catalog):
+        catalog.add("bib", BIB_XML)
+        self.commit_between_entry_and_image_read(catalog)
+        try:
+            instance = catalog.load_instance("bib")
+        finally:
+            FAULTS.disarm()
+        assert catalog.quarantined() == []
+        assert catalog.entry("bib").doc_version == 2
+        assert equivalent(instance, load_instance(catalog.xml("bib"), tags=None))
+
+    def test_commit_during_load_then_missing_current_image_quarantines(
+        self, catalog, tmp_path
+    ):
+        catalog.add("bib", BIB_XML)
+        root = str(tmp_path / "cat")
+        self.commit_between_entry_and_image_read(
+            catalog, then=lambda: os.remove(skeleton_path(root, "bib"))
+        )
+        try:
+            with pytest.raises(IntegrityError, match="v2/skeleton.rskl is missing"):
+                catalog.load_instance("bib")
+        finally:
+            FAULTS.disarm()
         assert catalog.quarantined() == ["bib"]
 
     def test_corrupt_skeleton_quarantines(self, catalog, tmp_path):

@@ -26,7 +26,7 @@ from repro.errors import (
 )
 from repro.server.catalog import Catalog
 from repro.server.cluster import WorkerFleet
-from repro.server.http import create_server, wait_ready
+from repro.server.http import ReproHTTPServer, create_server, wait_ready
 from repro.server.resilience import FAULTS, Deadline
 from repro.server.service import QueryService, decode_result
 
@@ -261,6 +261,57 @@ class TestWorkerFaults:
                 fleet.query("bib", "//book/author")
         finally:
             fleet.close()
+
+    @pytest.mark.parametrize("first", ["/query", "/stats", "/healthz"])
+    def test_worker_serve_fault_answers_then_serves(self, tmp_path, first):
+        """``worker.serve`` fires on the first message a worker takes off its
+        request pipe — here the request under test, since nothing probes the
+        worker before it (one worker thread: messages are taken in order).
+        Whichever route it hits answers correctly or with the structured
+        envelope; the next request serves."""
+        catalog = Catalog(str(tmp_path / "cat"))
+        catalog.add("bib", BIB_XML)
+        fleet = WorkerFleet(
+            catalog,
+            workers=1,
+            worker_threads=1,
+            health_interval=0.1,
+            faults={
+                "worker.serve": {
+                    "kind": "worker-unavailable",
+                    "message": "injected",
+                    "times": 1,
+                }
+            },
+        )
+        server = ReproHTTPServer(("127.0.0.1", 0), fleet)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        ask = {"document": "bib", "query": "//book/author"}
+        right = expected("//book/author")["tree_count"]
+        try:
+            if first == "/query":
+                status, payload, _ = request(server, "POST", first, ask)
+            else:
+                status, payload, _ = request(server, "GET", first)
+            if status >= 400:
+                assert (status, list(payload)) == (503, ["error"])
+                assert payload["error"]["kind"] == "worker-unavailable"
+                assert "injected" in payload["error"]["message"]
+            elif first == "/query":
+                assert payload["tree_count"] == right
+            elif first == "/stats":
+                assert payload["cluster"]["workers"] == 1
+            else:
+                assert payload["status"] in ("ok", "degraded")
+            status, payload, _ = request(server, "POST", "/query", ask)
+            assert status == 200 and payload["tree_count"] == right
+            status, payload, _ = request(server, "GET", "/stats")
+            assert status == 200 and "service" in payload["workers"][0]
+            status, payload, _ = request(server, "GET", "/healthz")
+            assert status == 200 and payload["status"] == "ok"
+        finally:
+            stop_server(server, thread)
 
     def test_worker_transient_fault_absorbed_by_retry(self, tmp_path):
         # times=1: the worker's CatalogError refresh-and-retry path absorbs
