@@ -1,14 +1,32 @@
 """The asyncio HTTP front-end (``repro serve --frontend async``).
 
 One event loop owns accept, HTTP/1.1 parsing, deadline/trace stamping,
-and response writes; evaluation never blocks the loop — each parsed
-request is bridged to a bounded ``ThreadPoolExecutor`` via
-``run_in_executor``, where :meth:`repro.server.routes.Router.dispatch`
-runs the exact route core the threaded front-end uses (admission,
-coalescing, or the worker-fleet queues happen inside, as before).  The
-loop therefore keeps accepting and shedding (429s are cheap) while slow
-queries occupy executor threads, instead of burning one OS thread per
-idle keep-alive connection.
+and response writes.  Each parsed request takes one of two paths:
+
+* **On the loop** — :meth:`repro.server.routes.Router.dispatch_now`
+  answers a ``POST /query`` in place when the in-process service can do
+  so without waiting: plans cached, master resident with its working
+  fork, key idle, and that request's last measured service time below
+  ``sys.getswitchinterval()`` (see
+  :meth:`repro.server.service.QueryService.query_now`).  A thread
+  holding the GIL already keeps the loop waiting that long per turn, so
+  such a request costs the loop no more than handing it off would, and
+  it saves the thread hop and the GIL hand-offs around it (DESIGN.md
+  section 12).  The route core, admission, deadlines, counters and
+  payloads are the executor path's own.
+* **On an executor thread** — everything else (every other route, cold
+  or slow or contended queries, the worker fleet) is bridged to a bounded
+  ``ThreadPoolExecutor`` via ``run_in_executor``, where
+  :meth:`~repro.server.routes.Router.dispatch` runs the exact route core
+  the threaded front-end uses (admission, coalescing, or the worker-fleet
+  queues happen inside).  The loop keeps accepting and shedding (429s
+  are cheap) while slow queries occupy executor threads, instead of
+  burning one OS thread per idle keep-alive connection.
+
+``repro_http_dispatch_total{path="loop"|"executor"}`` counts the split.
+The one residual risk: a query measured cheap whose next run is slow (an
+injected fault, say) holds the loop for that one run; its new cost then
+sends it to the executor.
 
 Flow control and shutdown:
 
@@ -37,7 +55,14 @@ from concurrent.futures import ThreadPoolExecutor
 from http import HTTPStatus
 
 from repro.server.metrics import ServerMetrics
-from repro.server.routes import Headers, Request, Router, body_limit
+from repro.server.routes import (
+    TRANSFER_ENCODING_REFUSAL,
+    Headers,
+    Request,
+    Router,
+    body_limit,
+    content_length,
+)
 
 #: Per-connection transport write high-water mark (bytes): a slow reader
 #: suspends its own coroutine at ``drain()`` once this much is queued.
@@ -232,13 +257,15 @@ class AsyncReproHTTPServer:
                 return  # peer hung up mid-request
             if request is None:
                 return  # clean EOF between requests
-            state["busy"] = True
-            try:
-                response = await loop.run_in_executor(
-                    self._executor, self.router.dispatch, request
-                )
-            finally:
-                state["busy"] = False
+            response = self.router.dispatch_now(request)
+            if response is None:
+                state["busy"] = True
+                try:
+                    response = await loop.run_in_executor(
+                        self._executor, self.router.dispatch, request
+                    )
+                finally:
+                    state["busy"] = False
             keep_alive = keep_alive and not self._draining
             await self._write_response(writer, response, keep_alive=keep_alive)
             self._access_log(request, response)
@@ -281,12 +308,12 @@ class AsyncReproHTTPServer:
             raise _BadRequest(400, "too many header lines", "bad-request")
         connection = (headers.get("connection") or "").lower()
         keep_alive = version == "HTTP/1.1" and connection != "close"
+        if headers.get("transfer-encoding") is not None:
+            raise _BadRequest(501, TRANSFER_ENCODING_REFUSAL, "bad-request")
         try:
-            length = int(headers.get("content-length", 0) or 0)
-        except ValueError:
-            raise _BadRequest(
-                400, "Content-Length must be an integer", "bad-request"
-            ) from None
+            length = content_length(headers.get("content-length"))
+        except ValueError as error:
+            raise _BadRequest(400, str(error), "bad-request") from None
         limit = body_limit(method, path)
         if length > limit:
             # Refuse before reading: the body is unread, so the connection

@@ -48,7 +48,14 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.server.catalog import Catalog
 from repro.server.metrics import ServerMetrics
-from repro.server.routes import MAX_BODY, Request, Router, body_limit
+from repro.server.routes import (
+    MAX_BODY,
+    TRANSFER_ENCODING_REFUSAL,
+    Request,
+    Router,
+    body_limit,
+    content_length,
+)
 from repro.server.service import QueryService
 
 __all__ = [
@@ -138,10 +145,13 @@ class _Handler(BaseHTTPRequestHandler):
             client=self.client_address[0], received_at=time.monotonic(),
         )
         self._trace = request.trace
+        if self.headers.get("Transfer-Encoding") is not None:
+            self._refuse(request, 501, TRANSFER_ENCODING_REFUSAL, "bad-request")
+            return
         try:
-            length = int(self.headers.get("Content-Length", 0) or 0)
-        except ValueError:
-            self._refuse(request, 400, "Content-Length must be an integer", "bad-request")
+            length = content_length(self.headers.get("Content-Length"))
+        except ValueError as error:
+            self._refuse(request, 400, str(error), "bad-request")
             return
         limit = body_limit(method, self.path)
         if length > limit:

@@ -539,6 +539,12 @@ class ServerMetrics:
             "Wall-clock request latency from parse to response write, by route and status.",
             ("route", "status"),
         )
+        self.dispatches = registry.counter(
+            "repro_http_dispatch_total",
+            "POST /query requests by where they ran: loop (answered on the async "
+            "front-end's event loop) or executor (handed to its thread pool).",
+            ("path",),
+        )
         self.connections = registry.gauge(
             "repro_http_connections_open",
             "Open client connections (async front-end; the threaded front-end "

@@ -39,7 +39,7 @@ PoolKey = Hashable
 class PoolEntry:
     """One resident master instance plus its serialisation lock."""
 
-    __slots__ = ("key", "lock", "instance", "working", "hits", "load_info")
+    __slots__ = ("key", "lock", "instance", "working", "hits", "load_info", "costs")
 
     def __init__(self, key: PoolKey):
         self.key = key
@@ -53,6 +53,19 @@ class PoolEntry:
         #: How the cold load was served ("skeleton" image vs "parse" of the
         #: kept text), as the loader returned it; surfaced in ``/stats``.
         self.load_info: dict | None = None
+        #: Last measured service seconds per request shape on this entry,
+        #: least recently measured first (see :meth:`record_cost`).  Read
+        #: and written under ``lock``; dies with the entry, so a new
+        #: ``doc_version`` starts with every cost unknown.
+        self.costs: OrderedDict[Hashable, float] = OrderedDict()
+
+    def record_cost(self, shape: Hashable, seconds: float, limit: int) -> None:
+        """Remember ``shape``'s latest cost, keeping the ``limit`` most recent."""
+        costs = self.costs
+        costs[shape] = seconds
+        costs.move_to_end(shape)
+        if len(costs) > limit:
+            costs.popitem(last=False)
 
 
 class InstancePool:
@@ -81,6 +94,24 @@ class InstancePool:
         with self._lock:
             entry = self._entries.get(key)
             return entry.load_info if entry is not None else None
+
+    def peek(self, key: PoolKey) -> PoolEntry | None:
+        """The entry for ``key`` if its master is resident, else ``None``.
+
+        Never loads and counts nothing: a caller that goes on to use the
+        entry reports it through :meth:`hit`.
+        """
+        with self._lock:
+            entry = self._entries.get(key)
+        return entry if entry is not None and entry.instance is not None else None
+
+    def hit(self, entry: PoolEntry) -> None:
+        """Count a use of a :meth:`peek`-ed entry, as :meth:`get_or_load` would."""
+        with self._lock:
+            if self._entries.get(entry.key) is entry:
+                self._entries.move_to_end(entry.key)
+            self.hits += 1
+            entry.hits += 1
 
     def get_or_load(
         self, key: PoolKey, loader: Callable[[], tuple[Instance, dict | None]]

@@ -2,7 +2,8 @@
 
 The threaded :mod:`repro.server.http` and the asyncio
 :mod:`repro.server.asyncio_http` front-ends parse bytes off their
-sockets, build a :class:`Request`, and call :meth:`Router.dispatch`;
+sockets, build a :class:`Request`, and call :meth:`Router.dispatch`
+(the asyncio one first tries :meth:`Router.dispatch_now` on its loop);
 everything after that — routing, validation, deadline/admission
 bookkeeping, the error-kind → status mapping, the uniform envelope —
 lives here exactly once, so the two front-ends produce byte-identical
@@ -59,6 +60,28 @@ def body_limit(method: str, path: str) -> int:
     if method == "POST" and (path == "/mutate" or path.startswith("/catalog/")):
         return MAX_BODY
     return MAX_QUERY_BODY
+
+
+#: Both front-ends refuse any ``Transfer-Encoding`` (501, then close): bodies
+#: are framed by ``Content-Length`` only, and a chunked body left unread
+#: would be parsed as the next request.
+TRANSFER_ENCODING_REFUSAL = "Transfer-Encoding is not supported; send Content-Length"
+
+
+def content_length(value: str | None) -> int:
+    """The body length a ``Content-Length`` header announces (0 when absent).
+
+    RFC 9110 allows only ``1*DIGIT`` between optional blanks: ``int()``
+    would also take ``+27``, ``2_7`` and ``-1``, and a front-end that
+    believed any of them would read the wrong number of bytes off the
+    stream.  Raises ``ValueError`` with the refusal message.
+    """
+    if value is None:
+        return 0
+    digits = value.strip(" \t")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError("Content-Length must be a non-negative decimal integer")
+    return int(digits)
 
 
 def new_trace() -> str:
@@ -155,6 +178,37 @@ class Router:
             response = self._route(request)
         except Exception as error:  # noqa: BLE001 - last-ditch: no tracebacks on the wire
             response = self._plain_error(500, f"{type(error).__name__}: {error}", "internal")
+        return self._finish(request, response, started)
+
+    def dispatch_now(self, request: Request) -> Response | None:
+        """Answer a ``POST /query`` on the calling thread, or return ``None``.
+
+        The asyncio front-end calls this on its event loop before it hands
+        a request to an executor thread.  The body is validated exactly as
+        :meth:`dispatch` validates it, then the service's ``query_now``
+        answers only what it can answer without waiting (see
+        :meth:`repro.server.service.QueryService.query_now`).  ``None``
+        means "run :meth:`dispatch` off the loop", which re-reads the
+        request from scratch; so does a service whose ``query_now`` is
+        ``None`` (the worker fleet), before any parsing.  Every other route
+        returns ``None``.
+        """
+        if request.method != "POST" or request.path != "/query":
+            return None
+        query_now = self.service.query_now
+        response = None
+        if query_now is not None:
+            started = time.perf_counter()
+            try:
+                response = self._post_query(request, query_now)
+            except Exception as error:  # noqa: BLE001 - last-ditch: no tracebacks on the wire
+                response = self._plain_error(
+                    500, f"{type(error).__name__}: {error}", "internal"
+                )
+        if self.metrics is not None:
+            self.metrics.dispatches.inc(path="executor" if response is None else "loop")
+        if response is None:
+            return None
         return self._finish(request, response, started)
 
     def reject(self, request: Request, status: int, message: str, kind: str) -> Response:
@@ -311,7 +365,7 @@ class Router:
     def _post(self, request: Request) -> Response:
         path = request.path
         if path == "/query":
-            return self._post_query(request)
+            return self._post_query(request, self.service.query)
         if path == "/explain":
             payload, failure = self._read_json(request)
             if failure is not None:
@@ -350,7 +404,12 @@ class Router:
 
     # -- handlers ---------------------------------------------------------
 
-    def _post_query(self, request: Request) -> Response:
+    def _post_query(self, request: Request, answer) -> Response | None:
+        """Validate a ``/query`` body, then answer it through ``answer``.
+
+        ``answer`` is the service's ``query`` or ``query_now``; only the
+        latter may return ``None``, which is passed on.
+        """
         payload, failure = self._read_json(request)
         if failure is not None:
             return failure
@@ -397,10 +456,10 @@ class Router:
         kwargs["client"] = request.header("X-Repro-Client") or request.client
         kwargs["trace"] = request.trace
         try:
-            response = self.service.query(document, query_text, **kwargs)
+            response = answer(document, query_text, **kwargs)
         except Exception as error:  # noqa: BLE001 - the client must get JSON
             return self._serve_errors(error)
-        return Response(200, response)
+        return None if response is None else Response(200, response)
 
     def _explain(
         self, document: str | None, query_text: str | None, analyze: bool = False

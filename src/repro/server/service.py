@@ -28,10 +28,18 @@ counted on the master, :func:`repro.api.envelope.encode_result`).
 
 Results are decoded to plain dictionaries *before* any cleanup, so a
 response never depends on live engine state.
+
+A request that needs no waiting — plans cached, master resident with its
+fork, key idle, last measured cost under the interpreter's switch
+interval — is answered on the caller's own thread by
+:meth:`QueryService.query_now` (the asyncio front-end's event loop)
+instead of joining a batch; both paths evaluate through
+:meth:`QueryService._serve`.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from bisect import bisect_left
@@ -44,7 +52,7 @@ from dataclasses import dataclass, field
 # to the shared envelope module, and callers still read the cap from us.
 from repro.api.envelope import DEFAULT_LIMIT, MAX_PATHS, encode_result  # noqa: F401
 from repro.engine.batch import BatchEvaluator
-from repro.errors import DeadlineExceededError
+from repro.errors import CatalogError, DeadlineExceededError
 from repro.model import planes
 from repro.model.instance import Instance
 from repro.mutation.ops import as_mutations
@@ -190,6 +198,15 @@ def _ensure_tag_sets(working: Instance, tags) -> Instance:
     return working
 
 
+def _fork_ready(entry: PoolEntry) -> bool:
+    """Whether ``entry``'s working fork exists and is within its growth bound."""
+    working = entry.working
+    return (
+        working is not None
+        and working.num_vertices <= WORKING_GROWTH_LIMIT * entry.instance.num_vertices
+    )
+
+
 class ServingBackend:
     """The plan / explain / mutate half of a serving backend, written once.
 
@@ -241,6 +258,13 @@ class ServingBackend:
         """Drop every resident instance of ``document``; return the count."""
         raise NotImplementedError
 
+    #: ``query`` answered on the calling thread when that cannot wait (see
+    #: :meth:`QueryService.query_now`).  A backend that has no such answer
+    #: (the worker fleet: every answer crosses a process boundary) leaves
+    #: it ``None``, and callers go straight to ``query`` without even
+    #: reading the request body.
+    query_now = None
+
     # -- lifecycle (a backend owning processes overrides both) -------------
 
     def wait_ready(self, timeout: float = 10.0) -> bool:
@@ -282,11 +306,9 @@ class ServingBackend:
         one key that moves on every publish.
         """
         key = (query_text, document, catalog_entry.registered_at, catalog_entry.doc_version)
-        with self._optimized_lock:
-            entry = self._optimized.get(key)
-            if entry is not None:
-                self._optimized.move_to_end(key)
-                return entry
+        entry = self._cached_optimization(key)
+        if entry is not None:
+            return entry
         stats = self.catalog.document_stats(document)  # outside the lock: disk
         entry = optimize_plan(expr, stats)
         with self._optimized_lock:
@@ -295,6 +317,37 @@ class ServingBackend:
                     self._optimized.popitem(last=False)
             self._optimized[key] = entry
         return entry
+
+    def _cached_optimization(self, key: tuple) -> OptimizationResult | None:
+        with self._optimized_lock:
+            entry = self._optimized.get(key)
+            if entry is not None:
+                self._optimized.move_to_end(key)
+            return entry
+
+    def _cached_plan(self, document: str, query_text: str):
+        """``(catalog entry, served expr, tags, strings)`` from the caches alone.
+
+        ``None`` unless the document is known and both the compiled and
+        (when optimizing) the optimized plan are cached: this never parses,
+        compiles or reads statistics, and never raises.
+        """
+        try:
+            catalog_entry = self.catalog.entry(document)
+        except CatalogError:
+            return None
+        compiled = self._compiled.cached(query_text)
+        if compiled is None:
+            return None
+        expr, tags, strings = compiled
+        if self.optimize:
+            optimization = self._cached_optimization(
+                (query_text, document, catalog_entry.registered_at, catalog_entry.doc_version)
+            )
+            if optimization is None:
+                return None
+            expr = optimization.expr
+        return catalog_entry, expr, tags, strings
 
     def _planned(self, document: str, query_text: str):
         """``(catalog entry, expr, tags, strings, optimization)`` of a served query.
@@ -486,15 +539,96 @@ class QueryService(ServingBackend):
         front-ends); it rides through coalescing and is echoed in the
         response payload.
         """
-        if deadline is not None and deadline.expired:
-            with self._stats_lock:
-                self.stats.deadline_expired += 1
-            deadline.check("request")  # dead on arrival: shed before admission
+        self._check_arrival(deadline)
         self.admission.admit(client)
         try:
             return self._admitted_query(document, query_text, paths, limit, deadline, trace)
         finally:
             self.admission.release()
+
+    def query_now(
+        self,
+        document: str,
+        query_text: str,
+        paths: int = 0,
+        limit: int = DEFAULT_LIMIT,
+        deadline: Deadline | None = None,
+        client: str | None = None,
+        trace: str | None = None,
+    ) -> dict | None:
+        """:meth:`query` on the calling thread, or ``None`` if it could wait.
+
+        The asyncio front-end calls this on its event loop.  Every
+        condition is read from live state:
+
+        * the coalescing window is 0 (a window *is* a wait);
+        * the compiled and optimized plans are cached (nothing is parsed,
+          compiled or read from disk);
+        * the master is resident and its working fork exists (nothing is
+          loaded or forked);
+        * the key is idle: ``entry.lock`` is free and no batch is pending,
+          so a queued request is never overtaken;
+        * this request shape's last measured service time on this entry
+          is below ``sys.getswitchinterval()`` — the longest a thread
+          holding the GIL already keeps the loop waiting per turn.  A cost
+          not yet measured counts as too slow.
+
+        Otherwise ``None``: the caller runs :meth:`query`, which coalesces
+        as usual.  A request that *is* answered here keeps every contract
+        of :meth:`query` — dead-on-arrival check, admission, the batch
+        deadline check, counters, the fault seam — and gets the same
+        payload, because both run :meth:`_serve`.  An answer that arrives
+        after the deadline is refused, as :meth:`query`'s waiter refuses it.
+        """
+        if self.window > 0:
+            return None
+        plan = self._cached_plan(document, query_text)
+        if plan is None:
+            return None
+        catalog_entry, expr, tags, strings = plan
+        key = (document, strings, catalog_entry.registered_at, catalog_entry.doc_version)
+        entry = self.pool.peek(key)
+        if entry is None or not entry.lock.acquire(blocking=False):
+            return None
+        try:
+            cost = entry.costs.get((query_text, paths))
+            if not _fork_ready(entry) or cost is None or cost >= sys.getswitchinterval():
+                return None
+            with self._pending_lock:
+                if key in self._pending:
+                    return None
+            self._check_arrival(deadline)
+            self.admission.admit(client)
+            try:
+                with self._stats_lock:
+                    self.stats.requests += 1
+                self.pool.hit(entry)
+                request = _Request(query_text, expr, tags, paths, limit, deadline, trace)
+                (outcome,) = self._serve(key, entry, [request], pool_hit=True)
+            finally:
+                self.admission.release()
+        finally:
+            entry.lock.release()
+        if deadline is not None and deadline.expired:
+            raise self._expired(query_text)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    def _check_arrival(self, deadline: Deadline | None) -> None:
+        """Shed a request that is dead on arrival, before admission."""
+        if deadline is not None and deadline.expired:
+            with self._stats_lock:
+                self.stats.deadline_expired += 1
+            deadline.check("request")
+
+    def _expired(self, query_text: str) -> DeadlineExceededError:
+        """Count, and build, the refusal of a result that came too late."""
+        with self._stats_lock:
+            self.stats.deadline_expired += 1
+        return DeadlineExceededError(
+            f"deadline expired before a result for {query_text!r} was ready"
+        )
 
     def _admitted_query(
         self,
@@ -544,11 +678,7 @@ class QueryService(ServingBackend):
             return future.result(timeout=timeout)
         except FuturesTimeoutError:
             if deadline is not None and deadline.expired:
-                with self._stats_lock:
-                    self.stats.deadline_expired += 1
-                raise DeadlineExceededError(
-                    f"deadline expired before a result for {query_text!r} was ready"
-                ) from None
+                raise self._expired(query_text) from None
             raise
 
     # -- the backend hooks -----------------------------------------------
@@ -710,52 +840,69 @@ class QueryService(ServingBackend):
         return live
 
     def _execute(self, key: tuple, batch: list[tuple[_Request, Future]]) -> None:
-        document = key[0]
         batch = self._prune_expired(batch)
         if not batch:
             return
         entry = self.pool.get_or_load(key, lambda: self._load_master(key))
         pool_hit = entry.hits > 0
         with entry.lock:
-            master, working = entry.instance, entry.working
-            if (
-                working is not None
-                and working.num_vertices > WORKING_GROWTH_LIMIT * master.num_vertices
-            ):
-                working = None
-                with self._stats_lock:
-                    self.stats.working_reforks += 1
-            if working is None:
-                # The master stays pristine, so a fork is always one copy away.
-                entry.working = master.copy()
-            outcomes = self._evaluate(entry, batch)
-        with self._stats_lock:
-            self.stats.batches += 1
-            self.stats.max_batch_size = max(self.stats.max_batch_size, len(batch))
-            self.stats.observe_batch(len(batch))
-            if len(batch) > 1:
-                self.stats.coalesced_requests += len(batch)
-            self.stats.errors += sum(
-                1 for outcome in outcomes if isinstance(outcome, Exception)
-            )
-        for (request, future), outcome in zip(batch, outcomes):
+            outcomes = self._serve(key, entry, [request for request, _ in batch], pool_hit)
+        for (_, future), outcome in zip(batch, outcomes):
             if future.done():
                 continue
             if isinstance(outcome, Exception):
                 future.set_exception(outcome)
+            else:
+                future.set_result(outcome)
+
+    def _serve(
+        self, key: tuple, entry: PoolEntry, requests: list[_Request], pool_hit: bool
+    ) -> list[dict | Exception]:
+        """Evaluate ``requests`` as one batch: the one path to an answer.
+
+        The caller holds ``entry.lock``: :meth:`_execute` on an executor
+        thread, or :meth:`query_now` on the event loop.  Re-forks an
+        outgrown or missing working fork, evaluates, and returns one
+        finished payload or exception per request.  An evaluation that
+        died mid-batch counts every request as an error and is returned as
+        every request's outcome; a ``BaseException`` propagates.
+        """
+        if not _fork_ready(entry):
+            if entry.working is not None:
+                with self._stats_lock:
+                    self.stats.working_reforks += 1
+            # The master stays pristine, so a fork is always one copy away.
+            entry.working = entry.instance.copy()
+        try:
+            outcomes = self._evaluate(entry, requests)
+        except Exception as error:  # noqa: BLE001 - forwarded to every waiter
+            with self._stats_lock:
+                self.stats.errors += len(requests)
+            return [error] * len(requests)
+        with self._stats_lock:
+            self.stats.batches += 1
+            self.stats.max_batch_size = max(self.stats.max_batch_size, len(requests))
+            self.stats.observe_batch(len(requests))
+            if len(requests) > 1:
+                self.stats.coalesced_requests += len(requests)
+            self.stats.errors += sum(
+                1 for outcome in outcomes if isinstance(outcome, Exception)
+            )
+        for request, outcome in zip(requests, outcomes):
+            if isinstance(outcome, Exception):
                 continue
             outcome.update(
-                document=document,
+                document=key[0],
                 query=request.query_text,
-                batched_with=len(batch),
+                batched_with=len(requests),
                 pool_hit=pool_hit,
             )
             if request.trace is not None:
                 outcome["trace"] = request.trace
-            future.set_result(outcome)
+        return outcomes
 
     @staticmethod
-    def _batch_check(batch: list[tuple[_Request, Future]]):
+    def _batch_check(batch: list[_Request]):
         """The cooperative cancellation hook for one batch, or ``None``.
 
         Installed only when *every* request in the batch carries a
@@ -766,7 +913,7 @@ class QueryService(ServingBackend):
         the expired ones are answered by their own ``future.result``
         timeout converting to ``deadline_exceeded``.
         """
-        deadlines = [request.deadline for request, _ in batch]
+        deadlines = [request.deadline for request in batch]
         if not deadlines or any(d is None for d in deadlines):
             return None
         horizon = Deadline(max(d.at for d in deadlines))
@@ -776,9 +923,7 @@ class QueryService(ServingBackend):
 
         return check
 
-    def _evaluate(
-        self, entry: PoolEntry, batch: list[tuple[_Request, Future]]
-    ) -> list[dict | Exception]:
+    def _evaluate(self, entry: PoolEntry, batch: list[_Request]) -> list[dict | Exception]:
         """Evaluate one coalesced batch; per-request outcomes, not all-or-nothing.
 
         Runs on ``entry.working`` with ``entry.lock`` held.  Decoding
@@ -789,25 +934,28 @@ class QueryService(ServingBackend):
         **discarded** if evaluation itself died mid-batch — a half-evaluated
         instance still carries populated temp sets that a later evaluator's
         fresh counter would silently reuse.
+
+        Each request's cost — seconds from the fault seam to the end of its
+        own decode, so a batch-mate's share counts against it — is recorded
+        on the entry for :meth:`query_now`.
         """
+        started = time.perf_counter()
         FAULTS.fire("service.evaluate", batch=len(batch))
         working = entry.working
-        for request, _ in batch:
+        for request in batch:
             _ensure_tag_sets(working, request.tags)
         evaluator = BatchEvaluator(working, copy=False, short_circuit=self.optimize)
         check = self._batch_check(batch)
         vertices_before = working.num_vertices
         try:
-            result = evaluator.evaluate_batch(
-                [request.expr for request, _ in batch], check=check
-            )
+            result = evaluator.evaluate_batch([request.expr for request in batch], check=check)
         except BaseException:
             entry.working = None  # re-fork from the pristine master
             raise
         with self._stats_lock:
             self.stats.split_vertices += working.num_vertices - vertices_before
         outcomes: list[dict | Exception] = []
-        for (request, _), query_result in zip(batch, result):
+        for request, query_result in zip(batch, result):
             try:
                 payload = decode_result(
                     query_result, paths=request.paths, limit=request.limit
@@ -816,6 +964,11 @@ class QueryService(ServingBackend):
                 outcomes.append(payload)
             except Exception as error:  # noqa: BLE001 - forwarded to one waiter
                 outcomes.append(error)
+            entry.record_cost(
+                (request.query_text, request.paths),
+                time.perf_counter() - started,
+                self.COMPILED_CACHE_LIMIT,
+            )
         # Keep the working fork for the next batch, minus what this batch
         # added to its schema: the durable result snapshots — everything was
         # decoded above, so nothing references them anymore — and the empty

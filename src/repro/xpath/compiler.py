@@ -194,13 +194,21 @@ class CompiledQueryCache:
         ] = OrderedDict()
         self._lock = threading.Lock()
 
-    def entry(self, query_text: str) -> tuple[AlgebraExpr, tuple[str, ...], tuple[str, ...]]:
-        """``(expr, tags, strings)`` for a query text, LRU-cached."""
+    def cached(
+        self, query_text: str
+    ) -> tuple[AlgebraExpr, tuple[str, ...], tuple[str, ...]] | None:
+        """:meth:`entry` on a hit, ``None`` on a miss: never parses."""
         with self._lock:
             entry = self._entries.get(query_text)
             if entry is not None:
                 self._entries.move_to_end(query_text)
-                return entry
+            return entry
+
+    def entry(self, query_text: str) -> tuple[AlgebraExpr, tuple[str, ...], tuple[str, ...]]:
+        """``(expr, tags, strings)`` for a query text, LRU-cached."""
+        entry = self.cached(query_text)
+        if entry is not None:
+            return entry
         ast = parse_query(query_text)  # outside the lock: parsing may be slow
         expr = compile_query(ast)
         entry = (

@@ -4,14 +4,16 @@ The shared route core — and the ``Content-Length`` refusals both
 transports must agree on — is exercised on both by ``test_http.py``'s
 parametrized fixture; this module covers what only
 the asyncio transport owns — HTTP/1.1 framing edge cases the stdlib
-handler used to absorb, graceful drain under load, and the differential
+handler used to absorb, graceful drain under load, the differential
 check that both front-ends emit byte-identical bodies for the same
-requests (the CI smoke's oracle, in miniature).
+requests (the CI smoke's oracle, in miniature), and the rules that
+decide when a ``/query`` is answered on the event loop itself.
 """
 
 import http.client
 import json
 import socket
+import sys
 import threading
 import time
 
@@ -20,15 +22,22 @@ import pytest
 from repro.server.asyncio_http import AsyncReproHTTPServer
 from repro.server.catalog import Catalog
 from repro.server.http import create_server, wait_ready
+from repro.server.metrics import parse_prometheus_text
+from repro.server.resilience import FAULTS
+from repro.server.service import QueryService
 
+from tests.server.test_cluster import wait_until
 from tests.skeleton.test_loader import BIB_XML
+
+#: The name of the thread the ``server`` fixture runs the event loop on.
+LOOP_THREAD = "event-loop"
 
 
 @pytest.fixture
 def server(tmp_path):
     Catalog(str(tmp_path / "cat")).add("bib", BIB_XML)
     server = create_server(str(tmp_path / "cat"), port=0, frontend="async")
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, name=LOOP_THREAD, daemon=True)
     thread.start()
     host, port = server.server_address[:2]
     assert wait_ready(host, port, timeout=30)
@@ -185,6 +194,8 @@ class TestGracefulDrain:
                 release.wait(timeout=30)
                 return {"tree_count": 1, "document": document}
 
+            query_now = None  # always the executor, where query() blocks
+
             def stats_dict(self):
                 return {}
 
@@ -323,3 +334,299 @@ class TestByteIdentity:
                 server.server_close()
                 server.service.close()
                 threads[frontend].join(timeout=10)
+
+
+#: One query over ``bib``: after its first run, plans, master and fork are warm.
+WARM = {"document": "bib", "query": "//book/author", "paths": 10}
+
+
+def post_query(server, body, headers=None):
+    host, port = server.server_address[:2]
+    connection = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        connection.request("POST", "/query", json.dumps(body), headers or {})
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
+def healthz_seconds(server) -> float:
+    """Wall time of one ``GET /healthz`` on a fresh connection."""
+    host, port = server.server_address[:2]
+    started = time.perf_counter()
+    connection = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        connection.request("GET", "/healthz")
+        response = connection.getresponse()
+        response.read()
+        assert response.status == 200
+    finally:
+        connection.close()
+    return time.perf_counter() - started
+
+
+def on_executor(thread_name: str) -> bool:
+    return thread_name.startswith("repro-http")
+
+
+class TestLoopPath:
+    """When a ``/query`` is answered on the event loop, and what it keeps.
+
+    Where a query ran is read off the thread that reached the
+    ``service.evaluate`` fault seam: the ``server`` fixture's loop runs on
+    :data:`LOOP_THREAD`, executor threads are named ``repro-http_<n>``.
+    """
+
+    @pytest.fixture
+    def evaluated_on(self):
+        """Names of the threads that reached the evaluation seam, in order."""
+        names = []
+        FAULTS.arm(
+            "service.evaluate",
+            callback=lambda **_: names.append(threading.current_thread().name),
+        )
+        try:
+            yield names
+        finally:
+            FAULTS.disarm()
+
+    @pytest.fixture
+    def service(self, tmp_path):
+        catalog = Catalog(str(tmp_path / "cat"))
+        catalog.add("bib", BIB_XML)
+        service = QueryService(catalog)
+        try:
+            yield service
+        finally:
+            FAULTS.disarm()
+            service.close()
+
+    @staticmethod
+    def warm(service):
+        """Serve :data:`WARM` through the coalescer; its key and pool entry."""
+        service.query("bib", WARM["query"], paths=WARM["paths"])
+        (key,) = service.pool.keys()
+        return key, service.pool.peek(key)
+
+    @staticmethod
+    def now(service):
+        return service.query_now("bib", WARM["query"], paths=WARM["paths"])
+
+    # -- the decision, rule by rule ----------------------------------------
+
+    def test_first_sight_of_a_text_takes_the_executor(self, service):
+        self.warm(service)
+        assert self.now(service) is not None
+        assert service.query_now("bib", "//title") is None
+        assert service._compiled.cached("//title") is None  # never parsed
+
+    def test_cold_master_takes_the_executor(self, service):
+        self.warm(service)
+        service.evict("bib")
+        misses = service.pool.misses
+        assert self.now(service) is None
+        assert service.pool.misses == misses and not service.pool.keys()  # never loaded
+
+    def test_missing_working_fork_takes_the_executor(self, service):
+        _, entry = self.warm(service)
+        entry.working = None
+        assert self.now(service) is None
+        assert entry.working is None  # never forked
+
+    def test_coalescing_window_takes_the_executor(self, tmp_path):
+        catalog = Catalog(str(tmp_path / "cat"))
+        catalog.add("bib", BIB_XML)
+        service = QueryService(catalog, window=0.001)
+        self.warm(service)
+        assert self.now(service) is None
+
+    def test_busy_key_takes_the_executor(self, service):
+        key, entry = self.warm(service)
+        with entry.lock:
+            assert self.now(service) is None
+        service._pending_for(key)  # a batch queued for the key
+        assert self.now(service) is None
+        del service._pending[key]
+        assert self.now(service) is not None
+
+    def test_cost_over_the_switch_interval_takes_the_executor(self, service):
+        FAULTS.arm("service.evaluate", latency=2 * sys.getswitchinterval())
+        self.warm(service)
+        FAULTS.disarm()
+        assert self.now(service) is None
+        self.warm(service)  # measured again, cheap this time
+        assert self.now(service) is not None
+
+    def test_fleet_backend_keeps_the_executor(self, tmp_path):
+        Catalog(str(tmp_path / "cat")).add("bib", BIB_XML)
+        server = create_server(str(tmp_path / "cat"), port=0, frontend="async", workers=1)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            assert wait_ready(*server.server_address[:2], timeout=60)
+            for _ in range(2):
+                assert post_query(server, WARM)[0] == 200
+            assert server.metrics.dispatches.value(path="executor") == 2
+            assert server.metrics.dispatches.value(path="loop") == 0
+        finally:
+            server.shutdown()
+            server.server_close()
+            server.service.close()
+            thread.join(timeout=10)
+
+    # -- through the front door ------------------------------------------
+
+    def test_cold_then_warm_query_moves_to_the_loop(self, server, evaluated_on):
+        for _ in range(2):
+            assert post_query(server, WARM)[0] == 200
+        assert on_executor(evaluated_on[0]) and evaluated_on[1] == LOOP_THREAD
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            connection.request("GET", "/metrics")
+            families = parse_prometheus_text(connection.getresponse().read().decode())
+        finally:
+            connection.close()
+        counts = {
+            labels["path"]: value
+            for _, labels, value in families["repro_http_dispatch_total"]["samples"]
+        }
+        assert counts == {"executor": 1, "loop": 1}
+
+    @pytest.mark.parametrize(
+        "body",
+        [WARM, {"document": "bib", "query": "//author", "paths": 5, "limit": 1}],
+        ids=["answer", "decode-refusal"],
+    )
+    def test_loop_and_executor_bodies_are_equal(self, server, evaluated_on, body):
+        # A resident master first: then only this text's first sight sends
+        # it to the executor, and both answers are pool hits.
+        assert post_query(server, {"document": "bib", "query": "//title"})[0] == 200
+        (executor_status, executor_body), (loop_status, loop_body) = [
+            post_query(server, body) for _ in range(2)
+        ]
+        assert on_executor(evaluated_on[1]) and evaluated_on[2] == LOOP_THREAD
+        assert loop_status == executor_status
+        for payload in (executor_body, loop_body):
+            payload.pop("seconds", None)
+            payload.pop("trace", None)
+        assert loop_body == executor_body
+
+    def test_slow_stage_is_served_from_the_executor(self, server):
+        names, running = [], threading.Event()
+
+        def slow_stage(**_):
+            names.append(threading.current_thread().name)
+            running.set()
+            time.sleep(0.3)
+
+        FAULTS.arm("service.evaluate", callback=slow_stage)
+        try:
+            assert post_query(server, WARM)[0] == 200  # cold: measured at >= 0.3 s
+            running.clear()
+            statuses = []
+            client = threading.Thread(
+                target=lambda: statuses.append(post_query(server, WARM)[0])
+            )
+            client.start()
+            assert running.wait(timeout=30)
+            assert healthz_seconds(server) < 0.05
+            client.join(timeout=30)
+            assert not client.is_alive() and statuses == [200]
+        finally:
+            FAULTS.disarm()
+        assert len(names) == 2 and all(on_executor(name) for name in names)
+
+    def test_busy_key_neither_blocks_the_loop_nor_jumps_the_queue(
+        self, server, evaluated_on
+    ):
+        for _ in range(2):
+            assert post_query(server, WARM)[0] == 200
+        assert evaluated_on[-1] == LOOP_THREAD
+        service = server.service
+        (key,) = service.pool.keys()
+        entry = service.pool.peek(key)
+        requests = service.stats.requests
+        statuses = []
+        clients = [
+            threading.Thread(target=lambda: statuses.append(post_query(server, WARM)[0]))
+            for _ in range(2)
+        ]
+        with entry.lock:  # what an executor batch on this key holds
+            for index, client in enumerate(clients, 1):
+                client.start()
+                assert wait_until(lambda: service.stats.requests == requests + index)
+            assert healthz_seconds(server) < 0.05
+            assert statuses == []  # queued behind the holder, not served around it
+        for client in clients:
+            client.join(timeout=30)
+            assert not client.is_alive()
+        assert statuses == [200, 200]
+        assert len(evaluated_on) == 4 and all(on_executor(n) for n in evaluated_on[2:])
+        assert server.metrics.dispatches.value(path="loop") == 1
+
+    def test_deadline_shorter_than_an_injected_latency_is_504_on_the_loop(self, server):
+        for _ in range(2):
+            assert post_query(server, WARM)[0] == 200
+        names = []
+
+        def slow_stage(**_):
+            names.append(threading.current_thread().name)
+            time.sleep(0.2)
+
+        FAULTS.arm("service.evaluate", callback=slow_stage, times=1)
+        try:
+            status, payload = post_query(server, {**WARM, "deadline_ms": 50})
+        finally:
+            FAULTS.disarm()
+        # Measured cheap, so this run held the loop (the residual risk) —
+        # and still answered 504, never a late 200.
+        assert names == [LOOP_THREAD]
+        assert status == 504 and payload["error"]["kind"] == "deadline_exceeded"
+        assert post_query(server, WARM)[0] == 200
+
+    def test_mixed_paths_lose_no_update_under_contention(self, server):
+        """Loop and executor threads share the pool entry, its cost record
+        and the counters: with more clients than cores and a switch
+        interval short enough to split the queries between both paths,
+        every request is answered correctly and counted exactly once."""
+        bodies = [
+            {"document": "bib", "query": query, "paths": paths}
+            for query in ("//book/author", "//title", "//book[author]/title")
+            for paths in (0, 3)
+        ]
+        expected = {}
+        for body in bodies:  # first sight of each shape: the executor
+            status, payload = post_query(server, body)
+            assert status == 200
+            expected[body["query"], body["paths"]] = payload["tree_count"]
+        failures, rounds = [], 40
+
+        def client(offset):
+            for index in range(rounds):
+                body = bodies[(offset + index) % len(bodies)]
+                status, payload = post_query(server, body)
+                wanted = expected[body["query"], body["paths"]]
+                if status != 200 or payload["tree_count"] != wanted:
+                    failures.append((status, payload))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(0.0001)
+        try:
+            clients = [threading.Thread(target=client, args=(i,)) for i in range(8)]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures
+        total = len(bodies) + 8 * rounds
+        dispatches = server.metrics.dispatches
+        loop, executor = dispatches.value(path="loop"), dispatches.value(path="executor")
+        assert loop + executor == total and loop > 0 and executor > len(bodies)
+        service = server.service
+        assert service.stats.requests == service.admission.admitted == total
+        assert service.admission.stats()["inflight"] == 0

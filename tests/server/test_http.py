@@ -121,13 +121,29 @@ class TestContentLengthRefusals:
         assert b"Connection: close" in head and b"X-Repro-Trace: " in head
         return head, json.loads(body)
 
-    def test_non_integer_content_length_is_400(self, server):
+    @pytest.mark.parametrize("value", [b"lots", b"2_7", b"+27", b"-1", b"0x1b"])
+    def test_content_length_must_be_digits(self, server, value):
+        """RFC 9110's ``1*DIGIT`` only: ``int()`` alone takes ``2_7`` as 27
+        and ``-1`` as a length, leaving the stream out of step."""
         head, payload = self.refusal(
-            server, b"POST /query HTTP/1.1\r\nContent-Length: lots\r\n\r\n"
+            server, b"POST /query HTTP/1.1\r\nContent-Length: " + value + b"\r\n\r\n"
         )
         assert head.startswith(b"HTTP/1.1 400 ")
         error = assert_envelope(payload, "bad-request")
-        assert error["message"] == "Content-Length must be an integer"
+        assert error["message"] == "Content-Length must be a non-negative decimal integer"
+
+    def test_transfer_encoding_is_refused(self, server):
+        """A chunked body is never read as empty with its chunks taken for
+        the next request: the envelope, 501, and the connection closes."""
+        body = json.dumps({"document": "bib", "query": "//author"}).encode()
+        chunked = b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body)
+        head, payload = self.refusal(
+            server,
+            b"POST /query HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n" + chunked,
+        )
+        assert head.startswith(b"HTTP/1.1 501 ")
+        error = assert_envelope(payload, "bad-request")
+        assert "Transfer-Encoding" in error["message"]
 
     def test_query_routes_have_their_own_body_cap(self, server):
         from repro.server.routes import MAX_BODY, MAX_QUERY_BODY, body_limit
