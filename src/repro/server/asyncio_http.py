@@ -1,32 +1,34 @@
 """The asyncio HTTP front-end (``repro serve --frontend async``).
 
 One event loop owns accept, HTTP/1.1 parsing, deadline/trace stamping,
-and response writes.  Each parsed request takes one of two paths:
+and response writes; evaluation never runs on the loop.  Each parsed
+request takes one of two paths:
 
-* **On the loop** — :meth:`repro.server.routes.Router.dispatch_now`
-  answers a ``POST /query`` in place when the in-process service can do
-  so without waiting: plans cached, master resident with its working
-  fork, key idle, and that request's last measured service time below
-  ``sys.getswitchinterval()`` (see
-  :meth:`repro.server.service.QueryService.query_now`).  A thread
-  holding the GIL already keeps the loop waiting that long per turn, so
-  such a request costs the loop no more than handing it off would, and
-  it saves the thread hop and the GIL hand-offs around it (DESIGN.md
-  section 12).  The route core, admission, deadlines, counters and
-  payloads are the executor path's own.
+* **The lane** — one dedicated thread (:class:`_Lane`) answers a
+  ``POST /query`` through :meth:`repro.server.routes.Router.dispatch_now`
+  when the in-process service can do so without waiting: plans cached,
+  master resident with its working fork, key idle, and that request's
+  last measured service time below ``sys.getswitchinterval()`` (see
+  :meth:`repro.server.service.QueryService.query_now`).  The hand-off is
+  a ``SimpleQueue`` put one way and one ``call_soon_threadsafe`` back,
+  with no coalescing batch in between, and the lane is the only thread
+  that serves warm queries, so they never contend with each other for
+  the GIL (DESIGN.md section 12).  The route core, admission, deadlines,
+  counters and payloads are the executor path's own.
 * **On an executor thread** — everything else (every other route, cold
-  or slow or contended queries, the worker fleet) is bridged to a bounded
-  ``ThreadPoolExecutor`` via ``run_in_executor``, where
-  :meth:`~repro.server.routes.Router.dispatch` runs the exact route core
-  the threaded front-end uses (admission, coalescing, or the worker-fleet
-  queues happen inside).  The loop keeps accepting and shedding (429s
-  are cheap) while slow queries occupy executor threads, instead of
-  burning one OS thread per idle keep-alive connection.
+  or slow or contended queries, the worker fleet, and whatever the lane
+  declined) is bridged to a bounded ``ThreadPoolExecutor`` via
+  ``run_in_executor``, where :meth:`~repro.server.routes.Router.dispatch`
+  runs the exact route core the threaded front-end uses (admission,
+  coalescing, or the worker-fleet queues happen inside).  The loop keeps
+  accepting and shedding (429s are cheap) while slow queries occupy
+  executor threads, instead of burning one OS thread per idle keep-alive
+  connection.
 
-``repro_http_dispatch_total{path="loop"|"executor"}`` counts the split.
+``repro_http_dispatch_total{path="lane"|"executor"}`` counts the split.
 The one residual risk: a query measured cheap whose next run is slow (an
-injected fault, say) holds the loop for that one run; its new cost then
-sends it to the executor.
+injected fault, say) holds the lane — not the loop — for that one run;
+its new cost then sends it to the executor.
 
 Flow control and shutdown:
 
@@ -47,6 +49,7 @@ from __future__ import annotations
 
 import asyncio
 import os
+import queue
 import socket
 import sys
 import threading
@@ -83,6 +86,56 @@ class _BadRequest(Exception):
         self.status = status
         self.kind = kind
         self.close = close
+
+
+class _Lane:
+    """One thread answering requests in arrival order with ``answer(request)``.
+
+    Why a thread of its own and not the event loop: answering on the loop
+    saves one more hand-off, but then every request of the server runs on
+    one thread that never sleeps, so the kernel never moves it and the
+    server's speed is the speed of whichever core it started on.  The lane
+    sleeps whenever its queue is empty and the loop keeps the HTTP work,
+    so the server's CPU time lands on more than one core, as the
+    executor's does (DESIGN.md section 12 has the measurements).  Lives
+    exactly as long as :meth:`AsyncReproHTTPServer.serve_forever`.
+    """
+
+    def __init__(self, answer):
+        self._answer = answer
+        self._queue: queue.SimpleQueue = queue.SimpleQueue()
+        threading.Thread(target=self._run, name="repro-lane", daemon=True).start()
+
+    def submit(self, loop: asyncio.AbstractEventLoop, request) -> asyncio.Future:
+        """Queue ``request``; the future resolves on ``loop`` with the answer."""
+        future = loop.create_future()
+        self._queue.put((loop, future, request))
+        return future
+
+    def close(self) -> None:
+        """Stop the thread once the requests already queued are answered."""
+        self._queue.put(None)
+
+    def _run(self) -> None:
+        while (item := self._queue.get()) is not None:
+            loop, future, request = item
+            try:
+                outcome = (self._answer(request), None)
+            except BaseException as error:  # noqa: BLE001 - re-raised in the awaiting coroutine
+                outcome = (None, error)
+            try:
+                loop.call_soon_threadsafe(_settle, future, *outcome)
+            except RuntimeError:
+                pass  # the loop closed while this request was in the lane
+
+
+def _settle(future: asyncio.Future, result, error: BaseException | None) -> None:
+    if future.done():
+        return  # the awaiting connection was cancelled
+    if error is not None:
+        future.set_exception(error)
+    else:
+        future.set_result(result)
 
 
 class AsyncReproHTTPServer:
@@ -122,6 +175,7 @@ class AsyncReproHTTPServer:
             default_deadline_ms=default_deadline_ms,
             metrics=self.metrics,
         )
+        self._lane: _Lane | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._server: asyncio.AbstractServer | None = None
         #: connection task -> {"busy": bool}; drain cancels idle ones first.
@@ -142,6 +196,7 @@ class AsyncReproHTTPServer:
         """Run the event loop on the calling thread until :meth:`shutdown`."""
         loop = asyncio.new_event_loop()
         self._loop = loop
+        self._lane = _Lane(self.router.dispatch_now)
         try:
             # The reader limit bounds line buffering (readuntil); bodies
             # stream through readexactly and are capped by body_limit instead.
@@ -159,6 +214,7 @@ class AsyncReproHTTPServer:
                 finally:
                     asyncio.set_event_loop(None)
                     loop.close()
+                    self._lane.close()
                     self._loop = None
                     self._stopped.set()
 
@@ -257,15 +313,21 @@ class AsyncReproHTTPServer:
                 return  # peer hung up mid-request
             if request is None:
                 return  # clean EOF between requests
-            response = self.router.dispatch_now(request)
-            if response is None:
-                state["busy"] = True
-                try:
+            state["busy"] = True
+            try:
+                response = None
+                if self.router.answers_now(request):
+                    response = await self._lane.submit(loop, request)
+                if request.method == "POST" and request.path == "/query":
+                    self.metrics.dispatches.inc(
+                        path="executor" if response is None else "lane"
+                    )
+                if response is None:
                     response = await loop.run_in_executor(
                         self._executor, self.router.dispatch, request
                     )
-                finally:
-                    state["busy"] = False
+            finally:
+                state["busy"] = False
             keep_alive = keep_alive and not self._draining
             await self._write_response(writer, response, keep_alive=keep_alive)
             self._access_log(request, response)

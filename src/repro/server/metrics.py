@@ -541,8 +541,9 @@ class ServerMetrics:
         )
         self.dispatches = registry.counter(
             "repro_http_dispatch_total",
-            "POST /query requests by where they ran: loop (answered on the async "
-            "front-end's event loop) or executor (handed to its thread pool).",
+            "POST /query requests by where they ran: lane (answered without "
+            "waiting on the async front-end's lane thread) or executor (handed "
+            "to its thread pool).",
             ("path",),
         )
         self.connections = registry.gauge(

@@ -3,7 +3,8 @@
 The threaded :mod:`repro.server.http` and the asyncio
 :mod:`repro.server.asyncio_http` front-ends parse bytes off their
 sockets, build a :class:`Request`, and call :meth:`Router.dispatch`
-(the asyncio one first tries :meth:`Router.dispatch_now` on its loop);
+(the asyncio one first tries :meth:`Router.dispatch_now` on its lane
+thread);
 everything after that — routing, validation, deadline/admission
 bookkeeping, the error-kind → status mapping, the uniform envelope —
 lives here exactly once, so the two front-ends produce byte-identical
@@ -180,33 +181,34 @@ class Router:
             response = self._plain_error(500, f"{type(error).__name__}: {error}", "internal")
         return self._finish(request, response, started)
 
-    def dispatch_now(self, request: Request) -> Response | None:
-        """Answer a ``POST /query`` on the calling thread, or return ``None``.
+    def answers_now(self, request: Request) -> bool:
+        """Whether :meth:`dispatch_now` may answer ``request`` at all.
 
-        The asyncio front-end calls this on its event loop before it hands
-        a request to an executor thread.  The body is validated exactly as
-        :meth:`dispatch` validates it, then the service's ``query_now``
-        answers only what it can answer without waiting (see
-        :meth:`repro.server.service.QueryService.query_now`).  ``None``
-        means "run :meth:`dispatch` off the loop", which re-reads the
-        request from scratch; so does a service whose ``query_now`` is
-        ``None`` (the worker fleet), before any parsing.  Every other route
-        returns ``None``.
+        Only a ``POST /query`` to a service with a ``query_now`` (the
+        in-process one; the worker fleet has none).  Reads no body.
         """
-        if request.method != "POST" or request.path != "/query":
-            return None
-        query_now = self.service.query_now
-        response = None
-        if query_now is not None:
-            started = time.perf_counter()
-            try:
-                response = self._post_query(request, query_now)
-            except Exception as error:  # noqa: BLE001 - last-ditch: no tracebacks on the wire
-                response = self._plain_error(
-                    500, f"{type(error).__name__}: {error}", "internal"
-                )
-        if self.metrics is not None:
-            self.metrics.dispatches.inc(path="executor" if response is None else "loop")
+        return (
+            request.method == "POST"
+            and request.path == "/query"
+            and self.service.query_now is not None
+        )
+
+    def dispatch_now(self, request: Request) -> Response | None:
+        """Answer a request :meth:`answers_now` accepts, or return ``None``.
+
+        The asyncio front-end calls this on its lane thread before it
+        hands a request to an executor thread.  The body is validated
+        exactly as :meth:`dispatch` validates it, then the service's
+        ``query_now`` answers only what it can answer without waiting (see
+        :meth:`repro.server.service.QueryService.query_now`).  ``None``
+        means "run :meth:`dispatch` on the executor", which re-reads the
+        request from scratch.
+        """
+        started = time.perf_counter()
+        try:
+            response = self._post_query(request, self.service.query_now)
+        except Exception as error:  # noqa: BLE001 - last-ditch: no tracebacks on the wire
+            response = self._plain_error(500, f"{type(error).__name__}: {error}", "internal")
         if response is None:
             return None
         return self._finish(request, response, started)

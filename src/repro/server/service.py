@@ -32,7 +32,7 @@ response never depends on live engine state.
 A request that needs no waiting — plans cached, master resident with its
 fork, key idle, last measured cost under the interpreter's switch
 interval — is answered on the caller's own thread by
-:meth:`QueryService.query_now` (the asyncio front-end's event loop)
+:meth:`QueryService.query_now` (the asyncio front-end's lane thread)
 instead of joining a batch; both paths evaluate through
 :meth:`QueryService._serve`.
 """
@@ -558,8 +558,9 @@ class QueryService(ServingBackend):
     ) -> dict | None:
         """:meth:`query` on the calling thread, or ``None`` if it could wait.
 
-        The asyncio front-end calls this on its event loop.  Every
-        condition is read from live state:
+        The asyncio front-end calls this on its lane, the one thread that
+        answers warm queries one after another.  Every condition is read
+        from live state:
 
         * the coalescing window is 0 (a window *is* a wait);
         * the compiled and optimized plans are cached (nothing is parsed,
@@ -570,8 +571,10 @@ class QueryService(ServingBackend):
           so a queued request is never overtaken;
         * this request shape's last measured service time on this entry
           is below ``sys.getswitchinterval()`` — the longest a thread
-          holding the GIL already keeps the loop waiting per turn.  A cost
-          not yet measured counts as too slow.
+          holding the GIL already keeps every other thread waiting per
+          turn, so a request cheaper than that delays the requests queued
+          behind it on the lane no more than sharing the GIL would.  A
+          cost not yet measured counts as too slow.
 
         Otherwise ``None``: the caller runs :meth:`query`, which coalesces
         as usual.  A request that *is* answered here keeps every contract
@@ -861,7 +864,7 @@ class QueryService(ServingBackend):
         """Evaluate ``requests`` as one batch: the one path to an answer.
 
         The caller holds ``entry.lock``: :meth:`_execute` on an executor
-        thread, or :meth:`query_now` on the event loop.  Re-forks an
+        thread, or :meth:`query_now` on the lane thread.  Re-forks an
         outgrown or missing working fork, evaluates, and returns one
         finished payload or exception per request.  An evaluation that
         died mid-batch counts every request as an error and is returned as

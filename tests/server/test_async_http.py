@@ -7,7 +7,7 @@ the asyncio transport owns — HTTP/1.1 framing edge cases the stdlib
 handler used to absorb, graceful drain under load, the differential
 check that both front-ends emit byte-identical bodies for the same
 requests (the CI smoke's oracle, in miniature), and the rules that
-decide when a ``/query`` is answered on the event loop itself.
+decide when a ``/query`` is answered on the lane thread.
 """
 
 import http.client
@@ -31,6 +31,9 @@ from tests.skeleton.test_loader import BIB_XML
 
 #: The name of the thread the ``server`` fixture runs the event loop on.
 LOOP_THREAD = "event-loop"
+
+#: The name of the async front-end's lane thread.
+LANE_THREAD = "repro-lane"
 
 
 @pytest.fixture
@@ -370,12 +373,13 @@ def on_executor(thread_name: str) -> bool:
     return thread_name.startswith("repro-http")
 
 
-class TestLoopPath:
-    """When a ``/query`` is answered on the event loop, and what it keeps.
+class TestLanePath:
+    """When a ``/query`` is answered on the lane, and what it keeps.
 
     Where a query ran is read off the thread that reached the
-    ``service.evaluate`` fault seam: the ``server`` fixture's loop runs on
-    :data:`LOOP_THREAD`, executor threads are named ``repro-http_<n>``.
+    ``service.evaluate`` fault seam: the lane is :data:`LANE_THREAD`,
+    executor threads are named ``repro-http_<n>``, and the ``server``
+    fixture's loop (:data:`LOOP_THREAD`) never evaluates.
     """
 
     @pytest.fixture
@@ -468,7 +472,7 @@ class TestLoopPath:
             for _ in range(2):
                 assert post_query(server, WARM)[0] == 200
             assert server.metrics.dispatches.value(path="executor") == 2
-            assert server.metrics.dispatches.value(path="loop") == 0
+            assert server.metrics.dispatches.value(path="lane") == 0
         finally:
             server.shutdown()
             server.server_close()
@@ -477,10 +481,10 @@ class TestLoopPath:
 
     # -- through the front door ------------------------------------------
 
-    def test_cold_then_warm_query_moves_to_the_loop(self, server, evaluated_on):
+    def test_cold_then_warm_query_moves_to_the_lane(self, server, evaluated_on):
         for _ in range(2):
             assert post_query(server, WARM)[0] == 200
-        assert on_executor(evaluated_on[0]) and evaluated_on[1] == LOOP_THREAD
+        assert on_executor(evaluated_on[0]) and evaluated_on[1] == LANE_THREAD
         host, port = server.server_address[:2]
         connection = http.client.HTTPConnection(host, port, timeout=30)
         try:
@@ -492,26 +496,26 @@ class TestLoopPath:
             labels["path"]: value
             for _, labels, value in families["repro_http_dispatch_total"]["samples"]
         }
-        assert counts == {"executor": 1, "loop": 1}
+        assert counts == {"executor": 1, "lane": 1}
 
     @pytest.mark.parametrize(
         "body",
         [WARM, {"document": "bib", "query": "//author", "paths": 5, "limit": 1}],
         ids=["answer", "decode-refusal"],
     )
-    def test_loop_and_executor_bodies_are_equal(self, server, evaluated_on, body):
+    def test_lane_and_executor_bodies_are_equal(self, server, evaluated_on, body):
         # A resident master first: then only this text's first sight sends
         # it to the executor, and both answers are pool hits.
         assert post_query(server, {"document": "bib", "query": "//title"})[0] == 200
-        (executor_status, executor_body), (loop_status, loop_body) = [
+        (executor_status, executor_body), (lane_status, lane_body) = [
             post_query(server, body) for _ in range(2)
         ]
-        assert on_executor(evaluated_on[1]) and evaluated_on[2] == LOOP_THREAD
-        assert loop_status == executor_status
-        for payload in (executor_body, loop_body):
+        assert on_executor(evaluated_on[1]) and evaluated_on[2] == LANE_THREAD
+        assert lane_status == executor_status
+        for payload in (executor_body, lane_body):
             payload.pop("seconds", None)
             payload.pop("trace", None)
-        assert loop_body == executor_body
+        assert lane_body == executor_body
 
     def test_slow_stage_is_served_from_the_executor(self, server):
         names, running = [], threading.Event()
@@ -543,7 +547,7 @@ class TestLoopPath:
     ):
         for _ in range(2):
             assert post_query(server, WARM)[0] == 200
-        assert evaluated_on[-1] == LOOP_THREAD
+        assert evaluated_on[-1] == LANE_THREAD
         service = server.service
         (key,) = service.pool.keys()
         entry = service.pool.peek(key)
@@ -564,9 +568,9 @@ class TestLoopPath:
             assert not client.is_alive()
         assert statuses == [200, 200]
         assert len(evaluated_on) == 4 and all(on_executor(n) for n in evaluated_on[2:])
-        assert server.metrics.dispatches.value(path="loop") == 1
+        assert server.metrics.dispatches.value(path="lane") == 1
 
-    def test_deadline_shorter_than_an_injected_latency_is_504_on_the_loop(self, server):
+    def test_deadline_shorter_than_an_injected_latency_is_504_on_the_lane(self, server):
         for _ in range(2):
             assert post_query(server, WARM)[0] == 200
         names = []
@@ -580,14 +584,39 @@ class TestLoopPath:
             status, payload = post_query(server, {**WARM, "deadline_ms": 50})
         finally:
             FAULTS.disarm()
-        # Measured cheap, so this run held the loop (the residual risk) —
+        # Measured cheap, so this run held the lane (the residual risk) —
         # and still answered 504, never a late 200.
-        assert names == [LOOP_THREAD]
+        assert names == [LANE_THREAD]
         assert status == 504 and payload["error"]["kind"] == "deadline_exceeded"
         assert post_query(server, WARM)[0] == 200
 
+    def test_a_query_that_turns_slow_holds_the_lane_not_the_loop(self, server):
+        for _ in range(2):
+            assert post_query(server, WARM)[0] == 200
+        names, running = [], threading.Event()
+
+        def slow_stage(**_):
+            names.append(threading.current_thread().name)
+            running.set()
+            time.sleep(0.3)
+
+        FAULTS.arm("service.evaluate", callback=slow_stage, times=1)
+        try:
+            statuses = []
+            client = threading.Thread(
+                target=lambda: statuses.append(post_query(server, WARM)[0])
+            )
+            client.start()
+            assert running.wait(timeout=30)
+            assert healthz_seconds(server) < 0.05
+            client.join(timeout=30)
+            assert not client.is_alive()
+        finally:
+            FAULTS.disarm()
+        assert names == [LANE_THREAD] and statuses == [200]
+
     def test_mixed_paths_lose_no_update_under_contention(self, server):
-        """Loop and executor threads share the pool entry, its cost record
+        """Lane and executor threads share the pool entry, its cost record
         and the counters: with more clients than cores and a switch
         interval short enough to split the queries between both paths,
         every request is answered correctly and counted exactly once."""
@@ -625,8 +654,8 @@ class TestLoopPath:
         assert not failures
         total = len(bodies) + 8 * rounds
         dispatches = server.metrics.dispatches
-        loop, executor = dispatches.value(path="loop"), dispatches.value(path="executor")
-        assert loop + executor == total and loop > 0 and executor > len(bodies)
+        lane, executor = dispatches.value(path="lane"), dispatches.value(path="executor")
+        assert lane + executor == total and lane > 0 and executor > len(bodies)
         service = server.service
         assert service.stats.requests == service.admission.admitted == total
         assert service.admission.stats()["inflight"] == 0
