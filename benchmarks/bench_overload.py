@@ -115,11 +115,10 @@ class BoundedServer:
     speed — the same separation a production deployment has.
     """
 
-    def __init__(self, catalog_dir: str, max_queue: int, frontend: str = "async"):
+    def __init__(self, catalog_dir: str, max_queue: int):
         script = (
             "from repro.server.http import serve; "
-            f"serve({catalog_dir!r}, port=0, max_queue={max_queue}, "
-            f"frontend={frontend!r})"
+            f"serve({catalog_dir!r}, port=0, max_queue={max_queue})"
         )
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -368,10 +367,6 @@ def main(argv=None) -> int:
         help="overload p99 must stay within this multiple of the capacity p99",
     )
     parser.add_argument(
-        "--frontend", choices=("async", "threaded"), default="async",
-        help="HTTP front-end for the servers under test (matches `repro serve`)",
-    )
-    parser.add_argument(
         "--output", default=os.path.join(REPO_ROOT, "BENCH_overload.json"),
     )
     args = parser.parse_args(argv)
@@ -390,7 +385,6 @@ def main(argv=None) -> int:
     report: dict = {
         "benchmark": "overload",
         "smoke": args.smoke,
-        "frontend": args.frontend,
         "max_queue": MAX_QUEUE,
         "corpus": {"rows": rows, "cols": cols},
         "seconds_per_phase": seconds,
@@ -400,9 +394,7 @@ def main(argv=None) -> int:
     problems: list[str] = []
     try:
         Catalog(catalog_dir).add("rel", xml)
-        under_test = BoundedServer(
-            catalog_dir, max_queue=MAX_QUEUE, frontend=args.frontend
-        )
+        under_test = BoundedServer(catalog_dir, max_queue=MAX_QUEUE)
         try:
             report["checked_byte_identical"] = verify_correctness(under_test, xml)
             # Capacity: exactly as many closed-loop clients as admission
@@ -424,7 +416,7 @@ def main(argv=None) -> int:
         # Control: the identical overload against an *unbounded* server.
         # Everything is admitted, everything queues — the collapse mode
         # admission control exists to prevent.
-        unbounded = BoundedServer(catalog_dir, max_queue=0, frontend=args.frontend)
+        unbounded = BoundedServer(catalog_dir, max_queue=0)
         try:
             control = drive(unbounded, clients=4 * MAX_QUEUE, seconds=seconds)
         finally:

@@ -125,10 +125,8 @@ def canonical(payload: dict) -> str:
 class ServerUnderTest:
     """A live ``repro serve`` on an ephemeral port over a throwaway catalog."""
 
-    def __init__(self, catalog_dir: str, workers: int = 0, frontend: str = "threaded"):
-        self.server = create_server(
-            catalog_dir, port=0, workers=workers, frontend=frontend
-        )
+    def __init__(self, catalog_dir: str, workers: int = 0):
+        self.server = create_server(catalog_dir, port=0, workers=workers)
         self.host, self.port = self.server.server_address[:2]
         self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
         self.thread.start()
@@ -187,58 +185,6 @@ def verify_byte_identical(under_test: ServerUnderTest, document, xml, queries) -
     finally:
         connection.close()
     return len(queries)
-
-
-def verify_frontends_identical(catalog_dir: str, document: str, queries) -> int:
-    """Both front-ends must emit byte-identical responses for one request set.
-
-    Spins a threaded and an async server over the *same* catalog and
-    replays success and error requests against both with a pinned trace
-    ID, comparing raw bodies byte for byte (minus the volatile
-    ``seconds`` measurement, which is stripped *textually* so everything
-    else — key order, number formatting, envelope shape — still has to
-    match exactly).  Returns the number of requests compared.
-    """
-    import re
-
-    probes = [("POST", "/query", {"document": document, "query": query, "paths": CHECK_PATHS})
-              for query in queries]
-    probes += [
-        ("POST", "/query", {"document": "no-such-doc", "query": "//a"}),
-        ("POST", "/query", {"document": document, "query": "//broken[["}),
-        ("GET", "/healthz", None),
-        ("GET", "/nope", None),
-    ]
-    seconds_pattern = re.compile(rb'"seconds":\s*[-+0-9.eE]+,?\s*')
-    servers = {}
-    try:
-        for frontend in ("threaded", "async"):
-            servers[frontend] = ServerUnderTest(catalog_dir, frontend=frontend)
-        for method, path, body in probes:
-            bodies = {}
-            for frontend, under_test in servers.items():
-                connection = under_test.connect()
-                try:
-                    payload = json.dumps(body) if body is not None else None
-                    connection.request(
-                        method, path, payload, {"X-Repro-Trace": "benchdiff00000001"}
-                    )
-                    response = connection.getresponse()
-                    bodies[frontend] = (
-                        response.status,
-                        seconds_pattern.sub(b"", response.read()),
-                    )
-                finally:
-                    connection.close()
-            if bodies["threaded"] != bodies["async"]:
-                raise AssertionError(
-                    f"front-end divergence on {method} {path}:\n"
-                    f"  threaded {bodies['threaded']}\n  async    {bodies['async']}"
-                )
-    finally:
-        for under_test in servers.values():
-            under_test.close()
-    return len(probes)
 
 
 def drive_clients(
@@ -354,10 +300,7 @@ def run_sequential_warm(xml: str, requests: list[str]) -> float:
     return time.perf_counter() - started
 
 
-def measure(
-    corpus: str, smoke: bool, clients: int, requests_total: int,
-    frontend: str = "threaded",
-) -> dict:
+def measure(corpus: str, smoke: bool, clients: int, requests_total: int) -> dict:
     xml = corpus_xml(corpus, smoke)
     queries = corpus_queries(corpus)
     requests = [queries[i % len(queries)] for i in range(requests_total)]
@@ -368,12 +311,7 @@ def measure(
         one_shot_seconds = run_sequential_one_shot(xml, requests)
         warm_seconds = run_sequential_warm(xml, requests)
 
-        frontends_checked = 0
-        if frontend == "async":
-            # The async run doubles as the differential gate: both
-            # front-ends must answer the same requests byte-identically.
-            frontends_checked = verify_frontends_identical(catalog_dir, "doc", queries)
-        under_test = ServerUnderTest(catalog_dir, frontend=frontend)
+        under_test = ServerUnderTest(catalog_dir)
         try:
             checked = verify_byte_identical(under_test, "doc", xml, queries)
             # One warm pass so resident instances exist before the clock.
@@ -390,11 +328,9 @@ def measure(
     warm_rps = len(requests) / warm_seconds
     row = {
         "corpus": corpus,
-        "frontend": frontend,
         "requests": len(requests),
         "clients": clients,
         "queries_checked_byte_identical": checked,
-        "frontend_responses_checked_identical": frontends_checked,
         "one_shot_seconds": one_shot_seconds,
         "one_shot_rps": one_shot_rps,
         "warm_sequential_seconds": warm_seconds,
@@ -429,11 +365,6 @@ def main(argv=None) -> int:
         help="fail when the worst per-corpus speedup vs one-shot is below this",
     )
     parser.add_argument(
-        "--frontend", choices=("threaded", "async"), default="threaded",
-        help="HTTP front-end under test (async also runs the byte-identity "
-        "differential against threaded)",
-    )
-    parser.add_argument(
         "--output",
         default=os.path.join(REPO_ROOT, "BENCH_server.json"),
         help="where to write the JSON results",
@@ -445,10 +376,10 @@ def main(argv=None) -> int:
     print(
         f"server workload: concurrent serving vs sequential one-shot Engine.query "
         f"({'smoke' if args.smoke else 'full'}, {clients} clients, "
-        f"{requests_total} requests/corpus, {args.frontend} front-end)"
+        f"{requests_total} requests/corpus)"
     )
     rows = [
-        measure(corpus, args.smoke, clients, requests_total, frontend=args.frontend)
+        measure(corpus, args.smoke, clients, requests_total)
         for corpus in CORPUS_NAMES
     ]
 
@@ -456,7 +387,6 @@ def main(argv=None) -> int:
     report = {
         "benchmark": "server",
         "mode": "smoke" if args.smoke else "full",
-        "frontend": args.frontend,
         "baseline": "sequential one-shot Engine.query (fresh engine per request)",
         "corpora": list(CORPUS_NAMES),
         "clients": clients,

@@ -106,16 +106,6 @@ def check_smoke(path: str) -> list[str]:
                 f"{path}: /metrics scrape did not reconcile with the bench's "
                 "own accepted/shed counts"
             )
-    if report["benchmark"] == "server" and report.get("frontend") == "async":
-        checked = sum(
-            row.get("frontend_responses_checked_identical", 0)
-            for row in report.get("rows", [])
-        )
-        if not checked:
-            problems.append(
-                f"{path}: async server report ran no threaded-vs-async "
-                "byte-identity checks"
-            )
     return problems
 
 

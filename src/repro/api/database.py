@@ -114,8 +114,8 @@ class Database:
         """A served database over a catalog directory (owned lifecycle).
 
         ``service_kwargs`` pass through to
-        :class:`repro.server.service.QueryService` (``window``,
-        ``max_batch``, ``pool_capacity``, ...).  Closing the database
+        :class:`repro.server.service.QueryService` (``pool_capacity``,
+        ``max_queue``, ...).  Closing the database
         closes the service.
         """
         from repro.server.catalog import Catalog

@@ -220,15 +220,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    if args.http_threads < 0:
-        print("error: --http-threads must be >= 0", file=sys.stderr)
-        return EXIT_USAGE
     serve(
         args.catalog,
         host=args.host,
         port=args.port,
-        window=args.window_ms / 1000.0,
-        max_batch=args.max_batch,
         pool_capacity=args.pool_size,
         quiet=not args.verbose,
         workers=workers,
@@ -237,8 +232,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         deadline_ms=args.deadline_ms,
         max_queue=args.max_queue,
         rate_limit=args.rate_limit,
-        frontend=args.frontend,
-        http_threads=args.http_threads,
     )
     return 0
 
@@ -486,12 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080)
     serve.add_argument(
-        "--window-ms", type=float, default=0.0,
-        help="coalescing window in milliseconds (0 = batch whatever queues "
-        "up while the previous batch runs)",
-    )
-    serve.add_argument("--max-batch", type=int, default=64)
-    serve.add_argument(
         "--pool-size", type=int, default=8,
         help="max resident (document, schema) instances before LRU eviction",
     )
@@ -525,17 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--rate-limit", type=float, default=0.0,
         help="per-client requests/second token-bucket limit, keyed by the "
         "X-Repro-Client header or peer address (0 = off)",
-    )
-    serve.add_argument(
-        "--frontend", choices=("async", "threaded"), default="async",
-        help="HTTP transport: the asyncio event-loop server (default) or "
-        "the thread-per-connection fallback; both serve byte-identical "
-        "responses over the same route core",
-    )
-    serve.add_argument(
-        "--http-threads", type=int, default=0,
-        help="executor threads bridging the async front-end's event loop "
-        "to the service (0 = automatic; ignored with --frontend threaded)",
     )
     serve.add_argument("--verbose", action="store_true", help="log every request")
     serve.set_defaults(func=_cmd_serve)

@@ -10,12 +10,11 @@ The subsystem has four layers, bottom up:
 * :mod:`repro.server.pool` — a bounded LRU of resident master instances
   keyed by ``(document, schema key)``, with per-entry locks.
 * :mod:`repro.server.service` / :mod:`repro.server.routes` /
-  :mod:`repro.server.http` / :mod:`repro.server.asyncio_http` — the
+  :mod:`repro.server.asyncio_http` / :mod:`repro.server.http` — the
   coalescing evaluation front (concurrent requests for one document share
   a single :class:`repro.engine.batch.BatchEvaluator` run), the
-  transport-agnostic route core both front-ends share (byte-identical
-  responses by construction), and the two stdlib bindings: the threaded
-  ``http.server`` one and the asyncio one (``repro serve --frontend``).
+  transport-agnostic route core, the asyncio HTTP front-end, and the
+  ``repro serve`` entry points that build and run it.
 * :mod:`repro.server.metrics` — lock-cheap counters/gauges/histograms and
   the Prometheus text exposition served at ``GET /metrics``.
 * :mod:`repro.server.cluster` / :mod:`repro.server.worker` — the pre-forked
@@ -32,7 +31,7 @@ The subsystem has four layers, bottom up:
 from repro.server.asyncio_http import AsyncReproHTTPServer
 from repro.server.catalog import Catalog, CatalogEntry
 from repro.server.cluster import WorkerFleet, default_worker_count
-from repro.server.http import ReproHTTPServer, create_server, serve, wait_ready
+from repro.server.http import create_server, serve, wait_ready
 from repro.server.metrics import (
     MetricsRegistry,
     ServerMetrics,
@@ -63,7 +62,6 @@ __all__ = [
     "MetricsRegistry",
     "PoolEntry",
     "QueryService",
-    "ReproHTTPServer",
     "Request",
     "Response",
     "Router",

@@ -1,4 +1,4 @@
-"""The asyncio HTTP front-end (``repro serve --frontend async``).
+"""The HTTP front-end of ``repro serve``: one asyncio event loop.
 
 One event loop owns accept, HTTP/1.1 parsing, deadline/trace stamping,
 and response writes; evaluation never runs on the loop.  Each parsed
@@ -19,11 +19,10 @@ request takes one of two paths:
   or slow or contended queries, the worker fleet, and whatever the lane
   declined) is bridged to a bounded ``ThreadPoolExecutor`` via
   ``run_in_executor``, where :meth:`~repro.server.routes.Router.dispatch`
-  runs the exact route core the threaded front-end uses (admission,
-  coalescing, or the worker-fleet queues happen inside).  The loop keeps
-  accepting and shedding (429s are cheap) while slow queries occupy
-  executor threads, instead of burning one OS thread per idle keep-alive
-  connection.
+  runs the route core (admission, coalescing, or the worker-fleet queues
+  happen inside).  The loop keeps accepting and shedding (429s are
+  cheap) while slow queries occupy executor threads, instead of burning
+  one OS thread per idle keep-alive connection.
 
 ``repro_http_dispatch_total{path="lane"|"executor"}`` counts the split.
 The one residual risk: a query measured cheap whose next run is slow (an
@@ -40,9 +39,9 @@ Flow control and shutdown:
   keep-alive connections immediately, lets in-flight requests finish
   their response write within ``drain_timeout`` seconds, then cancels
   stragglers.  The object surface (``serve_forever`` / ``shutdown`` /
-  ``server_close`` / ``server_address`` / ``url`` / ``service``)
-  matches :class:`repro.server.http.ReproHTTPServer`, so every harness
-  — tests, benches, ``serve()`` — drives either front-end unchanged.
+  ``server_close`` / ``server_address`` / ``url`` / ``service``) is
+  ``socketserver``'s, so tests, benches and
+  :func:`repro.server.http.serve` drive it like a stdlib server.
 """
 
 from __future__ import annotations
@@ -139,7 +138,7 @@ def _settle(future: asyncio.Future, result, error: BaseException | None) -> None
 
 
 class AsyncReproHTTPServer:
-    """Event-loop front-end with the same lifecycle surface as the threaded one.
+    """The event-loop HTTP server, with ``socketserver``'s lifecycle surface.
 
     The listening socket binds in the constructor (fail-fast on a used
     port, and ``server_address`` reports the ephemeral port immediately);
@@ -153,7 +152,6 @@ class AsyncReproHTTPServer:
         service,
         quiet: bool = True,
         default_deadline_ms: float = 0.0,
-        executor_threads: int = 0,
         drain_timeout: float = 5.0,
     ):
         self.service = service
@@ -165,11 +163,11 @@ class AsyncReproHTTPServer:
         # Executor sizing: the bridge must hold more threads than the
         # admission queue admits so shed decisions (cheap) never wait
         # behind admitted work; 32 covers the default queue depths.
-        workers = executor_threads or max(32, 4 * (os.cpu_count() or 1))
         self._executor = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-http"
+            max_workers=max(32, 4 * (os.cpu_count() or 1)),
+            thread_name_prefix="repro-http",
         )
-        self.metrics = ServerMetrics(lambda: self.service, frontend="async")
+        self.metrics = ServerMetrics(lambda: self.service)
         self.router = Router(
             lambda: self.service,
             default_deadline_ms=default_deadline_ms,

@@ -183,8 +183,6 @@ class WorkerFleet(ServingBackend):
         self,
         catalog: Catalog,
         workers: int | None = None,
-        window: float = 0.0,
-        max_batch: int = 64,
         pool_capacity: int = 8,
         request_timeout: float = 120.0,
         worker_threads: int = 4,
@@ -216,8 +214,6 @@ class WorkerFleet(ServingBackend):
         self.admission = AdmissionController(max_queue=max_queue, rate_limit=rate_limit)
         self.degraded_shed_rate = degraded_shed_rate
         self._config = {
-            "window": window,
-            "max_batch": max_batch,
             "pool_capacity": pool_capacity,
             "threads": worker_threads,
             # Primitives-only fault spec; each spawned worker arms its own

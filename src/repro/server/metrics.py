@@ -517,14 +517,14 @@ def _counter_samples(name, stats, *keys, labels=None):
 
 
 class ServerMetrics:
-    """Instruments + collectors for one server (either front-end).
+    """Instruments + collectors for one server.
 
     ``service_provider`` is a zero-arg callable returning the live
     service (QueryService or WorkerFleet) — deferred because the HTTP
     server object is constructed before its service is attached.
     """
 
-    def __init__(self, service_provider, frontend: str = "threaded"):
+    def __init__(self, service_provider, frontend: str = "async"):
         self.registry = MetricsRegistry()
         self._service_provider = service_provider
         self.frontend = frontend
@@ -542,14 +542,13 @@ class ServerMetrics:
         self.dispatches = registry.counter(
             "repro_http_dispatch_total",
             "POST /query requests by where they ran: lane (answered without "
-            "waiting on the async front-end's lane thread) or executor (handed "
+            "waiting on the front-end's lane thread) or executor (handed "
             "to its thread pool).",
             ("path",),
         )
         self.connections = registry.gauge(
             "repro_http_connections_open",
-            "Open client connections (async front-end; the threaded front-end "
-            "reports handler threads only implicitly).",
+            "Open client connections.",
         )
         self.info = registry.gauge(
             "repro_server_info",

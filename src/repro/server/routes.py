@@ -1,21 +1,18 @@
-"""The transport-agnostic route core shared by both HTTP front-ends.
+"""The transport-agnostic route core of the HTTP front-end.
 
-The threaded :mod:`repro.server.http` and the asyncio
-:mod:`repro.server.asyncio_http` front-ends parse bytes off their
-sockets, build a :class:`Request`, and call :meth:`Router.dispatch`
-(the asyncio one first tries :meth:`Router.dispatch_now` on its lane
-thread);
-everything after that — routing, validation, deadline/admission
-bookkeeping, the error-kind → status mapping, the uniform envelope —
-lives here exactly once, so the two front-ends produce byte-identical
-response bodies by construction (the differential leg of
-``bench_server.py --frontend async`` proves it against live traffic).
+:mod:`repro.server.asyncio_http` parses bytes off its sockets, builds a
+:class:`Request`, and calls :meth:`Router.dispatch` on an executor
+thread (after :meth:`Router.dispatch_now` on its lane thread, for a
+``POST /query``); everything after that — routing, validation,
+deadline/admission bookkeeping, the error-kind → status mapping, the
+uniform envelope — lives here, so the transport only moves bytes and
+both of its paths answer with the same bodies.
 
 Tracing: every request carries a trace ID — taken from the client's
 ``X-Repro-Trace`` header when present, minted at accept otherwise —
 which is echoed on every response as the ``X-Repro-Trace`` header,
 stamped into ``/query`` result payloads, carried through the coalescer
-and over the worker wire, and written to both front-ends' access logs.
+and over the worker wire, and written to the access log.
 """
 
 from __future__ import annotations
@@ -63,7 +60,7 @@ def body_limit(method: str, path: str) -> int:
     return MAX_QUERY_BODY
 
 
-#: Both front-ends refuse any ``Transfer-Encoding`` (501, then close): bodies
+#: The front-end refuses any ``Transfer-Encoding`` (501, then close): bodies
 #: are framed by ``Content-Length`` only, and a chunked body left unread
 #: would be parsed as the next request.
 TRANSFER_ENCODING_REFUSAL = "Transfer-Encoding is not supported; send Content-Length"
@@ -91,11 +88,8 @@ def new_trace() -> str:
 
 
 class Headers(dict):
-    """Case-insensitive header access over lower-cased keys.
-
-    The threaded front-end passes the stdlib ``email.message.Message``
-    (already case-insensitive); the asyncio parser builds one of these.
-    """
+    """Case-insensitive header access over lower-cased keys (the parser
+    stores names lower-cased)."""
 
     def get(self, name, default=None):  # noqa: A003 - dict signature
         return super().get(name.lower(), default)

@@ -9,8 +9,7 @@ One :class:`QueryService` serves many concurrent callers over a
    shredded with every tag;
 2. the request joins the *pending micro-batch* of its
    ``(document, schema key)``; the first arrival becomes the batch
-   **leader**, optionally sleeps a bounded coalescing window, then drains
-   the queue and evaluates everything in it as **one**
+   **leader**, drains the queue and evaluates everything in it as **one**
    :class:`repro.engine.batch.BatchEvaluator` run — so requests that arrive
    while a batch is executing coalesce naturally into the next run and the
    cross-query common-subexpression cache becomes the server's hot path;
@@ -89,6 +88,10 @@ def kernel_info() -> dict:
 #: re-forked before its next batch.  Observed maxima over the benchmark
 #: workloads are 1.1x-1.6x, so the bound only meets the Theorem 3.6 family.
 WORKING_GROWTH_LIMIT = 4
+
+#: Most queued requests one coalesced batch evaluates; the rest take the
+#: next batch.
+MAX_BATCH = 64
 
 #: Batch-size histogram bucket upper bounds (queries per executed batch).
 BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64)
@@ -491,8 +494,6 @@ class QueryService(ServingBackend):
     def __init__(
         self,
         catalog: Catalog,
-        window: float = 0.0,
-        max_batch: int = 64,
         pool_capacity: int = 8,
         request_timeout: float = 120.0,
         max_queue: int = 0,
@@ -501,8 +502,6 @@ class QueryService(ServingBackend):
         optimize: bool = True,
     ):
         super().__init__(catalog, optimize=optimize)
-        self.window = window
-        self.max_batch = max(1, max_batch)
         self.request_timeout = request_timeout
         self.pool = InstancePool(capacity=pool_capacity)
         self.admission = AdmissionController(max_queue=max_queue, rate_limit=rate_limit)
@@ -562,7 +561,6 @@ class QueryService(ServingBackend):
         answers warm queries one after another.  Every condition is read
         from live state:
 
-        * the coalescing window is 0 (a window *is* a wait);
         * the compiled and optimized plans are cached (nothing is parsed,
           compiled or read from disk);
         * the master is resident and its working fork exists (nothing is
@@ -583,8 +581,6 @@ class QueryService(ServingBackend):
         payload, because both run :meth:`_serve`.  An answer that arrives
         after the deadline is refused, as :meth:`query`'s waiter refuses it.
         """
-        if self.window > 0:
-            return None
         plan = self._cached_plan(document, query_text)
         if plan is None:
             return None
@@ -773,12 +769,11 @@ class QueryService(ServingBackend):
     def _drain(self, key: tuple, pending: _Pending) -> None:
         """Leader loop: evaluate queued batches until the queue stays empty.
 
-        The leader (the thread whose request found the key idle) optionally
-        sleeps the coalescing window once, then repeatedly takes up to
-        ``max_batch`` queued requests and evaluates them as one batch.
-        Requests arriving *while* a batch executes are picked up by the next
-        iteration — natural micro-batching under load, no added latency
-        when idle (window 0).  When the queue stays empty the key's pending
+        The leader (the thread whose request found the key idle) repeatedly
+        takes up to :data:`MAX_BATCH` queued requests and evaluates them as
+        one batch.  Requests arriving *while* a batch executes are picked up
+        by the next iteration — natural micro-batching under load, no added
+        latency when idle.  When the queue stays empty the key's pending
         entry is removed from the registry, so `_pending` is bounded by the
         number of keys with in-flight requests, not by every
         ``(document, string-schema)`` a client ever mentioned.  (A submitter
@@ -786,12 +781,10 @@ class QueryService(ServingBackend):
         concurrent replacement entry for the same key is harmless — the two
         leaders serialise on the pool entry's lock.)
         """
-        if self.window > 0:
-            time.sleep(self.window)
         while True:
             with self._pending_lock:
                 with pending.mutex:
-                    batch = pending.queue[: self.max_batch]
+                    batch = pending.queue[:MAX_BATCH]
                     del pending.queue[: len(batch)]
                     if not batch:
                         pending.busy = False

@@ -126,8 +126,8 @@ def _serve_one(service, message, response_queue) -> None:
 def worker_main(worker_id: int, catalog_dir: str, request_queue, response_queue, config: dict):
     """Run one worker until a shutdown sentinel arrives (spawn entry point).
 
-    ``config`` carries the service knobs as primitives: ``window``,
-    ``max_batch``, ``pool_capacity``, ``threads``, and optionally ``faults`` — a primitives-only injection spec this
+    ``config`` carries the service knobs as primitives: ``pool_capacity``,
+    ``threads``, and optionally ``faults`` — a primitives-only injection spec this
     spawned process arms its own :data:`FAULTS` from (the chaos suite's
     only channel into worker internals).
     """
@@ -145,8 +145,6 @@ def worker_main(worker_id: int, catalog_dir: str, request_queue, response_queue,
         # intent would race each other's staging renames; the dispatching
         # front-end (the single writer) replays at its own startup.
         Catalog(catalog_dir, journal_replay=False),
-        window=config.get("window", 0.0),
-        max_batch=config.get("max_batch", 64),
         pool_capacity=config.get("pool_capacity", 8),
     )
     threads = max(1, int(config.get("threads", 4)))

@@ -102,12 +102,11 @@ class TestHistogramInvariants:
             assert all(a <= b for a, b in zip(counts, counts[1:]))
 
 
-@pytest.mark.parametrize("frontend", ["threaded", "async"])
-def test_live_scrape_observations_equal_requests_issued(tmp_path, frontend):
+def test_live_scrape_observations_equal_requests_issued(tmp_path):
     """End to end: every request issued is exactly one histogram observation."""
     catalog_dir = str(tmp_path / "cat")
     Catalog(catalog_dir).add("bib", BIB_XML)
-    server = create_server(catalog_dir, port=0, frontend=frontend)
+    server = create_server(catalog_dir, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]
@@ -147,7 +146,7 @@ def test_live_scrape_observations_equal_requests_issued(tmp_path, frontend):
             rows, _, count = histogram_series(
                 samples, "repro_http_request_seconds", route=route
             )
-            assert count - baseline[route] == expected, (mode, frontend, route)
+            assert count - baseline[route] == expected, route
             assert rows[-1] == (math.inf, count)
         # The per-route counter family tells the same story.
         requests_total = sum(

@@ -1,13 +1,10 @@
-"""Async front-end specifics: framing, keep-alive, drain, byte-identity.
+"""Transport specifics: framing, keep-alive, drain, and the lane.
 
-The shared route core — and the ``Content-Length`` refusals both
-transports must agree on — is exercised on both by ``test_http.py``'s
-parametrized fixture; this module covers what only
-the asyncio transport owns — HTTP/1.1 framing edge cases the stdlib
-handler used to absorb, graceful drain under load, the differential
-check that both front-ends emit byte-identical bodies for the same
-requests (the CI smoke's oracle, in miniature), and the rules that
-decide when a ``/query`` is answered on the lane thread.
+The route core — and the ``Content-Length`` refusals — are exercised
+through ``test_http.py``; this module covers what the asyncio transport
+owns: HTTP/1.1 framing edge cases, keep-alive, graceful drain under
+load, and the rules that decide when a ``/query`` is answered on the
+lane thread.
 """
 
 import http.client
@@ -39,7 +36,7 @@ LANE_THREAD = "repro-lane"
 @pytest.fixture
 def server(tmp_path):
     Catalog(str(tmp_path / "cat")).add("bib", BIB_XML)
-    server = create_server(str(tmp_path / "cat"), port=0, frontend="async")
+    server = create_server(str(tmp_path / "cat"), port=0)
     thread = threading.Thread(target=server.serve_forever, name=LOOP_THREAD, daemon=True)
     thread.start()
     host, port = server.server_address[:2]
@@ -240,9 +237,7 @@ class TestGracefulDrain:
 
     def test_idle_keepalive_connection_is_cancelled_on_drain(self, tmp_path):
         Catalog(str(tmp_path / "cat")).add("bib", BIB_XML)
-        server = create_server(
-            str(tmp_path / "cat"), port=0, frontend="async"
-        )
+        server = create_server(str(tmp_path / "cat"), port=0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         host, port = server.server_address[:2]
@@ -259,84 +254,6 @@ class TestGracefulDrain:
         server.server_close()
         server.service.close()
         thread.join(timeout=10)
-
-
-class TestByteIdentity:
-    """Both front-ends share one route core; prove the bodies match."""
-
-    ROUTES = [
-        ("GET", "/healthz", None),
-        ("GET", "/catalog", None),
-        ("POST", "/query", {"document": "bib", "query": "//book/author", "paths": 10}),
-        ("POST", "/query", {"document": "ghost", "query": "//a"}),
-        ("POST", "/query", {"document": "bib", "query": "//a[["}),
-        ("POST", "/explain", {"document": "bib", "query": "//book/author"}),
-        ("GET", "/nope", None),
-    ]
-
-    #: Keys that legitimately vary run to run (wall-clock measurements and
-    #: per-catalog registration stamps — each server owns its own catalog).
-    VOLATILE = {"seconds", "shred_seconds", "registered_at"}
-
-    def _scrub(self, payload):
-        if isinstance(payload, dict):
-            return {
-                key: self._scrub(value)
-                for key, value in payload.items()
-                if key not in self.VOLATILE
-            }
-        if isinstance(payload, list):
-            return [self._scrub(item) for item in payload]
-        return payload
-
-    def test_both_frontends_return_identical_bodies(self, tmp_path):
-        servers, threads = {}, {}
-        for frontend in ("threaded", "async"):
-            catalog_dir = str(tmp_path / f"cat-{frontend}")
-            Catalog(catalog_dir).add("bib", BIB_XML)
-            server = create_server(catalog_dir, port=0, frontend=frontend)
-            thread = threading.Thread(target=server.serve_forever, daemon=True)
-            thread.start()
-            host, port = server.server_address[:2]
-            assert wait_ready(host, port, timeout=30)
-            servers[frontend], threads[frontend] = server, thread
-        try:
-            for method, path, body in self.ROUTES:
-                results = {}
-                for frontend, server in servers.items():
-                    host, port = server.server_address[:2]
-                    connection = http.client.HTTPConnection(host, port, timeout=30)
-                    try:
-                        connection.request(
-                            method, path,
-                            json.dumps(body) if body is not None else None,
-                            # Pin the trace so minted IDs cannot differ.
-                            {"X-Repro-Trace": "0123456789abcdef"},
-                        )
-                        response = connection.getresponse()
-                        results[frontend] = (response.status, response.read())
-                    finally:
-                        connection.close()
-                threaded_status, threaded_body = results["threaded"]
-                async_status, async_body = results["async"]
-                assert async_status == threaded_status, (method, path)
-                scrubbed = [
-                    self._scrub(json.loads(raw))
-                    for raw in (threaded_body, async_body)
-                ]
-                if not any(
-                    f'"{key}"'.encode() in threaded_body for key in self.VOLATILE
-                ):
-                    # No volatile keys at all: the bodies must match byte
-                    # for byte, not just structurally.
-                    assert async_body == threaded_body, (method, path)
-                assert scrubbed[0] == scrubbed[1], (method, path)
-        finally:
-            for frontend, server in servers.items():
-                server.shutdown()
-                server.server_close()
-                server.service.close()
-                threads[frontend].join(timeout=10)
 
 
 #: One query over ``bib``: after its first run, plans, master and fork are warm.
@@ -438,13 +355,6 @@ class TestLanePath:
         assert self.now(service) is None
         assert entry.working is None  # never forked
 
-    def test_coalescing_window_takes_the_executor(self, tmp_path):
-        catalog = Catalog(str(tmp_path / "cat"))
-        catalog.add("bib", BIB_XML)
-        service = QueryService(catalog, window=0.001)
-        self.warm(service)
-        assert self.now(service) is None
-
     def test_busy_key_takes_the_executor(self, service):
         key, entry = self.warm(service)
         with entry.lock:
@@ -464,7 +374,7 @@ class TestLanePath:
 
     def test_fleet_backend_keeps_the_executor(self, tmp_path):
         Catalog(str(tmp_path / "cat")).add("bib", BIB_XML)
-        server = create_server(str(tmp_path / "cat"), port=0, frontend="async", workers=1)
+        server = create_server(str(tmp_path / "cat"), port=0, workers=1)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:

@@ -24,9 +24,10 @@ from repro.errors import (
     IntegrityError,
     WorkerUnavailableError,
 )
+from repro.server.asyncio_http import AsyncReproHTTPServer
 from repro.server.catalog import Catalog
 from repro.server.cluster import WorkerFleet
-from repro.server.http import ReproHTTPServer, create_server, wait_ready
+from repro.server.http import create_server, wait_ready
 from repro.server.resilience import FAULTS, Deadline
 from repro.server.service import QueryService, decode_result
 
@@ -159,19 +160,13 @@ class TestHTTPFaults:
         finally:
             stop_server(server, thread)
 
-    @pytest.mark.parametrize(
-        "frontend, workers", [("threaded", 0), ("async", 0), ("async", 1)]
-    )
-    def test_old_layout_ends_in_an_envelope_then_in_service(
-        self, tmp_path, frontend, workers
-    ):
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_old_layout_ends_in_an_envelope_then_in_service(self, tmp_path, workers):
         """A catalog written before the one-image layout: the server starts,
         refuses the document with the 503 envelope (no traceback, no hang, no
         half-read instance), and serves it once the operator repairs it."""
         write_old_layout_catalog(str(tmp_path / "cat"), "bib", BIB_XML)
-        server, thread = start_server(
-            tmp_path, register=False, frontend=frontend, workers=workers
-        )
+        server, thread = start_server(tmp_path, register=False, workers=workers)
         ask = {"document": "bib", "query": "//author"}
         try:
             status, payload, _ = request(server, "POST", "/query", ask)
@@ -284,7 +279,7 @@ class TestWorkerFaults:
                 }
             },
         )
-        server = ReproHTTPServer(("127.0.0.1", 0), fleet)
+        server = AsyncReproHTTPServer(("127.0.0.1", 0), fleet)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         ask = {"document": "bib", "query": "//book/author"}

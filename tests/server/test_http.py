@@ -20,16 +20,14 @@ from repro.server.service import decode_result
 from tests.skeleton.test_loader import BIB_XML
 
 
-@pytest.fixture(params=["threaded", "async"])
-def server(request, tmp_path):
+@pytest.fixture
+def server(tmp_path):
     # Always port 0: the kernel hands out a free ephemeral port, so any
     # number of parallel CI runs can never collide; the real port is read
     # back off the socket and readiness is probed (not assumed) through
-    # the same helper the benchmarks use.  Parametrized over both
-    # front-ends: every endpoint/error-mapping assertion below is part of
-    # the byte-identical contract the transports share.
+    # the same helper the benchmarks use.
     Catalog(str(tmp_path / "cat")).add("bib", BIB_XML)
-    server = create_server(str(tmp_path / "cat"), port=0, frontend=request.param)
+    server = create_server(str(tmp_path / "cat"), port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]
@@ -108,8 +106,8 @@ def assert_envelope(payload: dict, kind: str) -> dict:
 
 
 class TestContentLengthRefusals:
-    """Decided from the headers alone, identically on both front-ends: the
-    envelope, then ``Connection: close`` — the unread body cannot be skipped."""
+    """Decided from the headers alone: the envelope, then
+    ``Connection: close`` — the unread body cannot be skipped."""
 
     def refusal(self, server, head: bytes) -> tuple[bytes, dict]:
         from tests.server.test_async_http import raw_exchange
@@ -279,15 +277,16 @@ class TestErrorMapping:
         # The in-process service cannot lose a worker, so pin the mapping
         # through a stub service raising what a fleet dispatcher raises.
         from repro.errors import WorkerUnavailableError
-        from repro.server.http import ReproHTTPServer
+        from repro.server.asyncio_http import AsyncReproHTTPServer
 
         class DownService:
             request_timeout = 1.0
+            query_now = None  # no lane, like the fleet
 
             def query(self, document, query_text, **kwargs):
                 raise WorkerUnavailableError("worker 3 is down; the shard is respawning")
 
-        server = ReproHTTPServer(("127.0.0.1", 0), DownService())
+        server = AsyncReproHTTPServer(("127.0.0.1", 0), DownService())
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:

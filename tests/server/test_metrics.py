@@ -256,10 +256,10 @@ class TestRouteLabels:
         assert route_label("/nope") == "other"
 
 
-@pytest.fixture(params=["threaded", "async"])
-def server(request, tmp_path):
+@pytest.fixture
+def server(tmp_path):
     Catalog(str(tmp_path / "cat")).add("bib", BIB_XML)
-    server = create_server(str(tmp_path / "cat"), port=0, frontend=request.param)
+    server = create_server(str(tmp_path / "cat"), port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]
@@ -371,7 +371,7 @@ class TestMetricsEndpoint:
         _, _, body = http_get(server, "/metrics")
         families = parse_prometheus_text(body.decode())
         (sample,) = families["repro_server_info"]["samples"]
-        assert sample[1]["frontend"] in ("threaded", "async")
+        assert sample[1] == {"frontend": "async"}
         assert sample[2] == 1
 
 
@@ -385,7 +385,7 @@ class TestServerMetricsFacade:
         assert "repro_http_requests_total" in families  # instruments still render
 
     def test_observe_request_updates_both_families(self):
-        metrics = ServerMetrics(lambda: None, frontend="threaded")
+        metrics = ServerMetrics(lambda: None)
         metrics.observe_request("/query", "POST", 200, 0.003)
         families = parse_prometheus_text(metrics.render())
         (sample,) = families["repro_http_requests_total"]["samples"]

@@ -322,10 +322,10 @@ class TestFleetMutate:
             fleet.close()
 
 
-@pytest.fixture(params=["threaded", "async"])
-def server(request, tmp_path):
+@pytest.fixture
+def server(tmp_path):
     Catalog(str(tmp_path / "cat")).add("bib", BIB_XML)
-    server = create_server(str(tmp_path / "cat"), port=0, frontend=request.param)
+    server = create_server(str(tmp_path / "cat"), port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]

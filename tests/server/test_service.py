@@ -10,6 +10,7 @@ from repro.server.catalog import Catalog
 from repro.server.resilience import Deadline
 from repro.server.service import QueryService, decode_result
 
+from tests.server.test_cluster import wait_until
 from tests.skeleton.test_loader import BIB_XML
 
 QUERIES = [
@@ -20,6 +21,10 @@ QUERIES = [
     "//paper/following-sibling::paper",
     "/bib/*",
 ]
+
+#: The queries of :data:`QUERIES` that share one pool entry (no string
+#: predicate, so one schema key).
+TAG_QUERIES = [query for query in QUERIES if '"' not in query]
 
 
 @pytest.fixture
@@ -163,48 +168,70 @@ class TestMasterIsolation:
 
 
 class TestCoalescing:
+    @staticmethod
+    def queue_behind_held_lock(service, requests):
+        """Send ``requests`` (``service.query`` keyword sets) concurrently
+        while the key's entry lock is held, then release it.
+
+        A plug request leads first and takes a batch of itself alone before
+        it waits on the lock, so every request of ``requests`` queues behind
+        it and they drain together.  Returns ``{index: payload or error}``.
+        """
+        service.query("bib", "//author")  # resident master, idle key
+        (key,) = service.pool.keys()
+        entry = service.pool.peek(key)
+        outcomes = {}
+
+        def ask(index, kwargs):
+            try:
+                outcomes[index] = service.query("bib", **kwargs)
+            except Exception as error:  # noqa: BLE001 - collected for the asserts
+                outcomes[index] = error
+
+        plug = threading.Thread(target=ask, args=(-1, {"query_text": "//author"}))
+        waiters = [
+            threading.Thread(target=ask, args=(index, kwargs))
+            for index, kwargs in enumerate(requests)
+        ]
+        with entry.lock:
+            plug.start()
+            assert wait_until(
+                lambda: key in service._pending
+                and service._pending[key].busy
+                and not service._pending[key].queue
+            )
+            for thread in waiters:
+                thread.start()
+            assert wait_until(lambda: service.stats.requests == 2 + len(requests))
+        for thread in [plug, *waiters]:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        del outcomes[-1]
+        return outcomes
+
     def test_concurrent_requests_coalesce_and_stay_correct(self, catalog):
-        service = QueryService(catalog, window=0.05)
-        service.query("bib", "//author")  # warm the pool outside the window
-        barrier = threading.Barrier(8)
-        responses = {}
-
-        def worker(index, query):
-            barrier.wait(timeout=5)
-            responses[index] = service.query("bib", query, paths=50)
-
-        jobs = [(i, QUERIES[i % len(QUERIES)]) for i in range(8)]
-        threads = [threading.Thread(target=worker, args=job) for job in jobs]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-        assert len(responses) == 8
-        for index, query in jobs:
+        service = QueryService(catalog)
+        queries = [TAG_QUERIES[index % len(TAG_QUERIES)] for index in range(8)]
+        outcomes = self.queue_behind_held_lock(
+            service, [{"query_text": query, "paths": 50} for query in queries]
+        )
+        for index, query in enumerate(queries):
             expected = expected_payload(query, paths=50)
-            assert responses[index]["tree_count"] == expected["tree_count"]
-            assert responses[index]["paths"] == expected["paths"]
+            assert outcomes[index]["tree_count"] == expected["tree_count"]
+            assert outcomes[index]["paths"] == expected["paths"]
         stats = service.stats
-        # The window makes the 8 simultaneous requests share evaluations.
-        assert stats.batches < stats.requests
-        assert stats.max_batch_size >= 2
-        assert stats.coalesced_requests >= 2
+        # The warm-up and the plug ran alone; the eight queued requests
+        # shared one evaluation.
+        assert (stats.requests, stats.batches) == (10, 3)
+        assert stats.max_batch_size == 8
+        assert stats.coalesced_requests == 8
 
-    def test_max_batch_bounds_one_evaluation(self, catalog):
-        service = QueryService(catalog, window=0.05, max_batch=2)
-        barrier = threading.Barrier(6)
-
-        def worker():
-            barrier.wait(timeout=5)
-            service.query("bib", "//author")
-
-        threads = [threading.Thread(target=worker) for _ in range(6)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-        assert service.stats.max_batch_size <= 2
-        assert service.stats.requests == 6
+    def test_max_batch_bounds_one_evaluation(self, catalog, monkeypatch):
+        monkeypatch.setattr("repro.server.service.MAX_BATCH", 2)
+        service = QueryService(catalog)
+        self.queue_behind_held_lock(service, [{"query_text": "//author"}] * 5)
+        assert service.stats.max_batch_size == 2
+        assert (service.stats.requests, service.stats.batches) == (7, 5)
 
 
 class TestFailureIsolation:
@@ -212,33 +239,21 @@ class TestFailureIsolation:
         """One request's blown path limit fails only that request."""
         from repro.errors import DecompressionLimitError
 
-        service = QueryService(catalog, window=0.05)
-        service.query("bib", "//author")  # warm the pool outside the window
-        barrier = threading.Barrier(2)
-        outcomes = {}
-
-        def bad():
-            barrier.wait(timeout=5)
-            try:
-                # limit counts *visited tree nodes*: decoding any path of a
-                # bib selection blows a limit of 2.
-                service.query("bib", "//author", paths=5, limit=2)
-            except DecompressionLimitError as error:
-                outcomes["bad"] = error
-
-        def good():
-            barrier.wait(timeout=5)
-            outcomes["good"] = service.query("bib", "//title", paths=5)
-
-        threads = [threading.Thread(target=bad), threading.Thread(target=good)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-        assert isinstance(outcomes["bad"], DecompressionLimitError)
+        service = QueryService(catalog)
+        # limit counts *visited tree nodes*: decoding any path of a bib
+        # selection blows a limit of 2.
+        outcomes = TestCoalescing.queue_behind_held_lock(
+            service,
+            [
+                {"query_text": "//author", "paths": 5, "limit": 2},
+                {"query_text": "//title", "paths": 5},
+            ],
+        )
+        assert service.stats.max_batch_size == 2  # one batch, both requests
+        assert isinstance(outcomes[0], DecompressionLimitError)
         expected = expected_payload("//title", paths=5)
-        assert outcomes["good"]["tree_count"] == expected["tree_count"]
-        assert outcomes["good"]["paths"] == expected["paths"]
+        assert outcomes[1]["tree_count"] == expected["tree_count"]
+        assert outcomes[1]["paths"] == expected["paths"]
         assert service.stats.errors == 1
 
     def test_still_correct_after_decode_failure(self, catalog):

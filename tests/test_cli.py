@@ -298,7 +298,6 @@ class TestServeParser:
         from repro.cli import build_parser
 
         args = build_parser().parse_args(["serve"])
-        assert args.window_ms == 0.0
         assert args.pool_size == 8
         assert args.catalog == "repro-catalog"
         assert args.workers is None  # resolved to one per CPU at run time

@@ -94,8 +94,3 @@ def test_optimizer_doc_dotted_modules_import_paths_exist():
         assert module_path.with_suffix(".py").exists() or module_path.is_dir(), (
             f"docs/optimizer.md cites module {dotted}, which does not exist under src/"
         )
-
-
-def test_readme_mentions_frontend_flag():
-    assert "--frontend {async,threaded}" in README
-    assert "--frontend async" in README

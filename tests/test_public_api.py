@@ -85,7 +85,6 @@ SNAPSHOT = {
         "MetricsRegistry",
         "PoolEntry",
         "QueryService",
-        "ReproHTTPServer",
         "Request",
         "Response",
         "Router",
@@ -109,18 +108,14 @@ CLI_OPTIONS = {
     "serve": [
         "--catalog",
         "--deadline-ms",
-        "--frontend",
         "--help",
         "--host",
-        "--http-threads",
-        "--max-batch",
         "--max-queue",
         "--pool-size",
         "--port",
         "--rate-limit",
         "--stats-interval",
         "--verbose",
-        "--window-ms",
         "--worker-threads",
         "--workers",
         "-C",
