@@ -26,6 +26,7 @@ from repro.server.metrics import (
     parse_prometheus_text,
 )
 
+from tests.server.test_async_http import DISPATCH_PATHS, set_dispatch
 from tests.skeleton.test_loader import BIB_XML
 
 #: Small bucket ladders chosen adversarially: single-bucket, dense, sparse.
@@ -102,11 +103,12 @@ class TestHistogramInvariants:
             assert all(a <= b for a, b in zip(counts, counts[1:]))
 
 
-def test_live_scrape_observations_equal_requests_issued(tmp_path):
+@pytest.mark.parametrize("dispatch", DISPATCH_PATHS)
+def test_live_scrape_observations_equal_requests_issued(tmp_path, dispatch):
     """End to end: every request issued is exactly one histogram observation."""
     catalog_dir = str(tmp_path / "cat")
     Catalog(catalog_dir).add("bib", BIB_XML)
-    server = create_server(catalog_dir, port=0)
+    server = set_dispatch(create_server(catalog_dir, port=0), dispatch)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]
@@ -146,7 +148,7 @@ def test_live_scrape_observations_equal_requests_issued(tmp_path):
             rows, _, count = histogram_series(
                 samples, "repro_http_request_seconds", route=route
             )
-            assert count - baseline[route] == expected, route
+            assert count - baseline[route] == expected, (dispatch, route)
             assert rows[-1] == (math.inf, count)
         # The per-route counter family tells the same story.
         requests_total = sum(

@@ -32,6 +32,20 @@ LOOP_THREAD = "event-loop"
 #: The name of the async front-end's lane thread.
 LANE_THREAD = "repro-lane"
 
+#: The two ways the front-end can answer a ``POST /query``; the surface
+#: suites (``test_http.py``, ``test_metrics.py``, ...) run on both.
+#: ``async`` is the server as ``repro serve`` runs it: warm, cheap queries
+#: are answered on the lane.  ``executor`` is the same server with the lane
+#: off, so every query takes the executor, as it does under a fleet.
+DISPATCH_PATHS = ["async", "executor"]
+
+
+def set_dispatch(server, path: str):
+    """Turn ``server``'s lane off when ``path`` is ``"executor"``."""
+    if path == "executor":
+        server.service.query_now = None  # what Router.answers_now reads
+    return server
+
 
 @pytest.fixture
 def server(tmp_path):
@@ -254,6 +268,84 @@ class TestGracefulDrain:
         server.server_close()
         server.service.close()
         thread.join(timeout=10)
+
+
+class TestByteIdentity:
+    """Both dispatch paths share one route core; prove the bodies match."""
+
+    ROUTES = [
+        ("GET", "/healthz", None),
+        ("GET", "/catalog", None),
+        ("POST", "/query", {"document": "bib", "query": "//book/author", "paths": 10}),
+        ("POST", "/query", {"document": "ghost", "query": "//a"}),
+        ("POST", "/query", {"document": "bib", "query": "//a[["}),
+        ("POST", "/explain", {"document": "bib", "query": "//book/author"}),
+        ("GET", "/nope", None),
+    ]
+
+    #: Keys that legitimately vary run to run (wall-clock measurements and
+    #: per-catalog registration stamps — each server owns its own catalog).
+    VOLATILE = {"seconds", "shred_seconds", "registered_at"}
+
+    def _scrub(self, payload):
+        if isinstance(payload, dict):
+            return {
+                key: self._scrub(value)
+                for key, value in payload.items()
+                if key not in self.VOLATILE
+            }
+        if isinstance(payload, list):
+            return [self._scrub(item) for item in payload]
+        return payload
+
+    def test_lane_and_executor_return_identical_bodies(self, tmp_path):
+        servers, threads = {}, {}
+        for dispatch in DISPATCH_PATHS:
+            catalog_dir = str(tmp_path / f"cat-{dispatch}")
+            Catalog(catalog_dir).add("bib", BIB_XML)
+            server = set_dispatch(create_server(catalog_dir, port=0), dispatch)
+            thread = threading.Thread(target=server.serve_forever, daemon=True)
+            thread.start()
+            host, port = server.server_address[:2]
+            assert wait_ready(host, port, timeout=30)
+            servers[dispatch], threads[dispatch] = server, thread
+        try:
+            # Twice over: the second round finds the plans, master and fork
+            # warm, so the lane server answers its good query on the lane.
+            for method, path, body in self.ROUTES * 2:
+                results = {}
+                for dispatch, server in servers.items():
+                    host, port = server.server_address[:2]
+                    connection = http.client.HTTPConnection(host, port, timeout=30)
+                    try:
+                        connection.request(
+                            method, path,
+                            json.dumps(body) if body is not None else None,
+                            # Pin the trace so minted IDs cannot differ.
+                            {"X-Repro-Trace": "0123456789abcdef"},
+                        )
+                        response = connection.getresponse()
+                        results[dispatch] = (response.status, response.read())
+                    finally:
+                        connection.close()
+                lane_status, lane_body = results["async"]
+                executor_status, executor_body = results["executor"]
+                assert lane_status == executor_status, (method, path)
+                if not any(f'"{key}"'.encode() in lane_body for key in self.VOLATILE):
+                    # No volatile keys at all: the bodies must match byte
+                    # for byte, not just structurally.
+                    assert lane_body == executor_body, (method, path)
+                assert self._scrub(json.loads(lane_body)) == self._scrub(
+                    json.loads(executor_body)
+                ), (method, path)
+            assert servers["async"].metrics.dispatches.value(path="lane") >= 1
+            assert servers["executor"].metrics.dispatches.value(path="lane") == 0
+        finally:
+            for dispatch, server in servers.items():
+                server.shutdown()
+                server.server_close()
+                server.service.close()
+                threads[dispatch].join(timeout=10)
 
 
 #: One query over ``bib``: after its first run, plans, master and fork are warm.

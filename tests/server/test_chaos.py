@@ -32,6 +32,7 @@ from repro.server.resilience import FAULTS, Deadline
 from repro.server.service import QueryService, decode_result
 
 from tests.server.test_catalog import corrupt_skeleton, write_old_layout_catalog
+from tests.server.test_async_http import set_dispatch
 from tests.server.test_cluster import wait_until
 from tests.skeleton.test_loader import BIB_XML
 
@@ -160,13 +161,18 @@ class TestHTTPFaults:
         finally:
             stop_server(server, thread)
 
-    @pytest.mark.parametrize("workers", [0, 1])
-    def test_old_layout_ends_in_an_envelope_then_in_service(self, tmp_path, workers):
+    @pytest.mark.parametrize(
+        "dispatch, workers", [("async", 0), ("async", 1), ("executor", 0)]
+    )
+    def test_old_layout_ends_in_an_envelope_then_in_service(
+        self, tmp_path, dispatch, workers
+    ):
         """A catalog written before the one-image layout: the server starts,
         refuses the document with the 503 envelope (no traceback, no hang, no
         half-read instance), and serves it once the operator repairs it."""
         write_old_layout_catalog(str(tmp_path / "cat"), "bib", BIB_XML)
         server, thread = start_server(tmp_path, register=False, workers=workers)
+        set_dispatch(server, dispatch)
         ask = {"document": "bib", "query": "//author"}
         try:
             status, payload, _ = request(server, "POST", "/query", ask)

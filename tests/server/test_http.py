@@ -17,17 +17,20 @@ from repro.server.catalog import Catalog
 from repro.server.http import create_server, wait_ready
 from repro.server.service import decode_result
 
+from tests.server.test_async_http import DISPATCH_PATHS, set_dispatch
 from tests.skeleton.test_loader import BIB_XML
 
 
-@pytest.fixture
-def server(tmp_path):
+@pytest.fixture(params=DISPATCH_PATHS)
+def server(request, tmp_path):
     # Always port 0: the kernel hands out a free ephemeral port, so any
     # number of parallel CI runs can never collide; the real port is read
     # back off the socket and readiness is probed (not assumed) through
-    # the same helper the benchmarks use.
+    # the same helper the benchmarks use.  Parametrized over both dispatch
+    # paths: every endpoint/error-mapping assertion below must hold
+    # whether a query is answered on the lane or on the executor.
     Catalog(str(tmp_path / "cat")).add("bib", BIB_XML)
-    server = create_server(str(tmp_path / "cat"), port=0)
+    server = set_dispatch(create_server(str(tmp_path / "cat"), port=0), request.param)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]

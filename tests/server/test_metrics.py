@@ -33,6 +33,7 @@ from repro.server.metrics import (
     route_label,
 )
 
+from tests.server.test_async_http import DISPATCH_PATHS, set_dispatch
 from tests.skeleton.test_loader import BIB_XML
 
 
@@ -256,10 +257,10 @@ class TestRouteLabels:
         assert route_label("/nope") == "other"
 
 
-@pytest.fixture
-def server(tmp_path):
+@pytest.fixture(params=DISPATCH_PATHS)
+def server(request, tmp_path):
     Catalog(str(tmp_path / "cat")).add("bib", BIB_XML)
-    server = create_server(str(tmp_path / "cat"), port=0)
+    server = set_dispatch(create_server(str(tmp_path / "cat"), port=0), request.param)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]

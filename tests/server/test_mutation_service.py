@@ -23,6 +23,7 @@ from repro.server.http import create_server, wait_ready
 from repro.server.service import QueryService, decode_result
 
 from tests.server.test_catalog import assert_served_is_minimal
+from tests.server.test_async_http import DISPATCH_PATHS, set_dispatch
 from tests.skeleton.test_loader import BIB_XML
 
 APPEND_BOOK = {
@@ -322,10 +323,10 @@ class TestFleetMutate:
             fleet.close()
 
 
-@pytest.fixture
-def server(tmp_path):
+@pytest.fixture(params=DISPATCH_PATHS)
+def server(request, tmp_path):
     Catalog(str(tmp_path / "cat")).add("bib", BIB_XML)
-    server = create_server(str(tmp_path / "cat"), port=0)
+    server = set_dispatch(create_server(str(tmp_path / "cat"), port=0), request.param)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]

@@ -306,6 +306,24 @@ class TestServeParser:
         with pytest.raises(SystemExit):  # the evaluation-mode selector is gone
             build_parser().parse_args(["serve", "--mode", "snapshot"])
 
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--frontend", "async"],
+            ["--http-threads", "4"],
+            ["--window-ms", "2"],
+            ["--max-batch", "64"],
+        ],
+        ids=lambda option: option[0],
+    )
+    def test_removed_transport_options_are_usage_errors(self, option, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as raised:  # one front-end, no knobs
+            build_parser().parse_args(["serve", *option])
+        assert raised.value.code == 2
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+
     def test_fleet_flags(self):
         from repro.cli import build_parser
 
