@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Sequence
 from repro.engine.evaluator import CompressedEvaluator
 from repro.engine.results import BatchResult, BatchStats, QueryResult, reachable_sizes
 from repro.model.instance import Instance
-from repro.model.schema import is_result, is_temp, result_set
+from repro.model.schema import is_temp, result_set
 from repro.xpath.algebra import AlgebraExpr
 from repro.xpath.compiler import compile_query
 
@@ -153,22 +153,6 @@ class BatchEvaluator(CompressedEvaluator):
             nodes_reused=self.stats.nodes_reused - mark[3],
         )
         return BatchResult(results=results, seconds=elapsed, stats=batch_stats)
-
-    def reset_results(self) -> None:
-        """Drop every durable ``#q<i>`` snapshot from the working instance.
-
-        The serving path (:mod:`repro.server.service`) reuses one working
-        instance across many batches: results are decoded to plain payloads
-        immediately after each batch, after which their snapshot selections
-        are dead weight — without this reset the schema (and with it every
-        vertex mask) would grow by one set per query forever.  Do **not**
-        call this while any undecoded :class:`QueryResult` of this
-        evaluator is still alive.
-        """
-        self._instance.drop_sets(
-            name for name in self._instance.schema if is_result(name)
-        )
-        self._result_counter = 0
 
     def evaluate(
         self,

@@ -356,6 +356,18 @@ class Instance:
         self._planes = [plane for i, plane in enumerate(self._planes) if i not in dropped]
         self._bits = {n: i for i, n in enumerate(self._schema)}
 
+    def truncate_sets(self, width: int) -> None:
+        """Drop every set at schema position ``width`` or later, in O(dropped).
+
+        The working-fork rollback: the sets added since the schema was
+        ``width`` wide are exactly those past it, as long as none of the
+        first ``width`` was dropped in between.
+        """
+        for name in self._schema[width:]:
+            del self._bits[name]
+        del self._schema[width:]
+        del self._planes[width:]
+
     def clear_sets(self, names: Iterable[str]) -> None:
         """Empty several sets (schema unchanged); one plane wipe per set."""
         for bit in {self.bit_of(name) for name in dict.fromkeys(names)}:

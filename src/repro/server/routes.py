@@ -9,7 +9,8 @@ uniform envelope — lives here, so the transport only moves bytes and
 both of its paths answer with the same bodies.
 
 Tracing: every request carries a trace ID — taken from the client's
-``X-Repro-Trace`` header when present, minted at accept otherwise —
+``X-Repro-Trace`` header when it is 1–64 characters of ``[0-9A-Za-z._-]``,
+minted at accept otherwise —
 which is echoed on every response as the ``X-Repro-Trace`` header,
 stamped into ``/query`` result payloads, carried through the coalescer
 and over the worker wire, and written to the access log.
@@ -20,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import time
 import urllib.parse
 # Distinct from builtins.TimeoutError before 3.11, an alias after.
@@ -87,6 +89,11 @@ def new_trace() -> str:
     return os.urandom(8).hex()
 
 
+#: A client trace ID the server echoes; anything else is replaced by a
+#: minted one, so no client byte reaches a response header unchecked.
+CLIENT_TRACE = re.compile(r"[0-9A-Za-z._-]{1,64}")
+
+
 class Headers(dict):
     """Case-insensitive header access over lower-cased keys (the parser
     stores names lower-cased)."""
@@ -119,7 +126,11 @@ class Request:
         #: time spent queued behind the executor bridge counts against
         #: the request's budget exactly like coalescing wait does.
         self.received_at = time.monotonic() if received_at is None else received_at
-        self.trace = trace or self.header("X-Repro-Trace") or new_trace()
+        if not trace:
+            trace = self.header("X-Repro-Trace")
+            if trace is None or not CLIENT_TRACE.fullmatch(trace):
+                trace = new_trace()
+        self.trace = trace
 
     def header(self, name: str, default=None):
         if self.headers is None:

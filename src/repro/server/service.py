@@ -926,7 +926,8 @@ class QueryService(ServingBackend):
         failures (e.g. a client-supplied path ``limit`` blown by a huge
         selection) are captured *per request*, so one bad request never
         poisons its batch-mates.  The working fork stays with the entry
-        after every successful evaluation (snapshots dropped), and is
+        after every successful evaluation (truncated back to the schema it
+        had before the batch), and is
         **discarded** if evaluation itself died mid-batch — a half-evaluated
         instance still carries populated temp sets that a later evaluator's
         fresh counter would silently reuse.
@@ -938,13 +939,16 @@ class QueryService(ServingBackend):
         started = time.perf_counter()
         FAULTS.fire("service.evaluate", batch=len(batch))
         working = entry.working
+        width = len(working.schema)
         for request in batch:
             _ensure_tag_sets(working, request.tags)
         evaluator = BatchEvaluator(working, copy=False, short_circuit=self.optimize)
         check = self._batch_check(batch)
         vertices_before = working.num_vertices
         try:
-            result = evaluator.evaluate_batch([request.expr for request in batch], check=check)
+            result = evaluator.evaluate_batch(
+                [request.expr for request in batch], keep_temps=True, check=check
+            )
         except BaseException:
             entry.working = None  # re-fork from the pristine master
             raise
@@ -965,12 +969,9 @@ class QueryService(ServingBackend):
                 time.perf_counter() - started,
                 self.COMPILED_CACHE_LIMIT,
             )
-        # Keep the working fork for the next batch, minus what this batch
-        # added to its schema: the durable result snapshots — everything was
-        # decoded above, so nothing references them anymore — and the empty
-        # sets of tags the document lacks.
-        evaluator.reset_results()
-        working.drop_sets(
-            [name for name in working.schema if not entry.instance.has_set(name)]
-        )
+        # Keep the working fork for the next batch, minus every set this
+        # batch appended to its schema — the empty sets of tags the document
+        # lacks, the temporaries and the result snapshots (all decoded above,
+        # so nothing references them anymore): one truncation.
+        working.truncate_sets(width)
         return outcomes

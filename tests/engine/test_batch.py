@@ -176,29 +176,27 @@ class TestBatchEdgeCases:
         assert calls["n"] == len(batch)
 
 
-class TestResetResults:
-    """The serving seam: long-lived evaluators shed their #q snapshots."""
+class TestTruncateSets:
+    """The serving seam: a long-lived working instance sheds what a batch
+    added to its schema with one ``Instance.truncate_sets``."""
 
-    def test_reset_drops_snapshots_and_reuses_names(self, figure2_compressed):
+    def test_truncation_drops_snapshots_and_temps(self, figure2_compressed):
         evaluator = BatchEvaluator(figure2_compressed)
-        first = evaluator.evaluate_batch(MIX)
-        counts = [result.tree_count() for result in first]  # decode before reset
+        width = len(evaluator.instance.schema)
+        schema = evaluator.instance.schema
+        first = evaluator.evaluate_batch(MIX, keep_temps=True)
+        counts = [result.tree_count() for result in first]  # decode before truncating
         assert any(name.startswith("#q") for name in evaluator.instance.schema)
-        evaluator.reset_results()
-        assert not any(name.startswith("#q") for name in evaluator.instance.schema)
-        # A later batch restarts at #q0 and still decodes identically.
+        evaluator.instance.truncate_sets(width)
+        assert evaluator.instance.schema == schema
+        # A later batch on the same instance still decodes identically.
         second = evaluator.evaluate_batch(MIX)
-        assert [result.set_name for result in second] == [
-            result.set_name for result in first
-        ]
         assert [result.tree_count() for result in second] == counts
 
-    def test_schema_does_not_grow_across_reset_batches(self, figure2_compressed):
+    def test_schema_does_not_grow_across_truncated_batches(self, figure2_compressed):
         evaluator = BatchEvaluator(figure2_compressed)
-        evaluator.evaluate_batch(MIX)
-        evaluator.reset_results()
         width = len(evaluator.instance.schema)
         for _ in range(5):
-            evaluator.evaluate_batch(MIX)
-            evaluator.reset_results()
+            evaluator.evaluate_batch(MIX, keep_temps=True)
+            evaluator.instance.truncate_sets(width)
         assert len(evaluator.instance.schema) == width

@@ -83,6 +83,18 @@ def test_drop_sets_matches_repeated_drop_set(instance, names):
     assert snapshot(bulk) == expected
 
 
+@given(random_dag_instances(), st.integers(min_value=0, max_value=len(LABELS) + 1))
+def test_truncate_sets_matches_dropping_the_tail(instance, width):
+    bulk = instance.copy()
+    reference = instance.copy()
+    bulk.truncate_sets(width)
+    reference.drop_sets(instance.schema[width:])
+    assert bulk.schema == reference.schema == instance.schema[:width]
+    assert snapshot(bulk) == snapshot(reference)
+    assert all(bulk.bit_of(name) == index for index, name in enumerate(bulk.schema))
+    assert not any(bulk.has_set(name) for name in instance.schema[width:])
+
+
 @given(random_dag_instances(), st.lists(st.sampled_from(LABELS), max_size=3))
 def test_clear_sets_empties_only_the_named_sets(instance, names):
     bulk = instance.copy()

@@ -7,8 +7,10 @@ load, and the rules that decide when a ``/query`` is answered on the
 lane thread.
 """
 
+import contextlib
 import http.client
 import json
+import re
 import socket
 import sys
 import threading
@@ -77,6 +79,46 @@ def raw_exchange(server, payload: bytes, timeout: float = 30.0) -> bytes:
             chunks.append(chunk)
 
 
+def read_response(sock, buffer: bytes = b"") -> tuple[int, bytes, bytes, bytes]:
+    """One response off ``sock``: ``(status, head, body, bytes left over)``."""
+    while b"\r\n\r\n" not in buffer:
+        chunk = sock.recv(65536)
+        if not chunk:
+            raise EOFError(f"peer closed after {buffer!r}")
+        buffer += chunk
+    head, _, rest = buffer.partition(b"\r\n\r\n")
+    match = re.search(rb"\r\nContent-Length: (\d+)", head)
+    length = int(match.group(1)) if match else 0
+    while len(rest) < length:
+        chunk = sock.recv(65536)
+        if not chunk:
+            raise EOFError("peer closed mid-body")
+        rest += chunk
+    return int(head.split()[1]), head, rest[:length], rest[length:]
+
+
+def query_bytes(body: dict, extra_headers: str = "") -> bytes:
+    """A raw ``POST /query`` carrying ``body`` as JSON."""
+    payload = json.dumps(body).encode()
+    head = (
+        f"POST /query HTTP/1.1\r\nHost: test\r\nContent-Length: {len(payload)}\r\n"
+        f"{extra_headers}\r\n"
+    )
+    return head.encode() + payload
+
+
+@contextlib.contextmanager
+def connected(server, timeout: float = 30.0):
+    host, port = server.server_address[:2]
+    with socket.create_connection((host, port), timeout=timeout) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        yield sock
+
+
+#: A ``/query`` the ``server`` fixture's catalog answers.
+AUTHORS = {"document": "bib", "query": "//author"}
+
+
 class TestFraming:
     def test_malformed_request_line_gets_envelope_and_close(self, server):
         response = raw_exchange(server, b"NONSENSE\r\n\r\n")
@@ -123,6 +165,150 @@ class TestFraming:
     def test_refusals_still_carry_a_trace_header(self, server):
         response = raw_exchange(server, b"NONSENSE\r\n\r\n")
         assert b"X-Repro-Trace: " in response.partition(b"\r\n\r\n")[0]
+
+    def test_two_pipelined_requests_in_one_segment_are_answered_in_order(self, server):
+        with connected(server) as sock:
+            sock.sendall(query_bytes(AUTHORS) + b"GET /healthz HTTP/1.1\r\n\r\n")
+            status, _, body, rest = read_response(sock)
+            assert status == 200 and json.loads(body)["tree_count"] > 0
+            status, _, body, rest = read_response(sock, rest)
+            assert status == 200 and json.loads(body)["status"] == "ok"
+            assert rest == b""
+
+    def test_a_request_sent_one_byte_per_send_is_answered(self, server):
+        with connected(server) as sock:
+            for index in range(len(request := query_bytes(AUTHORS))):
+                sock.send(request[index:index + 1])
+                time.sleep(0.001)
+            status, _, body, _ = read_response(sock)
+        assert status == 200 and json.loads(body)["tree_count"] > 0
+
+    def test_a_head_and_its_body_in_separate_segments_are_answered(self, server):
+        request = query_bytes(AUTHORS)
+        head, _, body = request.partition(b"\r\n\r\n")
+        with connected(server) as sock:
+            sock.sendall(head + b"\r\n\r\n")
+            time.sleep(0.05)
+            sock.sendall(body)
+            status, _, payload, _ = read_response(sock)
+        assert status == 200 and json.loads(payload)["tree_count"] > 0
+
+    def test_a_client_that_never_reads_stops_being_parsed(self, server):
+        """Past the 64 KiB write high-water mark the connection parses no
+        further request, the loop stays free for other connections, and
+        once the client reads, every request it sent is answered in order."""
+        sent = 600
+        answered = lambda: server.metrics.http_requests.value(  # noqa: E731
+            route="/metrics", method="GET", status="200"
+        )
+        with socket.socket() as sock:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.settimeout(60)
+            sock.connect(server.server_address[:2])
+            sock.sendall(b"GET /metrics HTTP/1.1\r\n\r\n" * sent)
+            counts = [-1]
+
+            def stalled():
+                counts.append(answered())
+                return counts[-1] == counts[-2]
+
+            assert wait_until(stalled, timeout=30, interval=0.3)
+            assert counts[-1] < sent
+            assert healthz_seconds(server) < 0.05
+            statuses, rest = [], b""
+            for _ in range(sent):
+                status, _, _, rest = read_response(sock, rest)
+                statuses.append(status)
+        assert statuses == [200] * sent
+
+    def test_expect_100_continue_is_answered_before_the_body(self, server):
+        request = query_bytes(AUTHORS, "Expect: 100-continue\r\n")
+        head, _, body = request.partition(b"\r\n\r\n")
+        with connected(server) as sock:
+            sock.sendall(head + b"\r\n\r\n")
+            interim = b""
+            while not interim.endswith(b"\r\n\r\n"):
+                interim += sock.recv(1)
+            assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(body)
+            status, _, payload, _ = read_response(sock)
+        assert status == 200 and json.loads(payload)["tree_count"] > 0
+
+    def test_an_oversized_expect_gets_413_and_no_continue(self, server):
+        response = raw_exchange(
+            server,
+            b"POST /query HTTP/1.1\r\nContent-Length: 2000000\r\n"
+            b"Expect: 100-continue\r\n\r\n",
+        )
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 413 ") and b"Connection: close" in head
+        assert b"100 Continue" not in response
+        assert json.loads(body)["error"]["kind"] == "payload-too-large"
+
+    def test_conflicting_content_lengths_are_400_and_close(self, server):
+        payload = json.dumps(AUTHORS).encode()
+        response = raw_exchange(
+            server,
+            b"POST /query HTTP/1.1\r\nContent-Length: 5\r\n"
+            + f"Content-Length: {len(payload)}\r\n\r\n".encode() + payload,
+        )
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ") and b"Connection: close" in head
+        assert json.loads(body)["error"]["message"] == "conflicting Content-Length headers"
+        assert response.count(b"HTTP/1.1 ") == 1
+
+    def test_identical_repeated_content_lengths_are_served(self, server):
+        payload = json.dumps(AUTHORS).encode()
+        length = f"Content-Length: {len(payload)}\r\n".encode()
+        response = raw_exchange(
+            server, b"POST /query HTTP/1.1\r\n" + length + length + b"\r\n" + payload
+        )
+        assert response.startswith(b"HTTP/1.1 200 ")
+
+    def test_whitespace_before_a_header_colon_is_400_and_close(self, server):
+        payload = json.dumps(AUTHORS).encode()
+        response = raw_exchange(
+            server,
+            f"POST /query HTTP/1.1\r\nContent-Length : {len(payload)}\r\n\r\n".encode()
+            + payload,
+        )
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ") and b"Connection: close" in head
+        assert "whitespace before the colon" in json.loads(body)["error"]["message"]
+        assert response.count(b"HTTP/1.1 ") == 1
+
+
+class TestClientTrace:
+    """A client ``X-Repro-Trace`` is echoed only when it is 1-64 characters
+    of ``[0-9A-Za-z._-]``; anything else gets a freshly minted trace."""
+
+    def trace_of(self, server, trace: str) -> tuple[str, str]:
+        """The trace of one ``/query`` answer: (response header, body field)."""
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            connection.request(
+                "POST", "/query", json.dumps(AUTHORS), {"X-Repro-Trace": trace}
+            )
+            response = connection.getresponse()
+            payload = json.loads(response.read())
+            assert response.status == 200, payload
+            return response.getheader("X-Repro-Trace"), payload["trace"]
+        finally:
+            connection.close()
+
+    @pytest.mark.parametrize(
+        "trace", ["x" * 5000, "x" * 65, "abc\x7fdef", "a b", "caf\xe9"],
+        ids=["5000-bytes", "65-chars", "del", "space", "latin-1"],
+    )
+    def test_an_unsafe_client_trace_is_replaced(self, server, trace):
+        header, body = self.trace_of(server, trace)
+        assert header == body != trace
+        assert re.fullmatch(r"[0-9a-f]{16}", header)
+
+    @pytest.mark.parametrize("trace", ["x" * 64, "e2e-Trace_1.0", "7"])
+    def test_a_safe_client_trace_is_echoed(self, server, trace):
+        assert self.trace_of(server, trace) == (trace, trace)
 
 
 class TestKeepAlive:
