@@ -53,9 +53,6 @@ from bench_server import (
     percentile,
 )
 from repro.server.catalog import Catalog
-# The same counting the fleet itself uses for its --workers default, so the
-# gate-enforcement decision can never diverge from the deployed behaviour.
-from repro.server.cluster import default_worker_count as usable_cores
 
 DOCUMENTS = ("binary-tree", "relational", "xmark")
 
@@ -236,7 +233,10 @@ def main(argv=None) -> int:
     clients = args.clients or (6 if args.smoke else 16)
     total = args.requests or (60 if args.smoke else 240)
     worker_counts = args.worker_counts or ([2] if args.smoke else [1, 2, 4, 8])
-    cores = usable_cores()
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # non-Linux
+        cores = os.cpu_count() or 1
 
     print(
         f"cluster workload: sharded fleet vs single-process server "

@@ -15,7 +15,7 @@ Installed as the ``repro`` console script::
     repro explain --file d.xml --analyze '//a/b'   # optimized plan, est vs actual
     repro catalog add dblp d.xml          # shred once into the catalog
     repro catalog update dblp --op append_child --path . --fragment new.xml
-    repro serve --port 8080               # concurrent query service
+    repro serve --port 8080               # concurrent query service, in process
     repro serve --workers 4               # ... sharded over 4 worker processes
 
 Multiple XPaths (positional and/or one per line of a ``--workload`` file)
@@ -197,18 +197,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.server.cluster import default_worker_count
     from repro.server.http import serve
 
-    if args.workers is not None:
-        workers = args.workers
-    else:
-        # One worker per CPU — except on a single-core machine, where a
-        # 1-worker fleet is the in-process server plus IPC tax (measured
-        # ~8%, BENCH_cluster.json): serve in process there instead.
-        cores = default_worker_count()
-        workers = cores if cores > 1 else 0
-    if workers < 0:
+    if args.workers < 0:
         print("error: --workers must be >= 0", file=sys.stderr)
         return EXIT_USAGE
     if args.worker_threads < 1:
@@ -226,7 +217,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         pool_capacity=args.pool_size,
         quiet=not args.verbose,
-        workers=workers,
+        workers=args.workers,
         worker_threads=args.worker_threads,
         stats_interval=args.stats_interval,
         deadline_ms=args.deadline_ms,
@@ -483,10 +474,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="max resident (document, schema) instances before LRU eviction",
     )
     serve.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", type=int, default=0,
         help="pre-forked worker processes, requests sharded by "
-        "(document, string-schema) rendezvous hash (default: one per CPU, "
-        "or in-process on a single-core machine; 0 = always in process)",
+        "(document, string-schema) rendezvous hash (default: 0, serve in "
+        "process)",
     )
     serve.add_argument(
         "--worker-threads", type=int, default=4,

@@ -30,7 +30,7 @@ The subsystem has four layers, bottom up:
 
 from repro.server.asyncio_http import AsyncReproHTTPServer
 from repro.server.catalog import Catalog, CatalogEntry
-from repro.server.cluster import WorkerFleet, default_worker_count
+from repro.server.cluster import WorkerFleet
 from repro.server.http import create_server, serve, wait_ready
 from repro.server.metrics import (
     MetricsRegistry,
@@ -70,7 +70,6 @@ __all__ = [
     "WorkerFleet",
     "create_server",
     "decode_result",
-    "default_worker_count",
     "parse_prometheus_text",
     "serve",
     "wait_ready",

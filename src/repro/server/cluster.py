@@ -53,7 +53,6 @@ import hashlib
 import itertools
 import json
 import multiprocessing
-import os
 import queue as stdlib_queue
 import threading
 import time
@@ -104,14 +103,6 @@ def _fold_stats(carried, live):
     if isinstance(carried, (int, float)) and isinstance(live, (int, float)):
         return carried + live
     return live
-
-
-def default_worker_count() -> int:
-    """The ``--workers`` default: one per CPU the process may use."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 class _WorkerSlot:
@@ -182,7 +173,7 @@ class WorkerFleet(ServingBackend):
     def __init__(
         self,
         catalog: Catalog,
-        workers: int | None = None,
+        workers: int,
         pool_capacity: int = 8,
         request_timeout: float = 120.0,
         worker_threads: int = 4,
@@ -197,7 +188,7 @@ class WorkerFleet(ServingBackend):
         backoff_healthy_window: float = 30.0,
         faults: dict | None = None,
     ):
-        count = default_worker_count() if workers is None else int(workers)
+        count = int(workers)
         if count < 1:
             raise ClusterError(f"worker fleet needs >= 1 worker, got {count}")
         super().__init__(catalog)

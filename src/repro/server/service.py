@@ -676,6 +676,9 @@ class QueryService(ServingBackend):
         try:
             return future.result(timeout=timeout)
         except FuturesTimeoutError:
+            # The caller is answered now: cancelling tells the leader not to
+            # evaluate the request for nobody.
+            future.cancel()
             if deadline is not None and deadline.expired:
                 raise self._expired(query_text) from None
             raise
@@ -814,20 +817,22 @@ class QueryService(ServingBackend):
         The deadline contract's cheap half: a request whose budget ran out
         while queued behind an earlier batch is answered with a structured
         ``deadline_exceeded`` immediately, instead of being evaluated for a
-        waiter that already gave up.
+        waiter that already gave up.  A request whose waiter timed out first
+        (its future cancelled, its refusal already counted) is dropped.
         """
         live: list[tuple[_Request, Future]] = []
         expired = 0
         for request, future in batch:
+            if future.done():
+                continue
             if request.deadline is not None and request.deadline.expired:
                 expired += 1
-                if not future.done():
-                    future.set_exception(
-                        DeadlineExceededError(
-                            f"deadline expired before {request.query_text!r} "
-                            f"reached evaluation"
-                        )
+                future.set_exception(
+                    DeadlineExceededError(
+                        f"deadline expired before {request.query_text!r} "
+                        f"reached evaluation"
                     )
+                )
             else:
                 live.append((request, future))
         if expired:

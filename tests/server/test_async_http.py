@@ -25,7 +25,7 @@ from repro.server.metrics import parse_prometheus_text
 from repro.server.resilience import FAULTS
 from repro.server.service import QueryService
 
-from tests.server.test_cluster import wait_until
+from tests.server.util import wait_until
 from tests.skeleton.test_loader import BIB_XML
 
 #: The name of the thread the ``server`` fixture runs the event loop on.

@@ -33,7 +33,7 @@ from repro.server.service import QueryService, decode_result
 
 from tests.server.test_catalog import corrupt_skeleton, write_old_layout_catalog
 from tests.server.test_async_http import set_dispatch
-from tests.server.test_cluster import wait_until
+from tests.server.util import wait_until
 from tests.skeleton.test_loader import BIB_XML
 
 pytestmark = pytest.mark.chaos

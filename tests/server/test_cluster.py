@@ -17,10 +17,11 @@ import pytest
 from repro.engine.pipeline import Engine
 from repro.errors import CatalogError, ClusterError, WorkerUnavailableError, XPathSyntaxError
 from repro.server.catalog import Catalog
-from repro.server.cluster import WorkerFleet, default_worker_count
+from repro.server.cluster import WorkerFleet
 from repro.server.http import create_server, wait_ready
 from repro.server.service import decode_result
 
+from tests.server.util import wait_until
 from tests.skeleton.test_loader import BIB_XML
 
 TINY_XML = "<r><x><y/></x><x><y/></x><z/></r>"
@@ -29,16 +30,6 @@ QUERIES = ["//author", "//book/author", "/bib/paper/title", '//paper[author["Cod
 
 #: Small but > 1 so routing decisions are real; spawn cost stays bounded.
 WORKERS = 2
-
-
-def wait_until(predicate, timeout=15.0, interval=0.05):
-    """Poll ``predicate`` until true or the deadline passes (no fixed sleeps)."""
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval)
-    return predicate()
 
 
 @pytest.fixture(scope="module")
@@ -356,8 +347,9 @@ class TestClusterHTTP:
 
 
 class TestDefaults:
-    def test_default_worker_count_positive(self):
-        assert default_worker_count() >= 1
+    def test_worker_count_is_required(self, tmp_path):
+        with pytest.raises(TypeError, match="workers"):
+            WorkerFleet(Catalog(str(tmp_path / "cat")))
 
     def test_rejects_zero_workers(self, tmp_path):
         with pytest.raises(ClusterError, match=">= 1 worker"):

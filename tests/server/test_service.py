@@ -1,6 +1,8 @@
 """Tests for the coalescing query service: correctness, sharing, isolation."""
 
+import json
 import threading
+from contextlib import contextmanager
 
 import pytest
 
@@ -8,9 +10,10 @@ from repro.engine.pipeline import Engine
 from repro.errors import CatalogError, DeadlineExceededError, XPathSyntaxError
 from repro.server.catalog import Catalog
 from repro.server.resilience import Deadline
+from repro.server.routes import Headers, Request, Router
 from repro.server.service import QueryService, decode_result
 
-from tests.server.test_cluster import wait_until
+from tests.server.util import wait_until
 from tests.skeleton.test_loader import BIB_XML
 
 QUERIES = [
@@ -167,19 +170,41 @@ class TestMasterIsolation:
         assert service.pool.keys() == []
 
 
+@contextmanager
+def leader_blocked(service):
+    """Hold a warm key's entry lock with a leader blocked on it.
+
+    A plug request finds the key idle, leads, and waits for the entry lock
+    held here; requests sent inside the ``with`` block queue behind it and
+    wait on their futures.  On exit the lock is released and the plug's
+    drain runs to the end.
+    """
+    service.query("bib", "//author")  # resident master, idle key
+    (key,) = service.pool.keys()
+    entry = service.pool.peek(key)
+    plug = threading.Thread(target=service.query, args=("bib", "//author"))
+    with entry.lock:
+        plug.start()
+        assert wait_until(
+            lambda: key in service._pending
+            and service._pending[key].busy
+            and not service._pending[key].queue
+        )
+        yield
+    plug.join(timeout=30)
+    assert not plug.is_alive()
+
+
 class TestCoalescing:
     @staticmethod
     def queue_behind_held_lock(service, requests):
         """Send ``requests`` (``service.query`` keyword sets) concurrently
-        while the key's entry lock is held, then release it.
+        behind a blocked leader (:func:`leader_blocked`), then release it.
 
-        A plug request leads first and takes a batch of itself alone before
-        it waits on the lock, so every request of ``requests`` queues behind
-        it and they drain together.  Returns ``{index: payload or error}``.
+        The plug takes a batch of itself alone, so every request of
+        ``requests`` queues behind it and they drain together.  Returns
+        ``{index: payload or error}``.
         """
-        service.query("bib", "//author")  # resident master, idle key
-        (key,) = service.pool.keys()
-        entry = service.pool.peek(key)
         outcomes = {}
 
         def ask(index, kwargs):
@@ -188,25 +213,17 @@ class TestCoalescing:
             except Exception as error:  # noqa: BLE001 - collected for the asserts
                 outcomes[index] = error
 
-        plug = threading.Thread(target=ask, args=(-1, {"query_text": "//author"}))
         waiters = [
             threading.Thread(target=ask, args=(index, kwargs))
             for index, kwargs in enumerate(requests)
         ]
-        with entry.lock:
-            plug.start()
-            assert wait_until(
-                lambda: key in service._pending
-                and service._pending[key].busy
-                and not service._pending[key].queue
-            )
+        with leader_blocked(service):
             for thread in waiters:
                 thread.start()
             assert wait_until(lambda: service.stats.requests == 2 + len(requests))
-        for thread in [plug, *waiters]:
+        for thread in waiters:
             thread.join(timeout=30)
             assert not thread.is_alive()
-        del outcomes[-1]
         return outcomes
 
     def test_concurrent_requests_coalesce_and_stay_correct(self, catalog):
@@ -232,6 +249,36 @@ class TestCoalescing:
         self.queue_behind_held_lock(service, [{"query_text": "//author"}] * 5)
         assert service.stats.max_batch_size == 2
         assert (service.stats.requests, service.stats.batches) == (7, 5)
+
+
+class TestQueueWait:
+    """A request queued behind a busy leader waits on its future, bounded."""
+
+    def test_request_expiring_in_the_queue_is_never_evaluated(self, catalog):
+        service = QueryService(catalog)
+        with leader_blocked(service):
+            before = service.stats_dict()["service"]
+            with pytest.raises(DeadlineExceededError):
+                service.query("bib", "//title", deadline=Deadline.after(0.05))
+        stats = service.stats_dict()["service"]
+        assert stats["batches"] == before["batches"] + 1  # the plug's alone
+        assert stats["split_vertices"] == before["split_vertices"]
+        # Refused once: the leader drops it, it does not refuse it again.
+        assert stats["deadline_expired"] == before["deadline_expired"] + 1
+
+    def test_request_timeout_is_the_504_envelope(self, catalog):
+        service = QueryService(catalog, request_timeout=0.2)
+        router = Router(lambda: service)
+        body = json.dumps({"document": "bib", "query": "//title"}).encode()
+        with leader_blocked(service):
+            response = router.dispatch(
+                Request("POST", "/query", headers=Headers({}), body=body)
+            )
+        assert response.status == 504
+        error = json.loads(response.body)["error"]
+        assert error["message"] == "request timed out after 0.2s"
+        # The warm-up and the plug: the abandoned request is not evaluated.
+        assert service.stats.batches == 2
 
 
 class TestFailureIsolation:

@@ -300,7 +300,7 @@ class TestServeParser:
         args = build_parser().parse_args(["serve"])
         assert args.pool_size == 8
         assert args.catalog == "repro-catalog"
-        assert args.workers is None  # resolved to one per CPU at run time
+        assert args.workers == 0  # in process unless a fleet is asked for
         assert args.worker_threads == 4
         assert args.stats_interval == 0.0
         with pytest.raises(SystemExit):  # the evaluation-mode selector is gone

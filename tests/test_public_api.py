@@ -93,7 +93,6 @@ SNAPSHOT = {
         "WorkerFleet",
         "create_server",
         "decode_result",
-        "default_worker_count",
         "parse_prometheus_text",
         "serve",
         "wait_ready",
