@@ -72,14 +72,14 @@ _WORK_KINDS = frozenset({"query", "evict"})
 
 #: Keys in worker stats payloads that are levels, not counters: a merge
 #: keeps the live value instead of summing across incarnations.
-_GAUGE_KEYS = frozenset({"capacity", "resident", "le"})
+_GAUGE_KEYS = frozenset({"capacity", "resident"})
 
 
 def _fold_stats(carried, live):
     """``live`` + ``carried`` with counter semantics, recursively.
 
-    Numeric leaves add (they are counters: requests, hits, misses, bucket
-    counts...), except known gauge keys which keep the live level and
+    Numeric leaves add (they are counters: requests, hits, misses...),
+    except known gauge keys which keep the live level and
     ``max_batch_size`` which takes the max.  Shapes that do not line up
     fall back to the live value — worker payloads evolve, and a merge
     must never be the thing that breaks /stats.

@@ -164,7 +164,7 @@ def _stats_line(service) -> str:
     inner, pool = stats["service"], stats["pool"]
     return (
         f"requests={inner['requests']} batches={inner['batches']} "
-        f"coalesced={inner['coalesced_requests']} errors={inner['errors']} "
+        f"errors={inner['errors']} "
         f"pool={pool['resident']}/{pool['capacity']} "
         f"hits={pool['hits']} misses={pool['misses']}"
     )

@@ -637,13 +637,6 @@ def _service_counter_families(service_stats: dict, pool_stats) -> list[RawFamily
             _counter_samples("repro_split_vertices_total", service_stats, "split_vertices"),
         ),
         RawFamily(
-            "repro_coalesced_requests_total", "counter",
-            "Requests that shared a batch with at least one other request.",
-            _counter_samples(
-                "repro_coalesced_requests_total", service_stats, "coalesced_requests"
-            ),
-        ),
-        RawFamily(
             "repro_errors_total", "counter",
             "Queries that raised instead of returning a result.",
             _counter_samples("repro_errors_total", service_stats, "errors"),
@@ -656,26 +649,6 @@ def _service_counter_families(service_stats: dict, pool_stats) -> list[RawFamily
             ),
         ),
     ]
-    batch_sizes = service_stats.get("batch_sizes")
-    if isinstance(batch_sizes, dict):
-        samples, running = [], 0.0
-        bounds = batch_sizes.get("le", [])
-        counts = batch_sizes.get("counts", [])
-        for bound, count in zip(bounds, counts):
-            running += count
-            samples.append(
-                ("repro_batch_size_bucket", {"le": format_value(float(bound))}, running)
-            )
-        total = float(batch_sizes.get("count", 0))
-        samples.append(("repro_batch_size_bucket", {"le": "+Inf"}, total))
-        samples.append(("repro_batch_size_sum", {}, float(batch_sizes.get("sum", 0))))
-        samples.append(("repro_batch_size_count", {}, total))
-        families.append(
-            RawFamily(
-                "repro_batch_size", "histogram",
-                "Coalesced batch sizes (queries per executed batch).", samples,
-            )
-        )
     if isinstance(pool_stats, dict):
         for key, kind, help_text in (
             ("hits", "counter", "Instance-pool hits."),

@@ -41,7 +41,6 @@ from __future__ import annotations
 import sys
 import threading
 import time
-from bisect import bisect_left
 from collections import OrderedDict
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FuturesTimeoutError
@@ -93,9 +92,6 @@ WORKING_GROWTH_LIMIT = 4
 #: next batch.
 MAX_BATCH = 64
 
-#: Batch-size histogram bucket upper bounds (queries per executed batch).
-BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64)
-
 
 @dataclass
 class ServiceStats:
@@ -114,16 +110,6 @@ class ServiceStats:
     split_vertices: int = 0
     #: Working forks dropped for outgrowing :data:`WORKING_GROWTH_LIMIT`.
     working_reforks: int = 0
-    #: Per-bucket (non-cumulative) batch-size counts; last slot is +Inf.
-    batch_size_counts: list[int] = field(
-        default_factory=lambda: [0] * (len(BATCH_SIZE_BUCKETS) + 1)
-    )
-    #: Total queries over all observed batches (the histogram's _sum).
-    batch_size_sum: int = 0
-
-    def observe_batch(self, size: int) -> None:
-        self.batch_size_counts[bisect_left(BATCH_SIZE_BUCKETS, size)] += 1
-        self.batch_size_sum += size
 
     def as_dict(self) -> dict:
         return {
@@ -135,12 +121,6 @@ class ServiceStats:
             "deadline_expired": self.deadline_expired,
             "split_vertices": self.split_vertices,
             "working_reforks": self.working_reforks,
-            "batch_sizes": {
-                "le": list(BATCH_SIZE_BUCKETS),
-                "counts": list(self.batch_size_counts),
-                "sum": self.batch_size_sum,
-                "count": sum(self.batch_size_counts),
-            },
         }
 
 
@@ -186,6 +166,9 @@ class _Request:
     #: Request trace ID (minted at accept by the HTTP front-ends, or
     #: client-supplied); echoed in the response payload when present.
     trace: str | None = None
+    #: Set once the request's deadline refusal is counted, so a waiter and
+    #: the leader that both see the deadline pass count it once.
+    refused: bool = False
 
 
 def _ensure_tag_sets(working: Instance, tags) -> Instance:
@@ -609,7 +592,7 @@ class QueryService(ServingBackend):
         finally:
             entry.lock.release()
         if deadline is not None and deadline.expired:
-            raise self._expired(query_text)
+            raise self._expired(request)
         if isinstance(outcome, Exception):
             raise outcome
         return outcome
@@ -621,13 +604,20 @@ class QueryService(ServingBackend):
                 self.stats.deadline_expired += 1
             deadline.check("request")
 
-    def _expired(self, query_text: str) -> DeadlineExceededError:
+    def _expired(self, request: _Request) -> DeadlineExceededError:
         """Count, and build, the refusal of a result that came too late."""
-        with self._stats_lock:
-            self.stats.deadline_expired += 1
+        self._count_refused([request])
         return DeadlineExceededError(
-            f"deadline expired before a result for {query_text!r} was ready"
+            f"deadline expired before a result for {request.query_text!r} was ready"
         )
+
+    def _count_refused(self, requests: list[_Request]) -> None:
+        """Count each request's deadline refusal once, whoever sees it first."""
+        with self._stats_lock:
+            for request in requests:
+                if not request.refused:
+                    request.refused = True
+                    self.stats.deadline_expired += 1
 
     def _admitted_query(
         self,
@@ -676,11 +666,13 @@ class QueryService(ServingBackend):
         try:
             return future.result(timeout=timeout)
         except FuturesTimeoutError:
-            # The caller is answered now: cancelling tells the leader not to
-            # evaluate the request for nobody.
-            future.cancel()
+            # A request still queued is cancelled, so no leader evaluates it
+            # for nobody.  One a leader already claimed runs on; if it has
+            # just finished, its outcome stands.
+            if not future.cancel() and future.done():
+                return future.result()
             if deadline is not None and deadline.expired:
-                raise self._expired(query_text) from None
+                raise self._expired(request) from None
             raise
 
     # -- the backend hooks -----------------------------------------------
@@ -794,6 +786,13 @@ class QueryService(ServingBackend):
                         if self._pending.get(key) is pending:
                             del self._pending[key]
                         return
+            # Claim each request: from here on its waiter cannot cancel it,
+            # so only this thread resolves its future.
+            batch = [
+                (request, future)
+                for request, future in batch
+                if future.set_running_or_notify_cancel()
+            ]
             try:
                 self._execute(key, batch)
             except BaseException as error:  # noqa: BLE001 - forwarded to waiters
@@ -817,16 +816,13 @@ class QueryService(ServingBackend):
         The deadline contract's cheap half: a request whose budget ran out
         while queued behind an earlier batch is answered with a structured
         ``deadline_exceeded`` immediately, instead of being evaluated for a
-        waiter that already gave up.  A request whose waiter timed out first
-        (its future cancelled, its refusal already counted) is dropped.
+        waiter that already gave up.
         """
         live: list[tuple[_Request, Future]] = []
-        expired = 0
+        expired: list[_Request] = []
         for request, future in batch:
-            if future.done():
-                continue
             if request.deadline is not None and request.deadline.expired:
-                expired += 1
+                expired.append(request)
                 future.set_exception(
                     DeadlineExceededError(
                         f"deadline expired before {request.query_text!r} "
@@ -835,9 +831,7 @@ class QueryService(ServingBackend):
                 )
             else:
                 live.append((request, future))
-        if expired:
-            with self._stats_lock:
-                self.stats.deadline_expired += expired
+        self._count_refused(expired)
         return live
 
     def _execute(self, key: tuple, batch: list[tuple[_Request, Future]]) -> None:
@@ -883,7 +877,6 @@ class QueryService(ServingBackend):
         with self._stats_lock:
             self.stats.batches += 1
             self.stats.max_batch_size = max(self.stats.max_batch_size, len(requests))
-            self.stats.observe_batch(len(requests))
             if len(requests) > 1:
                 self.stats.coalesced_requests += len(requests)
             self.stats.errors += sum(

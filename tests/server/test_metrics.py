@@ -333,16 +333,6 @@ class TestMetricsEndpoint:
         assert count >= 3
         assert buckets[-1][1] == count
 
-    def test_batch_size_histogram_is_present_and_valid(self, server):
-        http_post(server, "/query", {"document": "bib", "query": "//author"})
-        _, _, body = http_get(server, "/metrics")
-        families = parse_prometheus_text(body.decode())
-        buckets, _, count = histogram_series(
-            families["repro_batch_size"]["samples"], "repro_batch_size"
-        )
-        assert count >= 1
-        assert buckets[0][0] == 1.0  # singleton batches land in le=1
-
     def test_split_vertices_counter_reconciles_with_stats(self, server):
         # <c/> is one vertex shared by x and y, so selecting the children of
         # x alone has to split it.

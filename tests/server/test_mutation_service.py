@@ -123,7 +123,7 @@ class TestBackendParity:
                 "service", "pool", "optimize", "admission",
                 "quarantined", "kernel", "doc_versions",
             ]
-            assert list(stats["service"])[-2:] == ["batch_sizes", "mutations"]
+            assert list(stats["service"])[-2:] == ["working_reforks", "mutations"]
             assert list(health) == ["status", "reasons", "quarantined", "shed_rate"]
         else:
             assert list(stats) == [

@@ -243,6 +243,15 @@ class TestCoalescing:
         assert stats.max_batch_size == 8
         assert stats.coalesced_requests == 8
 
+    def test_stats_keep_the_keys_the_e2e_benchmark_reads(self, catalog):
+        """``batches``, ``max_batch_size`` and ``coalesced_requests`` stay in
+        ``/stats``: ``benchmarks/e2e/run.py`` and ``measure.py`` read them."""
+        service = QueryService(catalog)
+        service.query("bib", "//author")
+        stats = service.stats_dict()["service"]
+        assert (stats["batches"], stats["max_batch_size"]) == (1, 1)
+        assert stats["coalesced_requests"] == 0
+
     def test_max_batch_bounds_one_evaluation(self, catalog, monkeypatch):
         monkeypatch.setattr("repro.server.service.MAX_BATCH", 2)
         service = QueryService(catalog)
@@ -279,6 +288,78 @@ class TestQueueWait:
         assert error["message"] == "request timed out after 0.2s"
         # The warm-up and the plug: the abandoned request is not evaluated.
         assert service.stats.batches == 2
+
+    def test_claimed_request_cannot_be_cancelled(self, catalog, monkeypatch):
+        """Once the leader takes a batch, a batch-mate's cancel fails: every
+        request is answered correctly and the key is freed for the next."""
+        from concurrent.futures import Future
+
+        from repro.server import service as service_module
+
+        futures = []
+
+        class RecordedFuture(Future):
+            def __init__(self):
+                super().__init__()
+                futures.append(self)
+
+        monkeypatch.setattr(service_module, "Future", RecordedFuture)
+        service = QueryService(catalog)
+        serve = service._serve
+        cancelled = []
+
+        def serve_after_a_cancel(key, entry, requests, pool_hit):
+            if len(requests) > 1:  # the queued batch, not the plug
+                cancelled.append(futures[-1].cancel())
+            return serve(key, entry, requests, pool_hit)
+
+        monkeypatch.setattr(service, "_serve", serve_after_a_cancel)
+        queries = TAG_QUERIES[:3]
+        outcomes = TestCoalescing.queue_behind_held_lock(
+            service, [{"query_text": query, "paths": 50} for query in queries]
+        )
+        assert cancelled == [False]
+        for index, query in enumerate(queries):
+            expected = expected_payload(query, paths=50)
+            assert outcomes[index]["tree_count"] == expected["tree_count"]
+            assert outcomes[index]["paths"] == expected["paths"]
+        assert service._pending == {}
+        assert service.stats.errors == 0
+        payload = service.query("bib", "//title")
+        assert payload["tree_count"] == expected_payload("//title")["tree_count"]
+
+    def test_refusal_seen_by_waiter_and_leader_counts_once(self, catalog, monkeypatch):
+        """A deadline that passes after the leader claims the request but
+        before its expiry check is refused by both sides, counted once."""
+        service = QueryService(catalog)
+        outcome = []
+
+        def ask():
+            try:
+                service.query("bib", "//title", deadline=Deadline.after(0.3))
+            except DeadlineExceededError as error:
+                outcome.append(error)
+
+        asker = threading.Thread(target=ask)
+        with leader_blocked(service):
+            before = service.stats_dict()["service"]
+            prune = service._prune_expired
+
+            def prune_after_the_waiter(batch):
+                refused = before["deadline_expired"]
+                assert wait_until(lambda: service.stats.deadline_expired > refused)
+                return prune(batch)
+
+            # The plug is already past its own check, blocked on the lock.
+            monkeypatch.setattr(service, "_prune_expired", prune_after_the_waiter)
+            asker.start()
+            assert wait_until(lambda: service.stats.requests == before["requests"] + 1)
+        asker.join(timeout=30)
+        assert len(outcome) == 1
+        stats = service.stats_dict()["service"]
+        assert stats["deadline_expired"] == before["deadline_expired"] + 1
+        assert stats["split_vertices"] == before["split_vertices"]
+        assert service._pending == {}
 
 
 class TestFailureIsolation:
