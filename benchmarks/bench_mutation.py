@@ -7,18 +7,19 @@ statistics:
 
 * **incremental** — :func:`repro.mutation.apply.apply_mutations`:
   splice the kept text, privatize the copy-on-write spine, graft or cut
-  the touched subtree, re-minimize, patch the statistics — what
-  ``Catalog.mutate`` runs between the journal append and the publish;
-* **full re-shred** — shred the edited text from scratch and collect a
-  fresh ``DocumentStats``, i.e. what registering the edited document
+  the touched subtree, re-minimize — then derive ``DocumentStats`` from
+  the result, which is what ``Catalog.mutate`` runs between the journal
+  append and the publish;
+* **full re-shred** — shred the edited text from scratch and derive the
+  same ``DocumentStats``, i.e. what registering the edited document
   would cost.
 
 Every scenario is checked **byte-identical** first (minimized DAG sizes,
-exact tree-node statistics, and the sorted result paths of a query mix on
-both instances); a mismatch fails the run outright.  The headline is the
-geometric-mean speedup across all (corpus, scenario) pairs, gated at
-``--min-speedup`` (default 5.0: the whole point of the subsystem is that
-a local edit must not pay for the whole document).
+the statistics derived from both instances, and the sorted result paths
+of a query mix on both instances); a mismatch fails the run outright.
+The headline is the geometric-mean speedup across all (corpus, scenario)
+pairs, gated at ``--min-speedup`` (default 5.0: the whole point of the
+subsystem is that a local edit must not pay for the whole document).
 
 Usage::
 
@@ -108,7 +109,17 @@ def best_time(run, repeats: int) -> float:
     return best
 
 
-def assert_byte_identical(corpus, scenario, outcome, fresh, fresh_stats):
+def published_stats(instance) -> DocumentStats:
+    """The statistics ``Catalog`` derives from every version it publishes."""
+    return DocumentStats.from_instance(instance, complete_tags=True)
+
+
+def incremental(base, xml, mutations):
+    outcome = apply_mutations(base, xml, mutations)
+    return outcome, published_stats(outcome.instance)
+
+
+def assert_byte_identical(corpus, scenario, outcome, stats, fresh, fresh_stats):
     if (outcome.instance.num_vertices != fresh.num_vertices
             or outcome.instance.num_edge_entries != fresh.num_edge_entries):
         raise AssertionError(
@@ -116,8 +127,7 @@ def assert_byte_identical(corpus, scenario, outcome, fresh, fresh_stats):
             f"{outcome.instance.num_vertices}v/{outcome.instance.num_edge_entries}e "
             f"!= {fresh.num_vertices}v/{fresh.num_edge_entries}e"
         )
-    if (outcome.stats.tree_nodes != fresh_stats.tree_nodes
-            or outcome.stats.dag_vertices != fresh_stats.dag_vertices):
+    if stats != fresh_stats:
         raise AssertionError(f"{corpus} {scenario}: statistics differ")
     for name in outcome.instance.schema:
         fresh.ensure_set(name)
@@ -138,31 +148,25 @@ def assert_byte_identical(corpus, scenario, outcome, fresh, fresh_stats):
 def measure(corpus: str, quick: bool) -> tuple[list[dict], int]:
     xml = corpus_xml(corpus, quick)
     base = load(xml, tags=None).instance
-    # Registration already collected these (stats.json in the catalog);
-    # the incremental path patches them instead of rescanning the text.
-    base_stats = DocumentStats.from_instance(base, text=xml, complete_tags=True)
     repeats = 2 if quick else 3
 
     rows = []
     checked = 0
     for scenario, raw in scenarios(xml):
         mutations = as_mutations([raw])
-        edited, _, _ = splice(xml, mutations[0])
+        edited = splice(xml, mutations[0])
 
-        outcome = apply_mutations(base, xml, mutations, old_stats=base_stats)
+        outcome, stats = incremental(base, xml, mutations)
         fresh = load(edited, tags=None).instance
-        fresh_stats = DocumentStats.from_instance(fresh, text=edited, complete_tags=True)
-        assert_byte_identical(corpus, scenario, outcome, fresh, fresh_stats)
+        assert_byte_identical(
+            corpus, scenario, outcome, stats, fresh, published_stats(fresh)
+        )
         checked += 1
 
-        incremental_s = best_time(
-            lambda: apply_mutations(base, xml, mutations, old_stats=base_stats),
-            repeats,
-        )
+        incremental_s = best_time(lambda: incremental(base, xml, mutations), repeats)
 
         def full_reshred():
-            instance = load(edited, tags=None).instance
-            DocumentStats.from_instance(instance, text=edited, complete_tags=True)
+            published_stats(load(edited, tags=None).instance)
 
         full_s = best_time(full_reshred, repeats)
         speedup = full_s / incremental_s if incremental_s > 0 else math.inf
@@ -174,7 +178,7 @@ def measure(corpus: str, quick: bool) -> tuple[list[dict], int]:
                 "incremental_s": incremental_s,
                 "full_reshred_s": full_s,
                 "speedup": speedup,
-                "skeleton_nodes": str(outcome.stats.tree_nodes),
+                "skeleton_nodes": str(stats.tree_nodes),
                 "dag_vertices": outcome.instance.num_vertices,
             }
         )

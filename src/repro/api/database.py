@@ -375,9 +375,7 @@ class Database:
         (:mod:`repro.api.plan`).  ``analyze=True`` additionally executes
         the plan — on a private working copy, never mutating backend
         state — and attaches measured ``actual`` counts per node, the
-        estimated-vs-actual view.  A served document published without
-        usable statistics simply yields an unannotated (unoptimized)
-        plan.
+        estimated-vs-actual view.
         """
         prepared = self.prepare(query)
         optimization = None

@@ -29,7 +29,6 @@ documented in README "Explain output contract"):
       "instance":     {...}?,                  # provenance (surface-specific)
       "optimizer": {                           # present iff an optimizer ran
         "optimized":        bool,              # did any rewrite fire
-        "stats_available":  bool,              # statistics catalog found
         "rules_applied":    [str],             # distinct rule tags, fire order
         "unoptimized":      <node>?            # original tree, iff optimized
       }?
@@ -47,8 +46,8 @@ documented in README "Explain output contract"):
       "children":       [<node>]?
     }
 
-``est_cardinality`` is present on every node when a statistics catalog was
-available (estimates are in tree-node units, the model documented in
+``est_cardinality`` is present on every node whenever the optimizer ran
+(estimates are in tree-node units, the model documented in
 docs/optimizer.md); ``actual`` is present only for ``explain`` in analyze
 mode, where the plan was executed and per-node selection cardinalities
 measured — estimated vs. actual on the same node is the estimation-error
@@ -107,7 +106,7 @@ class PlanNode:
     #: The schema set read (``op == "named-set"`` only).
     set_name: str | None = None
     children: tuple["PlanNode", ...] = ()
-    #: Estimated result cardinality in tree nodes (statistics available).
+    #: Estimated result cardinality in tree nodes (optimized plans only).
     est_cardinality: float | None = None
     #: Optimizer rules that produced this node (empty for compiler output).
     rules: tuple[str, ...] = ()
@@ -230,7 +229,6 @@ class Plan:
             )
         optimizer: dict = {
             "optimized": optimization.optimized,
-            "stats_available": optimization.stats_available,
             "rules_applied": list(optimization.rules_applied),
         }
         if optimization.optimized:

@@ -229,11 +229,12 @@ class Engine:
         Tree-level quantities (per-tag tree counts, depth/fanout/subtree
         aggregates) do not depend on which schema the instance was
         minimised over, so caching by key is sound even in reparse mode
-        where the instance object itself is fresh each call.
+        where the instance object itself is fresh each call.  The key's
+        string sets are in the instance's schema, so their counts are exact.
         """
         cached = self._stats_cache.get(key)
         if cached is None:
-            cached = DocumentStats.from_instance(instance, text=self._text)
+            cached = DocumentStats.from_instance(instance)
             self._stats_cache[key] = cached
         return cached
 

@@ -13,8 +13,7 @@ The read stack (shred once, serve forever) gains a sibling write stack:
   spine from the mutation point to the root, shred only the touched
   fragment, graft, and re-bisimulate with
   :func:`repro.compress.minimize.minimize` — O(compressed DAG) instead of
-  an O(text) full re-shred — plus incremental
-  :class:`repro.compress.stats.DocumentStats` patching.
+  an O(text) full re-shred.
 
 Persistence (the write-ahead journal and the versioned publish) lives in
 :mod:`repro.server.journal` and :meth:`repro.server.catalog.Catalog.mutate`.

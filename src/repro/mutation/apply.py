@@ -13,26 +13,15 @@ grafted by remapping their set bits into the host schema.  One final
 the privatized spine back into shared vertices wherever bisimilarity
 reappears.  Total cost is O(|DAG| + |fragment|), independent of the
 document's text size — that is the whole ≥5x headline.
-
-Statistics are patched, not recollected from text: the exact per-set tree
-and DAG counts come from one topological pass over the (small) mutated DAG,
-and the character sketch is adjusted by the spliced-out/in substrings.
-The sketch patch is exact whenever the document has at most
-``_SKETCH_CHARS`` distinct characters (the sketch is then complete);
-beyond that it degrades gracefully — it is a selectivity estimate, never a
-correctness input.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import time
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.compress.minimize import minimize
-from repro.compress.stats import _SKETCH_CHARS, DocumentStats
 from repro.errors import MutationError, XMLSyntaxError
 from repro.model.instance import Instance, normalize_edges
 from repro.mutation.ops import Mutation, as_mutations
@@ -48,8 +37,6 @@ class MutationOutcome:
     instance: Instance
     #: The post-mutation document text (splice of the input text).
     text: str
-    #: Patched statistics catalog (exact counts, adjusted char sketch).
-    stats: DocumentStats
     #: Wall-clock seconds spent on maintenance (splice + graft + minimize).
     seconds: float
     #: Number of mutations applied.
@@ -196,35 +183,12 @@ def _apply_one(
     _replace_occurrence(instance, parent, index, occurrence, grafted)
 
 
-def _patched_chars(
-    old_stats: DocumentStats | None,
-    new_text: str,
-    removed: Counter,
-    inserted: Counter,
-) -> dict[str, int]:
-    """Adjust the character sketch by the spliced substrings.
-
-    Falls back to a full scan when there is no prior sketch to patch (the
-    sketch is then exact regardless of the document's alphabet size).
-    """
-    if old_stats is None or not old_stats.total_chars:
-        return dict(Counter(new_text).most_common(_SKETCH_CHARS))
-    counts = Counter(old_stats.chars)
-    counts.update(inserted)
-    counts.subtract(removed)
-    return dict(
-        Counter({char: n for char, n in counts.items() if n > 0}).most_common(
-            _SKETCH_CHARS
-        )
-    )
-
-
 def apply_mutations(
     instance: Instance,
     text: str,
     mutations: Iterable,
     attributes: str = "ignore",
-    old_stats: DocumentStats | None = None,
+    old_stats=None,
 ) -> MutationOutcome:
     """Apply a validated mutation batch to a document's instance and text.
 
@@ -237,6 +201,10 @@ def apply_mutations(
     interpreted against the *current* state, i.e. after the preceding
     mutations in the batch.
 
+    ``old_stats`` is ignored: the catalog derives statistics from the
+    published instance.  It stays only because existing callers pass it
+    positionally.
+
     Raises :class:`MutationError` (nothing useful was produced — callers
     publish nothing) on invalid specs, unreachable paths, or malformed
     fragments.
@@ -245,27 +213,16 @@ def apply_mutations(
     started = time.perf_counter()
     scratch = instance.copy()
     attr_cache: dict[int, bool] = {}
-    removed_chars: Counter = Counter()
-    inserted_chars: Counter = Counter()
     ops: dict[str, int] = {}
     for mutation in batch:
         # Text first: locate() validates the path against the authoritative
         # text before the DAG is touched, keeping both sides in lockstep.
-        text, removed, inserted = splice(text, mutation)
-        removed_chars.update(removed)
-        inserted_chars.update(inserted)
+        text = splice(text, mutation)
         _apply_one(scratch, mutation, attributes, attr_cache)
         ops[mutation.op] = ops.get(mutation.op, 0) + 1
-    minimized = minimize(scratch)
-    stats = dataclasses.replace(
-        DocumentStats.from_instance(minimized, text=None, complete_tags=True),
-        chars=_patched_chars(old_stats, text, removed_chars, inserted_chars),
-        total_chars=len(text),
-    )
     return MutationOutcome(
-        instance=minimized,
+        instance=minimize(scratch),
         text=text,
-        stats=stats,
         seconds=time.perf_counter() - started,
         applied=len(batch),
         ops=ops,

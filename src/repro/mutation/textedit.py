@@ -85,22 +85,13 @@ def locate(text: str, path: tuple[int, ...]) -> ElementSpan:
     )
 
 
-def splice(text: str, mutation: Mutation) -> tuple[str, str, str]:
-    """Apply ``mutation`` to the document text.
-
-    Returns ``(new_text, removed, inserted)`` where ``removed`` and
-    ``inserted`` are the exact substrings taken out of / put into the
-    document — the inputs of the incremental character-sketch patch
-    (:func:`repro.mutation.apply.patch_chars`).
-    """
+def splice(text: str, mutation: Mutation) -> str:
+    """Apply ``mutation`` to the document text; returns the new text."""
     span = locate(text, mutation.path)
     if mutation.op == "delete_subtree":
-        removed = text[span.start : span.end]
-        return text[: span.start] + text[span.end :], removed, ""
+        return text[: span.start] + text[span.end :]
     if mutation.op == "replace_subtree":
-        removed = text[span.start : span.end]
-        fragment = mutation.xml or ""
-        return text[: span.start] + fragment + text[span.end :], removed, fragment
+        return text[: span.start] + (mutation.xml or "") + text[span.end :]
     # append_child: insert just before the close tag; a self-closing target
     # is first expanded to an explicit open/close pair.
     fragment = mutation.xml or ""
@@ -108,10 +99,5 @@ def splice(text: str, mutation: Mutation) -> tuple[str, str, str]:
         open_match = _OPEN_RE.match(text, span.start)
         name, attr_blob, _ = open_match.groups()
         rebuilt = f"<{name}{attr_blob}>{fragment}</{name}>"
-        removed = text[span.start : span.end]
-        return text[: span.start] + rebuilt + text[span.end :], removed, rebuilt
-    return (
-        text[: span.close_start] + fragment + text[span.close_start :],
-        "",
-        fragment,
-    )
+        return text[: span.start] + rebuilt + text[span.end :]
+    return text[: span.close_start] + fragment + text[span.close_start :]

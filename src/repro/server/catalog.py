@@ -12,10 +12,9 @@ A :class:`Catalog` is a directory::
     <root>/<name>/journal.wal          mutation write-ahead journal (live docs)
     <root>/<name>/v<N>/document.xml    the text at ``doc_version`` N
     <root>/<name>/v<N>/skeleton.rskl   the minimal DAG, one RSKL image
-    <root>/<name>/v<N>/stats.json      optimizer statistics (PR 9)
 
 Every publish — registration and each :meth:`Catalog.mutate` alike — goes
-through one routine: the three files are staged privately, renamed to a
+through one routine: the two files are staged privately, renamed to a
 complete new version *directory* ``v<doc_version>`` and committed by the
 atomic manifest rewrite, the single commit point.  Readers holding the
 previous version keep valid paths until the post-publish GC, and a crashed
@@ -31,6 +30,13 @@ column adoption, no XML parse).  Only queries with string-containment
 predicates need the original text again — string sets are computed by the
 one-scan matcher at load time — and the resulting instances are cached
 upstream in the server's instance pool, keyed by their string schema.
+
+The optimizer's statistics are not stored: they are a pure function of
+the tags-only master (:meth:`DocumentStats.from_instance
+<repro.compress.stats.DocumentStats.from_instance>`), derived from the
+instance each publish writes and, in any other process, from the image on
+first use (:meth:`Catalog.document_stats`), then held in memory per
+version.
 
 All catalog methods are thread-safe: registration and removal serialise on
 one lock, and the manifest is rewritten atomically (temp file + rename).
@@ -55,7 +61,7 @@ import threading
 import time
 from dataclasses import asdict, dataclass, field, fields
 
-from repro.compress.stats import STATS_FORMAT_VERSION, DocumentStats
+from repro.compress.stats import DocumentStats
 from repro.errors import CatalogError, IntegrityError, QuarantinedError, ReproError
 from repro.model.instance import Instance
 from repro.mutation.apply import apply_mutations
@@ -68,7 +74,6 @@ from repro.skeleton.loader import load
 _MANIFEST = "catalog.json"
 _FORMAT = "repro-catalog-1"
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
-_STATS_FILE = "stats.json"
 _SKELETON_FILE = "skeleton.rskl"
 
 #: Version of the on-disk layout an entry was published with; 2 is "one
@@ -109,14 +114,9 @@ class CatalogEntry:
     #: :meth:`Catalog.refresh` can tell "same entry" from "replaced entry"
     #: and long-lived readers never keep a master of the replaced document.
     registered_at: float = 0.0
-    #: Version stamps of what was persisted at publish time.  Both
-    #: default to 0, so entries published by builds that predate either
-    #: deserialise cleanly — and ``stats_version == 0`` (or any
-    #: value other than the current :data:`~repro.compress.stats.STATS_FORMAT_VERSION`)
-    #: makes :meth:`Catalog.document_stats` answer ``None``: the optimizer
-    #: falls back to the unoptimized plan instead of erroring.
-    stats_version: int = 0
-    #: Must equal :data:`SKELETON_FORMAT_VERSION` for the entry to be served.
+    #: Version stamp of the on-disk layout; defaults to 0 so entries
+    #: published by older builds deserialise cleanly.  Must equal
+    #: :data:`SKELETON_FORMAT_VERSION` for the entry to be served.
     skeleton_version: int = 0
     #: Monotonic per-catalog document version.  Allocated from the
     #: manifest's ``next_version`` counter on every publish — registration,
@@ -180,8 +180,9 @@ class Catalog:
         #: allocation and replay.  The registry ``_lock`` stays fine-grained.
         self._mutation_lock = threading.Lock()
         self._entries: dict[str, CatalogEntry] = {}
-        #: Parsed stats.json per name (``None`` = known absent/unreadable).
-        self._stats: dict[str, DocumentStats | None] = {}
+        #: Optimizer statistics of each name's current entry (filled by
+        #: :meth:`_publish` and :meth:`document_stats`).
+        self._stats: dict[str, DocumentStats] = {}
         #: Names whose image failed an integrity check or was published in
         #: another on-disk layout; serving is refused
         #: (:class:`QuarantinedError`) until :meth:`reload` re-shreds them.
@@ -397,13 +398,8 @@ class Catalog:
             if name in self._entries:
                 raise CatalogError(f"document {name!r} is already in the catalog")
         result = load(xml, tags=None, attributes=attributes)
-        # Document statistics for the plan optimizer, collected while the
-        # freshly shredded instance is still in memory.  The catalog shreds
-        # over *every* tag, so the stats' tag universe is complete: an
-        # unknown tag is provably empty for any future query.
-        stats = DocumentStats.from_instance(result.instance, text=xml, complete_tags=True)
         return self._publish(
-            name, None, self._allocate_version(), xml, result.instance, stats,
+            name, None, self._allocate_version(), xml, result.instance,
             attributes, result.parse_seconds,
         )
 
@@ -415,18 +411,23 @@ class Catalog:
 
     def _publish(
         self, name: str, base_entry: CatalogEntry | None, version: int, text: str,
-        instance: Instance, stats: DocumentStats, attributes: str, seconds: float,
+        instance: Instance, attributes: str, seconds: float,
     ) -> CatalogEntry:
         """Publish one document version — the only routine that does.
 
         ``base_entry`` is the entry the new version supersedes (``None`` for
-        a registration).  The three files are staged in a private directory,
+        a registration).  The two files are staged in a private directory,
         so two racing publishes of one name never share files and the
         loser's cleanup can only ever delete its own staging area; under the
         registry lock the staging directory is renamed to ``v<version>`` and
         the manifest rewrite commits it.  The superseded version is
         collected only after that commit; the journal is never touched by GC.
+        The optimizer statistics are derived here, from the instance being
+        published, and cached with the entry they describe.
         """
+        # The catalog shreds over *every* tag, so the tag universe is
+        # complete: an unknown tag is provably empty for any future query.
+        stats = DocumentStats.from_instance(instance, complete_tags=True)
         staging = os.path.join(
             self.root, f".staging-{name}-{os.getpid()}-{threading.get_ident()}"
         )
@@ -440,7 +441,6 @@ class Catalog:
             shred_seconds=seconds,
             tags=[set_name for set_name in instance.schema if not set_name.startswith("#")],
             registered_at=time.time(),
-            stats_version=STATS_FORMAT_VERSION,
             skeleton_version=SKELETON_FORMAT_VERSION,
             doc_version=version,
             version_dir=f"v{version}",
@@ -452,9 +452,6 @@ class Catalog:
             with open(os.path.join(staging, "document.xml"), "w", encoding="utf-8") as handle:
                 handle.write(text)
             write_skeleton(os.path.join(staging, _SKELETON_FILE), instance)
-            with open(os.path.join(staging, _STATS_FILE), "w", encoding="utf-8") as handle:
-                json.dump(stats.to_dict(), handle)
-                handle.write("\n")
             with self._lock:
                 if self._entries.get(name) != base_entry:
                     # Lost a race: keep the winner's files (the finally
@@ -531,33 +528,26 @@ class Catalog:
         """A handle on the current version's skeleton image of ``name``."""
         return self._image(self.entry(name))
 
-    def document_stats(self, name: str) -> DocumentStats | None:
-        """The persisted optimizer statistics of ``name`` — or ``None``.
+    def document_stats(self, name: str) -> DocumentStats:
+        """The optimizer statistics of ``name``'s current version.
 
-        ``None`` — never an exception — whenever the statistics cannot be
-        trusted: the entry was published by a build without statistics
-        (``stats_version == 0``), with a different stats format version,
-        or the ``stats.json`` beside the image is missing, torn, or
-        malformed.  Callers (the query service, ``Database.explain``)
-        treat ``None`` as "serve the unoptimized plan".
+        A version this process published is a cache hit.  A miss (a reader
+        process such as a fleet worker, or a restarted server) derives the
+        statistics from the current image through :meth:`load`, so the
+        digest check and the quarantine apply as for any load.  The
+        statistics describe a version that was current at some moment of
+        the call; a caller that must match them to one entry re-reads
+        :meth:`entry` afterwards.
         """
-        entry = self.entry(name)
-        if entry.stats_version != STATS_FORMAT_VERSION:
-            return None
         with self._lock:
-            if name in self._stats:
-                return self._stats[name]
-        stats: DocumentStats | None
-        try:
-            with open(
-                os.path.join(self._data_dir(entry), _STATS_FILE), "r", encoding="utf-8"
-            ) as handle:
-                stats = DocumentStats.from_dict(json.load(handle))
-        except (OSError, ValueError, json.JSONDecodeError, UnicodeDecodeError):
-            stats = None
+            entry = self.entry(name)
+            stats = self._stats.get(name)
+        if stats is not None:
+            return stats
+        stats = DocumentStats.from_instance(self.load_instance(name), complete_tags=True)
         with self._lock:
-            # Cache even the None verdict: a missing file stays missing
-            # until the entry is republished (which invalidates the cache).
+            # Entries only move forward: unchanged now means the load read
+            # this entry's image, not a newer one.
             if self._entries.get(name) == entry:
                 self._stats[name] = stats
         return stats
@@ -619,7 +609,7 @@ class Catalog:
         recoverable by replay — :meth:`replay_journals` re-applies the
         intent deterministically from the last published text.  Then the
         incremental maintainer (:func:`repro.mutation.apply.apply_mutations`)
-        produces the new re-minimised instance/text/stats, which go through
+        produces the new re-minimised instance and text, which go through
         the same :meth:`_publish` as a registration.  Readers of the
         previous version are untouched until the manifest flips; their
         files are GCed only after publish.
@@ -649,10 +639,9 @@ class Catalog:
             self.xml(name),
             batch,
             attributes=entry.attributes,
-            old_stats=self.document_stats(name),
         )
         return self._publish(
-            name, entry, target_version, outcome.text, outcome.instance, outcome.stats,
+            name, entry, target_version, outcome.text, outcome.instance,
             entry.attributes, time.perf_counter() - started,
         )
 

@@ -54,7 +54,7 @@ from repro.errors import CatalogError, DeadlineExceededError
 from repro.model import planes
 from repro.model.instance import Instance
 from repro.mutation.ops import as_mutations
-from repro.server.catalog import Catalog
+from repro.server.catalog import Catalog, CatalogEntry
 from repro.server.pool import InstancePool, PoolEntry
 from repro.server.resilience import FAULTS, AdmissionController, Deadline
 from repro.xpath.algebra import AlgebraExpr
@@ -215,10 +215,8 @@ class ServingBackend:
 
     def __init__(self, catalog: Catalog, optimize: bool = True):
         self.catalog = catalog
-        #: Cost-based plan optimization over the catalog's shred-time
-        #: statistics.  Per-document: a document published without usable
-        #: statistics (``Catalog.document_stats`` → ``None``) is served
-        #: with unoptimized plans — never an error.
+        #: Cost-based plan optimization over the catalog's per-version
+        #: statistics (:meth:`Catalog.document_stats`).
         self.optimize = optimize
         self._stats_lock = threading.Lock()
         self._mutations = MutationStats()
@@ -278,31 +276,36 @@ class ServingBackend:
 
     def _optimized_for(
         self, document: str, catalog_entry, query_text: str, expr: AlgebraExpr
-    ) -> OptimizationResult:
-        """The (cached) optimization of ``expr`` against a document's stats.
+    ) -> tuple[CatalogEntry, OptimizationResult]:
+        """``(entry, optimization)``: ``expr`` optimized against the
+        statistics of exactly ``entry``, cached under it.
 
-        Statistics come from the catalog's persisted ``stats.json``
-        (version-checked there); a document without usable statistics gets
-        the identity optimization — the unoptimized plan — so serving
-        never depends on statistics being present.  The cache keys on the
-        entry's ``doc_version`` as well as its registration stamp: two
-        registrations can land on the same wall-clock stamp (remove +
-        re-add within timer resolution), and a mutation changes the
-        statistics without the name changing — the version counter is the
-        one key that moves on every publish.
+        The cache keys on the entry's ``doc_version`` as well as its
+        registration stamp: two registrations can land on the same
+        wall-clock stamp (remove + re-add within timer resolution), and a
+        mutation changes the statistics without the name changing — the
+        version counter is the one key that moves on every publish.  When
+        a commit lands between reading ``catalog_entry`` and reading the
+        statistics, the statistics may be the newer version's, so the plan
+        is made for the newer entry instead, which the caller then serves.
         """
-        key = (query_text, document, catalog_entry.registered_at, catalog_entry.doc_version)
-        entry = self._cached_optimization(key)
-        if entry is not None:
-            return entry
-        stats = self.catalog.document_stats(document)  # outside the lock: disk
-        entry = optimize_plan(expr, stats)
+        while True:
+            key = (query_text, document, catalog_entry.registered_at, catalog_entry.doc_version)
+            optimization = self._cached_optimization(key)
+            if optimization is not None:
+                return catalog_entry, optimization
+            stats = self.catalog.document_stats(document)  # a miss loads the image
+            current = self.catalog.entry(document)
+            if current == catalog_entry:
+                break
+            catalog_entry = current
+        optimization = optimize_plan(expr, stats)
         with self._optimized_lock:
             if key not in self._optimized:
                 while len(self._optimized) >= self.COMPILED_CACHE_LIMIT:
                     self._optimized.popitem(last=False)
-            self._optimized[key] = entry
-        return entry
+            self._optimized[key] = optimization
+        return catalog_entry, optimization
 
     def _cached_optimization(self, key: tuple) -> OptimizationResult | None:
         with self._optimized_lock:
@@ -347,7 +350,9 @@ class ServingBackend:
         expr, tags, strings = self._compiled.entry(query_text)
         optimization = None
         if self.optimize:
-            optimization = self._optimized_for(document, catalog_entry, query_text, expr)
+            catalog_entry, optimization = self._optimized_for(
+                document, catalog_entry, query_text, expr
+            )
         return catalog_entry, expr, tags, strings, optimization
 
     # -- plans -----------------------------------------------------------
@@ -358,7 +363,7 @@ class ServingBackend:
         The ``/explain`` payload: the :class:`repro.api.Plan` as JSON with
         the backend's :meth:`instance_info` provenance attached.  Under a
         fleet the plan is still computed here, dispatcher-side — workers
-        rewrite against the same persisted statistics, so this is exactly
+        rewrite against the same per-version statistics, so this is exactly
         the plan the shard evaluates, without an IPC round trip.
 
         When the backend optimizes, the plan is the optimized tree with
@@ -388,9 +393,7 @@ class ServingBackend:
     def optimized_entry(self, document: str, query_text: str):
         """The cached :class:`OptimizationResult` for a served query.
 
-        ``None`` when the backend runs unoptimized; with statistics
-        unavailable for the document the result is the identity
-        optimization (``optimized=False``, no annotations).  The seam
+        ``None`` when the backend runs unoptimized.  The seam
         :meth:`repro.api.Database.explain` reads optimizer metadata
         through — the same cached object :meth:`query` evaluates, so node
         identities line up with :meth:`measure_plan`.

@@ -113,7 +113,6 @@ class TestOptimizerAnnotations:
             assert "est_cardinality" in node
         block = as_dict["optimizer"]
         assert block["optimized"] is True
-        assert block["stats_available"] is True
         assert "unoptimized" in block
         # The unoptimized shadow tree is unannotated.
         for node in walk(block["unoptimized"]):
@@ -150,12 +149,8 @@ class TestOptimizerAnnotations:
         assert "actual=3" in plan.render()
 
     def test_identity_optimization_has_no_unoptimized_shadow(self):
-        from repro.xpath.optimizer import optimize
-
-        expr = compile_query("//a")
-        optimization = optimize(expr, None)
-        plan = Plan.from_compiled("//a", expr, ("a",), (), optimization=optimization)
+        # ``*`` (child::* of the context) has nothing to fold or reorder.
+        expr, tags, strings, optimization = self._optimization("*")
+        plan = Plan.from_compiled("*", expr, tags, strings, optimization=optimization)
         block = plan.to_dict()["optimizer"]
-        assert block["optimized"] is False
-        assert block["stats_available"] is False
-        assert "unoptimized" not in block
+        assert block == {"optimized": False, "rules_applied": []}

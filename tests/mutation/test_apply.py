@@ -42,25 +42,21 @@ def check_against_oracle(text, mutations, attributes="ignore", queries=QUERIES):
     assert outcome.instance.num_vertices == fresh.num_vertices
     assert outcome.instance.num_edge_entries == fresh.num_edge_entries
 
-    oracle_stats = DocumentStats.from_instance(
-        fresh, text=outcome.text, complete_tags=True
+    # The statistics the catalog would publish for each instance.
+    stats = DocumentStats.from_instance(outcome.instance, complete_tags=True)
+    oracle_stats = DocumentStats.from_instance(fresh, complete_tags=True)
+    assert stats.tree_nodes == oracle_stats.tree_nodes
+    assert (stats.avg_depth, stats.avg_fanout, stats.avg_subtree) == (
+        oracle_stats.avg_depth, oracle_stats.avg_fanout, oracle_stats.avg_subtree,
     )
-    assert outcome.stats.tree_nodes == oracle_stats.tree_nodes
-    assert outcome.stats.dag_vertices == oracle_stats.dag_vertices
 
     # A delete may leave a now-unpopulated tag set behind (the schema
     # keeps the name; the set is provably empty either way) — the
     # comparable content is the non-empty sets.
     def populated(stats):
-        return {
-            name: cardinalities
-            for name, cardinalities in stats.sets.items()
-            if cardinalities.dag_count or cardinalities.tree_count
-        }
+        return {name: count for name, count in stats.sets.items() if count}
 
-    assert populated(outcome.stats) == populated(oracle_stats)
-    assert outcome.stats.chars == oracle_stats.chars
-    assert outcome.stats.total_chars == oracle_stats.total_chars
+    assert populated(stats) == populated(oracle_stats)
 
     # A fresh shred of the edited text has no entry at all for a tag the
     # edit removed, while the incremental instance keeps the (empty) set;

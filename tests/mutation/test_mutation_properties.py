@@ -74,7 +74,7 @@ def draw_script(draw, text, size):
         script.append(mutation)
         from repro.mutation.textedit import splice
 
-        current, _, _ = splice(current, mutation)
+        current = splice(current, mutation)
     return script
 
 

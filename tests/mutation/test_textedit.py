@@ -55,40 +55,31 @@ def test_locate_rejects_missing():
 
 
 def test_splice_delete():
-    new_text, removed, inserted = splice(DOC, Mutation("delete_subtree", (0, 0)))
+    new_text = splice(DOC, Mutation("delete_subtree", (0, 0)))
     assert new_text == "<a><b></b><b/><d attr='v'><e>y</e></d></a>"
-    assert removed == "<c>x</c>"
-    assert inserted == ""
 
 
 def test_splice_replace():
-    new_text, removed, inserted = splice(
-        DOC, Mutation("replace_subtree", (1,), xml="<f>z</f>")
-    )
+    new_text = splice(DOC, Mutation("replace_subtree", (1,), xml="<f>z</f>"))
     assert new_text == "<a><b><c>x</c></b><f>z</f><d attr='v'><e>y</e></d></a>"
-    assert removed == "<b/>"
-    assert inserted == "<f>z</f>"
 
 
 def test_splice_append_into_open_element():
-    new_text, _, inserted = splice(
-        DOC, Mutation("append_child", (0,), xml="<g/>")
-    )
+    new_text = splice(DOC, Mutation("append_child", (0,), xml="<g/>"))
     assert new_text == "<a><b><c>x</c><g/></b><b/><d attr='v'><e>y</e></d></a>"
-    assert inserted == "<g/>"
 
 
 def test_splice_append_reopens_self_closing():
-    new_text, _, _ = splice(DOC, Mutation("append_child", (1,), xml="<g/>"))
+    new_text = splice(DOC, Mutation("append_child", (1,), xml="<g/>"))
     assert "<b><g/></b>" in new_text
 
 
 def test_splice_append_keeps_attributes_when_reopening():
     text = "<a><d x='1' y=\"2\"/></a>"
-    new_text, _, _ = splice(text, Mutation("append_child", (0,), xml="<g/>"))
+    new_text = splice(text, Mutation("append_child", (0,), xml="<g/>"))
     assert new_text == "<a><d x='1' y=\"2\"><g/></d></a>"
 
 
 def test_splice_append_to_root():
-    new_text, _, _ = splice(DOC, Mutation("append_child", (), xml="<z/>"))
+    new_text = splice(DOC, Mutation("append_child", (), xml="<z/>"))
     assert new_text.endswith("<z/></a>")

@@ -155,7 +155,7 @@ class TestRefresh:
     @pytest.mark.parametrize(
         "manifest, readable",
         [
-            ({"documents": [{"name": "bib", "future_field": 1, "chunks": 2}]}, True),
+            ({"documents": [{"name": "bib", "future_field": 1, "chunks": 2, "stats_version": 1}]}, True),
             ({"documents": [5]}, False),
             ({"documents": [{"attributes": "ignore"}]}, False),
             ({"documents": 7}, False),
@@ -167,8 +167,7 @@ class TestRefresh:
         """``refresh`` sits on serving paths (``check_serveable``): a malformed
         manifest is a ``CatalogError`` naming the file, never a TypeError /
         KeyError traceback.  Unknown row keys — a newer build's field, an
-        older build's ``chunks`` — are ignored, as ``stats_version`` already
-        tolerates older rows."""
+        older build's ``chunks`` or ``stats_version`` — are ignored."""
         (tmp_path / "cat").mkdir()
         (tmp_path / "cat" / "catalog.json").write_text(
             json.dumps({"format": "repro-catalog-1", **manifest})
@@ -426,7 +425,7 @@ GENERATED = {
 
 def assert_served_is_minimal(catalog, name):
     """Stored, declared and served are one DAG — the fresh shred's minimal
-    one — in one ``v<doc_version>/`` directory of exactly three files."""
+    one — in one ``v<doc_version>/`` directory of exactly two files."""
     entry = catalog.entry(name)
     served = catalog.load_instance(name)
     fresh = load_instance(catalog.xml(name), tags=None)
@@ -434,7 +433,7 @@ def assert_served_is_minimal(catalog, name):
     assert equivalent(served, fresh)
     assert entry.version_dir == f"v{entry.doc_version}"
     assert sorted(os.listdir(os.path.join(catalog.root, name, entry.version_dir))) == [
-        "document.xml", "skeleton.rskl", "stats.json",
+        "document.xml", "skeleton.rskl",
     ]
 
 

@@ -133,7 +133,6 @@ class TestDispatch:
         payload = shared_fleet.explain("bib", "//book/author")
         plan = payload["plan"]
         assert plan["optimizer"]["optimized"] is True
-        assert plan["optimizer"]["stats_available"] is True
         assert "analyzed" not in payload
         assert "actual" not in plan["algebra"]
 

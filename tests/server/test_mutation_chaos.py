@@ -31,7 +31,7 @@ APPEND_BOOK = {
     "xml": "<book><title>New</title><author>Crash</author></book>",
 }
 
-EDITED_XML = splice(BIB_XML, Mutation.from_dict(APPEND_BOOK))[0]
+EDITED_XML = splice(BIB_XML, Mutation.from_dict(APPEND_BOOK))
 
 
 @pytest.fixture(autouse=True)

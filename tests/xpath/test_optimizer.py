@@ -36,9 +36,7 @@ from tests.conftest import BIB_SPEC
 @pytest.fixture
 def bib_stats() -> DocumentStats:
     """Complete-tag statistics of the Example 1.1 bibliography (12 nodes)."""
-    return DocumentStats.from_instance(
-        tree_instance(BIB_SPEC), text="Codd relational model", complete_tags=True
-    )
+    return DocumentStats.from_instance(tree_instance(BIB_SPEC), complete_tags=True)
 
 
 @pytest.fixture
@@ -47,23 +45,16 @@ def partial_stats() -> DocumentStats:
     return DocumentStats.from_instance(tree_instance(BIB_SPEC), complete_tags=False)
 
 
-class TestNoStatistics:
-    def test_none_stats_is_identity(self):
-        expr = AxisApply("child", NamedSet("absent"))
-        result = optimize(expr, None)
+class TestUntouchedPlans:
+    def test_untouched_plan_keeps_object_identity(self, bib_stats):
+        # Nothing folds, no axis has a closed form, and the leaf is already
+        # first: the result is the input object itself.
+        expr = Intersect(NamedSet("title"), AxisApply("child", NamedSet("book")))
+        result = optimize(expr, bib_stats)
         assert result.expr is expr
         assert result.original is expr
         assert not result.optimized
-        assert not result.stats_available
         assert result.rules_applied == ()
-
-    def test_untouched_plan_keeps_object_identity(self, bib_stats):
-        expr = Intersect(AxisApply("child", NamedSet("book")), NamedSet("title"))
-        result = optimize(expr, bib_stats)
-        # 'book' and 'title' both exist; child(book) has no identity; the
-        # conjunct order (leaf after join) is already re-examined, so only
-        # check the plan evaluates the same conjuncts.
-        assert result.stats_available
 
 
 class TestFoldEmptySet:
@@ -79,7 +70,7 @@ class TestFoldEmptySet:
         assert not result.optimized
 
     def test_unknown_string_set_never_folds(self, bib_stats):
-        # The sketch may estimate ~0 but it is never a proof.
+        # Tags-only statistics say nothing about a needle: no proof.
         expr = NamedSet(string_set("zzzq"))
         result = optimize(expr, bib_stats)
         assert result.expr is expr
@@ -248,6 +239,20 @@ class TestAnnotations:
     def test_estimates_exact_for_tag_leaves(self, bib_stats):
         result = optimize(NamedSet("author"), bib_stats)
         assert result.estimates[id(result.expr)] == 5.0
+
+    def test_uncounted_string_leaf_estimates_one_node(self, bib_stats):
+        result = optimize(NamedSet(string_set("Codd")), bib_stats)
+        assert result.estimates[id(result.expr)] == 1.0
+
+    def test_string_leaf_orders_as_one_node(self, bib_stats):
+        # book selects 1 node and so does the needle's estimate: within a
+        # cost class ties keep input order, so the needle stays second.
+        expr = Intersect(NamedSet("book"), NamedSet(string_set("Codd")))
+        assert optimize(expr, bib_stats).expr is expr
+        # author selects 5: the needle's one node goes first.
+        expr = Intersect(NamedSet("author"), NamedSet(string_set("Codd")))
+        reordered = optimize(expr, bib_stats).expr
+        assert reordered == Intersect(NamedSet(string_set("Codd")), NamedSet("author"))
 
     def test_estimates_clamped_to_document(self, bib_stats):
         result = optimize(AxisApply("descendant", AllNodes()), bib_stats)
