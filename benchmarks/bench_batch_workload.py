@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Batch workload engine vs sequential evaluation of the Figure 7 query mix.
+"""Batched vs sequential evaluation of the Figure 7 query mix.
 
 The paper's experiments always run a *mix* of five queries per corpus.  This
 benchmark evaluates that mix two ways over three contrasting corpora (the
@@ -9,7 +9,10 @@ maximally shared binary tree, the run-length relational table, and XMark):
   i.e. one schema extraction scan and one working copy *per query*;
 * **batched** — ``Engine.query_batch``: one extraction scan over the union
   of the mix's schemas, one shared working copy, and cross-query reuse of
-  identical algebra subtrees (the common-subexpression cache).
+  identical algebra subtrees (the evaluator's common-subexpression memo).
+
+Both sides run the one evaluator, :class:`CompressedEvaluator`; a single
+query is a batch of one.
 
 Both measure the end-to-end cost of answering the whole mix (load +
 evaluate + snapshot), and additionally the *evaluation-only* cost over a
@@ -43,7 +46,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 from corpus_cache import cached_xml
 from repro.corpora import binary_tree, relational
 from repro.corpora.registry import CORPORA
-from repro.engine.batch import BatchEvaluator
 from repro.engine.evaluator import CompressedEvaluator
 from repro.engine.pipeline import Engine, load_for_queries
 
@@ -176,12 +178,12 @@ def measure(corpus: str, smoke: bool) -> dict:
             CompressedEvaluator(union_instance, copy=True).evaluate(query_text)
 
     def run_batched_eval():
-        BatchEvaluator(union_instance, copy=True).evaluate_batch(mix)
+        CompressedEvaluator(union_instance, copy=True).evaluate_batch(mix)
 
     sequential_eval = best_time(run_sequential_eval, repeats)
     batched_eval = best_time(run_batched_eval, repeats)
 
-    stats = BatchEvaluator(union_instance, copy=True).evaluate_batch(mix).stats
+    stats = CompressedEvaluator(union_instance, copy=True).evaluate_batch(mix).stats
     row = {
         "corpus": corpus,
         "queries": len(mix),

@@ -5,7 +5,7 @@ The seed CLI answers every query with a one-shot process: re-parse the
 document, evaluate, exit.  PR 3's serving layer registers each document in
 the persistent catalog once and answers a concurrent request stream from
 resident instances, coalescing simultaneous requests for one document into
-single :class:`repro.engine.batch.BatchEvaluator` runs.  This benchmark
+single :class:`repro.engine.evaluator.CompressedEvaluator` batches.  This benchmark
 measures that difference end to end, over real HTTP:
 
 * **one-shot** — the baseline the acceptance criterion names: for every
@@ -245,8 +245,8 @@ def coalescing_probe(
 
     Drives the service API directly so every thread spends its whole life
     inside ``QueryService.query``: concurrent arrivals for one
-    ``(document, schema)`` key must coalesce into shared BatchEvaluator
-    runs via the natural-batching drain loop.
+    ``(document, schema)`` key must coalesce into shared evaluator
+    batches via the natural-batching drain loop.
     """
     from repro.server.service import QueryService
 

@@ -264,28 +264,21 @@ class Database:
     ) -> ResultSet:
         """Run one query; returns a lazy :class:`ResultSet`.
 
+        Embedded, this is the :meth:`execute_batch` of one query.
         ``document`` names the catalog document (served databases only).
         ``paths``/``limit`` only matter served, where the response must
         carry its decoded paths across the service boundary; embedded
         result sets materialise lazily and ignore them.
         """
         prepared = self.prepare(query)
-        if self._service is not None:
-            if context is not None:
-                raise ReproError("served databases do not support context sets")
-            payload = self._service.query(
-                self._document_name(document), prepared.text, paths=paths, limit=limit
-            )
-            return ResultSet.from_payload(payload)
-        if document is not None:
-            raise ReproError("embedded databases take no document name")
-        if self._engine is not None:
-            result = self._engine.query(prepared.text, context=context)
-            return ResultSet.from_result(result, self._fragment_loader(prepared))
-        from repro.engine.evaluator import CompressedEvaluator
-
-        evaluator = CompressedEvaluator(self._instance, context=context)
-        return ResultSet.from_result(evaluator.evaluate(prepared.expr))
+        if self._service is None:
+            return self.execute_batch([prepared], document=document, context=context)[0]
+        if context is not None:
+            raise ReproError("served databases do not support context sets")
+        payload = self._service.query(
+            self._document_name(document), prepared.text, paths=paths, limit=limit
+        )
+        return ResultSet.from_payload(payload)
 
     def execute_batch(
         self,
@@ -297,9 +290,9 @@ class Database:
     ) -> ResultSetBatch:
         """Run a whole query mix (embedded: one load, one shared working copy).
 
-        Embedded batches go through the batch evaluator — union-schema
-        load, cross-query common-subexpression sharing, durable per-query
-        snapshots; a served batch issues the queries through the service,
+        Embedded batches go through the one evaluator — union-schema
+        load, common-subexpression sharing, durable per-query snapshots;
+        a served batch issues the queries through the service,
         where concurrent callers coalesce instead.
         """
         prepared = [self.prepare(query) for query in queries]
@@ -332,9 +325,9 @@ class Database:
             batch = self._engine.query_batch([one.text for one in prepared], context=context)
             loaders = [self._fragment_loader(one) for one in prepared]
         else:
-            from repro.engine.batch import BatchEvaluator
+            from repro.engine.evaluator import CompressedEvaluator
 
-            evaluator = BatchEvaluator(self._instance, context=context)
+            evaluator = CompressedEvaluator(self._instance, context=context)
             batch = evaluator.evaluate_batch([one.expr for one in prepared])
             loaders = [None] * len(prepared)
         results = [
@@ -368,7 +361,7 @@ class Database:
         engine's schema-cache state and a served document's pool residency
         change as queries run).
 
-        When the backend optimizes (served databases by default, embedded
+        When the backend optimizes (served databases always, embedded
         engines with instance caching), the plan is the *optimized* tree
         with per-node ``est_cardinality`` and rule tags, plus the
         ``optimizer`` block of the explain contract
@@ -378,15 +371,13 @@ class Database:
         estimated-vs-actual view.
         """
         prepared = self.prepare(query)
+        if self._service is not None:
+            return self._service.plan(
+                self._document_name(document), prepared.text, analyze=analyze
+            )
         optimization = None
         actuals: dict[int, dict] | None = None
-        if self._service is not None:
-            name = self._document_name(document)
-            instance = self._service.instance_info(name, prepared.strings)
-            optimization = self._service.optimized_entry(name, prepared.text)
-            if analyze:
-                actuals = self._service.measure_plan(name, prepared.text)
-        elif self._engine is not None:
+        if self._engine is not None:
             instance = {
                 "source": "engine",
                 "cached": self._engine.instance_cached(prepared.text),

@@ -219,7 +219,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         quiet=not args.verbose,
         workers=args.workers,
         worker_threads=args.worker_threads,
-        stats_interval=args.stats_interval,
         deadline_ms=args.deadline_ms,
         max_queue=args.max_queue,
         rate_limit=args.rate_limit,
@@ -483,11 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--worker-threads", type=int, default=4,
         help="request threads inside each worker (same-shard concurrency "
         "still coalesces into shared batches)",
-    )
-    serve.add_argument(
-        "--stats-interval", type=float, default=0.0, metavar="S",
-        help="log a one-line stats summary to stderr every S seconds "
-        "(queue depth, shard residency, respawns; 0 = off)",
     )
     serve.add_argument(
         "--deadline-ms", type=float, default=0.0,

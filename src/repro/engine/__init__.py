@@ -1,9 +1,12 @@
-"""Query engine: axes on compressed instances, evaluators, result decoding."""
+"""Query engine: axes on compressed instances, the evaluator, result decoding.
+
+:class:`CompressedEvaluator` is the one evaluator: it takes a batch of
+queries, and a single query is a batch of one.
+"""
 
 from repro.engine.axes_compressed import apply_axis
 from repro.engine.axes_inplace import downward_axis_inplace
 from repro.engine.axes_tree import TreeIndex, tree_axis
-from repro.engine.batch import BatchEvaluator, evaluate_batch
 from repro.engine.evaluator import CompressedEvaluator, evaluate
 from repro.engine.pipeline import (
     Engine,
@@ -17,7 +20,6 @@ from repro.engine.results import BatchResult, BatchStats, QueryResult
 from repro.engine.tree_evaluator import TreeEvaluator, TreeResult, evaluate_on_tree
 
 __all__ = [
-    "BatchEvaluator",
     "BatchResult",
     "BatchStats",
     "CompressedEvaluator",
@@ -29,7 +31,6 @@ __all__ = [
     "apply_axis",
     "downward_axis_inplace",
     "evaluate",
-    "evaluate_batch",
     "evaluate_on_tree",
     "load_for_queries",
     "load_for_query",

@@ -1,11 +1,27 @@
 """Bottom-up evaluation of algebra expressions on compressed instances (3.3).
 
-The evaluator walks the query's algebra tree in postorder.  Every
+The evaluator walks each query's algebra tree in postorder.  Every
 subexpression materialises as a *named selection* on the working instance
 (the paper's "always adding the resulting selection to the resulting
 instance for future use"); axis applications may partially decompress the
 instance in place, and because a clone copies its original's membership
 row, previously computed selections remain valid.
+
+There is one evaluator, and a query is a batch of one.  The paper measures
+query *mixes* over one document (Figure 7), so :class:`CompressedEvaluator`
+evaluates any number of queries over **one** working instance — one copy
+in total — and keeps the selection of every algebra subtree in a memo keyed
+by its canonical :meth:`~repro.xpath.algebra.AlgebraExpr.structural_key`:
+a subtree repeated inside one query or across the batch (the ``//article``
+of a DBLP mix, the ``{root}`` leaf of every absolute path) materialises
+once.  Two invariants make this sound:
+
+* **every set survives a split** (section 3.3): a cached selection is
+  still correct after a later axis forces a split;
+* **every result is a durable snapshot**: query i's final selection is
+  copied into ``#q<i>`` (:func:`repro.model.schema.result_set`) before
+  query i+1 runs, so dropping the ``#t<n>`` temporaries at the end cannot
+  invalidate any result.
 
 Set operations and ``V|root`` are pure mask arithmetic; axes dispatch to
 :mod:`repro.engine.axes_compressed` through the one overridable
@@ -16,12 +32,14 @@ Figure 4 port in :mod:`repro.engine.axes_inplace` as the oracle).
 from __future__ import annotations
 
 import time
+from dataclasses import replace
+from typing import Callable, Iterable
 
 from repro.errors import EvaluationError
 from repro.model.instance import Instance
-from repro.model.schema import is_temp, temp_set
+from repro.model.schema import is_temp, result_set, temp_set
 from repro.engine import axes_compressed
-from repro.engine.results import QueryResult, reachable_sizes
+from repro.engine.results import BatchResult, BatchStats, QueryResult, reachable_sizes
 from repro.xpath.algebra import (
     AlgebraExpr,
     AllNodes,
@@ -43,7 +61,10 @@ class CompressedEvaluator:
 
     ``context`` names an existing set used for relative queries' starting
     selection; it defaults to the root singleton.  With ``copy=False`` the
-    caller's instance is consumed/mutated.
+    caller's instance is consumed/mutated.  :meth:`evaluate_batch` is the
+    entry point, and :meth:`evaluate` is a batch of one; ``stats``
+    accumulates the memo's :class:`BatchStats` over the evaluator's
+    lifetime.
 
     ``short_circuit=True`` enables the optimizer's dynamic counterpart to
     static empty-branch folding: when the left operand of an intersection
@@ -63,8 +84,11 @@ class CompressedEvaluator:
         self._instance = instance.copy() if copy else instance
         self._context = context
         self._counter = 0
+        self._result_counter = 0
         self._short_circuit = short_circuit
         self._trace: dict[int, str] | None = None
+        self._memo: dict[tuple, str] = {}
+        self.stats = BatchStats()
 
     @property
     def instance(self) -> Instance:
@@ -77,28 +101,80 @@ class CompressedEvaluator:
         keep_temps: bool = False,
         trace: dict[int, str] | None = None,
     ) -> QueryResult:
-        """Evaluate a query (string or compiled algebra) to a result selection.
+        """Evaluate one query (string or compiled algebra): a batch of one.
 
-        ``trace``, when given, is filled with ``id(node) -> selection name``
-        for every algebra node evaluated (the explain ``analyze`` hook:
-        callers read per-node actual cardinalities off the final instance —
-        pass ``keep_temps=True`` so the traced selections survive).  Nodes
-        skipped by short-circuiting are absent from the trace.
+        The result is the durable ``#q<i>`` snapshot; ``keep_temps`` is as
+        in :meth:`evaluate_batch`.  ``trace``, when given, is filled with
+        ``id(node) -> selection name`` for every algebra node evaluated
+        (the explain ``analyze`` hook: callers read per-node actual
+        cardinalities off the final instance — pass ``keep_temps=True`` so
+        the traced selections survive).  A memo hit is traced to the cached
+        selection; nodes skipped by short-circuiting are absent.
         """
-        expr = compile_query(query) if isinstance(query, str) else query
-        before = reachable_sizes(self._instance)
         self._trace = trace
-        started = time.perf_counter()
         try:
-            result_name = self._eval(expr)
+            return self.evaluate_batch([query], keep_temps=keep_temps).results[0]
         finally:
             self._trace = None
-        elapsed = time.perf_counter() - started
+
+    def evaluate_batch(
+        self,
+        queries: Iterable[str | AlgebraExpr],
+        keep_temps: bool = False,
+        check: Callable[[], None] | None = None,
+    ) -> BatchResult:
+        """Evaluate ``queries`` (strings or compiled algebra) as one workload.
+
+        Returns a :class:`BatchResult` whose per-query :class:`QueryResult`\\ s
+        all share the final working instance, each holding its own durable
+        ``#q<i>`` snapshot selection.  Temporaries (and with them the memo)
+        are dropped at the end unless ``keep_temps`` is set; keep them to
+        share subexpressions with a later call.
+
+        ``check`` is the cooperative cancellation seam: called before each
+        query, it may raise (e.g. :class:`~repro.errors.DeadlineExceededError`
+        from the serving layer once no waiter's deadline is still live) to
+        abort the rest of the batch — bounding how long a slow workload
+        holds the instance to one query's evaluation, without preemption
+        inside the engine.
+        """
+        exprs = [compile_query(q) if isinstance(q, str) else q for q in queries]
+        before = reachable_sizes(self._instance)
+        # self.stats accumulates over the evaluator's lifetime; the returned
+        # BatchResult gets a snapshot of just this batch's contribution.
+        mark = replace(self.stats)
+        batch_started = time.perf_counter()
+        snapshots: list[str] = []
+        timings: list[float] = []
+        for expr in exprs:
+            if check is not None:
+                check()
+            self.stats.queries += 1
+            started = time.perf_counter()
+            name = self._eval(expr)
+            snapshot = self._fresh_snapshot()
+            # Snapshot the selection under a durable name (union with itself
+            # is a one-pass bit copy on the mask plane).
+            self._instance.combine_sets("union", name, name, snapshot)
+            timings.append(time.perf_counter() - started)
+            snapshots.append(snapshot)
+        elapsed = time.perf_counter() - batch_started
         if not keep_temps:
-            self._drop_temps(except_for=result_name)
-        return QueryResult(
-            instance=self._instance, set_name=result_name, before=before, seconds=elapsed
+            self._instance.drop_sets(name for name in self._instance.schema if is_temp(name))
+            self._memo.clear()
+        results = [
+            QueryResult(
+                instance=self._instance, set_name=snapshot, before=before, seconds=seconds
+            )
+            for snapshot, seconds in zip(snapshots, timings)
+        ]
+        stats = BatchStats(
+            queries=self.stats.queries - mark.queries,
+            nodes_total=self.stats.nodes_total - mark.nodes_total,
+            nodes_evaluated=self.stats.nodes_evaluated - mark.nodes_evaluated,
+            nodes_reused=self.stats.nodes_reused - mark.nodes_reused,
         )
+        return BatchResult(results=results, seconds=elapsed, stats=stats)
 
     # ------------------------------------------------------------------
 
@@ -106,13 +182,24 @@ class CompressedEvaluator:
         self._counter += 1
         return temp_set(self._counter)
 
-    def _drop_temps(self, except_for: str) -> None:
-        self._instance.drop_sets(
-            name for name in self._instance.schema if is_temp(name) and name != except_for
-        )
+    def _fresh_snapshot(self) -> str:
+        """The next unused ``#q<i>`` name on the working instance."""
+        while True:
+            name = result_set(self._result_counter)
+            self._result_counter += 1
+            if not self._instance.has_set(name):
+                return name
 
     def _eval(self, expr: AlgebraExpr) -> str:
-        name = self._eval_node(expr)
+        """The selection of ``expr``: identical subtrees materialise once."""
+        self.stats.nodes_total += 1
+        key = expr.structural_key()
+        name = self._memo.get(key)
+        if name is not None and self._instance.has_set(name):
+            self.stats.nodes_reused += 1
+        else:
+            self.stats.nodes_evaluated += 1
+            name = self._memo[key] = self._eval_node(expr)
         if self._trace is not None:
             self._trace[id(expr)] = name
         return name

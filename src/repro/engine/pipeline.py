@@ -1,18 +1,15 @@
-"""The end-to-end pipeline of section 4: document + query -> result.
+"""The end-to-end pipeline of section 4: document + queries -> results.
 
 Given a query, only the tags and string constraints it mentions are needed
-in the instance schema; :func:`load_for_query` performs the paper's one-scan
-extraction over exactly that schema, and :func:`query` runs the full
-pipeline.  :class:`Engine` caches per-schema instances for a document so
-repeated queries with the same leaf sets skip the parse (the paper re-parses
-per query; both behaviours are measurable in the benchmarks).
-
-For *workloads* — the paper's experiments always run a mix of queries
-against one document — :meth:`Engine.query_batch` loads one instance over
-the **union** of the batch's schemas (one scan covers all queries) and
-evaluates the whole mix on one shared working copy through
-:class:`repro.engine.batch.BatchEvaluator`, reusing identical algebra
-subtrees across queries.
+in the instance schema; :func:`load_for_queries` performs the paper's
+one-scan extraction over exactly the **union** of a batch's schemas, and
+:func:`query_batch` runs the full pipeline: one load, one working copy, and
+the one evaluator (:class:`repro.engine.evaluator.CompressedEvaluator`),
+which evaluates identical algebra subtrees once.  A single query is a batch
+of one (:func:`query`).  :class:`Engine` caches per-schema instances for a
+document so repeated queries with the same leaf sets skip the parse (the
+paper re-parses per query; both behaviours are measurable in the
+benchmarks).
 """
 
 from __future__ import annotations
@@ -75,16 +72,13 @@ def query(
 ) -> QueryResult:
     """Evaluate ``query_text`` against XML text or a pre-loaded instance.
 
-    When ``source`` is XML text, the document is parsed into a compressed
-    instance over the query's schema first (the measured pipeline of
-    Figure 7); when it is an :class:`Instance`, its schema must already
-    contain the sets the query mentions.
+    The :func:`query_batch` of one text: when ``source`` is XML text, the
+    document is parsed into a compressed instance over the query's schema
+    first (the measured pipeline of Figure 7); when it is an
+    :class:`Instance`, its schema must already contain the sets the query
+    mentions.
     """
-    if isinstance(source, Instance):
-        instance = source
-    else:
-        instance = load_for_query(source, query_text).instance
-    return CompressedEvaluator(instance, context=context).evaluate(query_text)
+    return query_batch(source, [query_text], context=context)[0]
 
 
 def query_batch(
@@ -96,15 +90,13 @@ def query_batch(
 
     One load (over the union schema) and one working copy serve every query;
     identical algebra subtrees across the mix are evaluated once.  See
-    :class:`repro.engine.batch.BatchEvaluator`.
+    :class:`repro.engine.evaluator.CompressedEvaluator`.
     """
-    from repro.engine.batch import BatchEvaluator
-
     if isinstance(source, Instance):
         instance = source
     else:
         instance = load_for_queries(source, query_texts).instance
-    return BatchEvaluator(instance, context=context).evaluate_batch(query_texts)
+    return CompressedEvaluator(instance, context=context).evaluate_batch(query_texts)
 
 
 class Engine:
@@ -122,13 +114,11 @@ class Engine:
     The cache is a true LRU — a hit refreshes the entry, so under churn the
     hottest query texts are the last to be evicted.
 
-    ``optimize`` enables the cost-based plan optimizer
-    (:mod:`repro.xpath.optimizer`): document statistics are collected from
-    each loaded instance (once per schema), compiled plans are rewritten
-    against them, and evaluation runs with the dynamic short-circuit on.
-    The default (``None``) resolves to ``not reparse_per_query``: the
-    re-extract-per-query setup stays the paper-faithful unoptimized
-    pipeline, the cached setup optimizes.
+    The cached setup also optimizes (:mod:`repro.xpath.optimizer`):
+    document statistics are collected from each loaded instance (once per
+    schema), compiled plans are rewritten against them, and evaluation runs
+    with the dynamic short-circuit on.  The re-extract-per-query setup stays
+    the paper-faithful unoptimized pipeline.
 
     **`last_load` contract:** after every :meth:`query` /
     :meth:`query_batch` / :meth:`instance_for` call, ``last_load`` is the
@@ -138,15 +128,9 @@ class Engine:
     cost paid when that schema was *first* loaded, not by this call.
     """
 
-    def __init__(
-        self,
-        text: str,
-        reparse_per_query: bool = True,
-        optimize: bool | None = None,
-    ):
+    def __init__(self, text: str, reparse_per_query: bool = True):
         self._text = text
         self._reparse = reparse_per_query
-        self._optimize = (not reparse_per_query) if optimize is None else optimize
         self._cache: dict[SchemaKey, LoadResult] = {}
         self._compiled = CompiledQueryCache(limit=self.COMPILED_CACHE_LIMIT)
         self._stats_cache: dict[SchemaKey, DocumentStats] = {}
@@ -164,11 +148,6 @@ class Engine:
     def reparse_per_query(self) -> bool:
         """True when the paper's re-extract-per-query setup is reproduced."""
         return self._reparse
-
-    @property
-    def optimize(self) -> bool:
-        """True when compiled plans are rewritten by the cost-based optimizer."""
-        return self._optimize
 
     def compiled(self, query_text: str) -> AlgebraExpr:
         """The compiled algebra of ``query_text`` (cached per query text)."""
@@ -252,27 +231,21 @@ class Engine:
         return entry
 
     def optimized_entry(self, query_text: str) -> OptimizationResult | None:
-        """The optimizer's result for ``query_text`` (``None`` if disabled).
+        """The optimizer's result for ``query_text`` (``None`` when re-parsing).
 
         Loads (or reuses) the query's instance to collect statistics — the
         same object :meth:`query` would evaluate on — so explain output
         matches what evaluation actually runs.
         """
-        if not self._optimize:
+        if self._reparse:
             return None
         expr, key = self.compiled_entry(query_text)
         instance = self._instance_for_key(key)
         return self._optimized_for(query_text, expr, key, instance)
 
     def query(self, query_text: str, context: str | None = None) -> QueryResult:
-        expr, key = self.compiled_entry(query_text)
-        instance = self._instance_for_key(key)
-        short_circuit = False
-        if self._optimize:
-            expr = self._optimized_for(query_text, expr, key, instance).expr
-            short_circuit = True
-        evaluator = CompressedEvaluator(instance, context=context, short_circuit=short_circuit)
-        return evaluator.evaluate(expr)
+        """One query: the :meth:`query_batch` of one text."""
+        return self.query_batch([query_text], context=context)[0]
 
     def query_batch(
         self, query_texts: Sequence[str], context: str | None = None
@@ -283,13 +256,11 @@ class Engine:
         served from the per-schema cache — over the *union* of the batch's
         tags and strings), one ``copy()`` is paid in total, and identical
         algebra subtrees across the mix materialise their selection once
-        (see :class:`repro.engine.batch.BatchEvaluator`).  Per-query results
-        are snapshotted as durable ``#q<i>`` selections, so every result
-        stays valid no matter which later query partially decompressed the
-        shared instance.
+        (see :class:`repro.engine.evaluator.CompressedEvaluator`).
+        Per-query results are snapshotted as durable ``#q<i>`` selections,
+        so every result stays valid no matter which later query partially
+        decompressed the shared instance.
         """
-        from repro.engine.batch import BatchEvaluator
-
         entries = [self.compiled_entry(text) for text in query_texts]
         tags: set[str] = set()
         strings: set[str] = set()
@@ -299,14 +270,13 @@ class Engine:
         key: SchemaKey = (tuple(sorted(tags)), tuple(sorted(strings)))
         instance = self._instance_for_key(key)
         exprs = [expr for expr, _ in entries]
-        short_circuit = False
-        if self._optimize:
+        optimize = not self._reparse
+        if optimize:
             exprs = [
                 self._optimized_for(text, expr, key, instance).expr
                 for text, expr in zip(query_texts, exprs)
             ]
-            short_circuit = True
-        evaluator = BatchEvaluator(instance, context=context, short_circuit=short_circuit)
+        evaluator = CompressedEvaluator(instance, context=context, short_circuit=optimize)
         return evaluator.evaluate_batch(exprs)
 
     def explain(self, query_text: str) -> str:

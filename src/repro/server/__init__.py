@@ -12,7 +12,7 @@ The subsystem has four layers, bottom up:
 * :mod:`repro.server.service` / :mod:`repro.server.routes` /
   :mod:`repro.server.asyncio_http` / :mod:`repro.server.http` — the
   coalescing evaluation front (concurrent requests for one document share
-  a single :class:`repro.engine.batch.BatchEvaluator` run), the
+  one batch of :class:`repro.engine.evaluator.CompressedEvaluator`), the
   transport-agnostic route core, the asyncio HTTP front-end, and the
   ``repro serve`` entry points that build and run it.
 * :mod:`repro.server.metrics` — lock-cheap counters/gauges/histograms and
@@ -20,7 +20,7 @@ The subsystem has four layers, bottom up:
 * :mod:`repro.server.cluster` / :mod:`repro.server.worker` — the pre-forked
   worker fleet (``repro serve --workers N``): rendezvous-hashed shard
   affinity, crash detection + respawn, graceful drain; each worker process
-  owns its own pool and batch evaluator over the shared catalog.
+  owns its own pool and evaluator over the shared catalog.
 * :mod:`repro.server.resilience` — the failure-handling primitives shared
   by every layer above: end-to-end :class:`Deadline` budgets, bounded
   admission with load shedding (:class:`AdmissionController`), per-shard

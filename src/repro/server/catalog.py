@@ -515,7 +515,9 @@ class Catalog:
 
     def xml(self, name: str) -> str:
         """The current document text (string-schema reloads, mutation base)."""
-        entry = self.entry(name)
+        return self._text(self.entry(name))
+
+    def _text(self, entry: CatalogEntry) -> str:
         with open(
             os.path.join(self._data_dir(entry), "document.xml"), "r", encoding="utf-8"
         ) as handle:
@@ -552,13 +554,16 @@ class Catalog:
                 self._stats[name] = stats
         return stats
 
-    def load(self, name: str, strings: tuple[str, ...] = ()) -> tuple[Instance, dict]:
+    def load(
+        self, name: str, strings: tuple[str, ...] = ()
+    ) -> tuple[Instance, dict, CatalogEntry]:
         """A full instance of ``name`` over its tag schema plus ``strings``,
-        with its provenance (the ``load`` block of ``/stats`` and plans).
+        with its provenance (the ``load`` block of ``/stats`` and plans)
+        and the entry of the version it was read from.
 
         Without string constraints this is the warm path: the version's
         skeleton image is read, digest-checked and decoded — the XML is
-        never re-parsed.  With string constraints the original text is
+        never re-parsed.  With string constraints the version's text is
         re-scanned once to compute the containment sets; callers cache the
         result.
 
@@ -567,25 +572,31 @@ class Catalog:
         :class:`IntegrityError`; later requests fail fast with
         :class:`QuarantinedError` without touching disk) — corrupt bytes
         are never decoded into a served instance.  Only the *current*
-        version's image can condemn a document: when a commit published a
+        version's files can condemn a document: when a commit published a
         newer version (and collected the files of the one read) between the
-        entry read and the image read, the new version is read instead, as
-        if the commit had landed first.
+        entry read and the file read, the new version is read instead, as
+        if the commit had landed first — so a caller that planned against
+        an entry compares it with the one returned.
         """
         entry = self.check_serveable(name)
         FAULTS.fire("catalog.load_instance", name=name, strings=strings)
-        if strings:
-            instance = load(
-                self.xml(name), tags=None, strings=list(strings), attributes=entry.attributes
-            ).instance
-            return instance, {"format": "parse", "bytes_mapped": 0}
         for retry in (False, True):
             try:
-                return self._image(entry).load()
-            except IntegrityError:
+                if strings:
+                    instance = load(
+                        self._text(entry),
+                        tags=None,
+                        strings=list(strings),
+                        attributes=entry.attributes,
+                    ).instance
+                    return instance, {"format": "parse", "bytes_mapped": 0}, entry
+                instance, info = self._image(entry).load()
+                return instance, info, entry
+            except (IntegrityError, OSError) as error:
                 current = self.entry(name)
                 if current == entry:
-                    self.quarantine(name)
+                    if isinstance(error, IntegrityError):
+                        self.quarantine(name)
                     raise
                 if retry:
                     raise

@@ -5,7 +5,7 @@ coalesces concurrent requests, but every mask-plane evaluation still
 contends on one GIL — aggregate throughput stops scaling past ~1 core.
 The fleet shards the work the way path-partitioned stores do: each
 **worker process** (:mod:`repro.server.worker`) owns its own
-``InstancePool``/``BatchEvaluator`` and answers only the shards routed to
+``InstancePool`` and evaluator and answers only the shards routed to
 it, so N workers evaluate on N cores with no shared interpreter state.
 
 Design points:
@@ -40,7 +40,7 @@ Design points:
 
 :class:`WorkerFleet` is a :class:`~repro.server.service.ServingBackend`
 like the in-process :class:`~repro.server.service.QueryService`: plans,
-``explain``, ``measure_plan`` and ``mutate`` are the inherited single
+``plan``/``explain`` and ``mutate`` are the inherited single
 implementation, and this module adds only what is genuinely fleet —
 routing, the wire, slots/breakers/respawn, stats folding and the evict
 broadcast — so the HTTP front-end treats ``--workers N`` and
@@ -62,7 +62,7 @@ from concurrent.futures import TimeoutError as FuturesTimeoutError
 from repro.errors import ClusterError, DeadlineExceededError, WorkerUnavailableError
 from repro.server.catalog import Catalog
 from repro.server.resilience import FAULTS, AdmissionController, CircuitBreaker, Deadline
-from repro.server.service import DEFAULT_LIMIT, ServingBackend, kernel_info
+from repro.server.service import DEFAULT_LIMIT, ServingBackend, kernel_info, pool_key
 from repro.server.worker import SHUTDOWN, rebuild_error, worker_main
 
 #: Request kinds counted in dispatched/completed/failed — real work, not
@@ -627,9 +627,10 @@ class WorkerFleet(ServingBackend):
         The shard's pooled master stays untouched — measuring inside a
         worker would mean shipping per-node traces over the wire — and
         the load is discarded after measuring: a diagnostic endpoint pays
-        a cold load, serving traffic pays nothing.
+        a cold load, serving traffic pays nothing.  A load that read another
+        version than ``catalog_entry`` raises, and the plan is made again.
         """
-        return self.catalog.load_instance(document, strings)
+        return self._load_master(pool_key(document, strings, catalog_entry))[0]
 
     def evict(self, document: str) -> int:
         """Drop ``document`` residency in every worker; return entries dropped.

@@ -148,34 +148,8 @@ def wait_ready(host: str, port: int, timeout: float = 30.0, path: str = "/health
         time.sleep(0.02)
 
 
-def _stats_line(service) -> str:
-    """One greppable line of serving counters (the ``--stats-interval`` log)."""
-    stats = service.stats_dict()
-    if "cluster" in stats:
-        cluster = stats["cluster"]
-        depths = ",".join(str(row["queue_depth"]) for row in stats["workers"])
-        shards = ",".join(str(len(row.get("shards", []))) for row in stats["workers"])
-        return (
-            f"workers={cluster['alive']}/{cluster['workers']} "
-            f"dispatched={cluster['dispatched']} completed={cluster['completed']} "
-            f"failed={cluster['failed']} respawns={cluster['respawns']} "
-            f"depth=[{depths}] shards=[{shards}]"
-        )
-    inner, pool = stats["service"], stats["pool"]
-    return (
-        f"requests={inner['requests']} batches={inner['batches']} "
-        f"errors={inner['errors']} "
-        f"pool={pool['resident']}/{pool['capacity']} "
-        f"hits={pool['hits']} misses={pool['misses']}"
-    )
-
-
-def serve(catalog_dir: str, stats_interval: float = 0.0, **kwargs) -> None:
+def serve(catalog_dir: str, **kwargs) -> None:
     """Run the server until interrupted (the ``repro serve`` entry point).
-
-    ``stats_interval=S`` (seconds, 0 = off) logs one :func:`_stats_line`
-    to stderr every S seconds, so CI smoke runs and operators can watch
-    queue depth and shard residency without curling ``/stats``.
 
     SIGTERM (and SIGINT, even when the process was started as a shell
     background job with SIGINT ignored) triggers the same graceful path:
@@ -209,20 +183,9 @@ def serve(catalog_dir: str, stats_interval: float = 0.0, **kwargs) -> None:
         f"documents={len(documents)}{fleet}",
         file=sys.stderr,
     )
-    stop_stats = threading.Event()
-    if stats_interval > 0:
-        def stats_loop() -> None:
-            while not stop_stats.wait(stats_interval):
-                try:
-                    print(f"repro serve: stats {_stats_line(service)}", file=sys.stderr)
-                except Exception as error:  # noqa: BLE001 - logging must not kill serving
-                    print(f"repro serve: stats unavailable: {error}", file=sys.stderr)
-
-        threading.Thread(target=stats_loop, name="stats-log", daemon=True).start()
     try:
         server.serve_forever()
         print("repro serve: shutting down", file=sys.stderr)
     finally:
-        stop_stats.set()
         server.server_close()
         service.close()

@@ -1,20 +1,26 @@
-"""The concurrent query service: pool + request coalescing over BatchEvaluator.
+"""The concurrent query service: pool + request coalescing over the evaluator.
 
 One :class:`QueryService` serves many concurrent callers over a
 :class:`repro.server.catalog.Catalog`.  The serving pipeline per request:
 
 1. the query text is parsed/compiled once (bounded LRU, shared across
-   requests) and its **schema key** derived — for catalog documents that is
+   requests), its **schema key** derived — for catalog documents that is
    just the sorted tuple of string-containment needles, since documents are
-   shredded with every tag;
+   shredded with every tag — and its plan optimized against the statistics
+   of one document version (plans are always optimized);
 2. the request joins the *pending micro-batch* of its
-   ``(document, schema key)``; the first arrival becomes the batch
+   ``(document, schema key, version)``; the first arrival becomes the batch
    **leader**, drains the queue and evaluates everything in it as **one**
-   :class:`repro.engine.batch.BatchEvaluator` run — so requests that arrive
-   while a batch is executing coalesce naturally into the next run and the
-   cross-query common-subexpression cache becomes the server's hot path;
+   batch of the one evaluator,
+   :class:`repro.engine.evaluator.CompressedEvaluator` — so requests that
+   arrive while a batch is executing coalesce naturally into the next run
+   and the evaluator's common-subexpression memo becomes the server's hot
+   path;
 3. the resident master instance comes from the LRU
    :class:`repro.server.pool.InstancePool`; evaluation never mutates it.
+   A master is installed only under its own version's key: when a commit
+   lands between planning and a cold load, the request is planned again
+   for the new version.
 
 Every batch evaluates in place, under the entry lock, on the entry's
 long-lived **working fork**: one ``copy()`` of the immutable master, so the
@@ -49,7 +55,7 @@ from dataclasses import dataclass, field
 # MAX_PATHS is re-exported: it was public here before the encodings moved
 # to the shared envelope module, and callers still read the cap from us.
 from repro.api.envelope import DEFAULT_LIMIT, MAX_PATHS, encode_result  # noqa: F401
-from repro.engine.batch import BatchEvaluator
+from repro.engine.evaluator import CompressedEvaluator
 from repro.errors import CatalogError, DeadlineExceededError
 from repro.model import planes
 from repro.model.instance import Instance
@@ -171,6 +177,29 @@ class _Request:
     refused: bool = False
 
 
+class _VersionMoved(Exception):
+    """The master loaded for a plan's key was another document version's.
+
+    Never leaves the backend: the request or plan that meets it is planned
+    again for the current version.
+    """
+
+
+def pool_key(document: str, strings: tuple[str, ...], entry) -> tuple:
+    """The residency key of ``(document, strings)`` at catalog ``entry``.
+
+    The registration stamp and document version are both part of it: a
+    document removed and re-registered under the same name gets fresh
+    keys, so a master loaded by a query racing the removal (it can land in
+    the pool *after* the eviction scan) is unreachable to later queries —
+    stale data is never served, it just ages out of the LRU.  The version
+    covers mutations too: a mutated document is a new key, and in-flight
+    queries holding the previous key finish on their snapshot (readers
+    never block).
+    """
+    return (document, tuple(strings), entry.registered_at, entry.doc_version)
+
+
 def _ensure_tag_sets(working: Instance, tags) -> Instance:
     """Materialise (empty) sets for tags the document never uses.
 
@@ -199,8 +228,8 @@ class ServingBackend:
     The in-process :class:`QueryService` and the fleet dispatcher
     (:class:`repro.server.cluster.WorkerFleet`) both compile, optimize,
     explain and mutate through this class, so ``/explain``, ``/mutate``
-    and the optimizer seams of :class:`repro.api.Database` cannot drift
-    between ``--workers 0`` and ``--workers N``.  A backend supplies only
+    and :meth:`repro.api.Database.explain` cannot drift between
+    ``--workers 0`` and ``--workers N``.  A backend supplies only
     the three things that really differ:
 
     * :meth:`_analysis_instance` — the private instance ``analyze``
@@ -213,11 +242,8 @@ class ServingBackend:
     #: Bound of the compiled-query LRU and of the optimized-plan LRU.
     COMPILED_CACHE_LIMIT = 1024
 
-    def __init__(self, catalog: Catalog, optimize: bool = True):
+    def __init__(self, catalog: Catalog):
         self.catalog = catalog
-        #: Cost-based plan optimization over the catalog's per-version
-        #: statistics (:meth:`Catalog.document_stats`).
-        self.optimize = optimize
         self._stats_lock = threading.Lock()
         self._mutations = MutationStats()
         self._compiled = CompiledQueryCache(limit=self.COMPILED_CACHE_LIMIT)
@@ -315,11 +341,11 @@ class ServingBackend:
             return entry
 
     def _cached_plan(self, document: str, query_text: str):
-        """``(catalog entry, served expr, tags, strings)`` from the caches alone.
+        """``(catalog entry, optimized expr, tags, strings)`` from the caches alone.
 
-        ``None`` unless the document is known and both the compiled and
-        (when optimizing) the optimized plan are cached: this never parses,
-        compiles or reads statistics, and never raises.
+        ``None`` unless the document is known and both the compiled and the
+        optimized plan are cached: this never parses, compiles or reads
+        statistics, and never raises.
         """
         try:
             catalog_entry = self.catalog.entry(document)
@@ -328,90 +354,88 @@ class ServingBackend:
         compiled = self._compiled.cached(query_text)
         if compiled is None:
             return None
-        expr, tags, strings = compiled
-        if self.optimize:
-            optimization = self._cached_optimization(
-                (query_text, document, catalog_entry.registered_at, catalog_entry.doc_version)
-            )
-            if optimization is None:
-                return None
-            expr = optimization.expr
-        return catalog_entry, expr, tags, strings
+        _, tags, strings = compiled
+        optimization = self._cached_optimization(
+            (query_text, document, catalog_entry.registered_at, catalog_entry.doc_version)
+        )
+        if optimization is None:
+            return None
+        return catalog_entry, optimization.expr, tags, strings
 
     def _planned(self, document: str, query_text: str):
-        """``(catalog entry, expr, tags, strings, optimization)`` of a served query.
+        """``(catalog entry, tags, strings, optimization)`` of a served query.
 
         Unknown documents raise before the text is compiled; compilation
         goes through the shared LRU, so hot texts are parse-free and a
         malformed query fails with the same error on every surface.
-        ``optimization`` is ``None`` when the backend runs unoptimized.
         """
         catalog_entry = self.catalog.entry(document)  # raises when unknown
         expr, tags, strings = self._compiled.entry(query_text)
-        optimization = None
-        if self.optimize:
-            catalog_entry, optimization = self._optimized_for(
-                document, catalog_entry, query_text, expr
-            )
-        return catalog_entry, expr, tags, strings, optimization
+        catalog_entry, optimization = self._optimized_for(
+            document, catalog_entry, query_text, expr
+        )
+        return catalog_entry, tags, strings, optimization
+
+    def _load_master(self, key: tuple) -> tuple[Instance, dict]:
+        """The master of ``key``'s document version, with its provenance.
+
+        Raises :class:`_VersionMoved` when the catalog read another version
+        (a commit landed after the caller planned against ``key``), so a
+        master is only ever installed under its own version's key.
+        """
+        document, strings, registered_at, doc_version = key
+        instance, info, entry = self.catalog.load(document, strings)
+        if (entry.registered_at, entry.doc_version) != (registered_at, doc_version):
+            raise _VersionMoved(document)
+        return instance, info
 
     # -- plans -----------------------------------------------------------
 
-    def explain(self, document: str, query_text: str, analyze: bool = False) -> dict:
-        """The structured plan of ``query_text`` against a served document.
+    def plan(self, document: str, query_text: str, analyze: bool = False):
+        """The structured :class:`repro.api.Plan` of a served query.
 
-        The ``/explain`` payload: the :class:`repro.api.Plan` as JSON with
-        the backend's :meth:`instance_info` provenance attached.  Under a
-        fleet the plan is still computed here, dispatcher-side — workers
-        rewrite against the same per-version statistics, so this is exactly
-        the plan the shard evaluates, without an IPC round trip.
-
-        When the backend optimizes, the plan is the optimized tree with
+        The one plan builder behind ``/explain`` and
+        :meth:`repro.api.Database.explain`: the optimized tree with
         per-node ``est_cardinality`` and rule tags (see the contract in
-        :mod:`repro.api.plan`).  ``analyze=True`` additionally *executes*
-        the plan — on a private instance, never mutating served state —
-        and attaches measured ``actual`` DAG/tree counts to every node,
-        the estimated-vs-actual view.  Analyze runs without runtime
-        short-circuiting so every node gets a measurement.
+        :mod:`repro.api.plan`) and the backend's :meth:`instance_info`
+        provenance.  Under a fleet the plan is still computed here,
+        dispatcher-side — workers rewrite against the same per-version
+        statistics, so this is exactly the plan the shard evaluates.
+
+        ``analyze=True`` additionally *executes* the plan — on a private
+        instance, never mutating served state, without runtime
+        short-circuiting — and attaches measured ``actual`` DAG/tree counts
+        to every node.  The tree measured is the tree annotated (one
+        :meth:`_planned` call); when a commit moved the document before
+        its master loaded, the query is planned again for the new version.
         """
         from repro.api.plan import Plan
 
-        catalog_entry, expr, tags, strings, optimization = self._planned(document, query_text)
         actuals = None
-        if analyze:
-            plan_expr = expr if optimization is None else optimization.expr
-            actuals = self._measure(document, catalog_entry, plan_expr, tags, strings)
+        while True:
+            catalog_entry, tags, strings, optimization = self._planned(document, query_text)
+            try:
+                if analyze:
+                    actuals = self._measure(
+                        document, catalog_entry, optimization.expr, tags, strings
+                    )
+                break
+            except _VersionMoved:  # measured another version's master
+                pass
         plan = Plan.from_compiled(
-            query_text, expr, tags, strings, optimization=optimization, actuals=actuals
+            query_text, optimization.original, tags, strings,
+            optimization=optimization, actuals=actuals,
         )
         plan.instance = self.instance_info(document, strings)
+        return plan
+
+    def explain(self, document: str, query_text: str, analyze: bool = False) -> dict:
+        """The ``/explain`` payload: :meth:`plan` as JSON."""
+        plan = self.plan(document, query_text, analyze)
         payload = {"document": document, "query": query_text, "plan": plan.to_dict()}
         if analyze:
             payload["analyzed"] = True
         return payload
-
-    def optimized_entry(self, document: str, query_text: str):
-        """The cached :class:`OptimizationResult` for a served query.
-
-        ``None`` when the backend runs unoptimized.  The seam
-        :meth:`repro.api.Database.explain` reads optimizer metadata
-        through — the same cached object :meth:`query` evaluates, so node
-        identities line up with :meth:`measure_plan`.
-        """
-        *_, optimization = self._planned(document, query_text)
-        return optimization
-
-    def measure_plan(self, document: str, query_text: str) -> dict[int, dict]:
-        """Execute the served plan and measure per-node actual cardinalities.
-
-        ``id(node) -> {"dag_count", "tree_count"}`` over the same
-        expression tree :meth:`optimized_entry` (or, unoptimized, the
-        compiled cache) returns.
-        """
-        catalog_entry, expr, tags, strings, optimization = self._planned(document, query_text)
-        if optimization is not None:
-            expr = optimization.expr
-        return self._measure(document, catalog_entry, expr, tags, strings)
 
     def _measure(
         self,
@@ -485,9 +509,8 @@ class QueryService(ServingBackend):
         max_queue: int = 0,
         rate_limit: float = 0.0,
         degraded_shed_rate: float = 1.0,
-        optimize: bool = True,
     ):
-        super().__init__(catalog, optimize=optimize)
+        super().__init__(catalog)
         self.request_timeout = request_timeout
         self.pool = InstancePool(capacity=pool_capacity)
         self.admission = AdmissionController(max_queue=max_queue, rate_limit=rate_limit)
@@ -571,7 +594,7 @@ class QueryService(ServingBackend):
         if plan is None:
             return None
         catalog_entry, expr, tags, strings = plan
-        key = (document, strings, catalog_entry.registered_at, catalog_entry.doc_version)
+        key = pool_key(document, strings, catalog_entry)
         entry = self.pool.peek(key)
         if entry is None or not entry.lock.acquire(blocking=False):
             return None
@@ -631,27 +654,24 @@ class QueryService(ServingBackend):
         deadline: Deadline | None,
         trace: str | None = None,
     ) -> dict:
-        catalog_entry, expr, tags, strings, optimization = self._planned(document, query_text)
-        if optimization is not None:
-            expr = optimization.expr
-        request = _Request(
-            query_text=query_text,
-            expr=expr,
-            tags=tags,
-            paths=paths,
-            limit=limit,
-            deadline=deadline,
-            trace=trace,
-        )
-        # The registration stamp and document version are both part of the
-        # residency key: a document removed and re-registered under the same
-        # name gets fresh keys, so a master loaded by a query racing the
-        # removal (it can land in the pool *after* the eviction scan) is
-        # unreachable to later queries — stale data is never served, it
-        # just ages out of the LRU.  The version covers mutations too: a
-        # mutated document is a new key, and in-flight queries holding the
-        # previous key finish on their snapshot (readers never block).
-        key = (document, strings, catalog_entry.registered_at, catalog_entry.doc_version)
+        catalog_entry, tags, strings, optimization = self._planned(document, query_text)
+        with self._stats_lock:
+            self.stats.requests += 1
+        while True:
+            request = _Request(
+                query_text, optimization.expr, tags, paths, limit, deadline, trace
+            )
+            try:
+                return self._coalesced(pool_key(document, strings, catalog_entry), request)
+            except _VersionMoved:
+                # A commit landed between planning and the master's load:
+                # plan again for the version the catalog now serves.
+                catalog_entry, tags, strings, optimization = self._planned(
+                    document, query_text
+                )
+
+    def _coalesced(self, key: tuple, request: _Request) -> dict:
+        """Queue ``request`` on ``key``'s pending batch and wait for its answer."""
         future: Future = Future()
         pending = self._pending_for(key)
         with pending.mutex:
@@ -659,10 +679,9 @@ class QueryService(ServingBackend):
             lead = not pending.busy
             if lead:
                 pending.busy = True
-        with self._stats_lock:
-            self.stats.requests += 1
         if lead:
             self._drain(key, pending)
+        deadline = request.deadline
         timeout = self.request_timeout
         if deadline is not None:
             timeout = min(timeout, max(deadline.remaining(), 0.0))
@@ -692,8 +711,7 @@ class QueryService(ServingBackend):
         and how it was loaded.  Raises :class:`repro.errors.CatalogError`
         for unknown documents.
         """
-        entry = self.catalog.entry(document)
-        key = (document, tuple(strings), entry.registered_at, entry.doc_version)
+        key = pool_key(document, strings, self.catalog.entry(document))
         return {
             "source": "pool",
             "resident": key in self.pool.keys(),
@@ -707,7 +725,7 @@ class QueryService(ServingBackend):
     ) -> Instance:
         """A private copy of the pooled master — the same instance
         :meth:`query` would use, so actuals describe real serving state."""
-        key = (document, strings, catalog_entry.registered_at, catalog_entry.doc_version)
+        key = pool_key(document, strings, catalog_entry)
         entry = self.pool.get_or_load(key, lambda: self._load_master(key))
         with entry.lock:
             return entry.instance.copy()
@@ -719,7 +737,6 @@ class QueryService(ServingBackend):
         return {
             "service": service,
             "pool": self.pool.stats(),
-            "optimize": self.optimize,
             "admission": self.admission.stats(),
             "quarantined": self.catalog.quarantined(),
             "kernel": kernel_info(),
@@ -807,10 +824,6 @@ class QueryService(ServingBackend):
 
     # -- evaluation ------------------------------------------------------
 
-    def _load_master(self, key: tuple) -> tuple[Instance, dict]:
-        document, strings = key[0], key[1]
-        return self.catalog.load(document, strings)
-
     def _prune_expired(
         self, batch: list[tuple[_Request, Future]]
     ) -> list[tuple[_Request, Future]]:
@@ -841,7 +854,13 @@ class QueryService(ServingBackend):
         batch = self._prune_expired(batch)
         if not batch:
             return
-        entry = self.pool.get_or_load(key, lambda: self._load_master(key))
+        try:
+            entry = self.pool.get_or_load(key, lambda: self._load_master(key))
+        except _VersionMoved as moved:
+            # Not an error: every waiter plans again (see _admitted_query).
+            for _, future in batch:
+                future.set_exception(moved)
+            return
         pool_hit = entry.hits > 0
         with entry.lock:
             outcomes = self._serve(key, entry, [request for request, _ in batch], pool_hit)
@@ -943,7 +962,7 @@ class QueryService(ServingBackend):
         width = len(working.schema)
         for request in batch:
             _ensure_tag_sets(working, request.tags)
-        evaluator = BatchEvaluator(working, copy=False, short_circuit=self.optimize)
+        evaluator = CompressedEvaluator(working, copy=False, short_circuit=True)
         check = self._batch_check(batch)
         vertices_before = working.num_vertices
         try:

@@ -5,7 +5,7 @@ fleet uses the ``spawn`` start method, so nothing is inherited except the
 two queues and a config dict of primitives) builds its **own**
 :class:`repro.server.service.QueryService` — own
 :class:`~repro.server.pool.InstancePool`, own
-:class:`~repro.engine.batch.BatchEvaluator` runs, own GIL — over the
+:class:`~repro.engine.evaluator.CompressedEvaluator` runs, own GIL — over the
 shared on-disk :class:`~repro.server.catalog.Catalog`.
 
 The published image is the replication channel: a worker *loads* its

@@ -42,6 +42,25 @@ class TestOpen:
             with pytest.raises(ReproError, match="fragments"):
                 db.execute("//author").fragments(1)
 
+    @pytest.mark.parametrize(
+        "query",
+        ["//author", "//book/author", "//title/following-sibling::author", "//paper[author]"],
+    )
+    def test_saved_instance_execute_is_a_batch_of_one(self, tmp_path, query):
+        from repro.skeleton.layout import write_skeleton
+        from repro.skeleton.loader import load
+
+        path = str(tmp_path / "bib.saved")
+        write_skeleton(path, load(BIB_XML).instance)
+        with repro.open(path) as db:
+            one = db.execute(query)
+            (batched,) = db.execute_batch([query])
+        assert one.result.set_name == batched.result.set_name == "#q0"
+        assert one.to_json(paths=10) == batched.to_json(paths=10)
+        assert (one.before, one.after, one.dag_count()) == (
+            batched.before, batched.after, batched.dag_count()
+        )
+
     def test_open_catalog_directory(self, tmp_path):
         with Database.from_catalog(tmp_path / "cat") as first:
             first.add_document("bib", BIB_XML)

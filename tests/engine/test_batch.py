@@ -1,20 +1,20 @@
-"""Tests for the batch workload engine (BatchEvaluator / Engine.query_batch).
+"""Tests for batch evaluation (CompressedEvaluator.evaluate_batch / query_batch).
 
 The contract under test: a batch decodes to exactly the selections the
-sequential engine produces query by query, per-query snapshots stay valid
-no matter which later query forces a partial decompression, and identical
-algebra subtrees across the mix are evaluated only once.
+engine produces query by query, per-query snapshots stay valid no matter
+which later query forces a partial decompression, and identical algebra
+subtrees across the mix — or inside one query — are evaluated only once.
 """
 
 import pytest
 
-from repro.engine.batch import BatchEvaluator, evaluate_batch
-from repro.engine.evaluator import evaluate
+from repro.engine.evaluator import CompressedEvaluator, evaluate
 from repro.engine.pipeline import Engine, load_for_queries, query_batch
 from repro.errors import EvaluationError
 from repro.model.schema import is_temp
 from repro.xpath.compiler import compile_query
 
+from tests.engine.util import oracle_paths
 from tests.skeleton.test_loader import BIB_XML
 
 MIX = ["//book/author", "//paper/author", "//book", "/bib/paper/title", "//book/author"]
@@ -26,7 +26,7 @@ def solo_paths(instance, query_text):
 
 class TestBatchEquivalence:
     def test_matches_sequential_on_bib(self, figure2_compressed):
-        batch = evaluate_batch(figure2_compressed, MIX)
+        batch = query_batch(figure2_compressed, MIX)
         assert len(batch) == len(MIX)
         for query_text, result in zip(MIX, batch):
             assert set(result.tree_paths()) == solo_paths(figure2_compressed, query_text)
@@ -40,7 +40,7 @@ class TestBatchEquivalence:
             "//author/preceding-sibling::title",
             "//book",
         ]
-        batch = evaluate_batch(figure2_compressed, mix)
+        batch = query_batch(figure2_compressed, mix)
         for query_text, result in zip(mix, batch):
             assert set(result.tree_paths()) == solo_paths(figure2_compressed, query_text)
 
@@ -58,7 +58,7 @@ class TestBatchEquivalence:
 
     def test_compiled_expressions_accepted(self, figure2_compressed):
         exprs = [compile_query(q) for q in MIX]
-        batch = evaluate_batch(figure2_compressed, exprs)
+        batch = CompressedEvaluator(figure2_compressed).evaluate_batch(exprs)
         for query_text, result in zip(MIX, batch):
             assert set(result.tree_paths()) == solo_paths(figure2_compressed, query_text)
 
@@ -70,14 +70,14 @@ class TestSnapshotInvariant:
         # snapshot must ride through the split.
         mix = ["//author", "//book/author"]
         expected_first = solo_paths(figure2_compressed, mix[0])
-        batch = evaluate_batch(figure2_compressed, mix)
+        batch = query_batch(figure2_compressed, mix)
         final = batch.instance
         assert batch[0].instance is final and batch[1].instance is final
         assert final.num_vertices > figure2_compressed.num_vertices  # really split
         assert set(batch[0].tree_paths()) == expected_first
 
     def test_snapshot_sets_are_durable_and_temps_dropped(self, figure2_compressed):
-        batch = evaluate_batch(figure2_compressed, MIX)
+        batch = query_batch(figure2_compressed, MIX)
         schema = batch.instance.schema
         assert not any(is_temp(name) for name in schema)
         assert {result.set_name for result in batch} <= set(schema)
@@ -86,14 +86,14 @@ class TestSnapshotInvariant:
     def test_input_instance_untouched_by_default(self, figure2_compressed):
         before_schema = figure2_compressed.schema
         before_vertices = figure2_compressed.num_vertices
-        evaluate_batch(figure2_compressed, MIX)
+        query_batch(figure2_compressed, MIX)
         assert figure2_compressed.schema == before_schema
         assert figure2_compressed.num_vertices == before_vertices
 
 
 class TestSharedSubexpressions:
     def test_duplicate_query_is_fully_reused(self, figure2_compressed):
-        evaluator = BatchEvaluator(figure2_compressed)
+        evaluator = CompressedEvaluator(figure2_compressed)
         first = evaluator.evaluate_batch(["//book/author"], keep_temps=True)
         assert first.stats.nodes_evaluated > 0
         second = evaluator.evaluate_batch(["//book/author"], keep_temps=True)
@@ -108,41 +108,56 @@ class TestSharedSubexpressions:
         assert first.stats.queries == 1
 
     def test_shared_prefix_counted(self, figure2_compressed):
-        batch = evaluate_batch(figure2_compressed, ["//book/author", "//book/title"])
+        batch = query_batch(figure2_compressed, ["//book/author", "//book/title"])
         # The whole child(descendant::book ∩ L[book]) prefix of query 2 is
         # served by one cache hit at its root (children are never visited),
         # so query 2 only evaluates its own tag set and final intersection.
         assert batch.stats.nodes_reused == 1
         assert batch.stats.nodes_evaluated == batch.stats.nodes_total - 1
-        first_alone = evaluate_batch(figure2_compressed, ["//book/author"]).stats
+        first_alone = query_batch(figure2_compressed, ["//book/author"]).stats
         assert batch.stats.nodes_evaluated < 2 * first_alone.nodes_evaluated
 
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "//book/author | //book/title",
+            "//author[parent::book] | //book/author",
+            "//title/following-sibling::author | //author/preceding-sibling::title",
+        ],
+    )
+    def test_single_query_evaluates_a_repeated_subtree_once(self, figure2_compressed, query):
+        evaluator = CompressedEvaluator(figure2_compressed)
+        result = evaluator.evaluate(query)
+        assert evaluator.stats.queries == 1
+        assert evaluator.stats.nodes_reused >= 1
+        assert set(result.tree_paths()) == oracle_paths(figure2_compressed, query)
+
     def test_stats_sharing_ratio(self, figure2_compressed):
-        batch = evaluate_batch(figure2_compressed, ["//book", "//book"])
+        batch = query_batch(figure2_compressed, ["//book", "//book"])
         assert 0.0 < batch.stats.sharing_ratio < 1.0
         assert batch.stats.queries == 2
 
 
 class TestBatchEdgeCases:
     def test_empty_batch(self, figure2_compressed):
-        batch = evaluate_batch(figure2_compressed, [])
+        batch = query_batch(figure2_compressed, [])
         assert len(batch) == 0
         with pytest.raises(ValueError):
             batch.instance
 
     def test_missing_set_raises(self, figure2_compressed):
         with pytest.raises(EvaluationError):
-            evaluate_batch(figure2_compressed, ["//book", "//nonexistent"])
+            query_batch(figure2_compressed, ["//book", "//nonexistent"])
 
     def test_context_shared_across_queries(self, figure2_compressed):
         instance = figure2_compressed.copy()
         instance.ensure_set("ctx")
         instance.add_to_set(instance.root, "ctx")
-        batch = evaluate_batch(instance, ["book", "paper"], context="ctx")
+        batch = query_batch(instance, ["book", "paper"], context="ctx")
         assert [r.tree_count() for r in batch] == [1, 2]
 
     def test_single_query_evaluate_routes_through_batch(self, figure2_compressed):
-        evaluator = BatchEvaluator(figure2_compressed)
+        evaluator = CompressedEvaluator(figure2_compressed)
         result = evaluator.evaluate("//author")
         assert set(result.tree_paths()) == solo_paths(figure2_compressed, "//author")
 
@@ -152,7 +167,7 @@ class TestBatchEdgeCases:
         assert {"book", "author", "paper", "title"} <= schema
 
     def test_batch_summary_mentions_sharing(self, figure2_compressed):
-        text = evaluate_batch(figure2_compressed, ["//book", "//book"]).summary()
+        text = query_batch(figure2_compressed, ["//book", "//book"]).summary()
         assert "reused" in text and "batch of 2 queries" in text
 
     def test_selection_summary_computed_once_per_result(self, figure2_compressed, monkeypatch):
@@ -160,7 +175,7 @@ class TestBatchEdgeCases:
         # own summary — once, shared by its count, summary() and decode.
         import repro.engine.results as results_module
 
-        batch = evaluate_batch(figure2_compressed, MIX)
+        batch = query_batch(figure2_compressed, MIX)
         calls = {"n": 0}
         real = results_module.selection_summary
 
@@ -181,7 +196,7 @@ class TestTruncateSets:
     added to its schema with one ``Instance.truncate_sets``."""
 
     def test_truncation_drops_snapshots_and_temps(self, figure2_compressed):
-        evaluator = BatchEvaluator(figure2_compressed)
+        evaluator = CompressedEvaluator(figure2_compressed)
         width = len(evaluator.instance.schema)
         schema = evaluator.instance.schema
         first = evaluator.evaluate_batch(MIX, keep_temps=True)
@@ -194,7 +209,7 @@ class TestTruncateSets:
         assert [result.tree_count() for result in second] == counts
 
     def test_schema_does_not_grow_across_truncated_batches(self, figure2_compressed):
-        evaluator = BatchEvaluator(figure2_compressed)
+        evaluator = CompressedEvaluator(figure2_compressed)
         width = len(evaluator.instance.schema)
         for _ in range(5):
             evaluator.evaluate_batch(MIX, keep_temps=True)

@@ -13,10 +13,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.api.envelope import encode_result
 from repro.compress.stats import DocumentStats
-from repro.engine.batch import BatchEvaluator
+from repro.engine.evaluator import CompressedEvaluator
 from repro.model.paths import tree_size
 from repro.server.service import QueryService
 from repro.xpath.compiler import compile_query
+from repro.xpath.optimizer import optimize
 
 from tests.conftest import LABELS, random_dag_instances
 from tests.property.test_optimizer_properties import _SET_NAMES, algebra_expressions
@@ -35,7 +36,7 @@ class OneInstanceCatalog:
         return SimpleNamespace(registered_at=0.0, doc_version=1)
 
     def load(self, document, strings):
-        return self.instance, None
+        return self.instance, None, self.entry(document)
 
     def document_stats(self, document):
         return self.stats
@@ -56,8 +57,8 @@ def fresh_payload(master, plan) -> dict:
     working = master.copy()
     for name in _SET_NAMES:
         working.ensure_set(name)
-    evaluator = BatchEvaluator(working, copy=False, short_circuit=True)
-    return encode_result(evaluator.evaluate_batch([plan])[0], paths=PATHS)
+    evaluator = CompressedEvaluator(working, copy=False, short_circuit=True)
+    return encode_result(evaluator.evaluate(plan), paths=PATHS)
 
 
 @given(random_dag_instances(), query_sequences())
@@ -65,14 +66,16 @@ def fresh_payload(master, plan) -> dict:
 def test_served_payloads_do_not_depend_on_request_history(master, plans):
     if tree_size(master) > 4000:
         return
-    service = QueryService(OneInstanceCatalog(master))
+    catalog = OneInstanceCatalog(master)
+    service = QueryService(catalog)
     for index, plan in enumerate(plans):
         service.seed_compiled(f"plan-{index}", plan, _SET_NAMES, ())
     generation = master.generation
     # Forward, then backward: the second pass meets every split of the first.
     for index in [*range(len(plans)), *reversed(range(len(plans)))]:
         served = service.query("doc", f"plan-{index}", paths=PATHS)
-        plan = service.optimized_entry("doc", f"plan-{index}").expr
+        # The service optimizes against the catalog's statistics, as here.
+        plan = optimize(plans[index], catalog.stats).expr
         expected = fresh_payload(master, plan)
         assert {key: served[key] for key in expected} == expected, (index, plan)
     assert master.generation == generation

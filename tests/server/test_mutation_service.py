@@ -120,7 +120,7 @@ class TestBackendParity:
         stats, health = backend.stats_dict(), backend.health_dict()
         if isinstance(backend, QueryService):
             assert list(stats) == [
-                "service", "pool", "optimize", "admission",
+                "service", "pool", "admission",
                 "quarantined", "kernel", "doc_versions",
             ]
             assert list(stats["service"])[-2:] == ["working_reforks", "mutations"]

@@ -3,9 +3,9 @@
 Covers where statistics come from (derived from the tags-only master at
 every publish, re-derived from the image in any other process, never
 stored), the one-node estimate of a string leaf the catalog does not
-count, plans keyed on exactly the version their statistics describe,
-service-level byte-identity of optimized vs. unoptimized answers, and the
-``/explain`` analyze contract over HTTP.
+count, plans and pooled masters keyed on exactly the version their
+statistics describe, service-level byte-identity of optimized
+vs. unoptimized answers, and the ``/explain`` analyze contract over HTTP.
 """
 
 import json
@@ -13,9 +13,12 @@ import os
 
 import pytest
 
+from repro.api import Database
+from repro.api.envelope import encode_result
 from repro.bench.queries import queries_for
 from repro.compress.stats import DocumentStats
 from repro.corpora import generate, relational
+from repro.engine.evaluator import evaluate
 from repro.errors import CatalogError, IntegrityError
 from repro.server.catalog import Catalog
 from repro.server.cluster import WorkerFleet
@@ -23,7 +26,7 @@ from repro.server.http import create_server, wait_ready
 from repro.server.service import QueryService
 from repro.skeleton.loader import load
 from repro.xpath.algebra import Intersect, NamedSet
-from repro.xpath.compiler import compile_query, required_strings
+from repro.xpath.compiler import compile_query, required_strings, required_tags
 from repro.xpath.optimizer import optimize
 
 from tests.server.test_catalog import corrupt_skeleton
@@ -196,33 +199,53 @@ class TestPlanVersion:
             service.close()
 
 
-class TestServiceByteIdentity:
-    def test_optimized_matches_unoptimized(self, catalog):
-        plain = QueryService(catalog, optimize=False)
-        tuned = QueryService(catalog, optimize=True)
-        try:
-            for query in QUERIES:
-                expected = plain.query("bib", query, paths=10)
-                actual = tuned.query("bib", query, paths=10)
-                expected.pop("seconds", None)
-                actual.pop("seconds", None)
-                assert actual == expected, query
-        finally:
-            plain.close()
-            tuned.close()
+def commit_once_then_load(catalog):
+    """A ``Catalog.load`` that first commits a version with no ``a``
+    (``<r><a/></r>`` becomes ``<r><x/></r>``), once."""
+    load = catalog.load
 
-    def test_stats_report_optimize_flag(self, catalog):
-        service = QueryService(catalog, optimize=True)
+    def commit_then_load(name, strings=()):
+        catalog.load = load
+        catalog.mutate(name, [
+            {"op": "delete_subtree", "path": [0]},
+            {"op": "append_child", "path": [], "xml": "<x/>"},
+        ])
+        return load(name, strings)
+
+    return commit_then_load
+
+
+class TestMasterVersion:
+    def test_master_is_installed_under_its_own_version(self, tmp_path):
+        """A commit between planning and a cold load must not put version
+        N+1's master under version N's pool key, nor run N's plan on it."""
+        catalog = Catalog(str(tmp_path / "cat"))
+        catalog.add("d", "<r><a/></r>")
+        catalog.load = commit_once_then_load(catalog)
+        service = QueryService(catalog)
         try:
-            assert service.stats_dict()["optimize"] is True
+            # Versions N and N+1 each answer 1.  N's statistics fold //x to
+            # empty and N+1 has no a, so N's plan on N+1's master answers 0.
+            assert service.query("d", "//a | //x")["tree_count"] == 1
+            version = catalog.entry("d").doc_version
+            assert [key[3] for key in service.pool.keys()] == [version]
         finally:
             service.close()
 
-    def test_unoptimized_service_explains_without_optimizer_block(self, catalog):
-        service = QueryService(catalog, optimize=False)
+
+class TestServiceByteIdentity:
+    def test_optimized_matches_unoptimized(self, catalog):
+        """Served plans are always optimized; every answer equals direct
+        unoptimized evaluation of the same query on the same catalog master."""
+        service = QueryService(catalog)
         try:
-            plan = service.explain("bib", "//absenttag/title")["plan"]
-            assert "optimizer" not in plan
+            for query in QUERIES:
+                master = catalog.load_instance("bib", tuple(sorted(required_strings(query))))
+                for tag in required_tags(query):
+                    master.ensure_set(tag)  # absent tags select nothing
+                expected = encode_result(evaluate(master, query), paths=10)
+                actual = service.query("bib", query, paths=10)
+                assert {key: actual[key] for key in expected} == expected, query
         finally:
             service.close()
 
@@ -287,6 +310,40 @@ class TestExplainAnalyze:
             assert annotated >= 3
         finally:
             service.close()
+
+    def test_analyze_measures_the_tree_it_annotates(self, catalog, backend):
+        """``Database.explain`` plans once: a commit after that plan (or an
+        eviction from the optimized-plan LRU) cannot hand the measurement
+        a different tree from the one annotated."""
+        catalog.add("r", "<r><a><b/></a><a><c/></a><x/></r>")
+        planned = backend._planned
+        calls = []
+
+        def commit_after_the_first(document, query_text):
+            if calls:
+                catalog.mutate("r", [{"op": "append_child", "path": [], "xml": "<x/>"}])
+            calls.append(query_text)
+            return planned(document, query_text)
+
+        backend._planned = commit_after_the_first
+        plan = Database.from_service(backend).explain("//a[c]/c", document="r", analyze=True)
+        stack, nodes, unmeasured = [plan.to_dict()["algebra"]], 0, 0
+        while stack:
+            node = stack.pop()
+            nodes += 1
+            unmeasured += "actual" not in node
+            stack.extend(node.get("children", ()))
+        assert nodes > 1 and unmeasured == 0
+        assert plan.to_dict()["algebra"]["actual"]["tree_count"] == 1
+
+    def test_analyze_measures_the_version_it_planned(self, catalog, backend):
+        """A commit between planning and the analysis load plans again: the
+        actuals describe the version whose plan they annotate."""
+        catalog.add("d", "<r><a/></r>")
+        catalog.load = commit_once_then_load(catalog)
+        payload = backend.explain("d", "//a | //x", analyze=True)
+        # Versions N and N+1 each answer 1; N's plan on N+1's master, 0.
+        assert payload["plan"]["algebra"]["actual"]["tree_count"] == 1
 
     def test_analyze_of_folded_plan(self, backend):
         payload = backend.explain("bib", "//absenttag/title", analyze=True)

@@ -302,9 +302,10 @@ class TestServeParser:
         assert args.catalog == "repro-catalog"
         assert args.workers == 0  # in process unless a fleet is asked for
         assert args.worker_threads == 4
-        assert args.stats_interval == 0.0
         with pytest.raises(SystemExit):  # the evaluation-mode selector is gone
             build_parser().parse_args(["serve", "--mode", "snapshot"])
+        with pytest.raises(SystemExit):  # /stats and /metrics carry the counters
+            build_parser().parse_args(["serve", "--stats-interval", "5"])
 
     @pytest.mark.parametrize(
         "option",
@@ -328,11 +329,10 @@ class TestServeParser:
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
-            ["serve", "--workers", "4", "--worker-threads", "2", "--stats-interval", "5"]
+            ["serve", "--workers", "4", "--worker-threads", "2"]
         )
         assert args.workers == 4
         assert args.worker_threads == 2
-        assert args.stats_interval == 5.0
 
     def test_negative_workers_rejected(self, tmp_path, capsys):
         from repro.cli import main

@@ -51,7 +51,6 @@ SNAPSHOT = {
         "rebuild_error",
     ],
     "repro.engine": [
-        "BatchEvaluator",
         "BatchResult",
         "BatchStats",
         "CompressedEvaluator",
@@ -63,7 +62,6 @@ SNAPSHOT = {
         "apply_axis",
         "downward_axis_inplace",
         "evaluate",
-        "evaluate_batch",
         "evaluate_on_tree",
         "load_for_queries",
         "load_for_query",
@@ -113,7 +111,6 @@ CLI_OPTIONS = {
         "--pool-size",
         "--port",
         "--rate-limit",
-        "--stats-interval",
         "--verbose",
         "--worker-threads",
         "--workers",
