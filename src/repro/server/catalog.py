@@ -16,9 +16,12 @@ A :class:`Catalog` is a directory::
 Every publish — registration and each :meth:`Catalog.mutate` alike — goes
 through one routine: the two files are staged privately, renamed to a
 complete new version *directory* ``v<doc_version>`` and committed by the
-atomic manifest rewrite, the single commit point.  Readers holding the
-previous version keep valid paths until the post-publish GC, and a crashed
-publish can never half-overwrite the live version.
+atomic manifest rewrite, the single commit point.  A reader works on one
+version at a time through a :class:`Snapshot` (:meth:`Catalog.snapshot`),
+which pins that version: its directory is deleted only once it is neither
+current nor pinned, so a commit, a removal or a re-registration never pulls
+files from under a request.  A crashed publish can never half-overwrite the
+live version.
 
 The image is the instance the shredder (or the mutation maintainer's
 re-minimisation) produced, stored as-is: same vertex ids, same schema
@@ -34,9 +37,9 @@ upstream in the server's instance pool, keyed by their string schema.
 The optimizer's statistics are not stored: they are a pure function of
 the tags-only master (:meth:`DocumentStats.from_instance
 <repro.compress.stats.DocumentStats.from_instance>`), derived from the
-instance each publish writes and, in any other process, from the image on
-first use (:meth:`Catalog.document_stats`), then held in memory per
-version.
+instance each publish writes and, in any other process, from the tags-only
+master of the version on first use (:meth:`Snapshot.stats`), then held in
+memory per version.
 
 All catalog methods are thread-safe: registration and removal serialise on
 one lock, and the manifest is rewritten atomically (temp file + rename).
@@ -53,6 +56,7 @@ removals made by the front-end after they started.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import re
@@ -132,6 +136,17 @@ class CatalogEntry:
     #: ``document.xml`` from.
     version_dir: str = ""
 
+    def to_wire(self) -> tuple:
+        """What a fleet worker needs to serve this version, as primitives."""
+        return (self.registered_at, self.doc_version, self.version_dir, self.attributes)
+
+    @classmethod
+    def from_wire(cls, name: str, wire: tuple) -> "CatalogEntry":
+        """Rebuild the version :meth:`to_wire` shipped (its other fields unset)."""
+        registered_at, doc_version, version_dir, attributes = wire
+        return cls(name, attributes, registered_at=registered_at, doc_version=doc_version,
+                   version_dir=version_dir)
+
 
 _ENTRY_FIELDS = frozenset(spec.name for spec in fields(CatalogEntry))
 
@@ -169,6 +184,66 @@ class SkeletonImage:
         return self.load()[0]
 
 
+@dataclass(frozen=True)
+class Snapshot:
+    """One pinned version of a document: its entry, its files, its statistics.
+
+    What ``with`` :meth:`Catalog.snapshot` binds.  Every read goes to the
+    one version of :attr:`entry`, whose ``v<N>/`` directory outlives any
+    commit, removal or re-registration that retires it until the block ends.
+    """
+
+    catalog: "Catalog"
+    entry: CatalogEntry
+
+    def load(self, strings: tuple[str, ...] = ()) -> tuple[Instance, dict]:
+        """This version's instance over its tag schema plus ``strings``, with
+        its provenance (the ``load`` block of ``/stats`` and plans).
+
+        Without strings this reads, digest-checks and decodes the image and
+        never re-parses the XML; strings re-scan the text once (callers
+        cache the result).  A missing or corrupt image condemns the version
+        (:meth:`condemn`): corrupt bytes never become a served instance.
+        """
+        entry = self.entry
+        FAULTS.fire("catalog.load_instance", name=entry.name, strings=strings)
+        try:
+            if strings:
+                text = self.catalog._text(entry)
+                instance = load(
+                    text, tags=None, strings=list(strings), attributes=entry.attributes
+                ).instance
+                return instance, {"format": "parse", "bytes_mapped": 0}
+            return self.catalog._image(entry).load()
+        except IntegrityError:
+            self.condemn()
+            raise
+
+    def condemn(self) -> None:
+        """Quarantine the document if this version is still its current one:
+        later snapshots fail fast with :class:`QuarantinedError`, while a
+        retired version cannot condemn the one that replaced it."""
+        catalog, entry = self.catalog, self.entry
+        with catalog._lock:
+            current = catalog._entries.get(entry.name)
+            if current is not None and current.to_wire() == entry.to_wire():
+                catalog._quarantined.add(entry.name)
+
+    def stats(self, master=None) -> DocumentStats:
+        """This version's optimizer statistics, cached per version.  A miss
+        derives them from the tags-only master — ``master()`` or one
+        :meth:`load` — never from a string-schema master, whose exact string
+        counts would change the one-node ``contains()`` estimate."""
+        cache, entry = self.catalog._stats, self.entry
+        cached = cache.get(entry.name)
+        if cached is not None and cached[0] == entry:
+            return cached[1]
+        instance = master() if master is not None else self.load()[0]
+        stats = DocumentStats.from_instance(instance, complete_tags=True)
+        cache[entry.name] = (entry, stats)
+        return stats
+
+
 class Catalog:
     """A directory of registered documents, shredded once, served many times."""
 
@@ -180,9 +255,13 @@ class Catalog:
         #: allocation and replay.  The registry ``_lock`` stays fine-grained.
         self._mutation_lock = threading.Lock()
         self._entries: dict[str, CatalogEntry] = {}
-        #: Optimizer statistics of each name's current entry (filled by
-        #: :meth:`_publish` and :meth:`document_stats`).
-        self._stats: dict[str, DocumentStats] = {}
+        #: ``name -> (entry, statistics)`` of the version last derived
+        #: (filled by :meth:`_publish` and :meth:`Snapshot.stats`).
+        self._stats: dict[str, tuple[CatalogEntry, DocumentStats]] = {}
+        #: Live :class:`Snapshot` pins per ``(name, version_dir)``, and the
+        #: pinned versions this catalog retired (deleted at their last release).
+        self._pins: dict[tuple[str, str], int] = {}
+        self._retired: set[tuple[str, str]] = set()
         #: Names whose image failed an integrity check or was published in
         #: another on-disk layout; serving is refused
         #: (:class:`QuarantinedError`) until :meth:`reload` re-shreds them.
@@ -234,7 +313,7 @@ class Catalog:
         """Re-read the manifest from disk, picking up other processes' writes.
 
         Entries that disappeared **or changed** are dropped (with their
-        cached statistics and quarantine verdict); entries that appeared
+        quarantine verdict); entries that appeared
         are added.  Safe against a concurrent writer:
         the manifest is replaced atomically and every version's files
         are on disk before the entry is published, so whatever version this
@@ -283,12 +362,6 @@ class Catalog:
                 int(manifest.get("next_version") or 0),
                 1 + max((entry.doc_version for entry in fresh.values()), default=0),
             )
-            for name in list(self._stats):
-                # Dataclass equality over every field including the
-                # registration stamp: removal and replacement both
-                # invalidate; an unchanged entry keeps its parsed stats.
-                if fresh.get(name) != self._entries.get(name):
-                    del self._stats[name]
             # A quarantined name that was removed or re-registered has a
             # fresh (or no) image; the old verdict no longer applies.
             for name in list(self._quarantined):
@@ -421,8 +494,9 @@ class Catalog:
         loser's cleanup can only ever delete its own staging area; under the
         registry lock the staging directory is renamed to ``v<version>`` and
         the manifest rewrite commits it.  The superseded version is
-        collected only after that commit; the journal is never touched by GC.
-        The optimizer statistics are derived here, from the instance being
+        collected only after that commit, and only once no snapshot pins it
+        (:meth:`_collect`); the journal is never touched by GC.  The
+        optimizer statistics are derived here, from the instance being
         published, and cached with the entry they describe.
         """
         # The catalog shreds over *every* tag, so the tag universe is
@@ -465,10 +539,14 @@ class Catalog:
                     )
                 # No live entry points at what is in the way.  A registration
                 # owns the whole document directory: leftovers of a crash
-                # between a removal's manifest write and its rmtree, or of a
-                # reloaded old layout.  A mutation owns only its ``v<N>``: a
+                # between a removal's manifest write and its collection, or
+                # of a reloaded old layout (a version still pinned waits for
+                # its last release).  A mutation owns only its ``v<N>``: a
                 # crashed earlier attempt at this version number.
-                shutil.rmtree(doc_dir if base_entry is None else target, ignore_errors=True)
+                if base_entry is None:
+                    self._collect(name)
+                else:
+                    shutil.rmtree(target, ignore_errors=True)
                 os.makedirs(doc_dir, exist_ok=True)
                 os.rename(staging, target)
                 # The chaos seam between the two commit points: a kill here
@@ -476,7 +554,7 @@ class Catalog:
                 # it, which is exactly what replay_journals() must recover.
                 FAULTS.fire("catalog.journal", op="commit", name=name, doc_version=version)
                 self._entries[name] = entry
-                self._stats[name] = stats
+                self._stats[name] = (entry, stats)
                 self._next_version = max(self._next_version, version + 1)
                 self._write_manifest()
         finally:
@@ -485,14 +563,14 @@ class Catalog:
             # files (a mutation's journal keeps the intent for a later replay).
             shutil.rmtree(staging, ignore_errors=True)
         if base_entry is not None:
-            # Post-publish housekeeping: the previous version's files are
-            # unreferenced now, and the journaled intent is live in the manifest.
-            self._gc_version_files(name, base_entry)
+            # Post-publish housekeeping: the previous version is no longer
+            # current, and the journaled intent is live in the manifest.
+            self._collect(name, [base_entry.version_dir])
             self._journal(name).compact(version)
         return entry
 
     def remove(self, name: str) -> None:
-        """Drop ``name`` from the registry and delete its files."""
+        """Drop ``name`` from the registry and delete its unpinned files."""
         with self._lock:
             self.entry(name)  # raises CatalogError when unknown
             del self._entries[name]
@@ -500,9 +578,68 @@ class Catalog:
             # The quarantine verdict was about an image that no longer exists.
             self._quarantined.discard(name)
             self._write_manifest()
-            shutil.rmtree(os.path.join(self.root, name), ignore_errors=True)
+            self._collect(name)
+
+    def _collect(self, name: str, children: list[str] | None = None) -> None:
+        """Delete ``children`` of ``name``'s directory (default: all of them),
+        except pinned versions: their last release collects them.  Once
+        ``name`` is unregistered, the emptied document directory goes too."""
+        doc_dir = os.path.join(self.root, name)
+        with self._lock:
+            if children is None:
+                try:
+                    children = os.listdir(doc_dir)
+                except OSError:
+                    return
+            doomed = []
+            for child in children:
+                if (name, child) in self._pins:
+                    self._retired.add((name, child))
+                else:
+                    doomed.append(os.path.join(doc_dir, child))
+        for path in doomed:
+            if os.path.isdir(path):
+                shutil.rmtree(path, ignore_errors=True)
+            else:
+                with contextlib.suppress(OSError):
+                    os.remove(path)
+        with self._lock:
+            if name not in self._entries:
+                with contextlib.suppress(OSError):
+                    os.rmdir(doc_dir)
 
     # -- serving ---------------------------------------------------------
+
+    @contextlib.contextmanager
+    def snapshot(self, name: str, entry: CatalogEntry | None = None):
+        """Pin ``name``'s current version for the ``with`` block: a
+        :class:`Snapshot`.  Unknown or quarantined names raise
+        (:meth:`check_serveable`); the last pin of a version this catalog
+        retired meanwhile collects its files.  With ``entry``, nothing is
+        pinned: another holder keeps that version's files (the dispatcher
+        of a fleet worker's request, the mutation lock over a base).
+        """
+        if entry is not None:
+            if name in self._quarantined:
+                self.check_serveable(name)
+            yield Snapshot(self, entry)
+            return
+        with self._lock:
+            entry = self.check_serveable(name)
+            key = (name, entry.version_dir)
+            self._pins[key] = self._pins.get(key, 0) + 1
+        try:
+            yield Snapshot(self, entry)
+        finally:
+            with self._lock:
+                left = self._pins.pop(key) - 1
+                if left:
+                    self._pins[key] = left
+                retired = not left and key in self._retired
+                if retired:
+                    self._retired.discard(key)
+            if retired:
+                self._collect(name, [entry.version_dir])
 
     def _data_dir(self, entry: CatalogEntry) -> str:
         """Where ``entry``'s files live: ``<root>/<name>/<version_dir>``.
@@ -531,80 +668,15 @@ class Catalog:
         return self._image(self.entry(name))
 
     def document_stats(self, name: str) -> DocumentStats:
-        """The optimizer statistics of ``name``'s current version.
-
-        A version this process published is a cache hit.  A miss (a reader
-        process such as a fleet worker, or a restarted server) derives the
-        statistics from the current image through :meth:`load`, so the
-        digest check and the quarantine apply as for any load.  The
-        statistics describe a version that was current at some moment of
-        the call; a caller that must match them to one entry re-reads
-        :meth:`entry` afterwards.
-        """
-        with self._lock:
-            entry = self.entry(name)
-            stats = self._stats.get(name)
-        if stats is not None:
-            return stats
-        stats = DocumentStats.from_instance(self.load_instance(name), complete_tags=True)
-        with self._lock:
-            # Entries only move forward: unchanged now means the load read
-            # this entry's image, not a newer one.
-            if self._entries.get(name) == entry:
-                self._stats[name] = stats
-        return stats
-
-    def load(
-        self, name: str, strings: tuple[str, ...] = ()
-    ) -> tuple[Instance, dict, CatalogEntry]:
-        """A full instance of ``name`` over its tag schema plus ``strings``,
-        with its provenance (the ``load`` block of ``/stats`` and plans)
-        and the entry of the version it was read from.
-
-        Without string constraints this is the warm path: the version's
-        skeleton image is read, digest-checked and decoded — the XML is
-        never re-parsed.  With string constraints the version's text is
-        re-scanned once to compute the containment sets; callers cache the
-        result.
-
-        An image failing its digest — or missing — quarantines the document
-        on the spot (the first observer gets the precise
-        :class:`IntegrityError`; later requests fail fast with
-        :class:`QuarantinedError` without touching disk) — corrupt bytes
-        are never decoded into a served instance.  Only the *current*
-        version's files can condemn a document: when a commit published a
-        newer version (and collected the files of the one read) between the
-        entry read and the file read, the new version is read instead, as
-        if the commit had landed first — so a caller that planned against
-        an entry compares it with the one returned.
-        """
-        entry = self.check_serveable(name)
-        FAULTS.fire("catalog.load_instance", name=name, strings=strings)
-        for retry in (False, True):
-            try:
-                if strings:
-                    instance = load(
-                        self._text(entry),
-                        tags=None,
-                        strings=list(strings),
-                        attributes=entry.attributes,
-                    ).instance
-                    return instance, {"format": "parse", "bytes_mapped": 0}, entry
-                instance, info = self._image(entry).load()
-                return instance, info, entry
-            except (IntegrityError, OSError) as error:
-                current = self.entry(name)
-                if current == entry:
-                    if isinstance(error, IntegrityError):
-                        self.quarantine(name)
-                    raise
-                if retry:
-                    raise
-                entry = current
+        """The optimizer statistics of ``name``'s current version
+        (:meth:`Snapshot.stats`)."""
+        with self.snapshot(name) as snapshot:
+            return snapshot.stats()
 
     def load_instance(self, name: str, strings: tuple[str, ...] = ()) -> Instance:
-        """:meth:`load` without the provenance."""
-        return self.load(name, strings)[0]
+        """The current version's instance over ``strings`` (:meth:`Snapshot.load`)."""
+        with self.snapshot(name) as snapshot:
+            return snapshot.load(strings)[0]
 
     # -- mutation --------------------------------------------------------
 
@@ -620,10 +692,10 @@ class Catalog:
         recoverable by replay — :meth:`replay_journals` re-applies the
         intent deterministically from the last published text.  Then the
         incremental maintainer (:func:`repro.mutation.apply.apply_mutations`)
-        produces the new re-minimised instance and text, which go through
-        the same :meth:`_publish` as a registration.  Readers of the
-        previous version are untouched until the manifest flips; their
-        files are GCed only after publish.
+        produces the new re-minimised instance and text from a snapshot of
+        the journaled base, and they go through the same :meth:`_publish`
+        as a registration.  Readers of the previous version are untouched:
+        its files go only once no snapshot pins it.
         """
         batch = as_mutations(mutations)
         with self._mutation_lock:
@@ -645,33 +717,23 @@ class Catalog:
     ) -> CatalogEntry:
         """Maintenance + publish of one journaled mutation batch."""
         started = time.perf_counter()
-        outcome = apply_mutations(
-            self.load_instance(name),
-            self.xml(name),
-            batch,
-            attributes=entry.attributes,
-        )
+        with self.snapshot(name, entry) as base:
+            outcome = apply_mutations(
+                base.load()[0], self._text(entry), batch, attributes=entry.attributes
+            )
         return self._publish(
             name, entry, target_version, outcome.text, outcome.instance,
             entry.attributes, time.perf_counter() - started,
         )
 
-    def _gc_version_files(self, name: str, old_entry: CatalogEntry) -> None:
-        """Delete the files of a superseded version (never the journal)."""
-        shutil.rmtree(os.path.join(self.root, name, old_entry.version_dir), ignore_errors=True)
-
     def _sweep_stray_versions(self, name: str, entry) -> list[str]:
         """Remove unpublished ``v<N>`` directories (crashed staging renames)."""
-        doc_dir = os.path.join(self.root, name)
-        swept = []
         try:
-            children = os.listdir(doc_dir)
+            children = os.listdir(os.path.join(self.root, name))
         except OSError:
-            return swept
-        for child in children:
-            if re.fullmatch(r"v\d+", child) and child != entry.version_dir:
-                shutil.rmtree(os.path.join(doc_dir, child), ignore_errors=True)
-                swept.append(child)
+            return []
+        swept = [c for c in children if re.fullmatch(r"v\d+", c) and c != entry.version_dir]
+        self._collect(name, swept)
         return swept
 
     def replay_journals(self) -> dict:
@@ -733,27 +795,16 @@ class Catalog:
         back without a restart.  The probe costs one manifest read per
         refused request, on a path that is already the error path.
         """
-        entry = self.entry(name)
-        with self._lock:
-            quarantined = name in self._quarantined
-        if quarantined:
+        if name in self._quarantined:
             self.refresh()
-            entry = self.entry(name)
-            with self._lock:
-                if name in self._quarantined:
-                    raise QuarantinedError(
-                        f"document {name!r} is quarantined: its stored image "
-                        f"failed an integrity check or was published in an "
-                        f"older on-disk layout; re-shred it from the kept text "
-                        f"(repro catalog verify --repair) to restore service"
-                    )
-        return entry
-
-    def quarantine(self, name: str) -> None:
-        """Refuse to serve ``name`` until it is reloaded."""
-        with self._lock:
-            if name in self._entries:
-                self._quarantined.add(name)
+            if name in self._quarantined:
+                raise QuarantinedError(
+                    f"document {name!r} is quarantined: its stored image "
+                    f"failed an integrity check or was published in an "
+                    f"older on-disk layout; re-shred it from the kept text "
+                    f"(repro catalog verify --repair) to restore service"
+                )
+        return self.entry(name)
 
     def quarantined(self) -> list[str]:
         with self._lock:
@@ -799,7 +850,7 @@ class Catalog:
                             f"says {declared}"
                         )
                 if row["problem"]:
-                    self.quarantine(name)
+                    Snapshot(self, entry).condemn()
                     row["status"] = "corrupt"
             if repair and row["problem"]:
                 entry = self.reload(name)
@@ -839,7 +890,6 @@ class Catalog:
         with self._lock:
             self.entry(name)  # re-check under the lock (racing remove/reload)
             del self._entries[name]
-            self._stats.pop(name, None)
             self._quarantined.discard(name)
             self._write_manifest()
         # add() stages a fresh version and atomically republishes over the

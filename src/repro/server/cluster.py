@@ -59,10 +59,11 @@ import time
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 
-from repro.errors import ClusterError, DeadlineExceededError, WorkerUnavailableError
-from repro.server.catalog import Catalog
+from repro.errors import ClusterError, DeadlineExceededError, IntegrityError
+from repro.errors import QuarantinedError, WorkerUnavailableError
+from repro.server.catalog import Catalog, Snapshot
 from repro.server.resilience import FAULTS, AdmissionController, CircuitBreaker, Deadline
-from repro.server.service import DEFAULT_LIMIT, ServingBackend, kernel_info, pool_key
+from repro.server.service import DEFAULT_LIMIT, ServingBackend, kernel_info
 from repro.server.worker import SHUTDOWN, rebuild_error, worker_main
 
 #: Request kinds counted in dispatched/completed/failed — real work, not
@@ -233,7 +234,8 @@ class WorkerFleet(ServingBackend):
             for slot in self._slots:
                 if slot.stop_pump is not None:
                     slot.stop_pump.set()
-                if slot.process is not None:
+                # A slot whose Process.start() raised has no process to stop.
+                if slot.process is not None and slot.process.pid is not None:
                     slot.process.terminate()
                     slot.process.join(timeout=2.0)
             raise
@@ -533,7 +535,10 @@ class WorkerFleet(ServingBackend):
         (``CLOCK_MONOTONIC`` is machine-wide, so it means the same instant
         in the worker) — time spent queued in the worker's request pipe
         keeps counting against the budget.  Shard failures feed the slot's
-        circuit breaker; admission sheds before any routing work.
+        circuit breaker; admission sheds before any routing work.  The
+        pinned version's entry crosses the wire and the worker serves
+        exactly it; a worker's integrity or quarantine verdict is mirrored
+        here, so the next snapshot probes the manifest for a repair.
         """
         if self._closing.is_set():
             raise ClusterError("the worker fleet is shutting down")
@@ -541,57 +546,48 @@ class WorkerFleet(ServingBackend):
             deadline.check("request")
         self.admission.admit(client)
         try:
-            entry = self.catalog.entry(document)  # raises CatalogError when unknown
-            # Full parse+compile (cached), not just the string schema:
-            # malformed and uncompilable queries must 400 here, before any
-            # IPC, exactly as they do on the --workers 0 path — a bad query
-            # never reaches a worker's batch.
-            _, _, strings = self._compiled.entry(query_text)
-            slot = self._route(document, strings)
-            timeout = self.request_timeout
-            if deadline is not None:
-                timeout = min(timeout, max(deadline.remaining(), 0.0))
-            try:
-                # Inside the breaker-accounting block: an injected dispatch
-                # failure must feed the slot's breaker like a real one.
-                FAULTS.fire("cluster.dispatch", worker=slot.id, document=document)
-                request_id, future = self._submit(
-                    slot,
-                    (
-                        "query",
-                        document,
-                        query_text,
-                        paths,
-                        limit,
-                        None if deadline is None else deadline.at,
-                        trace,
-                        # The version the dispatcher routed against: a worker
-                        # whose manifest view is older refreshes before
-                        # serving, so post-mutation queries are never
-                        # answered from a stale master anywhere in the fleet.
-                        entry.doc_version,
-                    ),
-                )
-                payload = self._await(slot, request_id, future, timeout)
-            except WorkerUnavailableError:
-                slot.breaker.record_failure()
-                raise
-            except FuturesTimeoutError:
-                if deadline is not None and deadline.expired:
-                    raise DeadlineExceededError(
-                        f"deadline expired before worker {slot.id} answered "
-                        f"{query_text!r}"
-                    ) from None
-                raise
-            slot.breaker.record_success()
-            payload["worker"] = slot.id
-            return payload
+            with self.catalog.snapshot(document) as snapshot:  # CatalogError when unknown
+                # Full parse+compile (cached), not just the string schema:
+                # malformed and uncompilable queries must 400 here, before
+                # any IPC, exactly as they do on the --workers 0 path — a bad
+                # query never reaches a worker's batch.
+                _, _, strings = self._compiled.entry(query_text)
+                slot = self._route(document, strings)
+                timeout = self.request_timeout
+                if deadline is not None:
+                    timeout = min(timeout, max(deadline.remaining(), 0.0))
+                try:
+                    # Inside the breaker-accounting block: an injected dispatch
+                    # failure must feed the slot's breaker like a real one.
+                    FAULTS.fire("cluster.dispatch", worker=slot.id, document=document)
+                    deadline_at = None if deadline is None else deadline.at
+                    request_id, future = self._submit(slot, (
+                        "query", document, query_text, paths, limit, deadline_at, trace,
+                        snapshot.entry.to_wire(),
+                    ))
+                    payload = self._await(slot, request_id, future, timeout)
+                except WorkerUnavailableError:
+                    slot.breaker.record_failure()
+                    raise
+                except (IntegrityError, QuarantinedError):
+                    snapshot.condemn()
+                    raise
+                except FuturesTimeoutError:
+                    if deadline is not None and deadline.expired:
+                        raise DeadlineExceededError(
+                            f"deadline expired before worker {slot.id} answered "
+                            f"{query_text!r}"
+                        ) from None
+                    raise
+                slot.breaker.record_success()
+                payload["worker"] = slot.id
+                return payload
         finally:
             self.admission.release()
 
     # -- the backend hooks -----------------------------------------------
 
-    def instance_info(self, document: str, strings: tuple[str, ...]) -> dict:
+    def instance_info(self, snapshot: Snapshot, strings: tuple[str, ...]) -> dict:
         """Plan provenance under a fleet: shard affinity plus residency.
 
         The shard id is exact (rendezvous routing is deterministic);
@@ -599,7 +595,7 @@ class WorkerFleet(ServingBackend):
         deadline and reported as ``"unknown"`` when the worker cannot
         answer in time — explain must never block behind a busy shard.
         """
-        self.catalog.entry(document)  # raises CatalogError when unknown
+        document = snapshot.entry.name
         strings = tuple(strings)
         slot = self._slot_for(document, strings)
         info: dict = {
@@ -621,25 +617,25 @@ class WorkerFleet(ServingBackend):
         info["resident"] = [document, list(strings)] in resident
         return info
 
-    def _analysis_instance(self, document: str, catalog_entry, strings: tuple[str, ...]):
-        """A *private* instance assembled in the dispatcher process.
+    def _analysis_instance(self, snapshot: Snapshot, strings: tuple[str, ...]):
+        """A *private* instance of the snapshot's version, assembled in the
+        dispatcher process.
 
         The shard's pooled master stays untouched — measuring inside a
         worker would mean shipping per-node traces over the wire — and
         the load is discarded after measuring: a diagnostic endpoint pays
-        a cold load, serving traffic pays nothing.  A load that read another
-        version than ``catalog_entry`` raises, and the plan is made again.
+        a cold load, serving traffic pays nothing.
         """
-        return self._load_master(pool_key(document, strings, catalog_entry))[0]
+        return snapshot.load(strings)[0]
 
     def evict(self, document: str) -> int:
         """Drop ``document`` residency in every worker; return entries dropped.
 
-        The invalidation half of :meth:`mutate`.  Workers that miss the
-        broadcast (busy, mid-respawn) still converge: every dispatched
-        query carries the routed ``doc_version``, and a worker behind it
-        refreshes before serving — the broadcast is an optimization, the
-        version stamp is the guarantee.
+        The invalidation half of :meth:`mutate`, and each worker re-reads
+        the manifest with it.  Workers that miss the broadcast (busy,
+        mid-respawn) still serve the right version: every dispatched query
+        carries the entry the dispatcher pinned — the broadcast only frees
+        memory early, the pinned entry is the guarantee.
 
         ``request_timeout`` bounds the whole broadcast (one shared deadline
         across the fleet, same as :meth:`wait_ready`): a wedged worker must

@@ -18,9 +18,10 @@ One :class:`QueryService` serves many concurrent callers over a
    path;
 3. the resident master instance comes from the LRU
    :class:`repro.server.pool.InstancePool`; evaluation never mutates it.
-   A master is installed only under its own version's key: when a commit
-   lands between planning and a cold load, the request is planned again
-   for the new version.
+   The request pins one catalog :class:`~repro.server.catalog.Snapshot`
+   when it is planned and releases it once its answer is out: its
+   statistics, pool key and master load all read that one version, so a
+   commit landing meanwhile is simply invisible to it.
 
 Every batch evaluates in place, under the entry lock, on the entry's
 long-lived **working fork**: one ``copy()`` of the immutable master, so the
@@ -44,6 +45,7 @@ instead of joining a batch; both paths evaluate through
 
 from __future__ import annotations
 
+import contextlib
 import sys
 import threading
 import time
@@ -55,12 +57,13 @@ from dataclasses import dataclass, field
 # MAX_PATHS is re-exported: it was public here before the encodings moved
 # to the shared envelope module, and callers still read the cap from us.
 from repro.api.envelope import DEFAULT_LIMIT, MAX_PATHS, encode_result  # noqa: F401
+from repro.compress.stats import DocumentStats
 from repro.engine.evaluator import CompressedEvaluator
 from repro.errors import CatalogError, DeadlineExceededError
 from repro.model import planes
 from repro.model.instance import Instance
 from repro.mutation.ops import as_mutations
-from repro.server.catalog import Catalog, CatalogEntry
+from repro.server.catalog import Catalog, CatalogEntry, Snapshot
 from repro.server.pool import InstancePool, PoolEntry
 from repro.server.resilience import FAULTS, AdmissionController, Deadline
 from repro.xpath.algebra import AlgebraExpr
@@ -177,14 +180,6 @@ class _Request:
     refused: bool = False
 
 
-class _VersionMoved(Exception):
-    """The master loaded for a plan's key was another document version's.
-
-    Never leaves the backend: the request or plan that meets it is planned
-    again for the current version.
-    """
-
-
 def pool_key(document: str, strings: tuple[str, ...], entry) -> tuple:
     """The residency key of ``(document, strings)`` at catalog ``entry``.
 
@@ -230,11 +225,12 @@ class ServingBackend:
     explain and mutate through this class, so ``/explain``, ``/mutate``
     and :meth:`repro.api.Database.explain` cannot drift between
     ``--workers 0`` and ``--workers N``.  A backend supplies only
-    the three things that really differ:
+    the things that really differ:
 
     * :meth:`_analysis_instance` — the private instance ``analyze``
       measures on (a copy of the pooled master in process; a cold
       dispatcher-side load under a fleet);
+    * :meth:`_statistics` — what a statistics miss derives from;
     * :meth:`instance_info` — the provenance block attached to plans;
     * :meth:`evict` — dropping a document's resident masters.
     """
@@ -252,16 +248,18 @@ class ServingBackend:
         self._optimized: OrderedDict[tuple, OptimizationResult] = OrderedDict()
         self._optimized_lock = threading.Lock()
 
-    # -- the three backend hooks -------------------------------------------
+    # -- the backend hooks -------------------------------------------------
 
-    def _analysis_instance(
-        self, document: str, catalog_entry, strings: tuple[str, ...]
-    ) -> Instance:
-        """A private instance of ``(document, strings)`` analyze may mutate."""
+    def _analysis_instance(self, snapshot: Snapshot, strings: tuple[str, ...]) -> Instance:
+        """A private instance of ``snapshot``'s version that analyze may mutate."""
         raise NotImplementedError
 
-    def instance_info(self, document: str, strings: tuple[str, ...]) -> dict:
-        """Where a query over ``(document, strings)`` would be answered from."""
+    def _statistics(self, snapshot: Snapshot, strings: tuple[str, ...]) -> DocumentStats:
+        """``snapshot``'s statistics for a query over ``strings``."""
+        return snapshot.stats()
+
+    def instance_info(self, snapshot: Snapshot, strings: tuple[str, ...]) -> dict:
+        """Where a query over ``strings`` at ``snapshot`` would be answered from."""
         raise NotImplementedError
 
     def evict(self, document: str) -> int:
@@ -301,37 +299,28 @@ class ServingBackend:
         self._compiled.seed(query_text, expr, tags, strings)
 
     def _optimized_for(
-        self, document: str, catalog_entry, query_text: str, expr: AlgebraExpr
-    ) -> tuple[CatalogEntry, OptimizationResult]:
-        """``(entry, optimization)``: ``expr`` optimized against the
-        statistics of exactly ``entry``, cached under it.
+        self, snapshot: Snapshot, query_text: str, expr: AlgebraExpr, strings: tuple[str, ...]
+    ) -> OptimizationResult:
+        """``expr`` optimized against the statistics of ``snapshot``'s version.
 
         The cache keys on the entry's ``doc_version`` as well as its
         registration stamp: two registrations can land on the same
         wall-clock stamp (remove + re-add within timer resolution), and a
         mutation changes the statistics without the name changing — the
-        version counter is the one key that moves on every publish.  When
-        a commit lands between reading ``catalog_entry`` and reading the
-        statistics, the statistics may be the newer version's, so the plan
-        is made for the newer entry instead, which the caller then serves.
+        version counter is the one key that moves on every publish.
         """
-        while True:
-            key = (query_text, document, catalog_entry.registered_at, catalog_entry.doc_version)
-            optimization = self._cached_optimization(key)
-            if optimization is not None:
-                return catalog_entry, optimization
-            stats = self.catalog.document_stats(document)  # a miss loads the image
-            current = self.catalog.entry(document)
-            if current == catalog_entry:
-                break
-            catalog_entry = current
-        optimization = optimize_plan(expr, stats)
+        entry = snapshot.entry
+        key = (query_text, entry.name, entry.registered_at, entry.doc_version)
+        optimization = self._cached_optimization(key)
+        if optimization is not None:
+            return optimization
+        optimization = optimize_plan(expr, self._statistics(snapshot, strings))
         with self._optimized_lock:
             if key not in self._optimized:
                 while len(self._optimized) >= self.COMPILED_CACHE_LIMIT:
                     self._optimized.popitem(last=False)
             self._optimized[key] = optimization
-        return catalog_entry, optimization
+        return optimization
 
     def _cached_optimization(self, key: tuple) -> OptimizationResult | None:
         with self._optimized_lock:
@@ -362,32 +351,20 @@ class ServingBackend:
             return None
         return catalog_entry, optimization.expr, tags, strings
 
-    def _planned(self, document: str, query_text: str):
-        """``(catalog entry, tags, strings, optimization)`` of a served query.
+    @contextlib.contextmanager
+    def _planned(self, document: str, query_text: str, entry: CatalogEntry | None = None):
+        """``(snapshot, tags, strings, optimization)`` of a served query, for
+        the ``with`` block that is the request: it pins ``document``'s
+        current version (or serves ``entry``) until the block ends.
 
         Unknown documents raise before the text is compiled; compilation
         goes through the shared LRU, so hot texts are parse-free and a
         malformed query fails with the same error on every surface.
         """
-        catalog_entry = self.catalog.entry(document)  # raises when unknown
-        expr, tags, strings = self._compiled.entry(query_text)
-        catalog_entry, optimization = self._optimized_for(
-            document, catalog_entry, query_text, expr
-        )
-        return catalog_entry, tags, strings, optimization
-
-    def _load_master(self, key: tuple) -> tuple[Instance, dict]:
-        """The master of ``key``'s document version, with its provenance.
-
-        Raises :class:`_VersionMoved` when the catalog read another version
-        (a commit landed after the caller planned against ``key``), so a
-        master is only ever installed under its own version's key.
-        """
-        document, strings, registered_at, doc_version = key
-        instance, info, entry = self.catalog.load(document, strings)
-        if (entry.registered_at, entry.doc_version) != (registered_at, doc_version):
-            raise _VersionMoved(document)
-        return instance, info
+        with self.catalog.snapshot(document, entry) as snapshot:  # raises when unknown
+            expr, tags, strings = self._compiled.entry(query_text)
+            optimization = self._optimized_for(snapshot, query_text, expr, strings)
+            yield snapshot, tags, strings, optimization
 
     # -- plans -----------------------------------------------------------
 
@@ -405,28 +382,22 @@ class ServingBackend:
         ``analyze=True`` additionally *executes* the plan — on a private
         instance, never mutating served state, without runtime
         short-circuiting — and attaches measured ``actual`` DAG/tree counts
-        to every node.  The tree measured is the tree annotated (one
-        :meth:`_planned` call); when a commit moved the document before
-        its master loaded, the query is planned again for the new version.
+        to every node.  Statistics, plan, measured instance and provenance
+        all come from the one snapshot :meth:`_planned` pins.
         """
         from repro.api.plan import Plan
+        from repro.engine.evaluator import measure_actuals
 
-        actuals = None
-        while True:
-            catalog_entry, tags, strings, optimization = self._planned(document, query_text)
-            try:
-                if analyze:
-                    actuals = self._measure(
-                        document, catalog_entry, optimization.expr, tags, strings
-                    )
-                break
-            except _VersionMoved:  # measured another version's master
-                pass
-        plan = Plan.from_compiled(
-            query_text, optimization.original, tags, strings,
-            optimization=optimization, actuals=actuals,
-        )
-        plan.instance = self.instance_info(document, strings)
+        with self._planned(document, query_text) as (snapshot, tags, strings, optimization):
+            actuals = None
+            if analyze:
+                working = _ensure_tag_sets(self._analysis_instance(snapshot, strings), tags)
+                actuals = measure_actuals(working, optimization.expr, copy=False)
+            plan = Plan.from_compiled(
+                query_text, optimization.original, tags, strings,
+                optimization=optimization, actuals=actuals,
+            )
+            plan.instance = self.instance_info(snapshot, strings)
         return plan
 
     def explain(self, document: str, query_text: str, analyze: bool = False) -> dict:
@@ -436,19 +407,6 @@ class ServingBackend:
         if analyze:
             payload["analyzed"] = True
         return payload
-
-    def _measure(
-        self,
-        document: str,
-        catalog_entry,
-        expr: AlgebraExpr,
-        tags: tuple[str, ...],
-        strings: tuple[str, ...],
-    ) -> dict[int, dict]:
-        from repro.engine.evaluator import measure_actuals
-
-        working = self._analysis_instance(document, catalog_entry, strings)
-        return measure_actuals(_ensure_tag_sets(working, tags), expr, copy=False)
 
     # -- mutation --------------------------------------------------------
 
@@ -531,6 +489,7 @@ class QueryService(ServingBackend):
         deadline: Deadline | None = None,
         client: str | None = None,
         trace: str | None = None,
+        entry: CatalogEntry | None = None,
     ) -> dict:
         """Answer one query; concurrent callers coalesce into shared batches.
 
@@ -545,12 +504,15 @@ class QueryService(ServingBackend):
         :class:`repro.errors.OverloadedError` before any work is done.
         ``trace`` is the request's trace ID (minted at accept by the HTTP
         front-ends); it rides through coalescing and is echoed in the
-        response payload.
+        response payload.  ``entry`` is the version to answer from (a fleet
+        worker serves the one its dispatcher pinned); by default the current.
         """
         self._check_arrival(deadline)
         self.admission.admit(client)
         try:
-            return self._admitted_query(document, query_text, paths, limit, deadline, trace)
+            return self._admitted_query(
+                document, query_text, paths, limit, deadline, trace, entry
+            )
         finally:
             self.admission.release()
 
@@ -653,25 +615,24 @@ class QueryService(ServingBackend):
         limit: int,
         deadline: Deadline | None,
         trace: str | None = None,
+        entry: CatalogEntry | None = None,
     ) -> dict:
-        catalog_entry, tags, strings, optimization = self._planned(document, query_text)
-        with self._stats_lock:
-            self.stats.requests += 1
-        while True:
+        with self._planned(document, query_text, entry) as planned:
+            snapshot, tags, strings, optimization = planned
+            with self._stats_lock:
+                self.stats.requests += 1
             request = _Request(
                 query_text, optimization.expr, tags, paths, limit, deadline, trace
             )
-            try:
-                return self._coalesced(pool_key(document, strings, catalog_entry), request)
-            except _VersionMoved:
-                # A commit landed between planning and the master's load:
-                # plan again for the version the catalog now serves.
-                catalog_entry, tags, strings, optimization = self._planned(
-                    document, query_text
-                )
+            key = pool_key(document, strings, snapshot.entry)
+            return self._coalesced(key, snapshot, request)
 
-    def _coalesced(self, key: tuple, request: _Request) -> dict:
-        """Queue ``request`` on ``key``'s pending batch and wait for its answer."""
+    def _coalesced(self, key: tuple, snapshot: Snapshot, request: _Request) -> dict:
+        """Queue ``request`` on ``key``'s pending batch and wait for its answer.
+
+        A leader loads ``key``'s master through its own ``snapshot``: every
+        request of a batch shares the key, and so the version.
+        """
         future: Future = Future()
         pending = self._pending_for(key)
         with pending.mutex:
@@ -680,7 +641,7 @@ class QueryService(ServingBackend):
             if lead:
                 pending.busy = True
         if lead:
-            self._drain(key, pending)
+            self._drain(key, pending, snapshot)
         deadline = request.deadline
         timeout = self.request_timeout
         if deadline is not None:
@@ -703,15 +664,14 @@ class QueryService(ServingBackend):
         """Drop every resident pool instance of ``document``; return count."""
         return self.pool.evict(lambda key: key[0] == document)
 
-    def instance_info(self, document: str, strings: tuple[str, ...]) -> dict:
-        """Where a query over ``(document, strings)`` would be answered from.
+    def instance_info(self, snapshot: Snapshot, strings: tuple[str, ...]) -> dict:
+        """Where a query over ``strings`` at ``snapshot`` would be answered from.
 
         The cached-instance provenance attached to structured plans:
         whether the master is currently resident in the pool (a pool hit)
-        and how it was loaded.  Raises :class:`repro.errors.CatalogError`
-        for unknown documents.
+        and how it was loaded.
         """
-        key = pool_key(document, strings, self.catalog.entry(document))
+        key = pool_key(snapshot.entry.name, strings, snapshot.entry)
         return {
             "source": "pool",
             "resident": key in self.pool.keys(),
@@ -720,13 +680,25 @@ class QueryService(ServingBackend):
             "load": self.pool.load_info(key),
         }
 
-    def _analysis_instance(
-        self, document: str, catalog_entry, strings: tuple[str, ...]
-    ) -> Instance:
+    def _master(self, snapshot: Snapshot, strings: tuple[str, ...]) -> PoolEntry:
+        """The pool entry of ``snapshot``'s version over ``strings``, its
+        master loaded once, from that version's files."""
+        key = pool_key(snapshot.entry.name, strings, snapshot.entry)
+        return self.pool.get_or_load(key, lambda: snapshot.load(strings))
+
+    def _statistics(self, snapshot: Snapshot, strings: tuple[str, ...]) -> DocumentStats:
+        """A miss of a tag-only query derives from the tags-only master it
+        is about to be answered from, so the image is read once, for both.
+        A string query, which never uses that master, loads it only for the
+        statistics and does not keep it."""
+        if strings:
+            return snapshot.stats()
+        return snapshot.stats(lambda: self._master(snapshot, ()).instance)
+
+    def _analysis_instance(self, snapshot: Snapshot, strings: tuple[str, ...]) -> Instance:
         """A private copy of the pooled master — the same instance
         :meth:`query` would use, so actuals describe real serving state."""
-        key = pool_key(document, strings, catalog_entry)
-        entry = self.pool.get_or_load(key, lambda: self._load_master(key))
+        entry = self._master(snapshot, strings)
         with entry.lock:
             return entry.instance.copy()
 
@@ -781,7 +753,7 @@ class QueryService(ServingBackend):
                 pending = self._pending[key] = _Pending()
             return pending
 
-    def _drain(self, key: tuple, pending: _Pending) -> None:
+    def _drain(self, key: tuple, pending: _Pending, snapshot: Snapshot) -> None:
         """Leader loop: evaluate queued batches until the queue stays empty.
 
         The leader (the thread whose request found the key idle) repeatedly
@@ -814,7 +786,7 @@ class QueryService(ServingBackend):
                 if future.set_running_or_notify_cancel()
             ]
             try:
-                self._execute(key, batch)
+                self._execute(key, batch, snapshot)
             except BaseException as error:  # noqa: BLE001 - forwarded to waiters
                 with self._stats_lock:
                     self.stats.errors += len(batch)
@@ -850,17 +822,13 @@ class QueryService(ServingBackend):
         self._count_refused(expired)
         return live
 
-    def _execute(self, key: tuple, batch: list[tuple[_Request, Future]]) -> None:
+    def _execute(
+        self, key: tuple, batch: list[tuple[_Request, Future]], snapshot: Snapshot
+    ) -> None:
         batch = self._prune_expired(batch)
         if not batch:
             return
-        try:
-            entry = self.pool.get_or_load(key, lambda: self._load_master(key))
-        except _VersionMoved as moved:
-            # Not an error: every waiter plans again (see _admitted_query).
-            for _, future in batch:
-                future.set_exception(moved)
-            return
+        entry = self._master(snapshot, key[1])
         pool_hit = entry.hits > 0
         with entry.lock:
             outcomes = self._serve(key, entry, [request for request, _ in batch], pool_hit)

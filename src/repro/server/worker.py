@@ -19,14 +19,15 @@ shared memory, and a worker crash can never corrupt a sibling.
 Wire protocol (multiprocessing queues, all values picklable primitives):
 
 * requests  — ``("query", id, document, query_text, paths, limit,
-  deadline_at, trace, doc_version)`` (``deadline_at`` an absolute
+  deadline_at, trace, entry)`` (``deadline_at`` an absolute
   ``time.monotonic`` stamp or ``None`` — the monotonic clock is
   machine-wide, so the instant means the same thing here; ``trace`` the
-  request's trace ID or ``None``, echoed in the payload; ``doc_version``
-  the document version the dispatcher routed against — a worker whose
-  manifest view is older refreshes before serving, so a mutation is
-  never answered from a stale master fleet-wide), ``("stats", id)``,
-  ``("ping", id)``, ``("evict", id, document)``, ``("shutdown",)``;
+  request's trace ID or ``None``, echoed in the payload; ``entry`` the
+  :meth:`~repro.server.catalog.CatalogEntry.to_wire` form of the version
+  the dispatcher pinned for the request — the worker serves exactly that
+  version, whatever its own manifest view says, and the dispatcher keeps
+  its files until the answer is in), ``("stats", id)``, ``("ping", id)``,
+  ``("evict", id, document)``, ``("shutdown",)``;
 * responses — ``(id, "ok", payload)`` or ``(id, "error", kind, message)``
   where ``kind`` names the error family (see :data:`ERROR_KINDS`) so the
   dispatcher re-raises the *same* exception type the in-process service
@@ -36,10 +37,10 @@ Wire protocol (multiprocessing queues, all values picklable primitives):
 A worker runs a small pool of threads over its request queue, so
 concurrent requests for one ``(document, schema)`` shard still coalesce
 into shared batches inside its ``QueryService`` (the dispatcher's shard
-affinity guarantees all requests for a key land here).  Documents
-registered by the front-end *after* the worker spawned are picked up
-lazily: an unknown-document miss triggers one :meth:`Catalog.refresh`
-retry before the error is returned.
+affinity guarantees all requests for a key land here).  Since every query
+names its entry, a document registered by the front-end *after* the
+worker spawned is served without the worker re-reading the manifest; the
+evict broadcast of a mutation and a quarantine probe are what refresh it.
 """
 
 from __future__ import annotations
@@ -53,7 +54,8 @@ import time
 # error envelope can never disagree on a kind string.  Re-exported here
 # because this module *is* the wire protocol's home for fleet code.
 from repro.api.envelope import ERROR_KINDS, error_kind, rebuild_error  # noqa: F401
-from repro.errors import CatalogError, ClusterError
+from repro.errors import ClusterError
+from repro.server.catalog import CatalogEntry
 from repro.server.resilience import FAULTS, Deadline
 
 SHUTDOWN = ("shutdown",)
@@ -66,37 +68,16 @@ def _serve_one(service, message, response_queue) -> None:
     try:
         FAULTS.fire("worker.serve", kind=kind)
         if kind == "query":
-            _, _, document, query_text, paths, limit, deadline_at, trace, doc_version = message
+            _, _, document, query_text, paths, limit, deadline_at, trace, entry = message
             # Time queued in the request pipe counted against the budget;
             # answer dead-on-arrival requests without touching the service.
             deadline = Deadline.from_wire(deadline_at)
             if deadline is not None:
                 deadline.check("request (expired in the worker's queue)")
-            # Lazy version reconciliation: the dispatcher stamped the
-            # version it routed against; if this worker's manifest view is
-            # older (a mutation published since its last refresh), one
-            # re-read + eviction brings it current before serving.
-            if doc_version:
-                try:
-                    known = service.catalog.entry(document).doc_version
-                except CatalogError:
-                    known = -1
-                if known < doc_version:
-                    service.catalog.refresh()
-                    service.evict(document)
-            try:
-                payload = service.query(
-                    document, query_text, paths=paths, limit=limit,
-                    deadline=deadline, trace=trace,
-                )
-            except CatalogError:
-                # The front-end may have registered the document after this
-                # worker spawned; one manifest re-read settles it.
-                service.catalog.refresh()
-                payload = service.query(
-                    document, query_text, paths=paths, limit=limit,
-                    deadline=deadline, trace=trace,
-                )
+            payload = service.query(
+                document, query_text, paths=paths, limit=limit, deadline=deadline,
+                trace=trace, entry=CatalogEntry.from_wire(document, entry),
+            )
         elif kind == "stats":
             if service.catalog.quarantined():
                 # A repair/re-register in another process lifts quarantine

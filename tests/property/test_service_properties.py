@@ -7,6 +7,7 @@ byte-equal to ``encode_result`` of the same plan evaluated on a fresh copy
 of the master, whatever ran before it and in whatever order.
 """
 
+from contextlib import contextmanager
 from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
@@ -33,13 +34,15 @@ class OneInstanceCatalog:
         self.stats = DocumentStats.from_instance(instance, complete_tags=True)
 
     def entry(self, document):
-        return SimpleNamespace(registered_at=0.0, doc_version=1)
+        return SimpleNamespace(name=document, registered_at=0.0, doc_version=1)
 
-    def load(self, document, strings):
-        return self.instance, None, self.entry(document)
-
-    def document_stats(self, document):
-        return self.stats
+    @contextmanager
+    def snapshot(self, document, entry=None):
+        yield SimpleNamespace(
+            entry=self.entry(document),
+            load=lambda strings: (self.instance, None),
+            stats=lambda master=None: self.stats,
+        )
 
 
 @st.composite

@@ -227,7 +227,7 @@ class TestIntegrity:
 
     def commit_between_entry_and_image_read(self, catalog, then=lambda: None):
         """Arm the load seam so a commit publishes a new version — and
-        collects the one the load already chose — before the image read."""
+        retires the one the load already pinned — before the image read."""
 
         def commit(**_):
             catalog.mutate("bib", [{"op": "append_child", "path": [], "xml": "<book/>"}])
@@ -235,7 +235,7 @@ class TestIntegrity:
 
         FAULTS.arm("catalog.load_instance", times=1, callback=commit)
 
-    def test_commit_during_load_serves_the_new_version(self, catalog):
+    def test_commit_during_load_serves_the_pinned_version(self, catalog, tmp_path):
         catalog.add("bib", BIB_XML)
         self.commit_between_entry_and_image_read(catalog)
         try:
@@ -244,7 +244,9 @@ class TestIntegrity:
             FAULTS.disarm()
         assert catalog.quarantined() == []
         assert catalog.entry("bib").doc_version == 2
-        assert equivalent(instance, load_instance(catalog.xml("bib"), tags=None))
+        assert equivalent(instance, load_instance(BIB_XML, tags=None))
+        # The last release deleted the retired version.
+        assert "v1" not in os.listdir(tmp_path / "cat" / "bib")
 
     def test_commit_during_load_then_missing_current_image_quarantines(
         self, catalog, tmp_path
@@ -255,10 +257,13 @@ class TestIntegrity:
             catalog, then=lambda: os.remove(skeleton_path(root, "bib"))
         )
         try:
-            with pytest.raises(IntegrityError, match="v2/skeleton.rskl is missing"):
-                catalog.load_instance("bib")
+            instance = catalog.load_instance("bib")  # the pinned version
         finally:
             FAULTS.disarm()
+        assert equivalent(instance, load_instance(BIB_XML, tags=None))
+        assert catalog.quarantined() == []
+        with pytest.raises(IntegrityError, match="v2/skeleton.rskl is missing"):
+            catalog.load_instance("bib")
         assert catalog.quarantined() == ["bib"]
 
     def test_corrupt_skeleton_quarantines(self, catalog, tmp_path):
@@ -392,6 +397,56 @@ def write_old_layout_catalog(root, name, xml, skeleton_version=1):
         row["skeleton_version"] = skeleton_version
     with open(os.path.join(root, "catalog.json"), "w", encoding="utf-8") as handle:
         json.dump({"format": "repro-catalog-1", "next_version": 2, "documents": [row]}, handle)
+
+
+class TestSnapshots:
+    """A pinned version keeps its files until its last release, whatever
+    retired it; an unpinned one goes at once."""
+
+    def versions(self, tmp_path):
+        return sorted(
+            child for child in os.listdir(tmp_path / "cat" / "bib") if child.startswith("v")
+        )
+
+    def test_commit_keeps_a_pinned_version_until_release(self, catalog, tmp_path):
+        catalog.add("bib", BIB_XML)
+        with catalog.snapshot("bib") as snapshot:
+            catalog.mutate("bib", [{"op": "append_child", "path": [], "xml": "<book/>"}])
+            assert self.versions(tmp_path) == ["v1", "v2"]
+            assert snapshot.entry.doc_version == 1
+            assert equivalent(snapshot.load()[0], load_instance(BIB_XML, tags=None))
+        assert self.versions(tmp_path) == ["v2"]
+
+    def test_removal_and_reregistration_keep_a_pinned_version(self, catalog, tmp_path):
+        catalog.add("bib", BIB_XML)
+        with catalog.snapshot("bib") as snapshot:
+            catalog.remove("bib")
+            assert self.versions(tmp_path) == ["v1"]
+            catalog.add("bib", "<bib><book/></bib>")
+            assert self.versions(tmp_path) == ["v1", "v2"]
+            assert equivalent(snapshot.load()[0], load_instance(BIB_XML, tags=None))
+        assert self.versions(tmp_path) == ["v2"]
+        catalog.remove("bib")
+        assert not os.path.exists(tmp_path / "cat" / "bib")
+
+    def test_removal_deletes_the_document_at_the_last_release(self, catalog, tmp_path):
+        catalog.add("bib", BIB_XML)
+        with catalog.snapshot("bib"):
+            with catalog.snapshot("bib"):
+                catalog.remove("bib")
+            assert self.versions(tmp_path) == ["v1"]
+        assert not os.path.exists(tmp_path / "cat" / "bib")
+
+    def test_snapshot_refuses_unknown_and_quarantined(self, catalog, tmp_path):
+        with pytest.raises(CatalogError):
+            with catalog.snapshot("bib"):
+                pass
+        catalog.add("bib", BIB_XML)
+        corrupt_skeleton(str(tmp_path / "cat"), "bib")
+        catalog.verify()  # quarantines the corrupt image
+        with pytest.raises(QuarantinedError):
+            with catalog.snapshot("bib"):
+                pass
 
 
 class TestOldLayout:

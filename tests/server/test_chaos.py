@@ -314,9 +314,9 @@ class TestWorkerFaults:
         finally:
             stop_server(server, thread)
 
-    def test_worker_transient_fault_absorbed_by_retry(self, tmp_path):
-        # times=1: the worker's CatalogError refresh-and-retry path absorbs
-        # the injected miss and the caller still gets the *correct* answer.
+    def test_worker_transient_cold_load_fault_self_heals(self, tmp_path):
+        # times=1: the injected miss reaches the caller as its typed error,
+        # as in process, and the next query gets the *correct* answer.
         catalog = Catalog(str(tmp_path / "cat"))
         catalog.add("bib", BIB_XML)
         fleet = WorkerFleet(
@@ -327,6 +327,8 @@ class TestWorkerFaults:
         )
         try:
             assert fleet.wait_ready(timeout=60)
+            with pytest.raises(CatalogError, match="transient"):
+                fleet.query("bib", "//book/author")
             payload = fleet.query("bib", "//book/author")
             assert payload["tree_count"] == expected("//book/author")["tree_count"]
         finally:

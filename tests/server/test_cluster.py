@@ -46,13 +46,29 @@ def shared_fleet(tmp_path_factory):
         fleet.close()
 
 
+def start_own_fleet(tmp_path, faults=None):
+    catalog = Catalog(str(tmp_path / "cat"))
+    catalog.add("bib", BIB_XML)
+    fleet = WorkerFleet(catalog, workers=WORKERS, health_interval=0.05, faults=faults)
+    assert fleet.wait_ready(timeout=60)
+    return fleet
+
+
 @pytest.fixture
 def own_fleet(tmp_path):
     """A private fleet for destructive tests; killed workers stay contained."""
-    catalog = Catalog(str(tmp_path / "cat"))
-    catalog.add("bib", BIB_XML)
-    fleet = WorkerFleet(catalog, workers=WORKERS, health_interval=0.05)
-    assert fleet.wait_ready(timeout=60)
+    fleet = start_own_fleet(tmp_path)
+    try:
+        yield fleet
+    finally:
+        fleet.close()
+
+
+@pytest.fixture
+def held_fleet(tmp_path):
+    """``own_fleet`` whose every worker incarnation holds its first
+    evaluation for a second, so a request is surely in flight."""
+    fleet = start_own_fleet(tmp_path, {"service.evaluate": {"latency": 1.0, "times": 1}})
     try:
         yield fleet
     finally:
@@ -151,26 +167,26 @@ class TestFailover:
     def _shard_slot(self, fleet, document="bib"):
         return fleet._slot_for(document, ())
 
-    def test_kill9_fails_inflight_with_503_error_then_respawns(self, own_fleet):
+    def test_kill9_fails_inflight_with_503_error_then_respawns(self, held_fleet):
         """kill -9 mid-traffic: in-flight requests for the shard fail with
         WorkerUnavailableError (503; never a hang, never a wrong answer),
         the dispatcher respawns the worker, and later requests succeed."""
         expected = decode_result(Engine(BIB_XML).query("//author"))["tree_count"]
-        slot = self._shard_slot(own_fleet)
+        slot = self._shard_slot(held_fleet)
         first_pid = slot.process.pid
         outcomes: list[object] = []
 
         def storm():
             for _ in range(40):
                 try:
-                    outcomes.append(own_fleet.query("bib", "//author")["tree_count"])
+                    outcomes.append(held_fleet.query("bib", "//author")["tree_count"])
                 except WorkerUnavailableError as error:
                     outcomes.append(error)
                 time.sleep(0.002)
 
         thread = threading.Thread(target=storm)
         thread.start()
-        time.sleep(0.02)  # let requests be genuinely in flight
+        assert wait_until(lambda: slot.inflight)
         os.kill(first_pid, signal.SIGKILL)
         thread.join(timeout=60)
         assert not thread.is_alive(), "a request hung after the worker was killed"
@@ -188,9 +204,9 @@ class TestFailover:
             lambda: slot.process.is_alive() and slot.process.pid != first_pid
         )
         # ... and the respawned worker answers correctly from the stored image.
-        response = own_fleet.query("bib", "//author", paths=10)
+        response = held_fleet.query("bib", "//author", paths=10)
         assert response["tree_count"] == expected
-        assert own_fleet.stats_dict()["cluster"]["respawns"] >= 1
+        assert held_fleet.stats_dict()["cluster"]["respawns"] >= 1
 
     def test_dispatch_to_dead_worker_fails_fast(self, own_fleet):
         slot = self._shard_slot(own_fleet)
@@ -409,6 +425,31 @@ class TestBreakerRouting:
                 slot.breaker.record_failure()
         payload = own_fleet.query("bib", "//author")  # fail open, not closed
         assert payload["worker"] == primary
+
+
+class TestStartup:
+    def test_a_failed_start_reaches_the_caller_and_stops_started_workers(
+        self, tmp_path, monkeypatch
+    ):
+        """The second worker's ``Process.start()`` raises: the caller gets
+        that error, and the first worker does not outlive the constructor."""
+        from multiprocessing.context import SpawnProcess
+
+        catalog = Catalog(str(tmp_path / "cat"))
+        catalog.add("bib", BIB_XML)
+        start = SpawnProcess.start
+        started = []
+
+        def start_once(process):
+            if started:
+                raise OSError("injected: no more processes")
+            started.append(process)
+            start(process)
+
+        monkeypatch.setattr(SpawnProcess, "start", start_once)
+        with pytest.raises(OSError, match="injected"):
+            WorkerFleet(catalog, workers=2)
+        assert len(started) == 1 and not started[0].is_alive()
 
 
 class TestFleetQuarantineVisibility:

@@ -23,6 +23,7 @@ from repro.errors import CatalogError, IntegrityError
 from repro.server.catalog import Catalog
 from repro.server.cluster import WorkerFleet
 from repro.server.http import create_server, wait_ready
+from repro.server.resilience import FAULTS
 from repro.server.service import QueryService
 from repro.skeleton.loader import load
 from repro.xpath.algebra import Intersect, NamedSet
@@ -44,6 +45,32 @@ QUERIES = [
 ]
 
 APPEND_BOOK = {"op": "append_child", "path": [], "xml": "<book><title>T</title></book>"}
+
+
+@pytest.fixture(autouse=True)
+def disarmed_faults():
+    FAULTS.disarm()
+    yield
+    FAULTS.disarm()
+
+
+def commit_at(point, catalog, name, mutations):
+    """Arm the ``FAULTS`` seam ``point`` to commit ``mutations`` to ``name``
+    the first time it fires; returns the versions committed there."""
+    committed = []
+
+    def commit(**_):
+        committed.append(catalog.mutate(name, mutations).doc_version)
+
+    FAULTS.arm(point, times=1, callback=commit)
+    return committed
+
+
+#: ``<r><a/></r>`` becomes ``<r><x/></r>``.
+A_TO_X = [
+    {"op": "delete_subtree", "path": [0]},
+    {"op": "append_child", "path": [], "xml": "<x/>"},
+]
 
 
 @pytest.fixture
@@ -79,6 +106,23 @@ class TestStatsFromTheMaster:
         published = catalog.document_stats("bib")
         assert published != before
         assert Catalog(catalog.root).document_stats("bib") == published
+
+    def test_a_fresh_reader_reads_the_image_once(self, catalog):
+        """A statistics miss derives from the pooled tags-only master, so a
+        restarted server's first tag-only query loads the image once, for
+        its statistics and its answer alike."""
+        loads = []
+        FAULTS.arm("catalog.load_instance", callback=lambda **context: loads.append(context))
+        service = QueryService(Catalog(catalog.root))
+        try:
+            assert service.query("bib", "//author")["tree_count"] == 5
+            assert service.query("bib", '//author["Hull"]')["tree_count"] == 1
+        finally:
+            service.close()
+        assert loads == [
+            {"name": "bib", "strings": ()},
+            {"name": "bib", "strings": ("Hull",)},
+        ]
 
     def test_derivation_checks_the_image(self, catalog):
         """A miss loads through ``Catalog.load``: a corrupt image raises and
@@ -172,47 +216,26 @@ class TestStringEstimate:
 
 class TestPlanVersion:
     def test_plan_statistics_and_master_are_one_version(self, tmp_path):
-        """A commit landing between the service's read of the catalog entry
-        and its read of the statistics must not pair one version's plan
-        with another version's master."""
-        catalog = Catalog(str(tmp_path / "cat"))
-        catalog.add("d", "<r><foo/><b/></r>")
-        read_stats = catalog.document_stats
-
-        def commit_then_read(name):
-            catalog.document_stats = read_stats  # commit once
-            catalog.mutate("d", [
+        """A commit landing while a request derives its statistics must not
+        pair one version's plan with another version's master."""
+        root = str(tmp_path / "cat")
+        Catalog(root).add("d", "<r><foo/><b/></r>")
+        catalog = Catalog(root)  # a restarted server: no statistics cached
+        service = QueryService(catalog)
+        try:
+            committed = commit_at("pool.load", catalog, "d", [
                 {"op": "delete_subtree", "path": [0]},
                 {"op": "append_child", "path": [], "xml": "<b/>"},
                 {"op": "append_child", "path": [], "xml": "<b/>"},
             ])
-            return read_stats(name)
-
-        service = QueryService(catalog)
-        try:
-            # Version N's master is resident in the pool.
-            assert service.query("d", "//r")["tree_count"] == 1
-            catalog.document_stats = commit_then_read
             # Version N answers 2 (foo, b), version N+1 answers 3 (b, b, b).
+            # N+1's statistics fold //foo away: its plan on N's master
+            # answers 1.  The request answers from the version it pinned.
+            assert service.query("d", "//b | //foo")["tree_count"] == 2
+            assert committed == [catalog.entry("d").doc_version]
             assert service.query("d", "//b | //foo")["tree_count"] == 3
         finally:
             service.close()
-
-
-def commit_once_then_load(catalog):
-    """A ``Catalog.load`` that first commits a version with no ``a``
-    (``<r><a/></r>`` becomes ``<r><x/></r>``), once."""
-    load = catalog.load
-
-    def commit_then_load(name, strings=()):
-        catalog.load = load
-        catalog.mutate(name, [
-            {"op": "delete_subtree", "path": [0]},
-            {"op": "append_child", "path": [], "xml": "<x/>"},
-        ])
-        return load(name, strings)
-
-    return commit_then_load
 
 
 class TestMasterVersion:
@@ -221,14 +244,17 @@ class TestMasterVersion:
         N+1's master under version N's pool key, nor run N's plan on it."""
         catalog = Catalog(str(tmp_path / "cat"))
         catalog.add("d", "<r><a/></r>")
-        catalog.load = commit_once_then_load(catalog)
+        planned = catalog.entry("d").doc_version
+        committed = commit_at("catalog.load_instance", catalog, "d", A_TO_X)
         service = QueryService(catalog)
         try:
             # Versions N and N+1 each answer 1.  N's statistics fold //x to
             # empty and N+1 has no a, so N's plan on N+1's master answers 0.
             assert service.query("d", "//a | //x")["tree_count"] == 1
-            version = catalog.entry("d").doc_version
-            assert [key[3] for key in service.pool.keys()] == [version]
+            assert committed == [catalog.entry("d").doc_version]
+            (key,) = service.pool.keys()
+            assert key[3] == planned
+            assert service.pool.peek(key).instance.has_set("a")  # N's master
         finally:
             service.close()
 
@@ -312,20 +338,14 @@ class TestExplainAnalyze:
             service.close()
 
     def test_analyze_measures_the_tree_it_annotates(self, catalog, backend):
-        """``Database.explain`` plans once: a commit after that plan (or an
-        eviction from the optimized-plan LRU) cannot hand the measurement
-        a different tree from the one annotated."""
+        """``Database.explain`` plans once: a commit after that plan, here
+        during the analysis load, cannot hand the measurement a different
+        tree from the one annotated."""
         catalog.add("r", "<r><a><b/></a><a><c/></a><x/></r>")
-        planned = backend._planned
-        calls = []
-
-        def commit_after_the_first(document, query_text):
-            if calls:
-                catalog.mutate("r", [{"op": "append_child", "path": [], "xml": "<x/>"}])
-            calls.append(query_text)
-            return planned(document, query_text)
-
-        backend._planned = commit_after_the_first
+        committed = commit_at(
+            "catalog.load_instance", catalog, "r",
+            [{"op": "append_child", "path": [], "xml": "<x/>"}],
+        )
         plan = Database.from_service(backend).explain("//a[c]/c", document="r", analyze=True)
         stack, nodes, unmeasured = [plan.to_dict()["algebra"]], 0, 0
         while stack:
@@ -335,15 +355,17 @@ class TestExplainAnalyze:
             stack.extend(node.get("children", ()))
         assert nodes > 1 and unmeasured == 0
         assert plan.to_dict()["algebra"]["actual"]["tree_count"] == 1
+        assert committed == [catalog.entry("r").doc_version]
 
     def test_analyze_measures_the_version_it_planned(self, catalog, backend):
-        """A commit between planning and the analysis load plans again: the
-        actuals describe the version whose plan they annotate."""
+        """A commit between planning and the analysis load: the actuals
+        describe the version whose plan they annotate."""
         catalog.add("d", "<r><a/></r>")
-        catalog.load = commit_once_then_load(catalog)
+        committed = commit_at("catalog.load_instance", catalog, "d", A_TO_X)
         payload = backend.explain("d", "//a | //x", analyze=True)
         # Versions N and N+1 each answer 1; N's plan on N+1's master, 0.
         assert payload["plan"]["algebra"]["actual"]["tree_count"] == 1
+        assert committed == [catalog.entry("d").doc_version]
 
     def test_analyze_of_folded_plan(self, backend):
         payload = backend.explain("bib", "//absenttag/title", analyze=True)

@@ -465,7 +465,7 @@ class TestKernelProvenance:
             pool = service.stats_dict()["pool"]
             assert pool["skeleton_loads"] == 1
             assert pool["bytes_mapped"] > 0
-            info = service.instance_info("bib", ())
+            info = service.plan("bib", "//author").instance
             assert info["resident"] is True
             assert info["load"]["format"] == "skeleton"
             assert info["load"]["bytes_mapped"] == catalog.store("bib").size()
