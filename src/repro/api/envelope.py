@@ -150,10 +150,11 @@ def encode_result(result, paths: int = 0, limit: int = DEFAULT_LIMIT) -> dict:
     ``paths``: the first N paths in document order (at most
     :data:`MAX_PATHS`).  ``limit``: guard on the tree nodes the decode walk
     visits — only subtrees holding a match, a subset of a full document-order
-    walk to the same paths.  With the count that is
-    O(|ancestor-or-self(S)| + N * depth * fan-out) big-integer steps on the
-    vector kernel tier (O(|DAG|) for the first term on the scalar tier —
-    :func:`repro.model.paths.selection_summary`), never O(|tree|).
+    walk to the same paths.  The count sums the instance's cached path
+    counts over ``S``'s members; the paths add one upward pass for the
+    strict ancestors of ``S`` (whole-array per level on the vector tier,
+    the postorder on the scalar tier) and N * depth * fan-out steps of the
+    walk (:mod:`repro.model.paths`) — never O(|tree|).
     """
     payload: dict = {
         "dag_count": result.instance.count_origins(result.set_name),

@@ -104,28 +104,22 @@ class DocumentStats:
         """Collect the full catalog from one compressed instance.
 
         Cost is linear in the DAG (plus big-int arithmetic on the path
-        counts): one topological pass computes per-vertex tree
-        multiplicities and depth sums top-down, a reverse pass computes
-        subtree sizes bottom-up.
+        counts): the per-vertex tree multiplicities are the instance's
+        cached :meth:`Instance.path_counts`, one topological pass sums
+        depths top-down, a reverse pass computes subtree sizes bottom-up.
         """
+        from repro.model.paths import selected_tree_count
         from repro.model.schema import is_result, is_temp
 
         order = instance.topological_order()
-        counts: dict[int, int] = {}
-        depth_sums: dict[int, int] = {}
+        counts = instance.path_counts()
+        depth_sums: dict[int, int] = dict.fromkeys(order, 0)
         subtree: dict[int, int] = {}
         for vertex in order:
-            counts.setdefault(vertex, 0)
-            depth_sums.setdefault(vertex, 0)
-            if vertex == instance.root:
-                counts[vertex] += 1
             multiplier = counts[vertex]
             depths = depth_sums[vertex]
             for child, count in instance.children(vertex):
-                counts[child] = counts.get(child, 0) + multiplier * count
-                depth_sums[child] = depth_sums.get(child, 0) + count * (
-                    depths + multiplier
-                )
+                depth_sums[child] += count * (depths + multiplier)
         internal = 0
         for vertex in reversed(order):
             size = 1
@@ -134,9 +128,9 @@ class DocumentStats:
             subtree[vertex] = size
             if instance.out_degree(vertex):
                 internal += counts[vertex]
-        tree_nodes = sum(counts.values())
+        tree_nodes = sum(counts)
         sets = {
-            name: sum(counts.get(v, 0) for v in instance.members(name))
+            name: selected_tree_count(instance, name)
             for name in instance.schema
             if not is_temp(name) and not is_result(name)
         }

@@ -60,13 +60,14 @@ from repro.model.instance import Instance, vectorized
 
 
 def warm(instance: Instance) -> None:
-    """Derive the structure caches the axis kernels read.
+    """Derive the structure caches the axis kernels and result counts read.
 
     For a resident master: :meth:`Instance.copy` shares what exists at copy
     time, and splits patch the caches from then on, so a working copy of a
     warmed master never derives one from scratch.
     """
     instance.postorder()
+    instance.path_counts()
     if vectorized(instance):
         instance.postorder_array()
         instance.edge_csr().runs()

@@ -307,18 +307,16 @@ def measure_actuals(
     ``dag_count`` counts reachable selected vertices; ``tree_count`` is the
     exact number of tree nodes the selection denotes.
     """
-    from repro.model.paths import tree_node_counts
+    from repro.model.paths import selected_tree_count
 
     trace: dict[int, str] = {}
     evaluator = CompressedEvaluator(instance, context=context, copy=copy)
     evaluator.evaluate(expr, keep_temps=True, trace=trace)
     final = evaluator.instance
-    counts = tree_node_counts(final)
-    actuals: dict[int, dict] = {}
-    for node_id, set_name in trace.items():
-        members = final.members(set_name)
-        actuals[node_id] = {
-            "dag_count": sum(1 for v in members if v in counts),
-            "tree_count": sum(counts.get(v, 0) for v in members),
+    return {
+        node_id: {
+            "dag_count": final.count_set(set_name),
+            "tree_count": selected_tree_count(final, set_name),
         }
-    return actuals
+        for node_id, set_name in trace.items()
+    }

@@ -3,15 +3,15 @@
 A query result is a named selection on a (possibly partially decompressed)
 instance.  A selected DAG vertex represents all tree nodes that unfold from
 it, so the result offers both counts: selected DAG vertices (column 7) and
-the tree nodes they stand for (column 8), plus bounded materialisation of
-the actual tree nodes as edge paths — both from one bottom-up *selection
-summary* (:func:`repro.model.paths.selection_summary`), never by walking
-the uncompressed tree.
+the tree nodes they stand for (column 8, a sum of the instance's cached
+path counts over the selection), plus bounded materialisation of the actual
+tree nodes as edge paths, guided by the selection's ancestors — never by
+walking the uncompressed tree (:mod:`repro.model.paths`).
 
 Results are **read-only views**: the evaluator hands them a finished
 instance and never mutates it afterwards, so every traversal-derived value
-(`dag_count`, `after`, the selection summary) is memoised on
-first use and never invalidated.  A :class:`BatchResult` bundles the
+(`dag_count`, `tree_count`, `after`) is memoised on first use and
+never invalidated.  A :class:`BatchResult` bundles the
 per-query results of one batch evaluation, which all share the same final
 instance, together with the shared-work statistics of the
 common-subexpression cache.
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.model.instance import Instance
-from repro.model.paths import iter_selected_paths, selection_summary
+from repro.model.paths import iter_selected_paths, selected_tree_count
 
 
 def reachable_sizes(instance: Instance) -> tuple[int, int]:
@@ -48,7 +48,7 @@ class QueryResult:
     # nothing ever invalidates these).
     _dag_count: int | None = field(default=None, init=False, repr=False, compare=False)
     _after: tuple[int, int] | None = field(default=None, init=False, repr=False, compare=False)
-    _below: dict[int, int] | None = field(default=None, init=False, repr=False, compare=False)
+    _tree_count: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def vertices(self) -> set[int]:
         """The selected DAG vertices (a fresh set; callers may mutate it)."""
@@ -61,15 +61,11 @@ class QueryResult:
             self._dag_count = self.instance.count_set(self.set_name)
         return self._dag_count
 
-    def _selection_summary(self) -> dict[int, int]:
-        """``below`` (:mod:`repro.model.paths`): one pass, count and decode."""
-        if self._below is None:
-            self._below = selection_summary(self.instance, self.set_name)
-        return self._below
-
     def tree_count(self) -> int:
         """Figure 7 column (8): #tree nodes the selection represents."""
-        return self._selection_summary().get(self.instance.root, 0)
+        if self._tree_count is None:
+            self._tree_count = selected_tree_count(self.instance, self.set_name)
+        return self._tree_count
 
     @property
     def after(self) -> tuple[int, int]:
@@ -92,14 +88,12 @@ class QueryResult:
     def iter_tree_matches(self, limit: int = 1_000_000) -> Iterator[tuple[tuple[int, ...], int]]:
         """Yield ``(edge_path, dag_vertex)`` for each selected tree node.
 
-        Lazy and selection-guided: after the one memoised summary pass
-        (over ``ancestor-or-self(S)`` on the vector kernel tier, the whole
-        DAG on the scalar one), a prefix of k matches (e.g. via
+        Lazy and selection-guided: after one upward pass over the DAG (the
+        selection's strict ancestors), a prefix of k matches (e.g. via
         ``itertools.islice``) costs O(k * depth * fan-out) wherever they
         lie, on any size of tree.
         """
-        below = self._selection_summary()
-        return iter_selected_paths(self.instance, self.set_name, below, limit)
+        return iter_selected_paths(self.instance, self.set_name, limit)
 
     def decompression_ratio(self) -> float:
         """How much the instance grew during evaluation (1.0 = not at all)."""

@@ -30,7 +30,7 @@ The structure is mutable: the query engine adds selections (new sets) and
 splits shared vertices during partial decompression.  Use :meth:`copy` when
 an evaluation must not disturb its input.
 
-Three facilities keep the query engine's constant factors down (DESIGN.md
+Four facilities keep the query engine's constant factors down (DESIGN.md
 sections 5 and 11):
 
 * *bulk plane operations* (:meth:`combine_sets`, :meth:`fill_set`,
@@ -47,6 +47,9 @@ sections 5 and 11):
   :meth:`reachable_plane` memoises the reachable vertex set as a plane.
   Both are structural, so :meth:`copy` shares them like the traversal
   caches.
+* *cached path counts*: :meth:`path_counts` memoises ``|Pi(v)|``, the
+  root-to-``v`` edge paths of every vertex (Proposition 2.2), so a
+  selection's tree-node count is a sum over its members, not a walk.
 
 The general mutators drop every cache; :meth:`split_vertices`, the
 structural step of partial decompression, patches them instead.
@@ -236,6 +239,7 @@ class Instance:
         "_post_array",
         "_reach_cache",
         "_csr_cache",
+        "_count_cache",
     )
 
     def __init__(self, schema: Iterable[str] = ()):
@@ -257,6 +261,7 @@ class Instance:
         self._post_array = None  # _post_cache as a numpy intp array
         self._reach_cache: array | None = None
         self._csr_cache: EdgeCSR | None = None
+        self._count_cache: list[int] | None = None
 
     @classmethod
     def from_parts(
@@ -300,6 +305,7 @@ class Instance:
         instance._post_array = None
         instance._reach_cache = None
         instance._csr_cache = None
+        instance._count_cache = None
         if children:
             instance._check_vertex(root)
         return instance
@@ -410,6 +416,7 @@ class Instance:
         self._post_array = None
         self._reach_cache = None
         self._csr_cache = None
+        self._count_cache = None
 
     def _grow(self, nbits: int) -> None:
         """Ensure every plane can hold ``nbits`` vertex bits (doubling)."""
@@ -512,6 +519,7 @@ class Instance:
         on the numpy tier (:meth:`EdgeCSR.split`) and dropped otherwise —
         under ``rewritten`` run splitting changes the entry count.  Each
         clone also inherits its original's origin (:meth:`count_origins`).
+        The path counts are patched too (:func:`_split_path_counts`).
         """
         table = self._children
         first = len(table)
@@ -522,6 +530,8 @@ class Instance:
         clone_of = {vertex: first + i for i, vertex in enumerate(originals)}
         csr = self._csr_cache
         self._csr_cache = None
+        counts = self._count_cache
+        self._count_cache = None
         if rewritten is not None:
             clone_edges = [rewritten.get(vertex, table[vertex]) for vertex in originals]
         else:
@@ -554,12 +564,14 @@ class Instance:
             ]
             rewritten = {vertex: repointed(vertex) for vertex in parents}
         post = self._post_cache
+        split_order: list[int] = []  # the originals, children first
         if post is not None:
             patched: list[int] = []
             for vertex in post:
                 patched.append(vertex)
                 if vertex in clone_of:
                     patched.append(clone_of[vertex])
+                    split_order.append(vertex)
             self._post_cache = patched
             if self._post_array is not None:
                 self._post_array = _pl._numpy.asarray(patched, dtype=_pl._numpy.intp)
@@ -573,6 +585,10 @@ class Instance:
         self._nedge_entries += sum(map(len, clone_edges))
         self._grow(len(table))
         _pl.clone_bits(self._planes, originals, first)
+        if counts is not None:  # then so is ``post``: deriving the counts cached it
+            self._count_cache = _split_path_counts(
+                counts, clone_of, split_order, rewritten, clone_edges
+            )
         return first
 
     def children(self, vertex: int) -> tuple[Edge, ...]:
@@ -841,6 +857,29 @@ class Instance:
         or any instance a vector-tier axis ran on (a sibling split drops it)."""
         return self._csr_cache is not None
 
+    def path_counts(self) -> list[int]:
+        """``|Pi(v)|`` per vertex id: the edge paths root -> ``v`` (cached).
+
+        The top-down recurrence: ``counts[root] == 1`` and an edge
+        ``v -> w`` of multiplicity ``m`` adds ``m * counts[v]`` to
+        ``counts[w]``; an unreachable vertex counts 0.  Exact Python ints,
+        however far a count outgrows a machine word.  Structural, so
+        :meth:`copy` shares it and :meth:`split_vertices` patches it.
+        Read-only.
+        """
+        cached = self._count_cache
+        if cached is not None:
+            return cached
+        children = self._children
+        counts = [0] * len(children)
+        counts[self.root] = 1
+        for vertex in reversed(self.postorder()):
+            multiplier = counts[vertex]
+            for child, count in children[vertex]:
+                counts[child] += multiplier * count
+        self._count_cache = counts
+        return counts
+
     # ------------------------------------------------------------------
     # Traversal
     # ------------------------------------------------------------------
@@ -1015,6 +1054,7 @@ class Instance:
         clone._post_array = self._post_array
         clone._reach_cache = self._reach_cache
         clone._csr_cache = self._csr_cache
+        clone._count_cache = self._count_cache
         return clone
 
     def reduct(self, names: Iterable[str]) -> "Instance":
@@ -1066,6 +1106,48 @@ class Instance:
     def _check_vertex(self, vertex: int) -> None:
         if not 0 <= vertex < len(self._children):
             raise InstanceError(f"vertex {vertex} does not exist")
+
+
+def _split_path_counts(
+    counts: list[int],
+    clone_of: dict[int, int],
+    split_order: list[int],
+    rewritten: dict[int, tuple[Edge, ...]],
+    clone_edges: list[tuple[Edge, ...]],
+) -> list[int]:
+    """:meth:`Instance.path_counts` after :meth:`Instance.split_vertices`.
+
+    A split only re-partitions the tree nodes each original stood for: a
+    vertex that does not split keeps its count, a clone's count is the sum
+    of ``m * count[parent]`` over its in-edges, and its original keeps the
+    remainder.  Every in-edge of a clone is on a ``rewritten`` or a cloned
+    edge list.  Unsplit parents push their (final) counts first; then the
+    originals resolve parents first (``split_order``, children first,
+    reversed): a clone sits right after its original in the postorder, so
+    every split parent of a clone, and the original of every cloned
+    parent, has pushed by then.  ``counts`` is shared with forks, so this
+    builds a new list (DESIGN.md section 5).
+    """
+    first = len(counts)
+    patched = counts[:]
+    patched.extend([0] * len(clone_edges))
+
+    def push(parent: int, edges: tuple[Edge, ...]) -> None:
+        multiplier = patched[parent]
+        for child, count in edges:
+            if child >= first:
+                patched[child] += count * multiplier
+
+    for parent, edges in rewritten.items():
+        if parent not in clone_of:
+            push(parent, edges)
+    for original in reversed(split_order):
+        clone = clone_of[original]
+        patched[original] -= patched[clone]
+        if original in rewritten:
+            push(original, rewritten[original])
+        push(clone, clone_edges[clone - first])
+    return patched
 
 
 # ----------------------------------------------------------------------

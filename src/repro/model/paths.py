@@ -9,21 +9,18 @@ interpreted as a selection of tree nodes.
 Enumerating edge paths is exponential in general (that is the whole point of
 the compression), so this module offers:
 
-* :func:`selection_summary` / :func:`iter_selected_paths` — the serving
-  path.  One bottom-up pass computes, for a selection ``S``,
-  ``below[v] = [v in S] + sum(m * below[c] for (c, m) in children(v))``:
-  the selected tree nodes in the subtree unfolded from ``v`` (exact big
-  integers).  ``below[root]`` is Figure 7 column (8), and a document-order
-  walk that descends only where ``below > 0`` (stepping over match-free
-  runs by position arithmetic) decodes the first ``k`` selected paths in
-  ``O(k * depth * fan-out)`` on top of the summary, never ``O(|tree|)``.
-  The summary's big-integer recurrence visits only
-  ``ancestor-or-self(S)`` on the vector kernel tier — the one part of the
-  DAG where ``below`` is non-zero, found by one whole-array upward pass —
-  and the whole postorder, ``O(|DAG|)``, on the scalar tier;
-* :func:`tree_node_counts` — per-vertex counts ``|Pi(v)|`` by top-down
-  dynamic programming (linear in the DAG; one table answers many sets);
-* :func:`tree_size` — ``|V^{T(I)}|`` without materialising the tree;
+* :func:`selected_tree_count` / :func:`iter_selected_paths` — the serving
+  path.  Figure 7 column (8) of a selection ``S`` is the sum of
+  ``|Pi(v)|`` over ``S``'s members, read from :meth:`Instance.path_counts`
+  (derived once per structure by a top-down pass: a pool master's, shared
+  by its forks, patched by their splits).  A document-order walk that
+  descends only into children holding a match (``S`` or a strict ancestor
+  of ``S``, :func:`selection_marks`: the one upward pass of Proposition
+  3.3), stepping over match-free runs by position arithmetic, decodes the
+  first ``k`` selected paths in ``O(k * depth * fan-out)`` on top of that
+  pass, never ``O(|tree|)``;
+* :func:`tree_node_counts` / :func:`tree_size` — the same table as a dict
+  of the reachable vertices, and its sum ``|V^{T(I)}|``;
 * :func:`iter_edge_paths` / :func:`edge_path_set` — bounded explicit
   enumeration of *every* tree node, the brute-force oracle of the tests.
 """
@@ -40,28 +37,15 @@ from repro.model.instance import Edge, Instance, vectorized
 def tree_node_counts(instance: Instance) -> dict[int, int]:
     """For each reachable vertex ``v``, the number of edge paths root -> v.
 
-    ``counts[root] == 1``; an edge ``v -> w`` with multiplicity ``m``
-    contributes ``m * counts[v]`` paths to ``w``.  Exact big-integer
-    arithmetic — compressed instances can represent astronomically large
-    trees.  Independent of any selection, so this is the tool when one
-    table answers many sets (``measure_actuals``, :func:`tree_size`,
-    compression statistics) — not the serving path, which decodes one
-    selection through the cheaper :func:`selection_summary`.
+    A dict view of the cached :meth:`Instance.path_counts` table.
     """
-    counts: dict[int, int] = {}
-    for vertex in instance.topological_order():
-        counts.setdefault(vertex, 0)
-        if vertex == instance.root:
-            counts[vertex] += 1
-        multiplier = counts[vertex]
-        for child, count in instance.children(vertex):
-            counts[child] = counts.get(child, 0) + multiplier * count
-    return counts
+    counts = instance.path_counts()
+    return {vertex: counts[vertex] for vertex in instance.postorder()}
 
 
 def tree_size(instance: Instance) -> int:
     """``|V^{T(I)}|``: the number of nodes of the equivalent tree."""
-    return sum(tree_node_counts(instance).values())
+    return sum(instance.path_counts())
 
 
 def tree_edge_count(instance: Instance) -> int:
@@ -73,59 +57,43 @@ def selected_tree_count(instance: Instance, name: str) -> int:
     """How many *tree* nodes the DAG selection ``name`` represents.
 
     This is the paper's Figure 7 column (8): the sum of ``|Pi(v)|`` over the
-    selected DAG vertices ``v``.
+    selected DAG vertices ``v``, ``O(words + |S|)``.
     """
-    counts = tree_node_counts(instance)
-    return sum(counts.get(v, 0) for v in instance.members(name))
+    counts = instance.path_counts()
+    return sum(counts[vertex] for vertex in _pl.iter_bits(instance.plane_of(name)))
 
 
-def selection_summary(instance: Instance, name: str) -> dict[int, int]:
-    """``below[v]``: selected tree nodes in the subtree unfolded from ``v``.
+def selection_marks(instance: Instance, plane) -> bytes | bytearray:
+    """One byte per vertex id: bit 0 where it is in ``plane``, bit 1 where
+    a proper descendant is (a strict ancestor of the selection).
 
-    One pass of the module doc's recurrence over the cached postorder.
-    Only non-zero entries are stored: ``v in below`` means "a match at or
-    under ``v``", and ``below.get(root, 0)`` is the tree-node count.
-
-    ``below`` is non-zero exactly on the reachable part of
-    ``ancestor-or-self(S)`` (Proposition 3.3: one upward pass, no split),
-    so on the vector tier the pass skips every other vertex — provided
-    there are vertices to skip (a DAG of a few dozen keeps its edge
-    entries on the root path, inside every closure) and the level
-    structure is at hand, as on every served instance (the pool warms its
-    masters and splits patch it): deriving one costs more interpreter time
-    than the full walk it would save.  DESIGN.md section 11 has both
-    measurements.  The counts stay Python integers on both tiers: they
-    outgrow any machine word.
+    The ``ancestor`` recurrence (Proposition 3.3): the shared
+    :meth:`EdgeCSR.strict_ancestors` kernel on the vector tier — provided
+    there are vertices to skip and the level structure is at hand (DESIGN.md
+    section 11 has the measurements) — and one pass over the cached
+    postorder otherwise.  A non-zero byte is a child the decode enters.
     """
-    plane = instance.plane_of(name)
+    n = instance.num_vertices
+    if vectorized(instance) and n >= _instance.VECTOR_THRESHOLD and instance.has_edge_csr:
+        selected = _pl.unpack_bool(plane, n)
+        return (selected | instance.edge_csr().strict_ancestors(selected) << 1).tobytes()
+    marks = bytearray(n)
+    for vertex in _pl.iter_bits(plane):
+        marks[vertex] = 1
     table = instance.edge_table()
-    if (
-        vectorized(instance)
-        and instance.num_vertices >= _instance.VECTOR_THRESHOLD
-        and instance.has_edge_csr
-    ):
-        selected = _pl.unpack_bool(plane, instance.num_vertices)
-        closure = instance.edge_csr().strict_ancestors(selected) | selected
-        post = instance.postorder_array()
-        order = post[closure[post].view(bool)].tolist()
-    else:
-        order = instance.postorder()
-    below: dict[int, int] = {}
-    for vertex in order:
-        total = plane[vertex >> 6] >> (vertex & 63) & 1
-        for child, count in table[vertex]:
-            if child in below:
-                total += count * below[child]
-        if total:
-            below[vertex] = total
-    return below
+    for vertex in instance.postorder():
+        for child, _ in table[vertex]:
+            if marks[child]:
+                marks[vertex] |= 2
+                break
+    return marks
 
 
-def _matching_children(edges: tuple[Edge, ...], below: dict[int, int]):
+def _matching_children(edges: tuple[Edge, ...], marks):
     """``(position, child)`` for each child slot holding a match, in order."""
     position = 0
     for child, count in edges:
-        if child in below:
+        if marks[child]:
             for position in range(position + 1, position + count + 1):
                 yield position, child
         else:
@@ -133,27 +101,27 @@ def _matching_children(edges: tuple[Edge, ...], below: dict[int, int]):
 
 
 def iter_selected_paths(
-    instance: Instance, name: str, below: dict[int, int], limit: int
+    instance: Instance, name: str, limit: int
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """Yield ``(edge_path, vertex)`` per selected tree node, in document order.
 
-    ``below`` is :func:`selection_summary` of the same selection.  An
-    iterative DFS with one mutable path stack that enters a child only when
-    its subtree holds a match: ``k`` results cost ``O(k * depth * fan-out)``
-    whatever the tree's size.  ``limit`` bounds the tree nodes *entered*
+    An iterative DFS with one mutable path stack that enters a child only
+    when its subtree holds a match (:func:`selection_marks`): ``k``
+    results cost ``O(k * depth * fan-out)`` whatever the tree's size.
+    ``limit`` bounds the tree nodes *entered*
     (:class:`DecompressionLimitError` beyond it), always a subset of what
     :func:`iter_edge_paths` walks to reach the same results.
     """
     root = instance.root
-    if root not in below:
+    marks = selection_marks(instance, instance.plane_of(name))
+    if not marks[root]:
         return
-    plane = instance.plane_of(name)
     table = instance.edge_table()
     entered = 1
-    if plane[root >> 6] >> (root & 63) & 1:
+    if marks[root] & 1:
         yield (), root
     path: list[int] = []
-    stack = [_matching_children(table[root], below)]
+    stack = [_matching_children(table[root], marks)]
     while stack:
         step = next(stack[-1], None)
         if step is None:
@@ -165,12 +133,13 @@ def iter_selected_paths(
         entered += 1
         if entered > limit:
             raise DecompressionLimitError(f"result decode exceeded {limit} tree nodes")
-        if plane[child >> 6] >> (child & 63) & 1:
+        mark = marks[child]
+        if mark & 1:
             yield (*path, position), child
-            if below[child] == 1:
+            if not mark & 2:
                 continue  # no further match under this node
         path.append(position)
-        stack.append(_matching_children(table[child], below))
+        stack.append(_matching_children(table[child], marks))
 
 
 def iter_edge_paths(

@@ -14,6 +14,7 @@ from repro.errors import EvaluationError
 from repro.model.schema import is_temp
 from repro.xpath.compiler import compile_query
 
+from tests.engine.test_results import count_path_count_derivations
 from tests.engine.util import oracle_paths
 from tests.skeleton.test_loader import BIB_XML
 
@@ -170,25 +171,21 @@ class TestBatchEdgeCases:
         text = query_batch(figure2_compressed, ["//book", "//book"]).summary()
         assert "reused" in text and "batch of 2 queries" in text
 
-    def test_selection_summary_computed_once_per_result(self, figure2_compressed, monkeypatch):
-        # Each batch member holds its own selection, so each computes its
-        # own summary — once, shared by its count, summary() and decode.
-        import repro.engine.results as results_module
-
-        batch = query_batch(figure2_compressed, MIX)
-        calls = {"n": 0}
-        real = results_module.selection_summary
-
-        def counting(instance, name):
-            calls["n"] += 1
-            return real(instance, name)
-
-        monkeypatch.setattr(results_module, "selection_summary", counting)
-        for result in batch:
-            result.tree_count()
-            result.tree_paths()
-        batch.summary()
-        assert calls["n"] == len(batch)
+    def test_path_counts_derived_at_most_once_per_fork(self, figure2_compressed, monkeypatch):
+        # Every batch member sums the same table: a batch of N results
+        # derives it at most once, and a second batch on the same working
+        # fork (as the server runs them) derives it zero times.
+        derived = count_path_count_derivations(monkeypatch)
+        evaluator = CompressedEvaluator(figure2_compressed)
+        width = len(evaluator.instance.schema)
+        for _ in range(2):
+            batch = evaluator.evaluate_batch(MIX)
+            for result in batch:
+                result.tree_count()
+                result.tree_paths()
+            batch.summary()
+            assert derived == [evaluator.instance]
+            evaluator.instance.truncate_sets(width)
 
 
 class TestTruncateSets:

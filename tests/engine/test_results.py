@@ -97,33 +97,38 @@ class TestQueryResult:
         assert result.seconds > 0
 
 
+def count_path_count_derivations(monkeypatch) -> list:
+    """Record each instance that derives its path-count table from scratch."""
+    derived = []
+    original = Instance.path_counts
+
+    def counting(self):
+        if self._count_cache is None:
+            derived.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Instance, "path_counts", counting)
+    return derived
+
+
 class TestResultMemoisation:
     """Regression: summary() used to re-traverse the instance up to four
     times (dag_count, tree_count, and `after` each recomputed preorder /
     the count table). Results are read-only views, so every
     traversal-derived value is computed once and memoised."""
 
-    def test_selection_summary_computed_once(self, monkeypatch):
-        # One bottom-up pass per result, shared by tree_count(), summary()
-        # and every path decode.
-        import repro.engine.results as results_module
-
+    def test_path_counts_derived_once(self, monkeypatch):
+        # One top-down table per structure, shared by tree_count(),
+        # summary() and every later result on the same instance.
         result = query(BIB_XML, "//author")
-        calls = {"n": 0}
-        real = results_module.selection_summary
-
-        def counting(instance, name):
-            calls["n"] += 1
-            return real(instance, name)
-
-        monkeypatch.setattr(results_module, "selection_summary", counting)
+        derived = count_path_count_derivations(monkeypatch)
         result.tree_count()
         result.summary()
         assert len(result.tree_paths()) == 5
         assert len(list(result.iter_tree_matches())) == 5
         result.tree_count()
         result.summary()
-        assert calls["n"] == 1
+        assert derived == [result.instance]
 
     def test_after_and_dag_count_memoised(self):
         result = query(BIB_XML, "//author")

@@ -16,7 +16,7 @@ tiers.  Pinned here, on random shared DAGs:
   untouched, object for object;
 * the kernel tiers build the same instance, id for id;
 * a working copy of a warmed master never derives a cache from scratch on
-  a downward query.
+  a downward query, nor to count its result.
 """
 
 from __future__ import annotations
@@ -78,6 +78,7 @@ def warmed(instance: Instance) -> Instance:
     instance.preorder()
     instance.reachable_plane()
     instance.edge_csr()
+    instance.path_counts()
     if planes.numpy_active():
         instance.postorder_array()
         instance.edge_csr().runs()
@@ -153,6 +154,14 @@ def assert_cache_contracts(instance: Instance) -> None:
             assert level.setdefault(int(vertex), number) == number
     depth = len(csr.spans)  # leaves own no entries: below every parent
     assert all(level[vertex] < level.get(child, depth) for vertex, child in entries)
+    # |Pi(v)| per vertex id, exactly as a fresh top-down pass derives it.
+    counts = {instance.root: 1}
+    for vertex in reversed(post):
+        for child, count in table[vertex]:
+            counts[child] = counts.get(child, 0) + count * counts[vertex]
+    assert list(instance.path_counts()) == [
+        counts.get(vertex, 0) for vertex in range(instance.num_vertices)
+    ]
 
 
 @settings(max_examples=150, deadline=None)
@@ -190,7 +199,14 @@ def snapshot(instance: Instance) -> dict:
     """Identity and content of everything a split must leave alone."""
     caches = {
         name: getattr(instance, name)
-        for name in ("_pre_cache", "_post_cache", "_post_array", "_reach_cache", "_csr_cache")
+        for name in (
+            "_pre_cache",
+            "_post_cache",
+            "_post_array",
+            "_reach_cache",
+            "_csr_cache",
+            "_count_cache",
+        )
     }
     csr = caches["_csr_cache"]
     return {
@@ -199,6 +215,7 @@ def snapshot(instance: Instance) -> dict:
         "cache_ids": {name: id(value) for name, value in caches.items()},
         "orders": (list(caches["_pre_cache"]), list(caches["_post_cache"])),
         "reach": bytes(caches["_reach_cache"]),
+        "path_counts": list(caches["_count_cache"]),
         "edges": (
             list(csr.esrc), list(csr.edst), list(csr.emulti), list(csr.spans),
             None if caches["_post_array"] is None else caches["_post_array"].tolist(),
@@ -261,6 +278,7 @@ def test_warmed_master_serves_treebank_q2_without_deriving_a_cache(monkeypatch):
         ("postorder", "_post_cache"),
         ("postorder_array", "_post_array"),
         ("edge_csr", "_csr_cache"),
+        ("path_counts", "_count_cache"),
     ):
         original = getattr(Instance, method)
 

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api.envelope import MAX_PATHS
 from repro.errors import IntegrityError
 from repro.mutation.textedit import splice
 from repro.mutation.ops import Mutation
@@ -270,7 +271,9 @@ def test_every_answer_is_the_pinned_versions(versioned_backend, data):
         FAULTS.arm(seam, times=1, callback=commit)
         try:
             if operation == "query":
-                payload = backend.query("d", query, paths=100)
+                # Every path, not a prefix: the shared document grows with
+                # each example, and the oracle lists all of its matches.
+                payload = backend.query("d", query, paths=MAX_PATHS)
                 answer = (payload["tree_count"], payload["paths"])
                 expected = one_version_oracle(pinned_text, query)
                 assert answer == (len(expected), expected), (query, edit)
@@ -281,5 +284,5 @@ def test_every_answer_is_the_pinned_versions(versioned_backend, data):
         finally:
             FAULTS.disarm()
         assert committed == [catalog.entry("d").doc_version]
-        fresh = backend.query("d", query, paths=100)
+        fresh = backend.query("d", query, paths=MAX_PATHS)
         assert fresh["paths"] == one_version_oracle(catalog.xml("d"), query)
