@@ -26,7 +26,12 @@ once.  Two invariants make this sound:
 Set operations and ``V|root`` are pure mask arithmetic; axes dispatch to
 :mod:`repro.engine.axes_compressed` through the one overridable
 :meth:`CompressedEvaluator._apply_axis` (the tests route it to the
-Figure 4 port in :mod:`repro.engine.axes_inplace` as the oracle).
+Figure 4 port in :mod:`repro.engine.axes_inplace` as the oracle).  A
+location step with a name test, ``step ∩ L[tag]`` in either operand order,
+is *fused*: one axis call whose target is then intersected in place with
+the tag set, so the bare step gets no selection, memo entry or combine of
+its own.  A traced evaluation (explain ``analyze``) runs steps unfused, so
+every algebra node keeps a selection to measure.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from dataclasses import replace
 from typing import Callable, Iterable
 
 from repro.errors import EvaluationError
+from repro.model import planes as _pl
 from repro.model.instance import Instance
 from repro.model.schema import is_temp, result_set, temp_set
 from repro.engine import axes_compressed
@@ -63,13 +69,15 @@ class CompressedEvaluator:
     selection; it defaults to the root singleton.  With ``copy=False`` the
     caller's instance is consumed/mutated.  :meth:`evaluate_batch` is the
     entry point, and :meth:`evaluate` is a batch of one; ``stats``
-    accumulates the memo's :class:`BatchStats` over the evaluator's
-    lifetime.
+    accumulates the memo's :class:`BatchStats`, and the route that served
+    each axis step, over the evaluator's lifetime.  Each ``step ∩ L[tag]``
+    runs fused, as one axis call (see the module docstring).
 
     ``short_circuit=True`` enables the optimizer's dynamic counterpart to
     static empty-branch folding: when the left operand of an intersection
     or difference evaluates to the empty selection, the right operand is
-    skipped.  The selection is the same either way; the splits the skipped
+    skipped — for a fused step too, whose tag set on the left skips the
+    axis call.  The selection is the same either way; the splits the skipped
     operand would have run show only in :meth:`QueryResult.dag_count`,
     never in the served payload (:func:`repro.api.envelope.encode_result`).
     """
@@ -173,6 +181,8 @@ class CompressedEvaluator:
             nodes_total=self.stats.nodes_total - mark.nodes_total,
             nodes_evaluated=self.stats.nodes_evaluated - mark.nodes_evaluated,
             nodes_reused=self.stats.nodes_reused - mark.nodes_reused,
+            frontier_steps=self.stats.frontier_steps - mark.frontier_steps,
+            whole_steps=self.stats.whole_steps - mark.whole_steps,
         )
         return BatchResult(results=results, seconds=elapsed, stats=stats)
 
@@ -241,6 +251,10 @@ class CompressedEvaluator:
             return name
         if isinstance(expr, EmptySet):
             return self._empty_selection()
+        if isinstance(expr, Intersect) and self._trace is None:
+            step = _location_step(expr)
+            if step is not None:
+                return self._eval_step(*step)
         if isinstance(expr, (Union, Intersect, Difference)):
             left = self._eval(expr.left)
             if (
@@ -267,10 +281,46 @@ class CompressedEvaluator:
             return name
         raise EvaluationError(f"cannot evaluate algebra node {expr!r}")
 
+    def _eval_step(self, step: AxisApply, test: NamedSet, test_first: bool) -> str:
+        """``step ∩ test`` as one axis call whose target is then intersected
+        in place with ``test``: no selection, memo entry or combine for the
+        bare ``step``.  Everything else runs as in the unfused ``Intersect``:
+        the operand order, short-circuiting on an empty left operand, and a
+        bare step an unfused occurrence materialised earlier in the batch,
+        which is read from the memo.
+        """
+        self.stats.nodes_total += 1
+        if test_first:
+            tested = self._eval(test)
+            if self._short_circuit and self._is_empty_selection(tested):
+                return self._empty_selection()
+        cached = self._memo.get(step.structural_key())
+        if cached is not None and self._instance.has_set(cached):
+            self.stats.nodes_reused += 1
+            selected = cached
+        else:
+            self.stats.nodes_evaluated += 1
+            source = self._eval(step.operand)
+            selected = self._fresh()
+            self._apply_axis(step.axis, source, selected)
+        if not test_first:
+            if self._short_circuit and self._is_empty_selection(selected):
+                return self._empty_selection()
+            tested = self._eval(test)
+        if selected is cached:
+            return self._instance.combine_sets("intersect", cached, tested, self._fresh())
+        _pl.intersect_into(self._instance.plane_of(selected), self._instance.plane_of(tested))
+        return selected
+
     def _apply_axis(self, axis: str, source: str, target: str) -> None:
-        """Apply one axis to the working instance, in place.  The single
-        seam an alternative axis kernel overrides."""
-        axes_compressed.apply_axis(self._instance, axis, source, target)
+        """Apply one axis to the working instance, in place, counting its
+        route in :attr:`stats`.  The single seam an alternative axis kernel
+        overrides."""
+        route = axes_compressed.run_axis(self._instance, axis, source, target)
+        if route == axes_compressed.FRONTIER:
+            self.stats.frontier_steps += 1
+        else:
+            self.stats.whole_steps += 1
 
     def _combine(self, expr: AlgebraExpr, left: str, right: str) -> str:
         if isinstance(expr, Union):
@@ -280,6 +330,18 @@ class CompressedEvaluator:
         else:
             op = "difference"
         return self._instance.combine_sets(op, left, right, self._fresh())
+
+
+def _location_step(expr: Intersect) -> tuple[AxisApply, NamedSet, bool] | None:
+    """``(step, test, test_first)`` when ``expr`` is ``step ∩ test`` in
+    either operand order — the shape of every compiled location step with a
+    name test — else ``None``."""
+    left, right = expr.left, expr.right
+    if isinstance(left, AxisApply) and isinstance(right, NamedSet):
+        return left, right, False
+    if isinstance(left, NamedSet) and isinstance(right, AxisApply):
+        return right, left, True
+    return None
 
 
 def evaluate(

@@ -117,13 +117,19 @@ class BatchStats:
     ``nodes_total`` counts every algebra-node evaluation the batch *asked*
     for; ``nodes_reused`` of those were answered from the cross-query
     common-subexpression cache without touching the instance, and
-    ``nodes_evaluated`` ran for real.
+    ``nodes_evaluated`` ran for real.  Each axis application that ran is
+    counted by the route that served it
+    (:func:`repro.engine.axes_compressed.run_axis`): ``frontier_steps``
+    read only the selection's own edges, ``whole_steps`` passed over the
+    whole instance.
     """
 
     queries: int = 0
     nodes_total: int = 0
     nodes_evaluated: int = 0
     nodes_reused: int = 0
+    frontier_steps: int = 0
+    whole_steps: int = 0
 
     @property
     def sharing_ratio(self) -> float:

@@ -44,20 +44,24 @@ sections 5 and 11):
 * *cached edge structure*: :meth:`edge_csr` memoises the one flat edge
   list every vectorised axis kernel reads — grouped into levels, each
   vertex's entries contiguous and in child order, run flags alongside;
-  :meth:`reachable_plane` memoises the reachable vertex set as a plane.
-  Both are structural, so :meth:`copy` shares them like the traversal
-  caches.
+  :meth:`reachable_plane` memoises the reachable vertex set as a plane;
+  :meth:`in_degree` and :meth:`in_edges` memoise each vertex's reachable
+  in-entries as ``array('q')`` columns, what a small selection's step
+  reads instead of the whole structure.  All are structural, so
+  :meth:`copy` shares them like the traversal caches.
 * *cached path counts*: :meth:`path_counts` memoises ``|Pi(v)|``, the
   root-to-``v`` edge paths of every vertex (Proposition 2.2), so a
   selection's tree-node count is a sum over its members, not a walk.
 
 The general mutators drop every cache; :meth:`split_vertices`, the
-structural step of partial decompression, patches them instead.
+structural step of partial decompression, patches them instead — but the
+in-edge caches, which it drops.
 """
 
 from __future__ import annotations
 
 from array import array
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 from repro.errors import InstanceError, SchemaError
@@ -240,6 +244,8 @@ class Instance:
         "_reach_cache",
         "_csr_cache",
         "_count_cache",
+        "_degree_cache",
+        "_in_cache",
     )
 
     def __init__(self, schema: Iterable[str] = ()):
@@ -262,6 +268,8 @@ class Instance:
         self._reach_cache: array | None = None
         self._csr_cache: EdgeCSR | None = None
         self._count_cache: list[int] | None = None
+        self._degree_cache: array | None = None
+        self._in_cache: tuple[array, array] | None = None
 
     @classmethod
     def from_parts(
@@ -306,6 +314,8 @@ class Instance:
         instance._reach_cache = None
         instance._csr_cache = None
         instance._count_cache = None
+        instance._degree_cache = None
+        instance._in_cache = None
         if children:
             instance._check_vertex(root)
         return instance
@@ -417,6 +427,8 @@ class Instance:
         self._reach_cache = None
         self._csr_cache = None
         self._count_cache = None
+        self._degree_cache = None
+        self._in_cache = None
 
     def _grow(self, nbits: int) -> None:
         """Ensure every plane can hold ``nbits`` vertex bits (doubling)."""
@@ -519,7 +531,9 @@ class Instance:
         on the numpy tier (:meth:`EdgeCSR.split`) and dropped otherwise —
         under ``rewritten`` run splitting changes the entry count.  Each
         clone also inherits its original's origin (:meth:`count_origins`).
-        The path counts are patched too (:func:`_split_path_counts`).
+        The path counts are patched too (:func:`_split_path_counts`); the
+        in-edge caches (:meth:`in_degree`, :meth:`in_edges`) are dropped and
+        re-derived from the patched structure on next use.
         """
         table = self._children
         first = len(table)
@@ -532,6 +546,8 @@ class Instance:
         self._csr_cache = None
         counts = self._count_cache
         self._count_cache = None
+        self._degree_cache = None
+        self._in_cache = None
         if rewritten is not None:
             clone_edges = [rewritten.get(vertex, table[vertex]) for vertex in originals]
         else:
@@ -880,6 +896,79 @@ class Instance:
         self._count_cache = counts
         return counts
 
+    def in_degree(self) -> array:
+        """Reachable edge entries into each vertex, ``array('q')`` by id (cached).
+
+        A child whose every in-entry comes from ``S`` cannot split under
+        the ``child`` axis, which is what both ``child`` routes test.
+        Derived by one ``bincount`` over the :class:`EdgeCSR` when numpy
+        has one at hand, by one pass over the postorder otherwise.
+        Structural and read-only, like the other caches: :meth:`copy` shares
+        it; :meth:`split_vertices` and the general mutators drop it.
+        """
+        cached = self._degree_cache
+        if cached is not None:
+            return cached
+        csr = self._csr_cache
+        if _pl.numpy_active() and csr is not None:
+            numpy = _pl._numpy
+            counts = numpy.bincount(csr.np_arrays()[1], minlength=len(self._children))
+            cached = array("q", counts.astype(numpy.int64).tobytes())
+        else:
+            cached = array("q", bytes(8 * len(self._children)))
+            children = self._children
+            for vertex in self.postorder():
+                for child, _ in children[vertex]:
+                    cached[child] += 1
+        self._degree_cache = cached
+        return cached
+
+    @property
+    def has_in_edges(self) -> bool:
+        """True when :meth:`in_edges` (and with it :meth:`in_degree`) is at
+        hand: a warmed master and its forks, until a split drops it."""
+        return self._in_cache is not None
+
+    def in_edges(self) -> tuple[array, array]:
+        """``(start, parents)``: the reachable in-entries, grouped by child (cached).
+
+        The parents of ``v``'s in-entries are ``parents[start[v]:start[v + 1]]``
+        (a parent repeats once per entry it owns into ``v``); both are
+        ``array('q')``.  What the upward axes walk when a selection is
+        small.  Derived from :meth:`in_degree` plus one ``argsort`` of the
+        :class:`EdgeCSR` children when numpy has one at hand, by one
+        counting pass over the postorder otherwise; cached, shared and
+        dropped exactly like :meth:`in_degree`.  The axes read it only when
+        it is at hand (:attr:`has_in_edges`).
+        """
+        cached = self._in_cache
+        if cached is not None:
+            return cached
+        degree = self.in_degree()
+        csr = self._csr_cache
+        if _pl.numpy_active() and csr is not None:
+            numpy = _pl._numpy
+            esrc, edst = csr.np_arrays()
+            bounds = numpy.zeros(len(degree) + 1, dtype=numpy.int64)
+            numpy.cumsum(numpy.frombuffer(degree, dtype=numpy.int64), out=bounds[1:])
+            start = array("q", bounds.tobytes())
+            # Any grouping by child will do; 16-bit keys sort by radix.
+            keys = edst.astype(numpy.uint16) if len(degree) <= 1 << 16 else edst
+            order = numpy.argsort(keys, kind="stable")
+            parents = array("q", esrc[order].astype(numpy.int64).tobytes())
+        else:
+            start = array("q", [0])
+            start.extend(accumulate(degree))
+            parents = array("q", bytes(8 * start[-1]))
+            cursor = array("q", start)
+            children = self._children
+            for vertex in self.postorder():
+                for child, _ in children[vertex]:
+                    parents[cursor[child]] = vertex
+                    cursor[child] += 1
+        cached = self._in_cache = (start, parents)
+        return cached
+
     # ------------------------------------------------------------------
     # Traversal
     # ------------------------------------------------------------------
@@ -1055,6 +1144,8 @@ class Instance:
         clone._reach_cache = self._reach_cache
         clone._csr_cache = self._csr_cache
         clone._count_cache = self._count_cache
+        clone._degree_cache = self._degree_cache
+        clone._in_cache = self._in_cache
         return clone
 
     def reduct(self, names: Iterable[str]) -> "Instance":

@@ -637,6 +637,19 @@ def _service_counter_families(service_stats: dict, pool_stats) -> list[RawFamily
             _counter_samples("repro_split_vertices_total", service_stats, "split_vertices"),
         ),
         RawFamily(
+            "repro_axis_steps_total", "counter",
+            "Axis steps evaluated, by route: frontier (the selection's own edges) "
+            "or whole (a pass over the whole instance).",
+            [
+                sample
+                for route in ("frontier", "whole")
+                for sample in _counter_samples(
+                    "repro_axis_steps_total", service_stats, "axis_steps", route,
+                    labels={"route": route},
+                )
+            ],
+        ),
+        RawFamily(
             "repro_errors_total", "counter",
             "Queries that raised instead of returning a result.",
             _counter_samples("repro_errors_total", service_stats, "errors"),

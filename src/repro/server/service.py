@@ -58,6 +58,7 @@ from dataclasses import dataclass, field
 # to the shared envelope module, and callers still read the cap from us.
 from repro.api.envelope import DEFAULT_LIMIT, MAX_PATHS, encode_result  # noqa: F401
 from repro.compress.stats import DocumentStats
+from repro.engine.axes_compressed import warm
 from repro.engine.evaluator import CompressedEvaluator
 from repro.errors import CatalogError, DeadlineExceededError
 from repro.model import planes
@@ -117,6 +118,10 @@ class ServiceStats:
     #: Vertices added to working instances by partial decompression, summed
     #: over executed batches (the paper's cost of a query, Figure 7).
     split_vertices: int = 0
+    #: Axis steps of executed batches, by the route that served them
+    #: (:class:`repro.engine.results.BatchStats`).
+    frontier_steps: int = 0
+    whole_steps: int = 0
     #: Working forks dropped for outgrowing :data:`WORKING_GROWTH_LIMIT`.
     working_reforks: int = 0
 
@@ -129,6 +134,7 @@ class ServiceStats:
             "errors": self.errors,
             "deadline_expired": self.deadline_expired,
             "split_vertices": self.split_vertices,
+            "axis_steps": {"frontier": self.frontier_steps, "whole": self.whole_steps},
             "working_reforks": self.working_reforks,
         }
 
@@ -915,7 +921,7 @@ class QueryService(ServingBackend):
         selection) are captured *per request*, so one bad request never
         poisons its batch-mates.  The working fork stays with the entry
         after every successful evaluation (truncated back to the schema it
-        had before the batch), and is
+        had before the batch, and re-warmed if the batch split vertices), and is
         **discarded** if evaluation itself died mid-batch — a half-evaluated
         instance still carries populated temp sets that a later evaluator's
         fresh counter would silently reuse.
@@ -942,6 +948,12 @@ class QueryService(ServingBackend):
             raise
         with self._stats_lock:
             self.stats.split_vertices += working.num_vertices - vertices_before
+            self.stats.frontier_steps += result.stats.frontier_steps
+            self.stats.whole_steps += result.stats.whole_steps
+        if working.num_vertices != vertices_before:
+            # A split dropped the in-edge caches (a sibling split the EdgeCSR
+            # too): derive them once here, so no later batch on this fork does.
+            warm(working)
         outcomes: list[dict | Exception] = []
         for request, query_result in zip(batch, result):
             try:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.api import Plan
 from repro.xpath.compiler import compile_query
 
@@ -147,6 +149,37 @@ class TestOptimizerAnnotations:
         root = plan.to_dict()["algebra"]
         assert root["actual"] == {"dag_count": 3, "tree_count": 3}
         assert "actual=3" in plan.render()
+
+    @pytest.mark.parametrize("name", ["Q2", "Q5"])
+    def test_analyze_measures_both_halves_of_every_fused_step(self, name):
+        # The evaluator runs ``step ∩ L[tag]`` as one axis call; analyze
+        # still reports the bare step's own cardinalities.
+        import repro
+        from repro.bench.queries import queries_for
+        from repro.corpora import generate
+
+        query = queries_for("treebank")[name]
+        database = repro.open(generate("treebank", 60, 0).xml)
+        root = database.explain(query, analyze=True).to_dict()["algebra"]
+
+        def walk(node):
+            yield node
+            for child in node.get("children", ()):
+                yield from walk(child)
+
+        nodes = list(walk(root))
+        assert all("actual" in node for node in nodes)
+        steps = [
+            node
+            for node in nodes
+            if node["op"] == "intersect"
+            and sorted(child["op"] for child in node["children"]) == ["axis", "named-set"]
+        ]
+        assert steps
+        for step in steps:
+            axis = next(child for child in step["children"] if child["op"] == "axis")
+            assert axis["actual"]["dag_count"] >= step["actual"]["dag_count"]
+        assert root["actual"]["tree_count"] == database.execute(query).tree_count()
 
     def test_identity_optimization_has_no_unoptimized_shadow(self):
         # ``*`` (child::* of the context) has nothing to fold or reorder.

@@ -7,6 +7,7 @@ from repro.engine.pipeline import Engine, load_for_query, query
 from repro.errors import EvaluationError
 from repro.model.schema import is_temp
 from repro.skeleton.loader import load_instance
+from repro.xpath.algebra import AxisApply, Intersect, NamedSet
 
 from tests.engine.util import assert_engines_agree
 from tests.skeleton.test_loader import BIB_XML
@@ -136,6 +137,45 @@ class TestEvaluatorMechanics:
         result = query(BIB_XML, "//author")
         text = result.summary()
         assert "dag" in text and "tree" in text
+
+
+class TestFusedSteps:
+    """``step ∩ L[tag]`` runs as one axis call (DESIGN.md section 6)."""
+
+    def evaluator(self):
+        instance = load_instance(BIB_XML, tags=["bib", "book", "author"])
+        instance.ensure_set("none")
+        return CompressedEvaluator(instance, short_circuit=True)
+
+    def test_an_empty_test_on_the_left_skips_the_axis(self):
+        evaluator = self.evaluator()
+        step = Intersect(NamedSet("none"), AxisApply("child", NamedSet("book")))
+        assert evaluator.evaluate(step).is_empty()
+        assert evaluator.stats.frontier_steps + evaluator.stats.whole_steps == 0
+
+    def test_an_empty_test_on_the_right_still_runs_the_axis(self):
+        evaluator = self.evaluator()
+        step = Intersect(AxisApply("child", NamedSet("book")), NamedSet("none"))
+        assert evaluator.evaluate(step).is_empty()
+        assert evaluator.stats.frontier_steps + evaluator.stats.whole_steps == 1
+
+    def test_an_empty_step_on_the_left_skips_the_test(self):
+        # As unfused: the test set is not even looked up, so a missing one
+        # raises only when the step selected something or nothing skips.
+        step = Intersect(AxisApply("child", NamedSet("none")), NamedSet("journal"))
+        assert self.evaluator().evaluate(step).is_empty()
+        instance = load_instance(BIB_XML, tags=["book"])
+        instance.ensure_set("none")
+        with pytest.raises(EvaluationError, match="load the document"):
+            CompressedEvaluator(instance).evaluate(step)
+
+    def test_a_fused_step_materialises_one_selection(self):
+        evaluator = self.evaluator()
+        result = evaluator.evaluate("/bib/book/author", keep_temps=True)
+        assert result.tree_count() == 3
+        # {root} and one selection per step: none for the bare axis results.
+        assert len([name for name in result.instance.schema if is_temp(name)]) == 4
+        assert evaluator.stats.nodes_total == 10  # the bare steps still count
 
 
 class TestPipeline:

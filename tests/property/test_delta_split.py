@@ -14,9 +14,12 @@ tiers.  Pinned here, on random shared DAGs:
   contract its readers rely on;
 * patching is copy-on-write: the master a working copy was taken from is
   untouched, object for object;
-* the kernel tiers build the same instance, id for id;
-* a working copy of a warmed master never derives a cache from scratch on
-  a downward query, nor to count its result.
+* the kernel tiers build the same instance, id for id, and so do the
+  frontier and whole-instance routes of ``child``, ``parent`` and
+  ``ancestor(-or-self)`` on either side of the frontier limit;
+* a working copy of a warmed master derives no cache from scratch on a
+  cold query but the in-edge caches a split drops, and none at all on a
+  warm one, nor to count its result.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ from repro.model import instance as instance_module, planes
 from repro.model.equivalence import equivalent
 from repro.model.instance import Instance
 from repro.model.paths import set_path_sets, tree_size
+from repro.server.catalog import Catalog
+from repro.server.service import QueryService
 from repro.skeleton.loader import load
 
 from tests.conftest import LABELS, random_dag_instances
@@ -79,6 +84,7 @@ def warmed(instance: Instance) -> Instance:
     instance.reachable_plane()
     instance.edge_csr()
     instance.path_counts()
+    instance.in_edges()
     if planes.numpy_active():
         instance.postorder_array()
         instance.edge_csr().runs()
@@ -162,6 +168,17 @@ def assert_cache_contracts(instance: Instance) -> None:
     assert list(instance.path_counts()) == [
         counts.get(vertex, 0) for vertex in range(instance.num_vertices)
     ]
+    # Reachable in-entries per child: counted, and grouped by child.
+    into = Counter(child for _, child in entries.elements())
+    degree = instance.in_degree()
+    assert list(degree) == [into[vertex] for vertex in range(instance.num_vertices)]
+    start, parents = instance.in_edges()
+    assert len(start) == instance.num_vertices + 1 and start[-1] == len(parents)
+    assert Counter(
+        (parents[entry], vertex)
+        for vertex in range(instance.num_vertices)
+        for entry in range(start[vertex], start[vertex + 1])
+    ) == Counter(entries.elements())
 
 
 @settings(max_examples=150, deadline=None)
@@ -206,6 +223,8 @@ def snapshot(instance: Instance) -> dict:
             "_reach_cache",
             "_csr_cache",
             "_count_cache",
+            "_degree_cache",
+            "_in_cache",
         )
     }
     csr = caches["_csr_cache"]
@@ -216,6 +235,9 @@ def snapshot(instance: Instance) -> dict:
         "orders": (list(caches["_pre_cache"]), list(caches["_post_cache"])),
         "reach": bytes(caches["_reach_cache"]),
         "path_counts": list(caches["_count_cache"]),
+        "in_edges": (
+            list(caches["_degree_cache"]), *(list(column) for column in caches["_in_cache"])
+        ),
         "edges": (
             list(csr.esrc), list(csr.edst), list(csr.emulti), list(csr.spans),
             None if caches["_post_array"] is None else caches["_post_array"].tolist(),
@@ -268,17 +290,104 @@ def test_tiers_build_identical_instances(master, axis, source):
     assert built[0] == built[1] == built[2]
 
 
-@pytest.mark.skipif(not planes.numpy_active(), reason="the vector tier needs numpy")
-def test_warmed_master_serves_treebank_q2_without_deriving_a_cache(monkeypatch):
-    master = load(generate("treebank", 400, 0).xml).instance
-    axes_compressed.warm(master)
-    assert instance_module.vectorized(master)
-    derived = []
+#: Frontier limits that force each side of it, and one small enough that an
+#: ``ancestor`` walk runs out of budget part way up.
+FRONTIER_SIDES = {"frontier": 1 << 30, "whole": 0, "budget": 7}
+FRONTIER_AXES = ("child", "parent", "ancestor", "ancestor-or-self")
+
+
+@contextmanager
+def forced_route(limit: int):
+    """Run the body with :data:`axes_compressed.FRONTIER_LIMIT` at ``limit``."""
+    previous = axes_compressed.FRONTIER_LIMIT
+    axes_compressed.FRONTIER_LIMIT = limit
+    try:
+        yield
+    finally:
+        axes_compressed.FRONTIER_LIMIT = previous
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    random_dag_instances(),
+    st.sampled_from((None,) + SPLITTING),
+    st.sampled_from(FRONTIER_AXES),
+    st.sampled_from(LABELS),
+    st.sampled_from(sorted(TIERS)),
+)
+def test_frontier_and_whole_routes_build_identical_instances(
+    master, prior, axis, source, tier
+):
+    warmed(master)
+    built, routes = {}, {}
+    for side in sorted(FRONTIER_SIDES):
+        working = master.copy()
+        if prior is not None:  # the step then reads split-patched caches
+            apply_on_tier(working, prior, "a", "P", tier)
+            working.in_edges()  # a split drops it; the service re-derives it
+        before = working.num_vertices
+        with forced_tier(tier), forced_route(FRONTIER_SIDES[side]):
+            routes[side] = axes_compressed.run_axis(working, axis, source, "T")
+        working.validate()
+        assert_cache_contracts(working)
+        built[side] = (
+            working.num_vertices - before,  # vertices split by the step
+            list(working.edge_table()),  # clone ids and edges
+            {name: bytes(working.plane_of(name)) for name in working.schema},
+            working.postorder(),
+        )
+    assert built["frontier"] == built["whole"] == built["budget"]
+    if not working.members("T") and not working.members(source):
+        return  # an empty selection takes no pass at all
+    assert routes["whole"] == axes_compressed.WHOLE
+    # Unbounded, only a child step that splits leaves the frontier route.
+    split = built["whole"][0] > 0
+    assert routes["frontier"] == (
+        axes_compressed.WHOLE if split else axes_compressed.FRONTIER
+    )
+    if routes["budget"] == axes_compressed.FRONTIER:
+        # Within the limit: the popcount gate, then the members plus every
+        # entry the route must read.
+        members = working.members(source)
+        assert 2 * len(members) <= FRONTIER_SIDES["budget"]
+        if axis == "child":
+            read = [len(working.children(vertex)) for vertex in members]
+        else:
+            degree = working.in_degree()
+            walked = members if axis == "parent" else members | working.members("T")
+            read = [degree[vertex] for vertex in walked]
+        assert len(members) + sum(read) <= FRONTIER_SIDES["budget"]
+
+
+@pytest.mark.parametrize("tier", sorted(TIERS))
+@pytest.mark.parametrize("axis", FRONTIER_AXES)
+def test_the_frontier_route_stays_within_its_limit(axis, tier):
+    # One "a" hub under ten parents and over ten leaves: a step from it reads
+    # 1 + 10 units (child, parent) or 1 + 10 + 10 (the ancestor walk).
+    instance = Instance(LABELS)
+    hub = instance.new_vertex(["a"], [(instance.new_vertex(["c"]), 1) for _ in range(10)])
+    parents = [instance.new_vertex(["b"], [(hub, 1)]) for _ in range(10)]
+    instance.set_root(instance.new_vertex([], [(parent, 1) for parent in parents]))
+    warmed(instance)
+    selected = {}
+    for limit, route in ((10, axes_compressed.WHOLE), (21, axes_compressed.FRONTIER)):
+        working = instance.copy()
+        with forced_tier(tier), forced_route(limit):
+            assert axes_compressed.run_axis(working, axis, "a", "T") == route
+        selected[limit] = working.members("T")
+    assert selected[10] == selected[21]
+
+
+def count_derivations(monkeypatch) -> list[str]:
+    """Record every structure cache an :class:`Instance` derives from scratch."""
+    derived: list[str] = []
     for method, cache in (
         ("postorder", "_post_cache"),
         ("postorder_array", "_post_array"),
         ("edge_csr", "_csr_cache"),
         ("path_counts", "_count_cache"),
+        ("in_degree", "_degree_cache"),
+        ("in_edges", "_in_cache"),
     ):
         original = getattr(Instance, method)
 
@@ -288,7 +397,64 @@ def test_warmed_master_serves_treebank_q2_without_deriving_a_cache(monkeypatch):
             return original(self)
 
         monkeypatch.setattr(Instance, method, counting)
-    result = CompressedEvaluator(master).evaluate(queries_for("treebank")["Q2"])
-    assert result.tree_count() > 0
-    assert result.after[0] > result.before[0]  # Q2 splits shared vertices
+    return derived
+
+
+@pytest.mark.skipif(not planes.numpy_active(), reason="the vector tier needs numpy")
+def test_warmed_master_serves_treebank_q2_without_deriving_a_cache(monkeypatch):
+    master = load(generate("treebank", 400, 0).xml).instance
+    axes_compressed.warm(master)
+    assert instance_module.vectorized(master)
+    derived = count_derivations(monkeypatch)
+    splits = []
+    split_vertices = Instance.split_vertices
+
+    def counting_splits(self, *args, **kwargs):
+        splits.append(1)
+        return split_vertices(self, *args, **kwargs)
+
+    monkeypatch.setattr(Instance, "split_vertices", counting_splits)
+    query = queries_for("treebank")["Q2"]
+    cold = CompressedEvaluator(master).evaluate(query)
+    assert cold.tree_count() > 0
+    assert cold.after[0] > cold.before[0]  # Q2 splits shared vertices
+    # A split drops the in-edge caches (and patches every other one); each
+    # split structure derives them at most once, the service's re-warm after
+    # a batch that split included.
+    axes_compressed.warm(cold.instance)
+    assert set(derived) <= {"in_degree", "in_edges"}
+    assert max(Counter(derived).values(), default=0) <= len(splits)
+    derived.clear()
+    warm = CompressedEvaluator(cold.instance, copy=False).evaluate(query)
+    assert warm.tree_count() == cold.tree_count()
+    assert warm.after == cold.after  # nothing left to split
     assert derived == []
+
+
+def test_a_served_fork_derives_no_cache_on_warm_queries(monkeypatch, tmp_path):
+    # Treebank Q1-Q5 split downward; the sibling steps split siblings too,
+    # which drops the EdgeCSR as well.  Once each query ran on the fork,
+    # serving them again derives nothing, on either kernel tier.
+    catalog = Catalog(str(tmp_path))
+    catalog.add("treebank", generate("treebank", 400, 0).xml)
+    service = QueryService(catalog)
+    queries = [queries_for("treebank")[name] for name in ("Q1", "Q2", "Q3", "Q4", "Q5")]
+    queries += ["//VP/NP/following-sibling::PP", "//PP/preceding-sibling::NP/NN"]
+    cold = [service.query("treebank", query)["tree_count"] for query in queries]
+    assert service.stats.split_vertices > 0
+    derived = count_derivations(monkeypatch)
+    assert [service.query("treebank", query)["tree_count"] for query in queries] == cold
+    assert derived == []
+
+
+def test_the_frontier_route_waits_for_the_index():
+    # Deriving the index would cost more than the pass it saves, so an
+    # instance without one (no warm(), or a split since) takes the whole pass.
+    instance = shared_master()
+    assert axes_compressed.run_axis(instance, "parent", "b", "T") == axes_compressed.WHOLE
+    assert not instance.has_in_edges
+    instance.in_edges()
+    assert axes_compressed.run_axis(instance, "parent", "b", "U") == axes_compressed.FRONTIER
+    assert instance.members("T") == instance.members("U")
+    axes_compressed.run_axis(instance, "child", "b", "V")  # splits: drops it again
+    assert not instance.has_in_edges

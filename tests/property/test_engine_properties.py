@@ -7,9 +7,12 @@ expressions, with both axis implementations (the delta split and the
 Figure 4 in-place splitter).
 """
 
+from unittest import mock
+
 from hypothesis import given, settings, strategies as st
 
-from repro.engine.evaluator import evaluate
+from repro.engine import evaluator as evaluator_module
+from repro.engine.evaluator import CompressedEvaluator, evaluate
 from repro.model.paths import tree_size
 from repro.xpath.algebra import (
     AllNodes,
@@ -140,3 +143,56 @@ def test_tree_count_equals_decoded_paths(instance, expr):
         return
     result = evaluate(instance, expr)
     assert result.tree_count() == len(result.tree_paths())
+
+
+def location_step_expressions():
+    """Algebra trees rich in ``step ∩ L[tag]``, in both operand orders — the
+    shape the evaluator fuses into one axis call."""
+    leaves = st.one_of(
+        st.sampled_from([NamedSet(label) for label in LABELS]),
+        st.just(RootSet()),
+        st.just(AllNodes()),
+    )
+
+    def extend(children):
+        steps = st.tuples(
+            st.sampled_from(_AXIS_LIST), children, st.sampled_from(LABELS), st.booleans()
+        ).map(
+            lambda t: Intersect(NamedSet(t[2]), AxisApply(t[0], t[1]))
+            if t[3]
+            else Intersect(AxisApply(t[0], t[1]), NamedSet(t[2]))
+        )
+        return st.one_of(
+            steps,
+            st.tuples(st.sampled_from(_AXIS_LIST), children).map(
+                lambda t: AxisApply(t[0], t[1])
+            ),
+            st.tuples(children, children).map(lambda t: Union(t[0], t[1])),
+            st.tuples(children, children).map(lambda t: Intersect(t[0], t[1])),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=5)
+
+
+@given(
+    random_dag_instances(),
+    st.lists(location_step_expressions(), min_size=1, max_size=3),
+    st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_fused_steps_select_what_unfused_steps_select(instance, exprs, short_circuit):
+    """A fused ``step ∩ L[tag]`` selects what the unfused pair selects, with
+    the same DAG count, also when a batch shares the bare step elsewhere."""
+    if tree_size(instance) > 4000:
+        return
+    fused = CompressedEvaluator(instance, short_circuit=short_circuit).evaluate_batch(exprs)
+    with mock.patch.object(evaluator_module, "_location_step", lambda expr: None):
+        unfused = CompressedEvaluator(instance, short_circuit=short_circuit).evaluate_batch(
+            exprs
+        )
+    for mine, theirs in zip(fused, unfused):
+        assert mine.dag_count() == theirs.dag_count()
+        assert mine.tree_count() == theirs.tree_count()
+        assert set(mine.tree_paths()) == set(theirs.tree_paths())
+        assert mine.vertices() == theirs.vertices()
+    assert fused.instance.num_vertices == unfused.instance.num_vertices

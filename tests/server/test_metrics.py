@@ -344,6 +344,23 @@ class TestMetricsEndpoint:
         (sample,) = families["repro_split_vertices_total"]["samples"]
         assert sample[2] == stats["service"]["split_vertices"] == 1
 
+    def test_axis_steps_counter_reconciles_with_stats(self, server):
+        # A sibling step always passes over the whole instance; a parent step
+        # from a few authors reads their in-edges only.
+        for query in ("//title/following-sibling::author", "//author/parent::*"):
+            http_post(server, "/query", {"document": "bib", "query": query})
+        _, _, body = http_get(server, "/metrics")
+        families = parse_prometheus_text(body.decode())
+        stats = json.loads(http_get(server, "/stats")[2])
+        routes = {
+            labels["route"]: value
+            for _, labels, value in families["repro_axis_steps_total"]["samples"]
+        }
+        assert routes == {
+            route: float(count) for route, count in stats["service"]["axis_steps"].items()
+        }
+        assert routes["frontier"] >= 1 and routes["whole"] >= 1
+
     def test_admission_families_present(self, server):
         http_post(server, "/query", {"document": "bib", "query": "//author"})
         _, _, body = http_get(server, "/metrics")
